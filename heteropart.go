@@ -244,8 +244,10 @@ func Multiply(cfg ExecConfig, g *Partition, a, b *Matrix) (*Matrix, *ExecStats, 
 }
 
 // MultiplyPIO computes C = A·B with the Parallel Interleaving Overlap
-// pipeline executed for real: pivot rows/columns are exchanged step by
-// step over channels while the previous step computes.
+// pipeline executed for real: each pivot step's A column and B row travel
+// in their own step-tagged packets over channels, and workers compute
+// one 64-step panel at a time while the next panel's packets are
+// already on the wire.
 func MultiplyPIO(cfg ExecConfig, g *Partition, a, b *Matrix) (*Matrix, *ExecStats, error) {
 	return exec.MultiplyPIO(cfg, g, a, b)
 }

@@ -185,7 +185,7 @@ func TestChaosLinkProbeDrift(t *testing.T) {
 			Timeout:   5 * time.Second,
 			Transport: &http.Transport{DisableKeepAlives: true},
 		}, proxy.URL()+"/blob"),
-		OnPublish:      func(e Estimate) { published = append(published, e) },
+		OnPublish: func(e Estimate) { published = append(published, e) },
 	})
 	// Several baseline rounds: the first fetch pays connection setup,
 	// so β needs a moment to settle (and may republish while it does).

@@ -68,12 +68,6 @@ type activeBlock struct {
 	speculated bool
 }
 
-// workerState is one worker's private view of the matrices.
-type workerState struct {
-	aLocal, bLocal *matrix.Dense
-	inbox          chan packet
-}
-
 // execMetrics is the engine's optional instrumentation surface.
 type execMetrics struct {
 	blocks     *metrics.CounterVec // exec_blocks_total{state}
@@ -147,8 +141,12 @@ type engine struct {
 	c     *matrix.Dense
 	stats *Stats
 
-	workers      map[partition.Proc]*workerState
-	aHave, bHave map[partition.Proc][]bool // supervisor-side coverage bookkeeping
+	plan    *exchangePlan
+	workers [partition.NumProcs]*workerState
+	// aHave/bHave are the supervisor's record of which A and B cells each
+	// worker holds, built on first use by have: recovery and speculation
+	// patch only what is missing.
+	aHave, bHave [partition.NumProcs][]bool
 
 	doneMask   []bool
 	doneCells  int
@@ -190,9 +188,7 @@ func newEngine(ctx context.Context, cfg Config, g *partition.Grid, a, b *matrix.
 		n:          n,
 		c:          matrix.New(n),
 		stats:      &Stats{},
-		workers:    make(map[partition.Proc]*workerState, partition.NumProcs),
-		aHave:      make(map[partition.Proc][]bool, partition.NumProcs),
-		bHave:      make(map[partition.Proc][]bool, partition.NumProcs),
+		plan:       newExchangePlan(g),
 		doneMask:   make([]bool, n*n),
 		totalCells: n * n,
 		pending:    make(map[partition.Proc][]*blockTask, partition.NumProcs),
@@ -222,11 +218,6 @@ func newEngine(ctx context.Context, cfg Config, g *partition.Grid, a, b *matrix.
 		e.cfg.BlockSize = defaultBlockSize
 	}
 	for _, p := range partition.Procs {
-		e.workers[p] = &workerState{
-			aLocal: matrix.New(n),
-			bLocal: matrix.New(n),
-			inbox:  make(chan packet, partition.NumProcs),
-		}
 		e.assign[p] = make(chan *blockTask, 1)
 		e.alive[p] = true
 	}
@@ -240,8 +231,8 @@ func newEngine(ctx context.Context, cfg Config, g *partition.Grid, a, b *matrix.
 	return e, nil
 }
 
-// run drives the whole execution: distribute, exchange, supervise the
-// compute phase, and assemble the stats.
+// run drives the whole execution: exchange, supervise the compute phase,
+// and assemble the stats.
 func (e *engine) run() (*matrix.Dense, *Stats, error) {
 	defer func() {
 		if e.ckpt != nil {
@@ -249,7 +240,6 @@ func (e *engine) run() (*matrix.Dense, *Stats, error) {
 		}
 	}()
 	start := time.Now()
-	e.distribute()
 	e.exchange()
 	e.buildInitialTasks()
 
@@ -291,118 +281,40 @@ func (e *engine) run() (*matrix.Dense, *Stats, error) {
 	return e.c, e.stats, nil
 }
 
-// distribute seeds each worker's local views with its own cells and
-// initialises the supervisor's coverage bookkeeping.
-func (e *engine) distribute() {
-	n := e.n
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			p := e.g.At(i, j)
-			e.workers[p].aLocal.Set(i, j, e.a.At(i, j))
-			e.workers[p].bLocal.Set(i, j, e.b.At(i, j))
-		}
-	}
-}
-
-// exchange runs the planned all-to-all: w sends to v its A cells in v's
-// rows and its B cells in v's columns, through real channels, with every
-// element accounted in PairVolume. After it, every worker holds the full
-// A rows and B columns its own C cells need. Coverage masks (aHave,
-// bHave) record exactly that, so recovery knows what is missing later.
+// exchange seeds every worker's local views with its own cells and runs
+// the planned all-to-all through real channels: each worker sends every
+// peer its A cells in the peer's rows and its B cells in the peer's
+// columns, with every element accounted in PairVolume, and applies what
+// it receives. After it, every worker holds the full A rows and B
+// columns its own C cells need.
 func (e *engine) exchange() {
-	n := e.n
 	sp := e.tr("exchange")
-	rowsNeeded := make(map[partition.Proc][]bool, partition.NumProcs)
-	colsNeeded := make(map[partition.Proc][]bool, partition.NumProcs)
-	for _, p := range partition.Procs {
-		rn := make([]bool, n)
-		cn := make([]bool, n)
-		for i := 0; i < n; i++ {
-			rn[i] = e.g.RowCount(i, p) > 0
-			cn[i] = e.g.ColCount(i, p) > 0
-		}
-		rowsNeeded[p] = rn
-		colsNeeded[p] = cn
-	}
-	packets := make(map[partition.Proc]map[partition.Proc]packet, partition.NumProcs)
-	for _, w := range partition.Procs {
-		packets[w] = make(map[partition.Proc]packet, partition.NumProcs-1)
-		for _, v := range partition.Procs {
-			if v == w {
-				continue
-			}
-			pk := packet{from: w}
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if e.g.At(i, j) != w {
-						continue
-					}
-					idx := int32(i*n + j)
-					if rowsNeeded[v][i] {
-						pk.aIdx = append(pk.aIdx, idx)
-						pk.aVal = append(pk.aVal, e.a.At(i, j))
-					}
-					if colsNeeded[v][j] {
-						pk.bIdx = append(pk.bIdx, idx)
-						pk.bVal = append(pk.bVal, e.b.At(i, j))
-					}
-				}
-			}
-			vol := int64(len(pk.aIdx) + len(pk.bIdx))
-			e.stats.PairVolume[w][v] = vol
-			e.stats.TotalVolume += vol
-			packets[w][v] = pk
-		}
-	}
-
+	e.workers = e.plan.newWorkers(e.a, e.b)
 	var xwg sync.WaitGroup
 	for _, w := range partition.Procs {
 		xwg.Add(1)
 		go func(w partition.Proc) {
 			defer xwg.Done()
-			for _, v := range partition.Procs {
-				if v == w {
-					continue
-				}
-				e.workers[v].inbox <- packets[w][v]
-			}
+			e.plan.send(w, e.workers, e.a, e.b, e.stats)
+			e.workers[w].receive()
 		}(w)
 	}
 	xwg.Wait()
-	for _, w := range partition.Procs {
-		ws := e.workers[w]
-		for k := 0; k < partition.NumProcs-1; k++ {
-			pk := <-ws.inbox
-			for i, idx := range pk.aIdx {
-				ws.aLocal.Data()[idx] = pk.aVal[i]
-			}
-			for i, idx := range pk.bIdx {
-				ws.bLocal.Data()[idx] = pk.bVal[i]
-			}
-		}
-	}
-
-	// Coverage after the exchange: worker v holds A cell (i,j) iff row i
-	// is one of its rows (then the row is complete) or the cell is its
-	// own; symmetrically for B columns.
-	for _, v := range partition.Procs {
-		ah := make([]bool, n*n)
-		bh := make([]bool, n*n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				idx := i*n + j
-				own := e.g.At(i, j) == v
-				ah[idx] = own || rowsNeeded[v][i]
-				bh[idx] = own || colsNeeded[v][j]
-			}
-		}
-		e.aHave[v] = ah
-		e.bHave[v] = bh
-	}
+	e.stats.sumVolume()
 	if sp != nil {
 		sp.SetDetail("moved=%d", e.stats.TotalVolume)
 		sp.End()
 	}
+}
+
+// have returns worker v's coverage masks, building them from the plan on
+// first use (a fault-free run never needs them); buildPatch and unpatch
+// keep them current from there.
+func (e *engine) have(v partition.Proc) (aHave, bHave []bool) {
+	if e.aHave[v] == nil {
+		e.aHave[v], e.bHave[v] = e.plan.coverage(v)
+	}
+	return e.aHave[v], e.bHave[v]
 }
 
 // buildInitialTasks cuts the not-yet-done region (everything, unless a
@@ -522,6 +434,7 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 		lim = throttle.MustNew(baseRate * e.cfg.Machine.Ratio.Speed(w) / slow)
 	}
 
+	scratch := matrix.New(e.n)
 	var done int64
 	for {
 		if fate != sim.FateNone {
@@ -550,7 +463,7 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 			return
 		case t = <-e.assign[w]:
 		}
-		vals := e.computeBlock(w, t, lim)
+		vals := e.computeBlock(w, t, lim, scratch)
 		injected := false
 		switch corrupt {
 		case sim.FateScale:
@@ -581,10 +494,12 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 }
 
 // computeBlock computes the block's C cells bit-identically to the
-// serial kij kernel: each cell accumulates its pivot products in
-// strictly ascending k order, chunked so pacing and heartbeats
-// interleave with the work.
-func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limiter) []float64 {
+// serial kij kernel: the cells go through matrix.MulRuns as row runs, one
+// pivot chunk at a time, so heartbeats and pacing interleave with the
+// work. scratch is the worker's own C; the block's cells are zeroed
+// first, because a worker can be handed cells it computed before (an
+// integrity re-lease on a sole survivor, a re-planned speculation).
+func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limiter, scratch *matrix.Dense) []float64 {
 	ws := e.workers[w]
 	ad, bd := ws.aLocal.Data(), ws.bLocal.Data()
 	for i, idx := range t.patchA {
@@ -594,24 +509,23 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 		bd[idx] = t.patchBV[i]
 	}
 	n := e.n
-	vals := make([]float64, len(t.cells))
-	const chunk = 64
+	cd := scratch.Data()
+	for _, idx := range t.cells {
+		cd[idx] = 0
+	}
+	runs := matrix.CellRuns(t.cells, n)
 	cells := int64(len(t.cells))
-	for k0 := 0; k0 < n; k0 += chunk {
-		k1 := min(k0+chunk, n)
-		for ci, idx := range t.cells {
-			i, j := int(idx)/n, int(idx)%n
-			s := vals[ci]
-			arow := ad[i*n : (i+1)*n]
-			for k := k0; k < k1; k++ {
-				s += arow[k] * bd[k*n+j]
-			}
-			vals[ci] = s
-		}
+	for k0 := 0; k0 < n; k0 += matrix.PivotChunk {
+		k1 := min(k0+matrix.PivotChunk, n)
+		matrix.MulRuns(scratch, ws.aLocal, ws.bLocal, runs, k0, k1)
 		e.beat(w)
 		if lim != nil {
 			e.pacedAcquire(w, lim, cells*int64(k1-k0))
 		}
+	}
+	vals := make([]float64, len(t.cells))
+	for ci, idx := range t.cells {
+		vals[ci] = cd[idx]
 	}
 	return vals
 }
@@ -970,7 +884,7 @@ func (e *engine) retile(cells []int32, ownerOf func(int32) partition.Proc) []*bl
 // worker already holds are never re-sent.
 func (e *engine) buildPatch(t *blockTask) {
 	n := e.n
-	ah, bh := e.aHave[t.owner], e.bHave[t.owner]
+	ah, bh := e.have(t.owner)
 	rowSeen := make(map[int]bool)
 	colSeen := make(map[int]bool)
 	for _, idx := range t.cells {
@@ -1008,7 +922,7 @@ func (e *engine) buildPatch(t *blockTask) {
 // worker does not hold them, whatever the masks say. The recovery
 // volume it charged is refunded — those elements never moved.
 func (e *engine) unpatch(t *blockTask) {
-	ah, bh := e.aHave[t.owner], e.bHave[t.owner]
+	ah, bh := e.have(t.owner)
 	for _, idx := range t.patchA {
 		ah[idx] = false
 	}

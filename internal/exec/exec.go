@@ -5,7 +5,10 @@
 // experiment (Section X-B): data actually moves between workers through
 // channels, every transferred element is accounted, processor speed
 // ratios are imposed with the token-bucket throttle, and the numerical
-// result is bit-identical to the serial kij kernel.
+// result is bit-identical to the serial kij kernel. All five algorithms
+// plan their data movement with one exchange planner (exchange.go), and
+// every worker computes only its own C cells, as row runs through
+// matrix.MulRuns.
 //
 // The barrier algorithms (SCB, PCB) run on a supervised block scheduler
 // (engine.go): the multiplication is split into block tasks with lease +
@@ -102,15 +105,6 @@ type Config struct {
 	// Trace, when non-nil, records per-worker span timelines plus
 	// exchange and recovery spans.
 	Trace *trace.Trace
-}
-
-// packet is one worker-to-worker transfer: matrix cell indices and values.
-type packet struct {
-	from partition.Proc
-	aIdx []int32
-	aVal []float64
-	bIdx []int32
-	bVal []float64
 }
 
 // Stats reports what an execution actually did.

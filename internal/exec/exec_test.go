@@ -24,29 +24,51 @@ func randomMatrices(n int, seed int64) (*matrix.Dense, *matrix.Dense) {
 	return a, b
 }
 
+// multiplyAlg runs cfg.Algorithm through its executor.
+func multiplyAlg(cfg Config, g *partition.Grid, a, b *matrix.Dense) (*matrix.Dense, *Stats, error) {
+	switch cfg.Algorithm {
+	case model.SCB, model.PCB:
+		return Multiply(cfg, g, a, b)
+	case model.SCO, model.PCO:
+		return MultiplyOverlap(cfg, g, a, b)
+	default:
+		return MultiplyPIO(cfg, g, a, b)
+	}
+}
+
 func TestMultiplyCanonicalShapesBitExact(t *testing.T) {
-	// Every canonical shape yields a product bit-identical to the serial
-	// kij kernel — non-rectangular partitions included.
-	const n = 48
+	// Every algorithm on every feasible canonical shape, and on a raw
+	// random partition, yields a product bit-identical to the serial kij
+	// kernel and moves exactly VoC elements — non-rectangular partitions
+	// included. n=130 is no multiple of 8, 32 or matrix.PivotChunk, so
+	// run segments, tiles, pivot chunks and PIO panels all end ragged.
 	ratio := partition.MustRatio(5, 2, 1)
-	a, b := randomMatrices(n, 1)
-	want := matrix.New(n)
-	matrix.MulKIJ(want, a, b)
-	for _, s := range partition.AllShapes {
-		g, err := partition.Build(s, n, ratio)
-		if err != nil {
-			continue
+	for _, n := range []int{48, 130} {
+		a, b := randomMatrices(n, 1)
+		want := matrix.New(n)
+		matrix.MulKIJ(want, a, b)
+		grids := map[string]*partition.Grid{
+			"random": partition.NewRandom(n, ratio, rand.New(rand.NewSource(int64(n)))),
 		}
-		c, stats, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: model.SCB}, g, a, b)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
+		for _, s := range partition.AllShapes {
+			if g, err := partition.Build(s, n, ratio); err == nil {
+				grids[s.String()] = g
+			}
 		}
-		if !c.Equal(want) {
-			d, _ := c.MaxDiff(want)
-			t.Errorf("%v: product differs from serial kij (max diff %g)", s, d)
-		}
-		if stats.TotalVolume != g.VoC() {
-			t.Errorf("%v: measured volume %d != VoC %d", s, stats.TotalVolume, g.VoC())
+		for name, g := range grids {
+			for _, alg := range model.AllAlgorithms {
+				c, stats, err := multiplyAlg(Config{Machine: testMachine(ratio), Algorithm: alg}, g, a, b)
+				if err != nil {
+					t.Fatalf("n=%d %v %s: %v", n, alg, name, err)
+				}
+				if !c.Equal(want) {
+					d, _ := c.MaxDiff(want)
+					t.Errorf("n=%d %v %s: product differs from serial kij (max diff %g)", n, alg, name, d)
+				}
+				if stats.TotalVolume != g.VoC() {
+					t.Errorf("n=%d %v %s: measured volume %d != VoC %d", n, alg, name, stats.TotalVolume, g.VoC())
+				}
+			}
 		}
 	}
 }

@@ -32,64 +32,77 @@ func TestMultiplyKillRecoveryBitExact(t *testing.T) {
 	// assigned work under SCB and PCB strands its remaining blocks, the
 	// lease expires, and the remainder is re-planned on the two survivors
 	// with the prior work's optimal two-processor shapes — and the final
-	// matrix is still bit-identical to the serial kij kernel.
-	const n = 48
+	// matrix is still bit-identical to the serial kij kernel. The ragged
+	// case re-tiles the remainder into 24-cell tiles that n=130 cuts
+	// short at the edges, so uneven recovery blocks go through the
+	// kernel too.
 	ratio := partition.MustRatio(3, 2, 1)
-	a, b := randomMatrices(n, 11)
-	want := matrix.New(n)
-	matrix.MulKIJ(want, a, b)
-	g, err := partition.Build(partition.SquareCorner, n, ratio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []model.Algorithm{model.SCB, model.PCB} {
-		for _, frac := range []float64{0.1, 0.5, 0.9} {
-			for _, victim := range []partition.Proc{partition.R, partition.P} {
-				t.Run(alg.String()+"/"+victim.String(), func(t *testing.T) {
-					fp := sim.NewFaultPlan()
-					if err := fp.AddWorkerKill(victim, frac); err != nil {
-						t.Fatal(err)
-					}
-					reg := metrics.NewRegistry()
-					cfg := fastFailover(Config{
-						Machine:   testMachine(ratio),
-						Algorithm: alg,
-						BlockSize: 8,
-						Faults:    fp,
-						Metrics:   reg,
-						Trace:     trace.New(),
+	for _, tc := range []struct {
+		n, blockSize int
+		algs         []model.Algorithm
+		fracs        []float64
+		tag          string
+	}{
+		{n: 48, blockSize: 8, algs: []model.Algorithm{model.SCB, model.PCB}, fracs: []float64{0.1, 0.5, 0.9}},
+		{n: 130, blockSize: 24, algs: []model.Algorithm{model.SCB}, fracs: []float64{0.5}, tag: "/ragged-n130"},
+	} {
+		n := tc.n
+		a, b := randomMatrices(n, 11)
+		want := matrix.New(n)
+		matrix.MulKIJ(want, a, b)
+		g, err := partition.Build(partition.SquareCorner, n, ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range tc.algs {
+			for _, frac := range tc.fracs {
+				for _, victim := range []partition.Proc{partition.R, partition.P} {
+					t.Run(alg.String()+"/"+victim.String()+tc.tag, func(t *testing.T) {
+						fp := sim.NewFaultPlan()
+						if err := fp.AddWorkerKill(victim, frac); err != nil {
+							t.Fatal(err)
+						}
+						reg := metrics.NewRegistry()
+						cfg := fastFailover(Config{
+							Machine:   testMachine(ratio),
+							Algorithm: alg,
+							BlockSize: tc.blockSize,
+							Faults:    fp,
+							Metrics:   reg,
+							Trace:     trace.New(),
+						})
+						c, stats, err := Multiply(cfg, g, a, b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !c.Equal(want) {
+							d, _ := c.MaxDiff(want)
+							t.Fatalf("kill %v@%g: product differs from serial kij (max diff %g)", victim, frac, d)
+						}
+						if len(stats.Lost) != 1 || stats.Lost[0] != victim {
+							t.Fatalf("Lost = %v, want [%v]", stats.Lost, victim)
+						}
+						if stats.Survivors() != 2 {
+							t.Fatalf("Survivors() = %d, want 2", stats.Survivors())
+						}
+						if stats.Recoveries != 1 || len(stats.RecoveryKinds) != 1 || stats.RecoveryKinds[0] != "replan-2proc" {
+							t.Fatalf("Recoveries=%d kinds=%v, want one replan-2proc", stats.Recoveries, stats.RecoveryKinds)
+						}
+						// Planned-exchange accounting is untouched by recovery.
+						if stats.TotalVolume != g.VoC() {
+							t.Errorf("TotalVolume %d != VoC %d after recovery", stats.TotalVolume, g.VoC())
+						}
+						// The acceptance bound: redistribution for the re-planned
+						// remainder stays under 2× what a from-scratch fault-free
+						// redistribution of that remainder would move.
+						if stats.RemainderNeed > 0 && stats.RecoveryVolume >= 2*stats.RemainderNeed {
+							t.Errorf("RecoveryVolume %d ≥ 2×RemainderNeed %d", stats.RecoveryVolume, stats.RemainderNeed)
+						}
+						if stats.RecoveryLatency <= 0 {
+							t.Error("RecoveryLatency not recorded")
+						}
 					})
-					c, stats, err := Multiply(cfg, g, a, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !c.Equal(want) {
-						d, _ := c.MaxDiff(want)
-						t.Fatalf("kill %v@%g: product differs from serial kij (max diff %g)", victim, frac, d)
-					}
-					if len(stats.Lost) != 1 || stats.Lost[0] != victim {
-						t.Fatalf("Lost = %v, want [%v]", stats.Lost, victim)
-					}
-					if stats.Survivors() != 2 {
-						t.Fatalf("Survivors() = %d, want 2", stats.Survivors())
-					}
-					if stats.Recoveries != 1 || len(stats.RecoveryKinds) != 1 || stats.RecoveryKinds[0] != "replan-2proc" {
-						t.Fatalf("Recoveries=%d kinds=%v, want one replan-2proc", stats.Recoveries, stats.RecoveryKinds)
-					}
-					// Planned-exchange accounting is untouched by recovery.
-					if stats.TotalVolume != g.VoC() {
-						t.Errorf("TotalVolume %d != VoC %d after recovery", stats.TotalVolume, g.VoC())
-					}
-					// The acceptance bound: redistribution for the re-planned
-					// remainder stays under 2× what a from-scratch fault-free
-					// redistribution of that remainder would move.
-					if stats.RemainderNeed > 0 && stats.RecoveryVolume >= 2*stats.RemainderNeed {
-						t.Errorf("RecoveryVolume %d ≥ 2×RemainderNeed %d", stats.RecoveryVolume, stats.RemainderNeed)
-					}
-					if stats.RecoveryLatency <= 0 {
-						t.Error("RecoveryLatency not recorded")
-					}
-				})
+				}
 			}
 		}
 	}

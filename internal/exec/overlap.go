@@ -44,96 +44,8 @@ func MultiplyOverlapContext(ctx context.Context, cfg Config, g *partition.Grid, 
 
 	start := time.Now()
 	stats := &Stats{}
-
-	type workerState struct {
-		aLocal, bLocal *matrix.Dense
-		overlapMask    []bool // cells computable with no communication
-		remainderMask  []bool
-		inbox          chan packet
-	}
-	workers := make(map[partition.Proc]*workerState, partition.NumProcs)
-
-	// Fully-owned rows and columns per worker determine the overlap set.
-	for _, p := range partition.Procs {
-		fullRow := make([]bool, n)
-		fullCol := make([]bool, n)
-		for i := 0; i < n; i++ {
-			fullRow[i] = g.RowCount(i, p) == n
-			fullCol[i] = g.ColCount(i, p) == n
-		}
-		ov := make([]bool, n*n)
-		rem := make([]bool, n*n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if g.At(i, j) != p {
-					continue
-				}
-				if fullRow[i] && fullCol[j] {
-					ov[i*n+j] = true
-				} else {
-					rem[i*n+j] = true
-				}
-			}
-		}
-		workers[p] = &workerState{
-			aLocal:        matrix.New(n),
-			bLocal:        matrix.New(n),
-			overlapMask:   ov,
-			remainderMask: rem,
-			inbox:         make(chan packet, partition.NumProcs),
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			p := g.At(i, j)
-			workers[p].aLocal.Set(i, j, a.At(i, j))
-			workers[p].bLocal.Set(i, j, b.At(i, j))
-		}
-	}
-
-	rowsNeeded := make(map[partition.Proc][]bool, partition.NumProcs)
-	colsNeeded := make(map[partition.Proc][]bool, partition.NumProcs)
-	for _, p := range partition.Procs {
-		rn := make([]bool, n)
-		cn := make([]bool, n)
-		for i := 0; i < n; i++ {
-			rn[i] = g.RowCount(i, p) > 0
-			cn[i] = g.ColCount(i, p) > 0
-		}
-		rowsNeeded[p] = rn
-		colsNeeded[p] = cn
-	}
-	packets := make(map[partition.Proc]map[partition.Proc]packet, partition.NumProcs)
-	for _, w := range partition.Procs {
-		packets[w] = make(map[partition.Proc]packet, partition.NumProcs-1)
-		for _, v := range partition.Procs {
-			if v == w {
-				continue
-			}
-			pk := packet{from: w}
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if g.At(i, j) != w {
-						continue
-					}
-					idx := int32(i*n + j)
-					if rowsNeeded[v][i] {
-						pk.aIdx = append(pk.aIdx, idx)
-						pk.aVal = append(pk.aVal, a.At(i, j))
-					}
-					if colsNeeded[v][j] {
-						pk.bIdx = append(pk.bIdx, idx)
-						pk.bVal = append(pk.bVal, b.At(i, j))
-					}
-				}
-			}
-			vol := int64(len(pk.aIdx) + len(pk.bIdx))
-			stats.PairVolume[w][v] = vol
-			stats.TotalVolume += vol
-			packets[w][v] = pk
-		}
-	}
-
+	x := newExchangePlan(g)
+	workers := x.newWorkers(a, b)
 	c := matrix.New(n)
 	var wg sync.WaitGroup
 	for _, w := range partition.Procs {
@@ -141,26 +53,14 @@ func MultiplyOverlapContext(ctx context.Context, cfg Config, g *partition.Grid, 
 		go func(w partition.Proc) {
 			defer wg.Done()
 			ws := workers[w]
+			overlap, rest := x.runs(w)
 			// Phase 1a: launch the exchange.
-			for _, v := range partition.Procs {
-				if v == w {
-					continue
-				}
-				workers[v].inbox <- packets[w][v]
-			}
+			x.send(w, workers, a, b, stats)
 			// Phase 1b: overlap computation while packets are in flight.
-			matrix.MulMasked(c, ws.aLocal, ws.bLocal, ws.overlapMask)
+			matrix.MulRuns(c, ws.aLocal, ws.bLocal, overlap, 0, n)
 			// Barrier on the exchange, then the remainder (Eq 7/8).
-			for k := 0; k < partition.NumProcs-1; k++ {
-				pk := <-ws.inbox
-				for i, idx := range pk.aIdx {
-					ws.aLocal.Data()[idx] = pk.aVal[i]
-				}
-				for i, idx := range pk.bIdx {
-					ws.bLocal.Data()[idx] = pk.bVal[i]
-				}
-			}
-			matrix.MulMasked(c, ws.aLocal, ws.bLocal, ws.remainderMask)
+			ws.receive()
+			matrix.MulRuns(c, ws.aLocal, ws.bLocal, rest, 0, n)
 			stats.Flops[w] = int64(g.Count(w)) * int64(n)
 		}(w)
 	}
@@ -168,6 +68,7 @@ func MultiplyOverlapContext(ctx context.Context, cfg Config, g *partition.Grid, 
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	stats.sumVolume()
 
 	bd := model.Evaluate(cfg.Algorithm, cfg.Machine, g.Snapshot())
 	stats.VirtualComm = bd.Comm

@@ -10,23 +10,15 @@ import (
 	"repro/internal/partition"
 )
 
-// stepPacket carries one pipeline step's pivot data from one worker to
-// another: the sender's A cells in the pivot column and B cells in the
-// pivot row that the receiver needs.
-type stepPacket struct {
-	step int
-	aIdx []int32
-	aVal []float64
-	bIdx []int32
-	bVal []float64
-}
-
 // MultiplyPIO computes C = A·B with the Parallel Interleaving Overlap
-// algorithm (Section II, algorithm 5) executed for real: at each pivot
-// step k the workers exchange the pivot column of A and pivot row of B
-// cell-by-need over channels, then apply the kij update for k to their
-// own region. Communication of step k+1 overlaps computation of step k
-// through buffered channels, mirroring the algorithm's pipeline.
+// algorithm (Section II, algorithm 5) executed for real. Each pivot step
+// k has its own packets: the pivot column of A and pivot row of B, sent
+// cell-by-need to the peers that own cells in those rows and columns,
+// with every packet tagged by its step. Workers compute a panel of
+// matrix.PivotChunk steps at a time over their own cells, and put the
+// next panel's packets on the wire before computing the current one, so
+// communication of panel p+1 overlaps computation of panel p — the
+// algorithm's pipeline, one panel deep.
 //
 // The returned Stats accounts every transferred element; the total equals
 // the partition's VoC exactly, and the product is bit-identical to the
@@ -42,121 +34,68 @@ func MultiplyPIO(cfg Config, g *partition.Grid, a, b *matrix.Dense) (*matrix.Den
 
 	start := time.Now()
 	stats := &Stats{}
-
-	// Per-worker local views seeded with own cells only.
-	type workerState struct {
-		aLocal, bLocal *matrix.Dense
-		mask           []bool
-		// inbox[sender] carries that sender's packets in step order; a
-		// channel per sender keeps a fast peer's step-k+1 packet from
-		// overtaking a slow peer's step-k packet. Capacity 2 admits the
-		// pipeline's one step of lookahead without blocking.
-		inbox map[partition.Proc]chan stepPacket
-	}
-	workers := make(map[partition.Proc]*workerState, partition.NumProcs)
-	for _, p := range partition.Procs {
-		inbox := make(map[partition.Proc]chan stepPacket, partition.NumProcs-1)
-		for _, q := range partition.Procs {
-			if q != p {
-				inbox[q] = make(chan stepPacket, 2)
+	x := newExchangePlan(g)
+	aLocal, bLocal := x.seed(a, b)
+	// steps[v][w] carries w's step packets to v in pivot order; a channel
+	// per sender keeps a fast peer's later steps from overtaking a slow
+	// peer's earlier ones. Room for two panels admits the pipeline's one
+	// panel of lookahead without blocking.
+	var steps [partition.NumProcs][partition.NumProcs]chan packet
+	for _, v := range partition.Procs {
+		for _, w := range partition.Procs {
+			if w != v {
+				steps[v][w] = make(chan packet, 2*matrix.PivotChunk)
 			}
 		}
-		workers[p] = &workerState{
-			aLocal: matrix.New(n),
-			bLocal: matrix.New(n),
-			mask:   g.Mask(p),
-			inbox:  inbox,
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			p := g.At(i, j)
-			workers[p].aLocal.Set(i, j, a.At(i, j))
-			workers[p].bLocal.Set(i, j, b.At(i, j))
-		}
-	}
-
-	rowsNeeded := make(map[partition.Proc][]bool, partition.NumProcs)
-	colsNeeded := make(map[partition.Proc][]bool, partition.NumProcs)
-	for _, p := range partition.Procs {
-		rn := make([]bool, n)
-		cn := make([]bool, n)
-		for i := 0; i < n; i++ {
-			rn[i] = g.RowCount(i, p) > 0
-			cn[i] = g.ColCount(i, p) > 0
-		}
-		rowsNeeded[p] = rn
-		colsNeeded[p] = cn
-	}
-
-	// stepPacketFor builds w→v's packet for pivot k: w's A cells in
-	// column k at rows v needs, and w's B cells in row k at columns v
-	// needs.
-	stepPacketFor := func(w, v partition.Proc, k int) stepPacket {
-		pk := stepPacket{step: k}
-		for i := 0; i < n; i++ {
-			if g.At(i, k) == w && rowsNeeded[v][i] {
-				pk.aIdx = append(pk.aIdx, int32(i*n+k))
-				pk.aVal = append(pk.aVal, a.At(i, k))
-			}
-		}
-		for j := 0; j < n; j++ {
-			if g.At(k, j) == w && colsNeeded[v][j] {
-				pk.bIdx = append(pk.bIdx, int32(k*n+j))
-				pk.bVal = append(pk.bVal, b.At(k, j))
-			}
-		}
-		return pk
 	}
 
 	c := matrix.New(n)
 	var wg sync.WaitGroup
 	errs := make(chan error, partition.NumProcs)
-	var volMu sync.Mutex
 	for _, w := range partition.Procs {
 		wg.Add(1)
 		go func(w partition.Proc) {
 			defer wg.Done()
-			ws := workers[w]
-			for k := 0; k < n; k++ {
-				// Send this step's pivot data to the peers.
-				for _, v := range partition.Procs {
-					if v == w {
-						continue
-					}
-					pk := stepPacketFor(w, v, k)
-					// Empty packets are still sent: they carry the step
-					// tag that keeps the pipeline in lockstep.
-					workers[v].inbox[w] <- pk
-					vol := int64(len(pk.aIdx) + len(pk.bIdx))
-					volMu.Lock()
-					stats.PairVolume[w][v] += vol
-					stats.TotalVolume += vol
-					volMu.Unlock()
-				}
-				// Receive one packet per peer for this step.
-				for _, v := range partition.Procs {
-					if v == w {
-						continue
-					}
-					pk := <-ws.inbox[v]
-					if pk.step != k {
-						errs <- fmt.Errorf("exec: worker %v expected step %d from %v, got %d", w, k, v, pk.step)
-						return
-					}
-					for i, idx := range pk.aIdx {
-						ws.aLocal.Data()[idx] = pk.aVal[i]
-					}
-					for i, idx := range pk.bIdx {
-						ws.bLocal.Data()[idx] = pk.bVal[i]
+			// PIO has no overlap phase: every panel updates all of w's cells.
+			overlap, rest := x.runs(w)
+			runs := append(overlap, rest...)
+			// send puts pivot steps [k0, k1) on the wire to every peer.
+			// Only this goroutine writes stats.PairVolume[w].
+			send := func(k0, k1 int) {
+				for k := k0; k < k1; k++ {
+					for _, v := range partition.Procs {
+						if v == w {
+							continue
+						}
+						pk := x.stepPacket(w, v, k, a, b)
+						// Empty packets are still sent: they carry the step
+						// tag that keeps the pipeline in lockstep.
+						steps[v][w] <- pk
+						stats.PairVolume[w][v] += pk.volume()
 					}
 				}
-				// Compute pivot step k on our region.
-				matrix.MulMaskedStep(c, ws.aLocal, ws.bLocal, ws.mask, k)
 			}
-			volMu.Lock()
+			send(0, min(matrix.PivotChunk, n))
+			for k0 := 0; k0 < n; k0 += matrix.PivotChunk {
+				k1 := min(k0+matrix.PivotChunk, n)
+				send(k1, min(k1+matrix.PivotChunk, n))
+				// Receive this panel: one packet per peer per step.
+				for k := k0; k < k1; k++ {
+					for _, v := range partition.Procs {
+						if v == w {
+							continue
+						}
+						pk := <-steps[w][v]
+						if pk.step != k {
+							errs <- fmt.Errorf("exec: worker %v expected step %d from %v, got %d", w, k, v, pk.step)
+							return
+						}
+						pk.apply(aLocal[w], bLocal[w])
+					}
+				}
+				matrix.MulRuns(c, aLocal[w], bLocal[w], runs, k0, k1)
+			}
 			stats.Flops[w] = int64(g.Count(w)) * int64(n)
-			volMu.Unlock()
 		}(w)
 	}
 	wg.Wait()
@@ -166,6 +105,7 @@ func MultiplyPIO(cfg Config, g *partition.Grid, a, b *matrix.Dense) (*matrix.Den
 			return nil, nil, err
 		}
 	}
+	stats.sumVolume()
 
 	// Virtual timings per the Eq 9 pipeline on the measured volumes.
 	snap := g.Snapshot()

@@ -199,28 +199,6 @@ func MulKIJ(c, a, b *Dense) {
 	}
 }
 
-// MulKIJStep performs a single pivot step k of the kij algorithm:
-// C[i,j] += A[i,k]*B[k,j] for all i, j. This is the unit of progress the
-// Parallel Interleaving Overlap (PIO) algorithm pipelines.
-func MulKIJStep(c, a, b *Dense, k int) {
-	checkTriple(c, a, b)
-	n := a.n
-	if k < 0 || k >= n {
-		panic("matrix: pivot out of range")
-	}
-	brow := b.data[k*n : (k+1)*n]
-	for i := 0; i < n; i++ {
-		aik := a.data[i*n+k]
-		if aik == 0 {
-			continue
-		}
-		crow := c.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			crow[j] += aik * brow[j]
-		}
-	}
-}
-
 // MulIJK computes C += A·B in the classic ijk order. Used as an
 // independent oracle for the kij kernels in tests.
 func MulIJK(c, a, b *Dense) {
@@ -273,79 +251,15 @@ func MulBlocked(c, a, b *Dense, block int) {
 	}
 }
 
-// MulSubKIJ updates only the C elements inside rows [r0,r1) × cols [c0,c1),
-// consuming the full A column / B row for each pivot. This is the kernel a
-// single processor runs on its assigned region of C when the region is a
-// rectangle.
-func MulSubKIJ(c, a, b *Dense, r0, r1, c0, c1 int) {
-	checkTriple(c, a, b)
-	n := a.n
-	if r0 < 0 || r1 > n || c0 < 0 || c1 > n || r0 > r1 || c0 > c1 {
-		panic("matrix: sub-range out of bounds")
-	}
-	for k := 0; k < n; k++ {
-		brow := b.data[k*n : (k+1)*n]
-		for i := r0; i < r1; i++ {
-			aik := a.data[i*n+k]
-			if aik == 0 {
-				continue
-			}
-			crow := c.data[i*n : (i+1)*n]
-			for j := c0; j < c1; j++ {
-				crow[j] += aik * brow[j]
-			}
-		}
-	}
-}
-
-// MulMaskedStep performs pivot step k of the kij algorithm restricted to
-// the masked elements of C: C[i,j] += A[i,k]·B[k,j] for every (i,j) with
-// mask set. Summation order per element matches MulKIJ exactly, so a
-// disjoint mask cover accumulated step by step is bit-identical to the
-// serial kernel.
-func MulMaskedStep(c, a, b *Dense, mask []bool, k int) {
-	checkTriple(c, a, b)
-	n := a.n
-	if len(mask) != n*n {
-		panic("matrix: mask length mismatch")
-	}
-	if k < 0 || k >= n {
-		panic("matrix: pivot out of range")
-	}
-	brow := b.data[k*n : (k+1)*n]
-	for i := 0; i < n; i++ {
-		aik := a.data[i*n+k]
-		mrow := mask[i*n : (i+1)*n]
-		crow := c.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			if mrow[j] {
-				crow[j] += aik * brow[j]
-			}
-		}
-	}
-}
-
 // MulMasked updates only the C elements whose mask entry is true. mask is
 // row-major of length n². It is the kernel a processor runs when its
 // assigned region is an arbitrary (possibly non-rectangular) shape, exactly
-// what non-traditional partitions require.
+// what non-traditional partitions require: the mask's row runs through
+// MulRuns, so only masked cells are visited.
 func MulMasked(c, a, b *Dense, mask []bool) {
 	checkTriple(c, a, b)
-	n := a.n
-	if len(mask) != n*n {
+	if len(mask) != a.n*a.n {
 		panic("matrix: mask length mismatch")
 	}
-	for k := 0; k < n; k++ {
-		brow := b.data[k*n : (k+1)*n]
-		for i := 0; i < n; i++ {
-			aik := a.data[i*n+k]
-			mrow := mask[i*n : (i+1)*n]
-			crow := c.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				if mrow[j] {
-					crow[j] += aik * brow[j]
-				}
-			}
-		}
-	}
+	MulRuns(c, a, b, MaskRuns(mask, a.n), 0, a.n)
 }

@@ -147,39 +147,69 @@ func TestMulBlockedDefaultBlock(t *testing.T) {
 	}
 }
 
-func TestMulKIJStepAccumulates(t *testing.T) {
+// fullRuns covers every cell of an n×n matrix, one run per row.
+func fullRuns(n int) []Run {
+	runs := make([]Run, n)
+	for i := range runs {
+		runs[i] = Run{Row: i, J0: 0, J1: n}
+	}
+	return runs
+}
+
+// rectRuns covers rows [r0,r1) × cols [c0,c1).
+func rectRuns(r0, r1, c0, c1 int) []Run {
+	var runs []Run
+	for i := r0; i < r1; i++ {
+		runs = append(runs, Run{Row: i, J0: c0, J1: c1})
+	}
+	return runs
+}
+
+func TestMulRunsPivotStepsAccumulate(t *testing.T) {
 	const n = 12
 	a, b := randomPair(n, 11)
 	want := New(n)
 	MulKIJ(want, a, b)
 	got := New(n)
 	for k := 0; k < n; k++ {
-		MulKIJStep(got, a, b, k)
+		MulRuns(got, a, b, fullRuns(n), k, k+1)
 	}
 	if !got.Equal(want) {
-		t.Error("sum of kij steps must equal full kij (identical order)")
+		t.Error("sum of single-pivot steps must equal full kij (identical order)")
 	}
 }
 
-func TestMulKIJStepOutOfRangePanics(t *testing.T) {
+func TestMulRunsOutOfRangePanics(t *testing.T) {
 	a := New(3)
 	b := New(3)
 	c := New(3)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for pivot out of range")
-		}
-	}()
-	MulKIJStep(c, a, b, 3)
+	for name, f := range map[string]func(){
+		"kHi past n":     func() { MulRuns(c, a, b, fullRuns(3), 0, 4) },
+		"negative kLo":   func() { MulRuns(c, a, b, fullRuns(3), -1, 2) },
+		"kLo above kHi":  func() { MulRuns(c, a, b, fullRuns(3), 2, 1) },
+		"row past n":     func() { MulRuns(c, a, b, []Run{{Row: 3, J0: 0, J1: 1}}, 0, 3) },
+		"column past n":  func() { MulRuns(c, a, b, []Run{{Row: 0, J0: 1, J1: 4}}, 0, 3) },
+		"inverted run":   func() { MulRuns(c, a, b, []Run{{Row: 0, J0: 2, J1: 1}}, 0, 3) },
+		"aliased output": func() { MulRuns(a, a, b, fullRuns(3), 0, 3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
-func TestMulSubKIJCoversExactlyRegion(t *testing.T) {
+func TestMulRunsCoversExactlyRegion(t *testing.T) {
 	const n = 10
 	a, b := randomPair(n, 21)
 	full := New(n)
 	MulKIJ(full, a, b)
 	c := New(n)
-	MulSubKIJ(c, a, b, 2, 6, 3, 9)
+	MulRuns(c, a, b, rectRuns(2, 6, 3, 9), 0, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			inside := i >= 2 && i < 6 && j >= 3 && j < 9
@@ -193,16 +223,16 @@ func TestMulSubKIJCoversExactlyRegion(t *testing.T) {
 	}
 }
 
-func TestMulSubKIJTiling(t *testing.T) {
-	// Two disjoint row/col tiles covering the matrix reproduce the full
+func TestMulRunsTiling(t *testing.T) {
+	// Two disjoint row bands covering the matrix reproduce the full
 	// product exactly (this is what a rectangular partition computes).
 	const n = 8
 	a, b := randomPair(n, 5)
 	want := New(n)
 	MulKIJ(want, a, b)
 	got := New(n)
-	MulSubKIJ(got, a, b, 0, 5, 0, n)
-	MulSubKIJ(got, a, b, 5, n, 0, n)
+	MulRuns(got, a, b, rectRuns(0, 5, 0, n), 0, n)
+	MulRuns(got, a, b, rectRuns(5, n, 0, n), 0, n)
 	if !got.Equal(want) {
 		t.Error("row-band tiling must reproduce the full product")
 	}
@@ -219,10 +249,144 @@ func TestMulMaskedMatchesSub(t *testing.T) {
 	}
 	viaMask := New(n)
 	MulMasked(viaMask, a, b, mask)
-	viaSub := New(n)
-	MulSubKIJ(viaSub, a, b, 1, 5, 2, 7)
-	if !viaMask.Equal(viaSub) {
-		t.Error("masked kernel must match sub kernel on a rectangle")
+	viaRuns := New(n)
+	MulRuns(viaRuns, a, b, rectRuns(1, 5, 2, 7), 0, n)
+	if !viaMask.Equal(viaRuns) {
+		t.Error("masked kernel must match the runs kernel on a sub-rectangle")
+	}
+}
+
+// randomRuns returns disjoint runs 1–17 cells long, with about a quarter
+// of the rows left empty, and the row-major mask of the cells they cover.
+func randomRuns(rng *rand.Rand, n int) ([]Run, []bool) {
+	var runs []Run
+	covered := make([]bool, n*n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(4) == 0 {
+			continue
+		}
+		for j := rng.Intn(3); j < n; {
+			j1 := min(j+1+rng.Intn(17), n)
+			runs = append(runs, Run{Row: i, J0: j, J1: j1})
+			for x := j; x < j1; x++ {
+				covered[i*n+x] = true
+			}
+			j = j1 + rng.Intn(4) // 0 leaves two runs back to back
+		}
+	}
+	rng.Shuffle(len(runs), func(x, y int) { runs[x], runs[y] = runs[y], runs[x] })
+	return runs, covered
+}
+
+// randomCuts splits [0, n) into consecutive pivot ranges of 0–99 pivots,
+// so most ranges start and end inside a PivotChunk and some are empty.
+func randomCuts(rng *rand.Rand, n int) []int {
+	cuts := []int{0}
+	for k := 0; k < n; {
+		k = min(k+rng.Intn(100), n)
+		cuts = append(cuts, k)
+	}
+	return cuts
+}
+
+// TestMulRunsDifferential checks the run kernel against MulKIJ across
+// chunk boundaries: random run sets applied over random pivot
+// sub-ranges, and random masks through MulMasked. Covered cells must be
+// bit-identical to MulKIJ's product; uncovered cells must keep their
+// prior contents bit for bit.
+func TestMulRunsDifferential(t *testing.T) {
+	for _, n := range []int{1, 7, 63, 64, 65, 130} {
+		a, b := randomPair(n, int64(100+n))
+		want := New(n)
+		MulKIJ(want, a, b)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for trial := 0; trial < 6; trial++ {
+			c := New(n)
+			var covered []bool
+			if trial%2 == 0 {
+				var runs []Run
+				runs, covered = randomRuns(rng, n)
+				fillUncovered(c, covered)
+				cuts := randomCuts(rng, n)
+				for x := 0; x+1 < len(cuts); x++ {
+					MulRuns(c, a, b, runs, cuts[x], cuts[x+1])
+				}
+			} else {
+				covered = make([]bool, n*n)
+				for idx := range covered {
+					covered[idx] = rng.Intn(3) > 0
+				}
+				fillUncovered(c, covered)
+				MulMasked(c, a, b, covered)
+			}
+			for idx, in := range covered {
+				got, ref := c.data[idx], want.data[idx]
+				if !in {
+					ref = uncoveredValue(idx)
+				}
+				if math.Float64bits(got) != math.Float64bits(ref) {
+					t.Fatalf("n=%d trial %d: cell (%d,%d) covered=%v is %v, want %v",
+						n, trial, idx/n, idx%n, in, got, ref)
+				}
+			}
+		}
+	}
+}
+
+func uncoveredValue(idx int) float64 { return float64(idx) + 0.25 }
+
+func fillUncovered(c *Dense, covered []bool) {
+	for idx, in := range covered {
+		if !in {
+			c.data[idx] = uncoveredValue(idx)
+		}
+	}
+}
+
+func TestMulRunsSkipsZeroPivotsLikeKIJ(t *testing.T) {
+	// MulKIJ skips A[i][k] == 0, so an infinite B[k][j] never meets a
+	// zero multiplier there. The run kernel must skip the same pivots,
+	// or 0·Inf would turn those cells into NaN.
+	const n = 20
+	a, b := randomPair(n, 31)
+	for i := 0; i < n; i += 3 {
+		for k := 0; k < n; k++ {
+			a.Set(i, k, 0)
+		}
+	}
+	for k := 0; k < n; k++ {
+		a.Set(k, 5, 0)
+	}
+	b.Set(5, 9, math.Inf(1))
+	want := New(n)
+	MulKIJ(want, a, b)
+	got := New(n)
+	MulRuns(got, a, b, fullRuns(n), 0, n)
+	for idx := range got.data {
+		if math.Float64bits(got.data[idx]) != math.Float64bits(want.data[idx]) {
+			t.Fatalf("cell (%d,%d) is %v, MulKIJ gives %v", idx/n, idx%n, got.data[idx], want.data[idx])
+		}
+	}
+}
+
+func TestRunBuilders(t *testing.T) {
+	const n = 6
+	mask := make([]bool, n*n)
+	var cells []int32
+	for _, idx := range []int{0, 1, 2, 4, 5, 6, 13, 14, 35} {
+		mask[idx] = true
+		cells = append(cells, int32(idx))
+	}
+	want := []Run{{0, 0, 3}, {0, 4, 6}, {1, 0, 1}, {2, 1, 3}, {5, 5, 6}}
+	for name, got := range map[string][]Run{"MaskRuns": MaskRuns(mask, n), "CellRuns": CellRuns(cells, n)} {
+		if len(got) != len(want) {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s = %v, want %v", name, got, want)
+			}
+		}
 	}
 }
 
@@ -258,6 +422,7 @@ func TestAliasPanics(t *testing.T) {
 		func() { MulKIJ(a, a, b) },
 		func() { MulIJK(b, a, b) },
 		func() { MulBlocked(a, a, b, 2) },
+		func() { MulMasked(b, a, b, make([]bool, 16)) },
 	} {
 		func() {
 			defer func() {
@@ -408,6 +573,21 @@ func BenchmarkMulBlocked(b *testing.B) {
 				MulBlocked(c, a, x, 0)
 			}
 		})
+	}
+}
+
+// BenchmarkMulRuns times the execution engine's unit of work: one
+// 32×32 tile of C at n=512, pivot chunk by pivot chunk.
+func BenchmarkMulRuns(b *testing.B) {
+	const n, bs = 512, 32
+	a, x := randomPair(n, 1)
+	c := New(n)
+	runs := rectRuns(64, 64+bs, 96, 96+bs)
+	b.SetBytes(int64(8 * bs * bs))
+	for i := 0; i < b.N; i++ {
+		for k0 := 0; k0 < n; k0 += PivotChunk {
+			MulRuns(c, a, x, runs, k0, min(k0+PivotChunk, n))
+		}
 	}
 }
 

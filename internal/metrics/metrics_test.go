@@ -183,8 +183,8 @@ func TestScrapeRoundTrip(t *testing.T) {
 		"temp":        -3.25,
 		"live":        1,
 		"ticks_total": 7,
-		`replica_in_flight{replica="http://a:1"}`:   2,
-		`replica_in_flight{replica="http://b:2"}`:   5,
+		`replica_in_flight{replica="http://a:1"}`:       2,
+		`replica_in_flight{replica="http://b:2"}`:       5,
 		`lat_seconds_bucket{endpoint="plan",le="0.1"}`:  1,
 		`lat_seconds_bucket{endpoint="plan",le="1"}`:    1,
 		`lat_seconds_bucket{endpoint="plan",le="+Inf"}`: 2,

@@ -91,10 +91,10 @@ func TestAtlasHitServesWithoutSearch(t *testing.T) {
 func TestAtlasMissFallsThrough(t *testing.T) {
 	s, ts := newTestServer(t, Config{Atlas: buildTestAtlas(t)})
 	cases := []wire.PlanRequest{
-		{N: 24, Ratio: "2.51:1.5:1", Algorithm: "SCB"},      // off-lattice
-		{N: 24, Ratio: "9:1:1", Algorithm: "SCB"},           // beyond grid
-		{N: 32, Ratio: "2.5:1.5:1", Algorithm: "SCB"},       // different n
-		{N: 24, Ratio: "2.5:1.5:1", Algorithm: "PCB"},       // different algorithm
+		{N: 24, Ratio: "2.51:1.5:1", Algorithm: "SCB"},                  // off-lattice
+		{N: 24, Ratio: "9:1:1", Algorithm: "SCB"},                       // beyond grid
+		{N: 32, Ratio: "2.5:1.5:1", Algorithm: "SCB"},                   // different n
+		{N: 24, Ratio: "2.5:1.5:1", Algorithm: "PCB"},                   // different algorithm
 		{N: 24, Ratio: "2.5:1.5:1", Algorithm: "SCB", Topology: "star"}, // different topology
 	}
 	for _, c := range cases {

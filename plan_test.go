@@ -139,7 +139,9 @@ func TestReadPlanRejectsCorrupt(t *testing.T) {
 		{"bad ratio", func(s string) string { return strings.Replace(s, `"ratio": "5:2:1"`, `"ratio": "fast:slow"`, 1) }, "ratio", true},
 		{"inverted ratio", func(s string) string { return strings.Replace(s, `"ratio": "5:2:1"`, `"ratio": "1:2:5"`, 1) }, "ratio", true},
 		{"bad algorithm", func(s string) string { return strings.Replace(s, `"algorithm": "SCB"`, `"algorithm": "QUIC"`, 1) }, "algorithm", true},
-		{"bad topology", func(s string) string { return strings.Replace(s, `"topology": "fully-connected"`, `"topology": "mesh"`, 1) }, "topology", true},
+		{"bad topology", func(s string) string {
+			return strings.Replace(s, `"topology": "fully-connected"`, `"topology": "mesh"`, 1)
+		}, "topology", true},
 		{"bad shape", func(s string) string { return strings.Replace(s, `"shape": "`, `"shape": "Hexagon-`, 1) }, "shape", true},
 		{"negative voc", func(s string) string { return strings.Replace(s, `"voc": `, `"voc": -`, 1) }, "voc", true},
 		{"voc mismatch", func(s string) string { return strings.Replace(s, `"voc": `, `"voc": 1`, 1) }, "voc", true},

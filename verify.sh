@@ -1,7 +1,10 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate.
 #
-# Runs vet, a full build, the complete test suite, the race detector over
+# Runs a gofmt check over the tracked Go files, vet, a full build, the
+# complete test suite, vet and tests of the benchmark module (bench/,
+# a module of its own that the root build never compiles), the race
+# detector over
 # the packages with real concurrency (the push engine's pooled scratch
 # state, the census worker pool, the journal writer, the throttle
 # limiter, the planning service with its client, and the chaos proxy), a
@@ -39,9 +42,16 @@
 # may be skipped.
 set -eux
 
+# Layout only. Tracked files only, so build output such as .bench_build/
+# is never checked.
+unformatted=$(git ls-files '*.go' | xargs gofmt -l)
+[ -z "$unformatted" ] || { echo "gofmt -l lists: $unformatted" >&2; exit 1; }
+
 go vet ./...
 go build ./...
 go test ./...
+# bench/ replaces repro with this checkout and needs no downloads.
+(cd bench && go vet ./... && go test ./...)
 go test -race ./internal/push/... ./internal/experiment/... \
     ./internal/journal/... ./internal/throttle/... \
     ./internal/serve/... ./internal/chaos/... ./serve/... \
