@@ -10,6 +10,8 @@ package partition
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -53,6 +55,9 @@ func (p Proc) Valid() bool { return p < NumProcs }
 // incrementally so that the Volume of Communication (Eq 1) and the
 // per-processor communication metrics are O(1) to read and O(1) to update
 // per cell mutation.
+//
+// The bit sets below hold bit k at bit k%64 of word k/64. A set over the
+// rows, over the columns, or over the cells of one line is ⌈n/64⌉ words.
 type Grid struct {
 	n     int
 	cells []Proc
@@ -74,6 +79,21 @@ type Grid struct {
 	// baseFP is fp for the all-P start state, cached so Reset is alloc- and
 	// hash-free.
 	baseFP uint64
+	// words is the length of one bit set, ⌈n/64⌉.
+	words int
+	// rowBits[p·words:(p+1)·words] has bit i set iff row i holds a cell of
+	// p; colBits likewise for columns. Set updates them only where a line
+	// count goes 0↔1, so EnclosingRect reads 2⌈n/64⌉ words instead of 2n
+	// counters.
+	rowBits, colBits []uint64
+	// cellRows[p][i·words:(i+1)·words] has bit j set iff cell (i, j) holds
+	// p, and cellCols[p][j·words:(j+1)·words] has bit i set likewise. They
+	// exist for every processor but P, whose cells are the complement of
+	// the others', and only once CellBits has built them (cellBits); Set
+	// keeps them current from then on. Building them lazily keeps the cost
+	// off the shape builds that never search.
+	cellRows, cellCols [NumProcs][]uint64
+	cellBits           bool
 }
 
 // zobristKey returns the 64-bit Zobrist key for (cell index, processor).
@@ -98,47 +118,54 @@ func NewGrid(n int) *Grid {
 	if n <= 0 {
 		panic("partition: grid size must be positive")
 	}
+	words := (n + 63) / 64
 	g := &Grid{
-		n:      n,
-		cells:  make([]Proc, n*n),
-		rowCnt: make([]int32, n*NumProcs),
-		colCnt: make([]int32, n*NumProcs),
-		rowOcc: make([]int8, n),
-		colOcc: make([]int8, n),
+		n:       n,
+		cells:   make([]Proc, n*n),
+		rowCnt:  make([]int32, n*NumProcs),
+		colCnt:  make([]int32, n*NumProcs),
+		rowOcc:  make([]int8, n),
+		colOcc:  make([]int8, n),
+		words:   words,
+		rowBits: make([]uint64, NumProcs*words),
+		colBits: make([]uint64, NumProcs*words),
 	}
 	for i := range g.cells {
 		g.cells[i] = P
 		g.baseFP ^= zobristKey(i, P)
 	}
-	for i := 0; i < n; i++ {
-		g.rowCnt[i*NumProcs+int(P)] = int32(n)
-		g.colCnt[i*NumProcs+int(P)] = int32(n)
-		g.rowOcc[i] = 1
-		g.colOcc[i] = 1
-	}
-	g.total[P] = n * n
-	g.rowsWith[P] = n
-	g.colsWith[P] = n
-	g.fp = g.baseFP
+	g.countAllP()
 	return g
 }
 
 // Reset returns the grid to the all-P start state of NewGrid without
 // allocating, so pooled grids can be reused across search runs.
 func (g *Grid) Reset() {
-	n := g.n
 	for i := range g.cells {
 		g.cells[i] = P
 	}
-	for i := range g.rowCnt {
-		g.rowCnt[i] = 0
-		g.colCnt[i] = 0
+	clear(g.rowCnt)
+	clear(g.colCnt)
+	clear(g.rowBits)
+	clear(g.colBits)
+	for _, p := range Procs { // no-ops while the cell bit sets are unbuilt
+		clear(g.cellRows[p])
+		clear(g.cellCols[p])
 	}
+	g.countAllP()
+}
+
+// countAllP sets the counters, line bit sets and fingerprint of an all-P
+// grid, over line counts and line bit sets that are all zero.
+func (g *Grid) countAllP() {
+	n := g.n
 	for i := 0; i < n; i++ {
 		g.rowCnt[i*NumProcs+int(P)] = int32(n)
 		g.colCnt[i*NumProcs+int(P)] = int32(n)
 		g.rowOcc[i] = 1
 		g.colOcc[i] = 1
+		setBit(g.rowBits[int(P)*g.words:], i)
+		setBit(g.colBits[int(P)*g.words:], i)
 	}
 	g.total = [NumProcs]int{}
 	g.rowsWith = [NumProcs]int{}
@@ -166,6 +193,11 @@ func (g *Grid) CopyFrom(src *Grid) {
 	g.colsWith = src.colsWith
 	g.voc = src.voc
 	g.fp = src.fp
+	copy(g.rowBits, src.rowBits)
+	copy(g.colBits, src.colBits)
+	if g.cellBits {
+		g.fillCellBits()
+	}
 }
 
 // N returns the matrix dimension.
@@ -175,9 +207,8 @@ func (g *Grid) N() int { return g.n }
 func (g *Grid) At(i, j int) Proc { return g.cells[i*g.n+j] }
 
 // AtIndex returns the processor assigned to the cell with row-major index
-// idx = i·N + j. It exists for hot loops (the Push engine's placement
-// scans) that precompute affine index maps instead of paying a coordinate
-// transform per cell.
+// idx = i·N + j, for hot loops that walk row-major indices instead of
+// coordinates.
 func (g *Grid) AtIndex(idx int) Proc { return g.cells[idx] }
 
 // Raw exposes the grid's internal cell and counter slices for READ-ONLY
@@ -189,6 +220,64 @@ func (g *Grid) AtIndex(idx int) Proc { return g.cells[idx] }
 func (g *Grid) Raw() (cells []Proc, rowCnt, colCnt []int32) {
 	return g.cells, g.rowCnt, g.colCnt
 }
+
+// LineBits exposes p's line bit sets for READ-ONLY use by hot loops: rows
+// has bit i set iff row i holds a cell of p, cols bit j iff column j does.
+// Like Raw, the slices stay valid across Set/Reset/CopyFrom.
+func (g *Grid) LineBits(p Proc) (rows, cols []uint64) {
+	w := g.words
+	return g.rowBits[int(p)*w : (int(p)+1)*w], g.colBits[int(p)*w : (int(p)+1)*w]
+}
+
+// CellBits exposes p's cells as bit sets for READ-ONLY use by hot loops:
+// byRow[i·W+j/64] has bit j%64 set iff cell (i, j) holds p, and
+// byCol[j·W+i/64] has bit i%64 set likewise, where W = ⌈N/64⌉. p must not
+// be P, whose cells are the complement of the others'. The first call
+// builds the bit sets of every processor in O(N²) and Set keeps them
+// current from then on, so unlike the other accessors that first call
+// writes the grid: make it only on a grid no one else reads concurrently.
+// The slices stay valid across Set/Reset/CopyFrom.
+func (g *Grid) CellBits(p Proc) (byRow, byCol []uint64) {
+	if p == P {
+		panic("partition: CellBits of P")
+	}
+	if !g.cellBits {
+		for _, q := range Procs {
+			if q != P {
+				g.cellRows[q] = make([]uint64, g.n*g.words)
+				g.cellCols[q] = make([]uint64, g.n*g.words)
+			}
+		}
+		g.cellBits = true
+		g.fillCellBits()
+	}
+	return g.cellRows[p], g.cellCols[p]
+}
+
+// fillCellBits rebuilds the cell bit sets from the cells.
+func (g *Grid) fillCellBits() {
+	for _, p := range Procs {
+		clear(g.cellRows[p])
+		clear(g.cellCols[p])
+	}
+	for i := 0; i < g.n; i++ {
+		for j, p := range g.cells[i*g.n : (i+1)*g.n] {
+			g.flipCellBit(i, j, p)
+		}
+	}
+}
+
+// flipCellBit toggles cell (i, j) in p's cell bit sets; P has none.
+func (g *Grid) flipCellBit(i, j int, p Proc) {
+	if p == P {
+		return
+	}
+	g.cellRows[p][i*g.words+j>>6] ^= 1 << (j & 63)
+	g.cellCols[p][j*g.words+i>>6] ^= 1 << (i & 63)
+}
+
+func setBit(set []uint64, k int)   { set[k>>6] |= 1 << (k & 63) }
+func clearBit(set []uint64, k int) { set[k>>6] &^= 1 << (k & 63) }
 
 // Set assigns cell (i, j) to processor p, updating all occupancy counters
 // in O(1).
@@ -205,7 +294,12 @@ func (g *Grid) Set(i, j int, p Proc) {
 	g.fp ^= zobristKey(idx, old) ^ zobristKey(idx, p)
 	g.total[old]--
 	g.total[p]++
+	if g.cellBits {
+		g.flipCellBit(i, j, old)
+		g.flipCellBit(i, j, p)
+	}
 
+	w := g.words
 	ro := i*NumProcs + int(old)
 	rn := i*NumProcs + int(p)
 	g.rowCnt[ro]--
@@ -213,11 +307,13 @@ func (g *Grid) Set(i, j int, p Proc) {
 		g.rowOcc[i]--
 		g.voc--
 		g.rowsWith[old]--
+		clearBit(g.rowBits[int(old)*w:], i)
 	}
 	if g.rowCnt[rn] == 0 {
 		g.rowOcc[i]++
 		g.voc++
 		g.rowsWith[p]++
+		setBit(g.rowBits[int(p)*w:], i)
 	}
 	g.rowCnt[rn]++
 
@@ -228,11 +324,13 @@ func (g *Grid) Set(i, j int, p Proc) {
 		g.colOcc[j]--
 		g.voc--
 		g.colsWith[old]--
+		clearBit(g.colBits[int(old)*w:], j)
 	}
 	if g.colCnt[cn] == 0 {
 		g.colOcc[j]++
 		g.voc++
 		g.colsWith[p]++
+		setBit(g.colBits[int(p)*w:], j)
 	}
 	g.colCnt[cn]++
 }
@@ -301,33 +399,35 @@ func (g *Grid) VoCCols() int {
 
 // EnclosingRect returns processor p's enclosing rectangle: the smallest
 // rectangle strictly large enough to encompass all of p's cells
-// (Section II). Returns the empty rectangle when p owns no cells.
+// (Section II). Returns the empty rectangle when p owns no cells. It only
+// reads the grid, so cached grids may serve it concurrently.
 func (g *Grid) EnclosingRect(p Proc) geom.Rect {
 	if g.total[p] == 0 {
 		return geom.EmptyRect
 	}
-	top, bottom := -1, -1
-	for i := 0; i < g.n; i++ {
-		if g.RowHas(i, p) {
-			if top < 0 {
-				top = i
-			}
-			bottom = i
-		}
-	}
-	left, right := -1, -1
-	for j := 0; j < g.n; j++ {
-		if g.ColHas(j, p) {
-			if left < 0 {
-				left = j
-			}
-			right = j
-		}
-	}
-	return geom.NewRect(top, left, bottom+1, right+1)
+	rows, cols := g.LineBits(p)
+	top, bottom := bitSpan(rows)
+	left, right := bitSpan(cols)
+	return geom.NewRect(top, left, bottom, right)
 }
 
-// Clone returns a deep copy of the grid.
+// bitSpan returns the lowest set bit of a non-empty bit set and one past
+// the highest.
+func bitSpan(set []uint64) (lo, hi int) {
+	w := 0
+	for set[w] == 0 {
+		w++
+	}
+	lo = w*64 + bits.TrailingZeros64(set[w])
+	w = len(set) - 1
+	for set[w] == 0 {
+		w--
+	}
+	return lo, w*64 + 64 - bits.LeadingZeros64(set[w])
+}
+
+// Clone returns a deep copy of the grid. The copy's cell bit sets stay
+// unbuilt until CellBits is called on it.
 func (g *Grid) Clone() *Grid {
 	c := &Grid{
 		n:        g.n,
@@ -342,6 +442,9 @@ func (g *Grid) Clone() *Grid {
 		voc:      g.voc,
 		fp:       g.fp,
 		baseFP:   g.baseFP,
+		words:    g.words,
+		rowBits:  append([]uint64(nil), g.rowBits...),
+		colBits:  append([]uint64(nil), g.colBits...),
 	}
 	return c
 }
@@ -519,6 +622,36 @@ func (g *Grid) Validate() error {
 	}
 	if fp := g.FingerprintRescan(); fp != g.fp {
 		return fmt.Errorf("fingerprint drifted: cached %#x, rescan %#x", g.fp, fp)
+	}
+	w := g.words
+	for _, p := range Procs {
+		wantRows, wantCols := make([]uint64, w), make([]uint64, w)
+		for k := 0; k < n; k++ {
+			if rowCnt[k*NumProcs+int(p)] > 0 {
+				setBit(wantRows, k)
+			}
+			if colCnt[k*NumProcs+int(p)] > 0 {
+				setBit(wantCols, k)
+			}
+		}
+		rows, cols := g.LineBits(p)
+		if !slices.Equal(rows, wantRows) || !slices.Equal(cols, wantCols) {
+			return fmt.Errorf("line bit sets of %v drifted from its line counts", p)
+		}
+		if !g.cellBits || p == P {
+			continue
+		}
+		byRow, byCol := make([]uint64, n*w), make([]uint64, n*w)
+		for idx, q := range g.cells {
+			if q == p {
+				i, j := idx/n, idx%n
+				setBit(byRow[i*w:], j)
+				setBit(byCol[j*w:], i)
+			}
+		}
+		if !slices.Equal(g.cellRows[p], byRow) || !slices.Equal(g.cellCols[p], byCol) {
+			return fmt.Errorf("cell bit sets of %v drifted from the cells", p)
+		}
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -125,6 +127,54 @@ func TestEnclosingRect(t *testing.T) {
 	// P's enclosing rectangle is the whole matrix.
 	if g.EnclosingRect(P) != geom.NewRect(0, 0, 10, 10) {
 		t.Fatal("P rect should be full matrix")
+	}
+}
+
+// TestConcurrentReaders has several goroutines read one shared grid at
+// once, as the server's plan cache does with its built plans: the read
+// accessors must not write, which -race checks. One grid is a canonical
+// build that has never had cell bit sets; the other had them built by a
+// search before it was shared.
+func TestConcurrentReaders(t *testing.T) {
+	built, err := Build(SquareCorner, 130, MustRatio(10, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	searched := NewRandom(65, MustRatio(3, 2, 1), rand.New(rand.NewSource(5)))
+	searched.CellBits(R)
+	for _, g := range []*Grid{built, searched} {
+		// The expected values come from a copy, so the shared grid is
+		// first read by the racing goroutines.
+		ref := g.Clone()
+		var rects [NumProcs]geom.Rect
+		for _, p := range Procs {
+			rects[p] = ref.EnclosingRect(p)
+		}
+		snap, enc := ref.Snapshot(), ref.Encode()
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < 20; k++ {
+					for _, p := range Procs {
+						if got := g.EnclosingRect(p); got != rects[p] {
+							t.Errorf("rect of %v = %v, want %v", p, got, rects[p])
+						}
+					}
+					if g.Snapshot() != snap {
+						t.Error("Snapshot changed under concurrent reads")
+					}
+					if !bytes.Equal(g.Encode(), enc) {
+						t.Error("Encode changed under concurrent reads")
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

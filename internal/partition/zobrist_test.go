@@ -34,10 +34,11 @@ func TestFingerprintIncrementalMatchesRescan(t *testing.T) {
 	}
 }
 
-// TestFingerprintSurvivesLifecycle checks the fingerprint across every
-// non-Set mutation path: Reset, CopyFrom, Clone, Decode and FillRect must
-// all leave the incremental hash equal to the rescan oracle, and equal
-// grids must agree on it however they were produced.
+// TestFingerprintSurvivesLifecycle checks the fingerprint and the bit
+// sets across every non-Set mutation path: Reset, CopyFrom, Clone, Decode
+// and FillRect must all leave the incremental hash equal to the rescan
+// oracle, equal grids must agree on it however they were produced, and
+// Validate must pass after every step of random lifecycles.
 func TestFingerprintSurvivesLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 24
@@ -83,6 +84,102 @@ func TestFingerprintSurvivesLifecycle(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Random lifecycles on both sides of a 64-bit word boundary, with the
+	// cell bit sets built before the sequence, part-way through, or never.
+	// Validate checks the counters, the fingerprint and both kinds of bit
+	// set against the cells after every step, and EnclosingRect is checked
+	// against a scan of the cells.
+	for _, n := range []int{63, 64, 65, 130} {
+		for _, build := range []string{"before", "during", "never"} {
+			g := NewRandom(n, MustRatio(3, 2, 1), rng)
+			other := NewRandomClustered(n, MustRatio(5, 2, 1), rng)
+			if build == "before" {
+				g.CellBits(R)
+			}
+			check := func(step int, what string) {
+				t.Helper()
+				for _, h := range []*Grid{g, other} {
+					if err := h.Validate(); err != nil {
+						t.Fatalf("n=%d build %s step %d (%s): %v", n, build, step, what, err)
+					}
+					for _, p := range Procs {
+						if got, want := h.EnclosingRect(p), scanRect(h, p); got != want {
+							t.Fatalf("n=%d build %s step %d (%s): rect of %v = %v, scan %v", n, build, step, what, p, got, want)
+						}
+					}
+				}
+			}
+			for step := 0; step < 40; step++ {
+				if build == "during" && step == 20 {
+					g.CellBits(S)
+					check(step, "build")
+				}
+				switch op := rng.Intn(7); op {
+				case 0, 1: // Sets, then a rollback in reverse order
+					type prior struct {
+						i, j int
+						p    Proc
+					}
+					var log []prior
+					fp := g.Fingerprint()
+					for k := 1 + rng.Intn(40); k > 0; k-- {
+						i, j := rng.Intn(n), rng.Intn(n)
+						if op == 1 { // near the edges, where words split
+							i, j = n-1-rng.Intn(3), 62+rng.Intn(n-62)
+						}
+						log = append(log, prior{i, j, g.At(i, j)})
+						g.Set(i, j, Proc(rng.Intn(NumProcs)))
+					}
+					check(step, "set")
+					for k := len(log) - 1; k >= 0; k-- {
+						g.Set(log[k].i, log[k].j, log[k].p)
+					}
+					if g.Fingerprint() != fp {
+						t.Fatalf("n=%d build %s step %d: rollback did not restore the fingerprint", n, build, step)
+					}
+					check(step, "rollback")
+				case 2:
+					g.Reset()
+					check(step, "reset")
+				case 3:
+					g.CopyFrom(other)
+					check(step, "copy in")
+				case 4:
+					other.CopyFrom(g)
+					check(step, "copy out")
+				case 5:
+					c := g.Clone()
+					c.Set(rng.Intn(n), rng.Intn(n), Proc(rng.Intn(NumProcs)))
+					if err := c.Validate(); err != nil {
+						t.Fatalf("n=%d build %s step %d: clone: %v", n, build, step, err)
+					}
+					check(step, "clone")
+				default: // the other grid gets its own cell bit sets
+					other.CellBits(R)
+					check(step, "build other")
+				}
+			}
+		}
+	}
+}
+
+// scanRect is EnclosingRect computed from the cells alone.
+func scanRect(g *Grid, p Proc) geom.Rect {
+	r := geom.EmptyRect
+	for i := 0; i < g.N(); i++ {
+		for j := 0; j < g.N(); j++ {
+			if g.At(i, j) != p {
+				continue
+			}
+			if r.IsEmpty() {
+				r = geom.NewRect(i, j, i+1, j+1)
+			} else {
+				r = geom.NewRect(min(r.Top, i), min(r.Left, j), max(r.Bottom, i+1), max(r.Right, j+1))
+			}
+		}
+	}
+	return r
 }
 
 // TestFingerprintDiscriminates sanity-checks that the hash actually

@@ -18,15 +18,24 @@ func TestRunContextCancelled(t *testing.T) {
 }
 
 func TestRunConfigValidationTyped(t *testing.T) {
-	var ce *ConfigError
-	if _, err := Run(Config{N: 1, Ratio: partition.MustRatio(3, 1, 1)}); !errors.As(err, &ce) {
-		t.Fatalf("N=1: err = %v, want *ConfigError", err)
-	}
-	if ce.Field != "N" {
-		t.Fatalf("Field = %q, want N", ce.Field)
-	}
-	if _, err := Run(Config{N: 20, Ratio: partition.MustRatio(3, 1, 1), MaxSteps: -1}); !errors.As(err, &ce) {
-		t.Fatalf("MaxSteps=-1: err = %v, want *ConfigError", err)
+	ratio := partition.MustRatio(3, 1, 1)
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"N", Config{N: 1, Ratio: ratio}},
+		{"MaxSteps", Config{N: 20, Ratio: ratio, MaxSteps: -1}},
+		{"Start", Config{N: 20, Ratio: ratio, Start: partition.NewGrid(19)}},
+		{"Start", Config{N: 20, Ratio: ratio, Start: partition.NewGrid(64), Scratch: partition.NewGrid(20)}},
+		{"Scratch", Config{N: 20, Ratio: ratio, Scratch: partition.NewGrid(21)}},
+		{"Scratch", Config{N: 20, Ratio: ratio, Start: partition.NewGrid(20), Scratch: partition.NewGrid(64)}},
+	} {
+		var ce *ConfigError
+		if _, err := Run(tc.cfg); !errors.As(err, &ce) {
+			t.Errorf("bad %s: err = %v, want *ConfigError", tc.field, err)
+		} else if ce.Field != tc.field {
+			t.Errorf("bad %s: Field = %q", tc.field, ce.Field)
+		}
 	}
 }
 

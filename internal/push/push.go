@@ -17,6 +17,7 @@ package push
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/geom"
@@ -149,20 +150,32 @@ func newCursor(rect geom.Rect) cursor {
 	return cursor{g: rect.Top + 1, h: rect.Left, bounds: rect}
 }
 
-// traceFn, when set by tests, receives diagnostic messages about why
-// Attempt rejected a Push.
-var traceFn func(format string, args ...any)
-
-func tracef(format string, args ...any) {
-	if traceFn != nil {
-		traceFn(format, args...)
-	}
-}
-
 // undoPool recycles undo logs across Attempt calls: the log's backing
 // array survives between attempts, so the hot path stops allocating per
 // probe.
 var undoPool = sync.Pool{New: func() any { return new(undoLog) }}
+
+// outcome says how an attempt ended. AttemptAny reads it to skip a type
+// whose placement is already known to fail.
+type outcome uint8
+
+const (
+	committed       outcome = iota
+	placementFailed         // an edge element found no slot, or the placement raised VoC
+	refused                 // nothing to push, or ΔVoC = 0 under a strict type, the rectangle rule or accept refused it
+)
+
+// span returns the bits of word k of a bit set that fall in [lo, hi).
+func span(k, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if k == lo>>6 {
+		m <<= lo & 63
+	}
+	if k == (hi-1)>>6 {
+		m &= ^uint64(0) >> (63 - (hi-1)&63)
+	}
+	return m
+}
 
 // Attempt tries a single Push of the given type on the active processor in
 // the given direction. On success the grid is mutated and the Result
@@ -170,11 +183,17 @@ var undoPool = sync.Pool{New: func() any { return new(undoLog) }}
 //
 // accept may be nil; when non-nil it can veto the Push (see AcceptFunc).
 func Attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Type, accept AcceptFunc) (Result, bool) {
+	res, out := attempt(g, active, dir, t, accept)
+	return res, out == committed
+}
+
+// attempt is Attempt, reporting how the attempt ended.
+func attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Type, accept AcceptFunc) (Result, outcome) {
 	if active == partition.P {
 		// Only the slower processors are ever pushed (Section VI-C: a
 		// partition is condensed when no processor except the largest
 		// may be moved).
-		return Result{}, false
+		return Result{}, refused
 	}
 	dirtyLimit, ownerStrict, strictDecrease := t.params()
 
@@ -184,32 +203,23 @@ func Attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 	rect := v.InvertRect(activeRectBefore)
 	if rect.IsEmpty() || rect.Height() < 2 {
 		// Nothing to clean, or no rows below the edge to receive elements.
-		return Result{}, false
+		return Result{}, refused
 	}
 
-	// Resolve the view once into affine coefficients: the physical line of
-	// logical row i is fa·i + fb, and the physical row-major cell index of
-	// logical (i, j) is ci·i + cj·j + cb. The placement scan below touches
-	// O(rectangle area) cells per attempt; paying a geom.View transform per
-	// cell dominated the whole search engine before this.
+	// Resolve the view once: the physical line of logical row i is
+	// fa·i + fb, and logical column h is position h along that line (a
+	// transpose makes the lines physical columns; a flip only remaps line
+	// indices — geom.View composes at most one transpose with one vertical
+	// flip and never flips columns).
 	fa, fb := 1, 0
 	if v.Flipped() {
 		fa, fb = -1, n-1
 	}
-	var ci, cj, cb int
-	if v.Transposed() {
-		ci, cj, cb = fa, n, fb
-	} else {
-		ci, cj, cb = n*fa, 1, n*fb
-	}
 
 	// Raw counter slices, pre-swapped into logical orientation: lrc answers
 	// "count of p in logical row i" at lrc[(fa·i+fb)·NumProcs + p], lcc
-	// answers the column question at lcc[j·NumProcs + p]. (A transpose swaps
-	// the roles of the physical row/column counters; a flip only remaps row
-	// indices, which fa/fb already encode. Columns are never flipped —
-	// geom.View composes at most one transpose with one vertical flip.)
-	cells, rawRowCnt, rawColCnt := g.Raw()
+	// answers the column question at lcc[j·NumProcs + p].
+	_, rawRowCnt, rawColCnt := g.Raw()
 	lrc, lcc := rawRowCnt, rawColCnt
 	if v.Transposed() {
 		lrc, lcc = rawColCnt, rawRowCnt
@@ -218,7 +228,8 @@ func Attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 	ai := int(active)
 
 	top := rect.Top
-	topBase := (fa*top + fb) * np
+	topLine := fa*top + fb
+	topBase := topLine * np
 
 	// O(1) rejection: every cell the active processor owns lies inside its
 	// enclosing rectangle, so interior slots exist only if the interior
@@ -228,8 +239,29 @@ func Attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 	edgeActive := int(lrc[topBase+ai])
 	interior := (rect.Height() - 1) * rect.Width()
 	if interior == g.Count(active)-edgeActive {
-		return Result{}, false
+		return Result{}, refused
 	}
+
+	// The two processors the active one can displace: the other slow one
+	// (o1) and P (o2).
+	o1, o2 := partition.S, partition.P
+	if active == partition.S {
+		o1 = partition.R
+	}
+	o1i, o2i := int(o1), int(o2)
+
+	// Bit sets in logical orientation: act[L·W+k] and oth[L·W+k] are word k
+	// of line L's active and o1 cells, P's cells are the complement of both,
+	// and colAct has bit h set iff logical column h holds the active
+	// processor. The slot search ANDs and ORs W = ⌈N/64⌉ words per row.
+	actByRow, actByCol := g.CellBits(active)
+	othByRow, othByCol := g.CellBits(o1)
+	lineRows, lineCols := g.LineBits(active)
+	act, oth, colAct := actByRow, othByRow, lineCols
+	if v.Transposed() {
+		act, oth, colAct = actByCol, othByCol, lineRows
+	}
+	words := len(colAct)
 
 	// Snapshot the invariant inputs.
 	vocBefore := g.VoC()
@@ -272,49 +304,40 @@ func Attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 		tierAmortised
 		tierTyped
 	)
-
-	// The two processors the active one can displace.
-	var o1, o2 partition.Proc
-	if active == partition.R {
-		o1, o2 = partition.S, partition.P
-	} else {
-		o1, o2 = partition.R, partition.P
-	}
-	o1i, o2i := int(o1), int(o2)
 	width := rect.Width()
 
+	// place moves the edge element at logical (top, j) into the first slot
+	// from cur, in logical row-major order, that the tier accepts.
 	place := func(j int, cur *cursor, tier int) bool {
 		jBase := j * np
 
-		// qual[p] answers "may processor p be displaced from the slot?" for
-		// this tier and edge column j — the owner-side legality collapsed
-		// into one table lookup per scanned cell. qual[active] stays false,
-		// which also handles the skip-own-cells test. Sized 256 and indexed
-		// by the raw Proc byte so the compiler drops the bounds check in the
-		// scan loops. The table is stable for the whole call: placements
-		// mutate the grid only on success, which returns immediately.
-		var qual [256]bool
-		switch tier {
-		case tierStrict:
-			qual[o1] = lrc[topBase+o1i] > 0 && lcc[jBase+o1i] > 0
-			qual[o2] = lrc[topBase+o2i] > 0 && lcc[jBase+o2i] > 0
-		case tierAmortised:
-			qual[o1] = lcc[jBase+o1i] > 0
-			qual[o2] = lcc[jBase+o2i] > 0
-		default: // tierTyped
-			if ownerStrict {
-				qual[o1] = lrc[topBase+o1i] > 0 && lcc[jBase+o1i] > 0
-				qual[o2] = lrc[topBase+o2i] > 0 && lcc[jBase+o2i] > 0
-			} else {
-				qual[o1], qual[o2] = true, true
-			}
+		// q1 and q2 answer "may o1 (o2) be displaced from the slot?" for
+		// this tier and edge column j: the owner-side legality. They are
+		// stable for the whole call, since placements mutate the grid only
+		// on success, which returns immediately.
+		var q1, q2 bool
+		switch {
+		case tier == tierAmortised:
+			q1 = lcc[jBase+o1i] > 0
+			q2 = lcc[jBase+o2i] > 0
+		case tier == tierStrict || ownerStrict:
+			q1 = lrc[topBase+o1i] > 0 && lcc[jBase+o1i] > 0
+			q2 = lrc[topBase+o2i] > 0 && lcc[jBase+o2i] > 0
+		default: // relaxed typed tier
+			q1, q2 = true, true
 		}
-		// No displaceable processor qualifies: the scan would reject every
-		// remaining cell one by one, so exhausting the cursor in O(1) is
-		// observationally identical.
-		if !qual[o1] && !qual[o2] {
+		// No displaceable processor qualifies: every remaining cell would
+		// be rejected, so exhausting the cursor in O(1) is exact.
+		if !q1 && !q2 {
 			cur.g, cur.h = cur.bounds.Bottom, cur.bounds.Left
 			return false
+		}
+		var sel1, sel2 uint64 // all ones when q1 (q2) holds
+		if q1 {
+			sel1 = ^uint64(0)
+		}
+		if q2 {
+			sel2 = ^uint64(0)
 		}
 
 		// needClean: this tier only accepts placements with willDirty == 0
@@ -322,107 +345,86 @@ func Attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 		needClean := tier != tierTyped || dirtyLimit == 0
 		// Rows the active processor does not occupy cost at least one fresh
 		// line; when the budget cannot absorb that, skip them whole. dirtied
-		// is frozen for the duration of one place call (a successful
-		// placement returns immediately).
+		// is frozen for the duration of one place call.
 		skipEmptyRows := needClean || (dirtyLimit >= 0 && dirtied+1 > dirtyLimit)
 
 		cg, ch := cur.g, cur.h
 		bottom, left, right := cur.bounds.Bottom, cur.bounds.Left, cur.bounds.Right
-		var owner partition.Proc
-		willDirty := 0
-		found := false
-	scan:
-		for cg < bottom {
+		for ; cg < bottom; cg, ch = cg+1, left {
+			line := fa*cg + fb
+			base := line * np
 			// A row whose every in-rectangle cell is already active has no
-			// slot; skip it whole. (All of the active processor's cells lie
-			// inside its enclosing rectangle, so the line count equals the
-			// in-rectangle count.)
-			rowActive := int(lrc[(fa*cg+fb)*np+ai])
-			if rowActive == width || (rowActive == 0 && skipEmptyRows) {
-				cg, ch = cg+1, left
+			// slot, and neither has one without a qualifying owner. (All of
+			// the active processor's cells lie inside its enclosing
+			// rectangle, so the line count equals the in-rectangle count.)
+			rowActive := int(lrc[base+ai])
+			if rowActive == width || (rowActive == 0 && skipEmptyRows) ||
+				((!q1 || lrc[base+o1i] == 0) && (!q2 || lrc[base+o2i] == 0)) {
 				continue
 			}
-			rowHasActive := rowActive > 0
-			idx := ci*cg + cb + cj*ch
-			colIdx := ch*np + ai
-			switch {
-			case needClean:
-				// rowHasActive holds (empty rows were skipped), so
-				// willDirty == 0 reduces to "column ch has active".
-				for ; ch < right; ch, idx, colIdx = ch+1, idx+cj, colIdx+np {
-					if qual[cells[idx]] && lcc[colIdx] > 0 {
-						owner, willDirty, found = cells[idx], 0, true
-						break scan
-					}
-				}
-			case dirtyLimit < 0:
-				// Unlimited dirt: owner qualification is the whole test.
-				for ; ch < right; ch, idx, colIdx = ch+1, idx+cj, colIdx+np {
-					if qual[cells[idx]] {
-						owner, found = cells[idx], true
-						willDirty = 0
-						if !rowHasActive {
-							willDirty++
-						}
-						if lcc[colIdx] == 0 {
-							willDirty++
-						}
-						break scan
-					}
-				}
-			default: // 0 < dirtyLimit: count dirt per cell against the budget
-				for ; ch < right; ch, idx, colIdx = ch+1, idx+cj, colIdx+np {
-					if !qual[cells[idx]] {
-						continue
-					}
-					wd := 0
-					if !rowHasActive {
-						wd++
-					}
-					if lcc[colIdx] == 0 {
-						wd++
-					}
-					if dirtied+wd > dirtyLimit {
-						continue
-					}
-					owner, willDirty, found = cells[idx], wd, true
-					break scan
-				}
+			rowDirt := 0
+			if rowActive == 0 {
+				rowDirt = 1
 			}
-			cg, ch = cg+1, left
+			// needCol: the slot's column must already hold the active
+			// processor — for a clean placement, and under a dirt budget
+			// that this row's own fresh line (if any) exhausts. With
+			// budget to spare, or none at all, any column will do.
+			needCol := needClean || (dirtyLimit > 0 && dirtied+rowDirt == dirtyLimit)
+			a, o := act[line*words:(line+1)*words], oth[line*words:(line+1)*words]
+			for k := ch >> 6; k <= (right-1)>>6; k++ {
+				m := (o[k]&sel1 | ^(a[k]|o[k])&sel2) & span(k, ch, right)
+				if needCol {
+					m &= colAct[k]
+				}
+				if m == 0 {
+					continue
+				}
+				b := bits.TrailingZeros64(m)
+				h := k*64 + b
+				owner := o2
+				if o[k]>>b&1 != 0 {
+					owner = o1
+				}
+				willDirty := rowDirt
+				if colAct[k]>>b&1 == 0 {
+					willDirty++
+				}
+				undo.record(top, j, active)
+				undo.record(cg, h, owner)
+				vg.set(top, j, owner)
+				vg.set(cg, h, active)
+				dirtied += willDirty
+				moved++
+				if h+1 < right {
+					cur.g, cur.h = cg, h+1
+				} else {
+					cur.g, cur.h = cg+1, left
+				}
+				return true
+			}
 		}
-		if !found {
-			cur.g, cur.h = cg, ch
-			return false
-		}
-		undo.record(top, j, active)
-		undo.record(cg, ch, owner)
-		vg.set(top, j, owner)
-		vg.set(cg, ch, active)
-		dirtied += willDirty
-		moved++
-		if ch+1 < right {
-			cur.g, cur.h = cg, ch+1
-		} else {
-			cur.g, cur.h = cg+1, left
-		}
-		return true
+		cur.g, cur.h = cg, ch
+		return false
 	}
 
-	for j := rect.Left; j < rect.Right; j++ {
-		if cells[ci*top+cj*j+cb] != active {
-			continue
-		}
-		if place(j, &curA, tierStrict) {
-			continue
-		}
-		if !ownerStrict && place(j, &curB, tierAmortised) {
-			continue
-		}
-		if !place(j, &curC, tierTyped) {
-			tracef("%v %v %v: no slot for edge element at logical (%d,%d)", active, dir, t, top, j)
-			undo.rollback(vg)
-			return Result{}, false
+	// The edge elements in column order. Placements change only the edge
+	// cell being placed and interior rows, so a word of the edge line read
+	// before its elements are placed stays exact.
+	edge := act[topLine*words : (topLine+1)*words]
+	for k := rect.Left >> 6; k <= (rect.Right-1)>>6; k++ {
+		for x := edge[k] & span(k, rect.Left, rect.Right); x != 0; x &= x - 1 {
+			j := k*64 + bits.TrailingZeros64(x)
+			if place(j, &curA, tierStrict) {
+				continue
+			}
+			if !ownerStrict && place(j, &curB, tierAmortised) {
+				continue
+			}
+			if !place(j, &curC, tierTyped) {
+				undo.rollback(vg)
+				return Result{}, placementFailed
+			}
 		}
 	}
 
@@ -431,15 +433,18 @@ func Attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 		// enclosing rectangle metadata would say otherwise, so this can
 		// only happen for height-1 rectangles already excluded; treat as
 		// no-op failure for safety.
-		return Result{}, false
+		return Result{}, refused
 	}
 
 	// Contract checks on the committed state.
 	delta := g.VoC() - vocBefore
-	if delta > 0 || (strictDecrease && delta >= 0) {
-		tracef("%v %v %v: contract violated, delta=%d moved=%d", active, dir, t, delta, moved)
+	if delta > 0 {
 		undo.rollback(vg)
-		return Result{}, false
+		return Result{}, placementFailed
+	}
+	if strictDecrease && delta == 0 {
+		undo.rollback(vg)
+		return Result{}, refused
 	}
 	// "A Push may not enlarge the enclosing rectangle of any processor"
 	// (Section IV-A). For the active processor this is enforced
@@ -451,24 +456,38 @@ func Attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 	// separate geometric veto is applied to them.
 	if !activeRectBefore.ContainsRect(g.EnclosingRect(active)) {
 		undo.rollback(vg)
-		return Result{}, false
+		return Result{}, refused
 	}
 	if accept != nil && !accept(g) {
 		undo.rollback(vg)
-		return Result{}, false
+		return Result{}, refused
 	}
-	return Result{Active: active, Dir: dir, Type: t, Moved: moved, DeltaVoC: delta}, true
+	return Result{Active: active, Dir: dir, Type: t, Moved: moved, DeltaVoC: delta}, committed
 }
 
 // AttemptAny tries the types in order on (active, dir) and commits the
 // first legal Push.
+//
+// Types Four and Six place with the same dirt budget and owner rule and
+// differ only in their ΔVoC contract, and a failed type leaves the grid as
+// it was. So once one of them found no slot or raised VoC, the other would
+// make the same placement and fail the same way, and it is skipped.
 func AttemptAny(g *partition.Grid, active partition.Proc, dir geom.Direction, types []Type, accept AcceptFunc) (Result, bool) {
 	if len(types) == 0 {
 		types = AllTypes
 	}
+	relaxedFailed := false
 	for _, t := range types {
-		if res, ok := Attempt(g, active, dir, t, accept); ok {
+		relaxed := t == TypeFour || t == TypeSix
+		if relaxed && relaxedFailed {
+			continue
+		}
+		res, out := attempt(g, active, dir, t, accept)
+		if out == committed {
 			return res, true
+		}
+		if relaxed && out == placementFailed {
+			relaxedFailed = true
 		}
 	}
 	return Result{}, false

@@ -141,6 +141,12 @@ func RunContext(ctx context.Context, cfg Config) (*RunResult, error) {
 	if err := cfg.Ratio.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Start != nil && cfg.Start.N() != cfg.N {
+		return nil, &ConfigError{Field: "Start", Reason: fmt.Sprintf("grid is %d×%d, config wants %d", cfg.Start.N(), cfg.Start.N(), cfg.N)}
+	}
+	if cfg.Scratch != nil && cfg.Scratch.N() != cfg.N {
+		return nil, &ConfigError{Field: "Scratch", Reason: fmt.Sprintf("grid is %d×%d, config wants %d", cfg.Scratch.N(), cfg.Scratch.N(), cfg.N)}
+	}
 	weights := cfg.CostWeights
 	if weights != nil {
 		for _, p := range partition.Procs {
@@ -166,15 +172,9 @@ func RunContext(ctx context.Context, cfg Config) (*RunResult, error) {
 		setupSpan = cfg.Trace.Start("setup")
 	}
 
-	if cfg.Scratch != nil && cfg.Scratch.N() != cfg.N {
-		return nil, fmt.Errorf("push: scratch grid is %d×%d, config wants %d", cfg.Scratch.N(), cfg.Scratch.N(), cfg.N)
-	}
 	var g *partition.Grid
 	switch {
 	case cfg.Start != nil:
-		if cfg.Start.N() != cfg.N {
-			return nil, fmt.Errorf("push: start grid is %d×%d, config wants %d", cfg.Start.N(), cfg.Start.N(), cfg.N)
-		}
 		if cfg.Scratch != nil {
 			cfg.Scratch.CopyFrom(cfg.Start)
 			g = cfg.Scratch
@@ -270,15 +270,40 @@ func Condense(g *partition.Grid, plan DirectionPlan, types []Type, maxSteps int)
 	return steps, converged
 }
 
-// condenseScratch is the reusable working state of one condensation loop.
-// Pooling it means the plateau set is cleared — not reallocated — on every
-// VoC drop, and its buckets survive across runs.
+// condenseScratch is the reusable working state of one condensation loop:
+// the plateau set, the fingerprints visited since the last VoC drop.
+// Pooling it means the set is emptied — not reallocated — on every drop,
+// and its buckets survive across runs.
 type condenseScratch struct {
 	plateau map[uint64]struct{}
+	// keys lists the plateau set's entries, so resetPlateau deletes them
+	// one by one in O(entries). clear would cost the map's capacity, which
+	// one long plateau can grow far beyond the entries of later ones.
+	keys []uint64
 }
 
 var condensePool = sync.Pool{
 	New: func() any { return &condenseScratch{plateau: make(map[uint64]struct{}, 64)} },
+}
+
+// visit adds fp to the plateau set, reporting false if it was already in.
+func (sc *condenseScratch) visit(fp uint64) bool {
+	if _, seen := sc.plateau[fp]; seen {
+		return false
+	}
+	sc.plateau[fp] = struct{}{}
+	sc.keys = append(sc.keys, fp)
+	return true
+}
+
+// resetPlateau empties the plateau set and enters fp, the state a VoC drop
+// (or the start of the run) reached.
+func (sc *condenseScratch) resetPlateau(fp uint64) {
+	for _, k := range sc.keys {
+		delete(sc.plateau, k)
+	}
+	sc.keys = sc.keys[:0]
+	sc.visit(fp)
 }
 
 func condense(ctx context.Context, g *partition.Grid, plan DirectionPlan, types []Type, maxSteps int, rng *rand.Rand, snapshot func(int, *partition.Grid), weights *partition.Weights) (steps int, converged bool, err error) {
@@ -286,9 +311,7 @@ func condense(ctx context.Context, g *partition.Grid, plan DirectionPlan, types 
 	defer condensePool.Put(sc)
 	var tally searchTally
 	defer func() { tally.flush(steps) }()
-	plateau := sc.plateau
-	clear(plateau)
-	plateau[g.Fingerprint()] = struct{}{}
+	sc.resetPlateau(g.Fingerprint())
 	lastVoC := g.VoC()
 	// Weighted mode: the acceptance test minimises the cost-weighted VoC.
 	// curWC tracks the CURRENT grid's weighted cost exactly (it is updated
@@ -313,12 +336,7 @@ func condense(ctx context.Context, g *partition.Grid, plan DirectionPlan, types 
 		} else if t.VoC() < lastVoC {
 			return true
 		}
-		fp := t.Fingerprint()
-		if _, seen := plateau[fp]; seen {
-			return false
-		}
-		plateau[fp] = struct{}{}
-		return true
+		return sc.visit(t.Fingerprint())
 	}
 
 	// Failed-probe memo. A failing AttemptAny has no side effects, and its
@@ -376,8 +394,7 @@ func condense(ctx context.Context, g *partition.Grid, plan DirectionPlan, types 
 							plateauStreak = 0
 						}
 						lastVoC = g.VoC()
-						clear(plateau)
-						plateau[g.Fingerprint()] = struct{}{}
+						sc.resetPlateau(g.Fingerprint())
 					} else {
 						tally.plateauMoves++
 						plateauStreak++

@@ -35,38 +35,52 @@ func snapshot(g *partition.Grid) counterSnapshot {
 // TestUndoLogRestoresEverything is the rollback property: after an
 // arbitrary sequence of recorded logical-coordinate mutations through any
 // view, rollback restores the cells, the fingerprint, and every occupancy
-// counter bit-exactly.
+// counter bit-exactly. The sizes straddle 64-bit word boundaries, and the
+// cell bit sets are built before the mutations, part-way through, or
+// never; Validate checks them against the cells after every step.
 func TestUndoLogRestoresEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	const n = 32
-	for trial := 0; trial < 200; trial++ {
-		g := partition.NewRandom(n, partition.MustRatio(3, 2, 1), rng)
-		ref := g.Clone()
-		before := snapshot(g)
+	for _, size := range []struct{ n, trials int }{{32, 200}, {63, 30}, {64, 30}, {65, 30}, {130, 15}} {
+		n := size.n
+		for trial := 0; trial < size.trials; trial++ {
+			build := trial % 3 // 0: before, 1: during, 2: never
+			g := partition.NewRandom(n, partition.MustRatio(3, 2, 1), rng)
+			if build == 0 {
+				g.CellBits(partition.R)
+			}
+			ref := g.Clone()
+			before := snapshot(g)
 
-		dir := geom.AllDirections[rng.Intn(geom.NumDirections)]
-		vg := vgrid{g: g, v: geom.NewView(n, dir)}
-		var undo undoLog
-		muts := 1 + rng.Intn(60)
-		for m := 0; m < muts; m++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			pi, pj := vg.v.Apply(i, j)
-			undo.record(i, j, g.At(pi, pj))
-			vg.set(i, j, partition.Proc(rng.Intn(partition.NumProcs)))
-		}
-		undo.rollback(vg)
+			dir := geom.AllDirections[rng.Intn(geom.NumDirections)]
+			vg := vgrid{g: g, v: geom.NewView(n, dir)}
+			var undo undoLog
+			muts := 1 + rng.Intn(60)
+			for m := 0; m < muts; m++ {
+				if build == 1 && m == muts/2 {
+					g.CellBits(partition.S)
+				}
+				i, j := rng.Intn(n), rng.Intn(n)
+				pi, pj := vg.v.Apply(i, j)
+				undo.record(i, j, g.At(pi, pj))
+				vg.set(i, j, partition.Proc(rng.Intn(partition.NumProcs)))
+				if err := g.Validate(); err != nil {
+					t.Fatalf("n=%d trial %d mutation %d: %v", n, trial, m, err)
+				}
+			}
+			undo.rollback(vg)
 
-		if !g.Equal(ref) {
-			t.Fatalf("trial %d: rollback left different cells", trial)
-		}
-		if after := snapshot(g); after != before {
-			t.Fatalf("trial %d: rollback left different counters:\nbefore %+v\nafter  %+v", trial, before, after)
-		}
-		if g.Fingerprint() != g.FingerprintRescan() {
-			t.Fatalf("trial %d: fingerprint drifted from rescan after rollback", trial)
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			if !g.Equal(ref) {
+				t.Fatalf("n=%d trial %d: rollback left different cells", n, trial)
+			}
+			if after := snapshot(g); after != before {
+				t.Fatalf("n=%d trial %d: rollback left different counters:\nbefore %+v\nafter  %+v", n, trial, before, after)
+			}
+			if g.Fingerprint() != g.FingerprintRescan() {
+				t.Fatalf("n=%d trial %d: fingerprint drifted from rescan after rollback", n, trial)
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatalf("n=%d trial %d: %v", n, trial, err)
+			}
 		}
 	}
 }
@@ -90,6 +104,9 @@ func TestFailedAttemptRestoresFingerprint(t *testing.T) {
 		if after := snapshot(g); after != before {
 			t.Fatalf("attempt %d (%v %v %v): failed push changed state:\nbefore %+v\nafter  %+v",
 				i, p, d, tp, before, after)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("attempt %d (%v %v %v): %v", i, p, d, tp, err)
 		}
 	}
 }

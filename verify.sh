@@ -6,8 +6,9 @@
 # a module of its own that the root build never compiles), the race
 # detector over
 # the packages with real concurrency (the push engine's pooled scratch
-# state, the census worker pool, the journal writer, the throttle
-# limiter, the planning service with its client, and the chaos proxy), a
+# state, the partition grids cached plans share between readers, the
+# census worker pool, the journal writer, the throttle limiter, the
+# planning service with its client, and the chaos proxy), a
 # kill/resume smoke test (a journaled census is SIGKILLed mid-flight and
 # resumed, and its output must be byte-identical to an uninterrupted
 # run), a pland drain smoke test (degraded serving under an injected
@@ -35,9 +36,10 @@
 # must detect every injection with every product bit-exact), a
 # differential-equivalence step (the UniformHockney cost model must
 # reproduce the pre-refactor seed goldens byte-for-byte across every
-# evaluation path), and a topology-census smoke (shapeopt -winner-map
-# must show the 2+1 and 3-island link classes each moving at least one
-# winner-map cell off the uniform baseline). CI and pre-commit hooks run
+# evaluation path, and the Push engine its run-equivalence golden), and
+# a topology-census smoke (shapeopt -winner-map must show the 2+1 and
+# 3-island link classes each moving at least one winner-map cell off the
+# uniform baseline). CI and pre-commit hooks run
 # exactly this script; it exits non-zero on the first failure — no step
 # may be skipped.
 set -eux
@@ -52,8 +54,8 @@ go build ./...
 go test ./...
 # bench/ replaces repro with this checkout and needs no downloads.
 (cd bench && go vet ./... && go test ./...)
-go test -race ./internal/push/... ./internal/experiment/... \
-    ./internal/journal/... ./internal/throttle/... \
+go test -race ./internal/push/... ./internal/partition/... \
+    ./internal/experiment/... ./internal/journal/... ./internal/throttle/... \
     ./internal/serve/... ./internal/chaos/... ./serve/... \
     ./internal/calibrate/... ./internal/exec/... ./internal/sim/...
 
@@ -168,8 +170,13 @@ wait "$l3" || true
 # evaluation path (Evaluate breakdowns, closed forms, plan JSON) under an
 # explicit UniformHockney must be byte-identical to the seed goldens
 # generated before the refactor, and the weighted-push property tests
-# must hold under the race detector.
+# must hold under the race detector. The Push engine's own contract: every
+# seeded search in the run-equivalence table (sizes straddling 64-bit
+# words, both start families, Beautify, step caps, the relaxed types in
+# both orders, link weights, supplied starts, pooled scratch grids) keeps
+# its steps, VoCs, final cells, archetype and search counters.
 go test -count=1 -run 'TestSeedEquivalence|TestPlanSeedEquivalence' . ./internal/model/
+go test -count=1 -run 'TestRunEquivalenceGolden' ./internal/push/
 go test -race -count=1 -run 'TestWeighted' ./internal/push/
 
 # --- topology census smoke (~3s) ---------------------------------------
