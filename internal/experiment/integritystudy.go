@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 	"strings"
 	"time"
 
@@ -36,8 +37,9 @@ type IntegrityRow struct {
 	Rejected   int `json:"rejected"`
 	// DetectionRate is (corrected+recomputed+rejected)/injected, capped
 	// at 1 (a discarded block can cover several injected corruptions);
-	// 1.0 when nothing was injected.
-	DetectionRate float64 `json:"detection_rate"`
+	// nil (JSON null) when nothing was injected, because then there was
+	// nothing to detect.
+	DetectionRate *float64 `json:"detection_rate"`
 	// Checks counts C tiles ABFT-verified during the run.
 	Checks int `json:"integrity_checks"`
 	// Byzantine lists workers quarantined for exceeding the mismatch
@@ -50,17 +52,23 @@ type IntegrityRow struct {
 }
 
 // IntegrityOverhead reports the cost of ABFT verification on a clean
-// run: minimum wall time over Reps runs with Verify off and on, at a
-// production-ish block size where the O(tile) checksum work amortises.
+// run, at a production-ish block size where the O(tile) checksum work
+// amortises. Each of Pairs pairs runs Verify off and on back to back,
+// alternating which runs first, so a drift of the machine's speed
+// touches both sides of a pair alike.
 type IntegrityOverhead struct {
-	N              int     `json:"n"`
-	BlockSize      int     `json:"block_size"`
-	Reps           int     `json:"reps"`
+	N         int `json:"n"`
+	BlockSize int `json:"block_size"`
+	Pairs     int `json:"pairs"`
+	// BaseWallMS and VerifiedWallMS are the median walls with Verify
+	// off and on.
 	BaseWallMS     float64 `json:"base_wall_ms"`
 	VerifiedWallMS float64 `json:"verified_wall_ms"`
-	// OverheadPct is VerifiedWallMS/BaseWallMS − 1, in percent. The
-	// acceptance target is < 5% at BlockSize ≥ 64.
-	OverheadPct float64 `json:"overhead_pct"`
+	// OverheadPct is the median over pairs of verified/base − 1, in
+	// percent, and OverheadQ1Pct and OverheadQ3Pct are its quartiles.
+	OverheadPct   float64 `json:"overhead_pct"`
+	OverheadQ1Pct float64 `json:"overhead_q1_pct"`
+	OverheadQ3Pct float64 `json:"overhead_q3_pct"`
 }
 
 // IntegrityStudyResult bundles the corruption rows with the clean-run
@@ -88,15 +96,16 @@ type IntegrityStudyConfig struct {
 	Algorithms []model.Algorithm
 	// FaultSpecs are the sim.ParseWorkerFaults specs to drill, with
 	// "none" meaning a fault-free run. Default: none, single-cell flips
-	// on R at 5% and 10% of its blocks, a deterministic ×8 scaling of
+	// on R at 10% and 20% of its blocks, a deterministic ×8 scaling of
 	// every S result (the Byzantine-quarantine case), and a combined
-	// flip+scale drill.
+	// flip+scale drill. A worker's flips follow a fixed per-worker seed,
+	// so at the default size each flip row injects at least once.
 	FaultSpecs []string
-	// OverheadN, OverheadBlockSize and OverheadReps parameterise the
-	// clean-run overhead measurement (defaults 256, 64, 3).
+	// OverheadN, OverheadBlockSize and OverheadPairs parameterise the
+	// clean-run overhead measurement (defaults 256, 64, 20).
 	OverheadN         int
 	OverheadBlockSize int
-	OverheadReps      int
+	OverheadPairs     int
 	// Seed seeds the input matrices (default 1).
 	Seed int64
 }
@@ -129,8 +138,8 @@ func (c *IntegrityStudyConfig) fill() error {
 	if len(c.FaultSpecs) == 0 {
 		c.FaultSpecs = []string{
 			"none",
-			"flip:R@0.05",
 			"flip:R@0.1",
+			"flip:R@0.2",
 			"scale:S@8",
 			"flip:P@0.1,scale:S@8",
 		}
@@ -141,8 +150,11 @@ func (c *IntegrityStudyConfig) fill() error {
 	if c.OverheadBlockSize == 0 {
 		c.OverheadBlockSize = 64
 	}
-	if c.OverheadReps == 0 {
-		c.OverheadReps = 3
+	if c.OverheadPairs == 0 {
+		c.OverheadPairs = 20
+	}
+	if c.OverheadPairs < 1 {
+		return &ConfigError{Field: "overhead-pairs", Reason: fmt.Sprintf("integrity study needs at least 1 overhead pair, got %d", c.OverheadPairs)}
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -208,12 +220,9 @@ func IntegrityStudy(ctx context.Context, cfg IntegrityStudyConfig) (*IntegritySt
 				Survivors:  stats.Survivors(),
 				WallMS:     float64(stats.Wall.Microseconds()) / 1e3,
 			}
-			row.DetectionRate = 1
 			if row.Injected > 0 {
-				row.DetectionRate = float64(row.Corrected+row.Recomputed+row.Rejected) / float64(row.Injected)
-				if row.DetectionRate > 1 {
-					row.DetectionRate = 1
-				}
+				rate := min(float64(row.Corrected+row.Recomputed+row.Rejected)/float64(row.Injected), 1)
+				row.DetectionRate = &rate
 			}
 			for _, p := range stats.Byzantine {
 				row.Byzantine = append(row.Byzantine, p.String())
@@ -233,8 +242,8 @@ func IntegrityStudy(ctx context.Context, cfg IntegrityStudyConfig) (*IntegritySt
 	return res, nil
 }
 
-// measureOverhead times Verify off vs on over clean runs, taking the
-// minimum wall of OverheadReps repetitions each to shed scheduler noise.
+// measureOverhead times OverheadPairs pairs of clean runs with Verify
+// off and on, alternating which side of a pair runs first.
 func measureOverhead(ctx context.Context, cfg IntegrityStudyConfig) (*IntegrityOverhead, error) {
 	g, err := partition.Build(cfg.Shape, cfg.OverheadN, cfg.Ratio)
 	if err != nil {
@@ -246,44 +255,61 @@ func measureOverhead(ctx context.Context, cfg IntegrityStudyConfig) (*IntegrityO
 	a.FillRandom(rng)
 	b.FillRandom(rng)
 
-	minWall := func(verify bool) (time.Duration, error) {
-		best := time.Duration(0)
-		for rep := 0; rep < cfg.OverheadReps; rep++ {
-			c := exec.Config{
-				Machine:   model.DefaultMachine(cfg.Ratio),
-				Algorithm: model.SCB,
-				BlockSize: cfg.OverheadBlockSize,
-				Verify:    verify,
-			}
-			_, stats, err := exec.MultiplyContext(ctx, c, g, a, b)
-			if err != nil {
-				return 0, fmt.Errorf("experiment: integrity overhead (verify=%v): %w", verify, err)
-			}
-			if best == 0 || stats.Wall < best {
-				best = stats.Wall
-			}
+	wall := func(verify bool) (float64, error) {
+		c := exec.Config{
+			Machine:   model.DefaultMachine(cfg.Ratio),
+			Algorithm: model.SCB,
+			BlockSize: cfg.OverheadBlockSize,
+			Verify:    verify,
 		}
-		return best, nil
+		_, stats, err := exec.MultiplyContext(ctx, c, g, a, b)
+		if err != nil {
+			return 0, fmt.Errorf("experiment: integrity overhead (verify=%v): %w", verify, err)
+		}
+		return float64(stats.Wall.Microseconds()) / 1e3, nil
 	}
-	baseWall, err := minWall(false)
-	if err != nil {
-		return nil, err
+	var base, verified, pct []float64
+	for i := 0; i < cfg.OverheadPairs; i++ {
+		var ms [2]float64 // Verify off, on
+		for _, side := range [2]int{i % 2, 1 - i%2} {
+			w, err := wall(side == 1)
+			if err != nil {
+				return nil, err
+			}
+			ms[side] = w
+		}
+		base = append(base, ms[0])
+		verified = append(verified, ms[1])
+		if ms[0] > 0 {
+			pct = append(pct, (ms[1]/ms[0]-1)*100)
+		}
 	}
-	verWall, err := minWall(true)
-	if err != nil {
-		return nil, err
-	}
-	oh := &IntegrityOverhead{
+	return &IntegrityOverhead{
 		N:              cfg.OverheadN,
 		BlockSize:      cfg.OverheadBlockSize,
-		Reps:           cfg.OverheadReps,
-		BaseWallMS:     float64(baseWall.Microseconds()) / 1e3,
-		VerifiedWallMS: float64(verWall.Microseconds()) / 1e3,
+		Pairs:          cfg.OverheadPairs,
+		BaseWallMS:     quantile(base, 0.5),
+		VerifiedWallMS: quantile(verified, 0.5),
+		OverheadPct:    quantile(pct, 0.5),
+		OverheadQ1Pct:  quantile(pct, 0.25),
+		OverheadQ3Pct:  quantile(pct, 0.75),
+	}, nil
+}
+
+// quantile returns the q-quantile of xs, interpolating linearly between
+// order statistics; 0 for no samples.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
 	}
-	if baseWall > 0 {
-		oh.OverheadPct = (float64(verWall)/float64(baseWall) - 1) * 100
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	if lo >= len(s)-1 {
+		return s[len(s)-1]
 	}
-	return oh, nil
+	return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 }
 
 // WriteIntegrityTable renders the study as markdown: the corruption
@@ -307,14 +333,18 @@ func WriteIntegrityTable(w io.Writer, res *IntegrityStudyResult) error {
 				byz += " (" + r.ReplanKind + ")"
 			}
 		}
-		if _, err := fmt.Fprintf(w, "| %s | %s | %d | %d | %d | %d | %.0f%% | %s | %d | %s |\n",
+		detection := "-"
+		if r.DetectionRate != nil {
+			detection = fmt.Sprintf("%.0f%%", 100**r.DetectionRate)
+		}
+		if _, err := fmt.Fprintf(w, "| %s | %s | %d | %d | %d | %d | %s | %s | %d | %s |\n",
 			r.Algorithm, r.Faults, r.Injected, r.Corrected, r.Recomputed, r.Rejected,
-			100*r.DetectionRate, byz, r.Survivors, exact); err != nil {
+			detection, byz, r.Survivors, exact); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "\nABFT overhead at n=%d, block=%d (min of %d reps): %.1f ms → %.1f ms (%+.1f%%)\n",
-		res.Overhead.N, res.Overhead.BlockSize, res.Overhead.Reps,
-		res.Overhead.BaseWallMS, res.Overhead.VerifiedWallMS, res.Overhead.OverheadPct)
+	oh := res.Overhead
+	_, err := fmt.Fprintf(w, "\nABFT overhead at n=%d, block=%d (median of %d alternating pairs): %.1f ms → %.1f ms (%+.1f%%, quartiles %+.1f%% to %+.1f%%)\n",
+		oh.N, oh.BlockSize, oh.Pairs, oh.BaseWallMS, oh.VerifiedWallMS, oh.OverheadPct, oh.OverheadQ1Pct, oh.OverheadQ3Pct)
 	return err
 }

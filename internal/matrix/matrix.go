@@ -5,7 +5,11 @@
 //
 // The kernels are deliberately self-contained (no BLAS): the paper's local
 // multiplications used ATLAS, which we substitute with our own serial,
-// blocked and parallel kij kernels. What matters for the study is the
+// blocked and parallel kij kernels and with MulRuns, the kernel every
+// executor computes its own cells with. MulRuns runs on AVX vector lanes
+// on amd64 CPUs that have them (one multiply and one add per lane, never
+// a fused multiply-add) and in portable Go elsewhere, bit-identical to the
+// serial kij kernel either way. What matters for the study is the
 // *communication* structure, which is independent of the local kernel.
 package matrix
 

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -156,15 +157,6 @@ func fullRuns(n int) []Run {
 	return runs
 }
 
-// rectRuns covers rows [r0,r1) × cols [c0,c1).
-func rectRuns(r0, r1, c0, c1 int) []Run {
-	var runs []Run
-	for i := r0; i < r1; i++ {
-		runs = append(runs, Run{Row: i, J0: c0, J1: c1})
-	}
-	return runs
-}
-
 func TestMulRunsPivotStepsAccumulate(t *testing.T) {
 	const n = 12
 	a, b := randomPair(n, 11)
@@ -257,10 +249,9 @@ func TestMulMaskedMatchesSub(t *testing.T) {
 }
 
 // randomRuns returns disjoint runs 1–17 cells long, with about a quarter
-// of the rows left empty, and the row-major mask of the cells they cover.
-func randomRuns(rng *rand.Rand, n int) ([]Run, []bool) {
+// of the rows left empty.
+func randomRuns(rng *rand.Rand, n int) []Run {
 	var runs []Run
-	covered := make([]bool, n*n)
 	for i := 0; i < n; i++ {
 		if rng.Intn(4) == 0 {
 			continue
@@ -268,14 +259,11 @@ func randomRuns(rng *rand.Rand, n int) ([]Run, []bool) {
 		for j := rng.Intn(3); j < n; {
 			j1 := min(j+1+rng.Intn(17), n)
 			runs = append(runs, Run{Row: i, J0: j, J1: j1})
-			for x := j; x < j1; x++ {
-				covered[i*n+x] = true
-			}
 			j = j1 + rng.Intn(4) // 0 leaves two runs back to back
 		}
 	}
 	rng.Shuffle(len(runs), func(x, y int) { runs[x], runs[y] = runs[y], runs[x] })
-	return runs, covered
+	return runs
 }
 
 // randomCuts splits [0, n) into consecutive pivot ranges of 0–99 pivots,
@@ -289,46 +277,103 @@ func randomCuts(rng *rand.Rand, n int) []int {
 	return cuts
 }
 
-// TestMulRunsDifferential checks the run kernel against MulKIJ across
-// chunk boundaries: random run sets applied over random pivot
-// sub-ranges, and random masks through MulMasked. Covered cells must be
-// bit-identical to MulKIJ's product; uncovered cells must keep their
-// prior contents bit for bit.
+// groupEdgeRuns returns one run per (width, start) pair for widths
+// 1–40 and starts at every offset mod 16 — every way a run can meet the
+// vector kernel's 16- and 4-column groups and the scalar tail — packed
+// into batches of disjoint runs, at most one per row.
+func groupEdgeRuns(rng *rand.Rand, n int) [][]Run {
+	var batches [][]Run
+	var batch []Run
+	for s := 0; s < 16; s++ {
+		for w := 1; w <= 40 && s+w <= n; w++ {
+			j0 := s + 16*rng.Intn((n-s-w)/16+1)
+			batch = append(batch, Run{Row: len(batch), J0: j0, J1: j0 + w})
+			if len(batch) == n {
+				batches = append(batches, batch)
+				batch = nil
+			}
+		}
+	}
+	if len(batch) > 0 {
+		batches = append(batches, batch)
+	}
+	return batches
+}
+
+// runsCover returns the row-major mask of the cells the runs cover.
+func runsCover(runs []Run, n int) []bool {
+	covered := make([]bool, n*n)
+	for _, r := range runs {
+		for j := r.J0; j < r.J1; j++ {
+			covered[r.Row*n+j] = true
+		}
+	}
+	return covered
+}
+
+// TestMulRunsDifferential checks both run kernels against MulKIJ across
+// chunk boundaries: MulRuns, which takes the vector kernel where the CPU
+// has one, and the portable Go kernel called directly. The cases are
+// random run sets and runs at every width and start offset around the
+// vector groups, applied over random pivot sub-ranges, and random masks
+// through MulMasked. Covered cells must be bit-identical to MulKIJ's
+// product; uncovered cells must keep their prior contents bit for bit.
 func TestMulRunsDifferential(t *testing.T) {
-	for _, n := range []int{1, 7, 63, 64, 65, 130} {
+	t.Logf("vector kernel: %v", hasVectorKernel())
+	kernels := []struct {
+		name string
+		mul  func(c, a, b *Dense, runs []Run, kLo, kHi int)
+	}{
+		{"MulRuns", MulRuns},
+		{"mulRunGo", func(c, a, b *Dense, runs []Run, kLo, kHi int) {
+			mulRuns(c, a, b, runs, kLo, kHi, mulRunGo)
+		}},
+	}
+	for _, n := range []int{1, 3, 4, 15, 16, 17, 63, 64, 65, 130} {
 		a, b := randomPair(n, int64(100+n))
 		want := New(n)
 		MulKIJ(want, a, b)
 		rng := rand.New(rand.NewSource(int64(n)))
-		for trial := 0; trial < 6; trial++ {
+		runSets := [][]Run{randomRuns(rng, n), randomRuns(rng, n), randomRuns(rng, n)}
+		runSets = append(runSets, groupEdgeRuns(rng, n)...)
+		for x, runs := range runSets {
+			covered := runsCover(runs, n)
+			cuts := randomCuts(rng, n)
+			for _, k := range kernels {
+				c := New(n)
+				fillUncovered(c, covered)
+				for y := 0; y+1 < len(cuts); y++ {
+					k.mul(c, a, b, runs, cuts[y], cuts[y+1])
+				}
+				checkCells(t, fmt.Sprintf("%s n=%d run set %d", k.name, n, x), c, want, covered)
+			}
+		}
+		for trial := 0; trial < 3; trial++ {
+			covered := make([]bool, n*n)
+			for idx := range covered {
+				covered[idx] = rng.Intn(3) > 0
+			}
 			c := New(n)
-			var covered []bool
-			if trial%2 == 0 {
-				var runs []Run
-				runs, covered = randomRuns(rng, n)
-				fillUncovered(c, covered)
-				cuts := randomCuts(rng, n)
-				for x := 0; x+1 < len(cuts); x++ {
-					MulRuns(c, a, b, runs, cuts[x], cuts[x+1])
-				}
-			} else {
-				covered = make([]bool, n*n)
-				for idx := range covered {
-					covered[idx] = rng.Intn(3) > 0
-				}
-				fillUncovered(c, covered)
-				MulMasked(c, a, b, covered)
-			}
-			for idx, in := range covered {
-				got, ref := c.data[idx], want.data[idx]
-				if !in {
-					ref = uncoveredValue(idx)
-				}
-				if math.Float64bits(got) != math.Float64bits(ref) {
-					t.Fatalf("n=%d trial %d: cell (%d,%d) covered=%v is %v, want %v",
-						n, trial, idx/n, idx%n, in, got, ref)
-				}
-			}
+			fillUncovered(c, covered)
+			MulMasked(c, a, b, covered)
+			checkCells(t, fmt.Sprintf("MulMasked n=%d mask %d", n, trial), c, want, covered)
+		}
+	}
+}
+
+// checkCells fails unless every covered cell of c is bit-identical to
+// want's and every uncovered cell still holds its fill value.
+func checkCells(t *testing.T, name string, c, want *Dense, covered []bool) {
+	t.Helper()
+	n := c.n
+	for idx, in := range covered {
+		got, ref := c.data[idx], want.data[idx]
+		if !in {
+			ref = uncoveredValue(idx)
+		}
+		if math.Float64bits(got) != math.Float64bits(ref) {
+			t.Fatalf("%s: cell (%d,%d) covered=%v is %v (%#x), want %v (%#x)",
+				name, idx/n, idx%n, in, got, math.Float64bits(got), ref, math.Float64bits(ref))
 		}
 	}
 }
@@ -343,28 +388,120 @@ func fillUncovered(c *Dense, covered []bool) {
 	}
 }
 
-func TestMulRunsSkipsZeroPivotsLikeKIJ(t *testing.T) {
-	// MulKIJ skips A[i][k] == 0, so an infinite B[k][j] never meets a
-	// zero multiplier there. The run kernel must skip the same pivots,
-	// or 0·Inf would turn those cells into NaN.
-	const n = 20
-	a, b := randomPair(n, 31)
-	for i := 0; i < n; i += 3 {
-		for k := 0; k < n; k++ {
-			a.Set(i, k, 0)
+// hasVectorKernel reports whether MulRuns takes the vector kernel on
+// this CPU: it then takes a 4-cell run whole.
+func hasVectorKernel() bool {
+	return mulRunVector(make([]float64, 4), []float64{1}, make([]float64, 4), 4, 0, 4) == 4
+}
+
+// kijOrdered is MulKIJ with the operands' order made explicit where two
+// NaNs meet, and x86 keeps the first source's payload: a product keeps
+// B's and a sum the product's. MulKIJ's compiled code does the same in
+// an ordinary build, but the Go spec leaves that choice to the compiler,
+// and under -race MulKIJ keeps the running sum's.
+func kijOrdered(a, b *Dense) *Dense {
+	n := a.n
+	c := New(n)
+	first := func(x, y, r float64) float64 {
+		if math.IsNaN(x) && math.IsNaN(y) {
+			return x
 		}
+		return r
 	}
 	for k := 0; k < n; k++ {
-		a.Set(k, 5, 0)
+		for i := 0; i < n; i++ {
+			aik := a.At(i, k)
+			if aik == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				p := first(b.At(k, j), aik, b.At(k, j)*aik)
+				c.Set(i, j, first(p, c.At(i, j), p+c.At(i, j)))
+			}
+		}
 	}
-	b.Set(5, 9, math.Inf(1))
+	return c
+}
+
+func TestMulRunsSkipsZeroPivotsLikeKIJ(t *testing.T) {
+	// MulKIJ skips A[i][k] == ±0, so an infinite or NaN B[k][j] never
+	// meets a zero multiplier there. The run kernels must skip the same
+	// pivots, or 0·Inf would turn those cells into NaN, must not skip a
+	// NaN pivot, and must round subnormals alike. n=37 gives each full
+	// row two 16-column groups, a 4-column group and a scalar tail.
+	//
+	// Where two NaNs meet, the payload that survives shows the operand
+	// order. Rows i%4==2 multiply a NaN A[i][13] by a NaN B[13][j]
+	// (j%3==0); rows i%4==1 carry A[i][11]'s NaN into a sum that then
+	// meets B[13][j]'s and B[17][j]'s (j%7==2). Go fixes no order there,
+	// so against MulKIJ such a cell need only be NaN; the vector kernel
+	// fixes its order, and its cells must match kijOrdered bit for bit.
+	const n = 37
+	a, b := randomPair(n, 31)
+	negZero := math.Copysign(0, -1)
+	nan := func(payload uint64) float64 { return math.Float64frombits(0x7ff8000000000000 | payload) }
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			if i%3 == 0 {
+				a.Set(i, k, 0)
+				if k%2 == 0 {
+					a.Set(i, k, negZero)
+				}
+			}
+			if i == 4 {
+				a.Set(i, k, math.SmallestNonzeroFloat64*float64(k+1))
+			}
+		}
+		a.Set(i, 5, negZero)
+		if i%4 == 1 {
+			a.Set(i, 11, nan(0xa00|uint64(i)))
+		}
+		if i%4 == 2 {
+			a.Set(i, 13, nan(0xa00|uint64(i)))
+		}
+	}
+	for j := 0; j < n; j++ {
+		b.Set(5, j, math.Inf(1))
+		if j%5 == 0 {
+			b.Set(7, j, math.Inf(1-2*(j%2)))
+		}
+		b.Set(9, j, 0x1p-1060*float64(j+1))
+		if j%3 == 0 {
+			b.Set(13, j, nan(0xb00|uint64(j)))
+		}
+		if j%7 == 2 {
+			b.Set(17, j, nan(0xc00|uint64(j)))
+		}
+	}
 	want := New(n)
 	MulKIJ(want, a, b)
+	for name, mul := range map[string]func(c *Dense){
+		"MulRuns":  func(c *Dense) { MulRuns(c, a, b, fullRuns(n), 0, n) },
+		"mulRunGo": func(c *Dense) { mulRuns(c, a, b, fullRuns(n), 0, n, mulRunGo) },
+	} {
+		got := New(n)
+		mul(got)
+		for idx, g := range got.data {
+			ref := want.data[idx]
+			if math.Float64bits(g) != math.Float64bits(ref) && !(math.IsNaN(g) && math.IsNaN(ref)) {
+				t.Fatalf("%s: cell (%d,%d) is %v (%#x), MulKIJ gives %v (%#x)",
+					name, idx/n, idx%n, g, math.Float64bits(g), ref, math.Float64bits(ref))
+			}
+		}
+	}
+	if !hasVectorKernel() {
+		return
+	}
+	const w = n &^ 3 // every column of these runs is in a vector group
+	ordered := kijOrdered(a, b)
 	got := New(n)
-	MulRuns(got, a, b, fullRuns(n), 0, n)
-	for idx := range got.data {
-		if math.Float64bits(got.data[idx]) != math.Float64bits(want.data[idx]) {
-			t.Fatalf("cell (%d,%d) is %v, MulKIJ gives %v", idx/n, idx%n, got.data[idx], want.data[idx])
+	MulRuns(got, a, b, rectRuns(0, n, 0, w), 0, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < w; j++ {
+			if g, o := got.At(i, j), ordered.At(i, j); math.Float64bits(g) != math.Float64bits(o) {
+				t.Fatalf("vector kernel: cell (%d,%d) is %v (%#x), want %v (%#x)",
+					i, j, g, math.Float64bits(g), o, math.Float64bits(o))
+			}
 		}
 	}
 }

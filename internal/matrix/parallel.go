@@ -6,22 +6,16 @@ import (
 )
 
 // MulParallel computes C += A·B splitting rows of C across workers
-// goroutines (0 selects GOMAXPROCS). Each worker runs the kij order over
-// its row band, so per-element summation order matches MulKIJ exactly and
-// results are bit-identical to the serial kernel.
+// goroutines (0 selects GOMAXPROCS). Each worker runs its row band
+// through MulRuns, so per-element summation order matches MulKIJ exactly
+// and results are bit-identical to the serial kernel.
 func MulParallel(c, a, b *Dense, workers int) {
 	checkTriple(c, a, b)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := a.n
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		MulKIJ(c, a, b)
-		return
-	}
+	workers = min(workers, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		r0 := w * n / workers
@@ -30,24 +24,22 @@ func MulParallel(c, a, b *Dense, workers int) {
 			continue
 		}
 		wg.Add(1)
-		go func(r0, r1 int) {
+		go func(band []Run) {
 			defer wg.Done()
-			for k := 0; k < n; k++ {
-				brow := b.data[k*n : (k+1)*n]
-				for i := r0; i < r1; i++ {
-					aik := a.data[i*n+k]
-					if aik == 0 {
-						continue
-					}
-					crow := c.data[i*n : (i+1)*n]
-					for j := 0; j < n; j++ {
-						crow[j] += aik * brow[j]
-					}
-				}
-			}
-		}(r0, r1)
+			MulRuns(c, a, b, band, 0, n)
+		}(rectRuns(r0, r1, 0, n))
 	}
 	wg.Wait()
+}
+
+// rectRuns returns the row runs of the rectangle rows [r0,r1) × columns
+// [c0,c1).
+func rectRuns(r0, r1, c0, c1 int) []Run {
+	runs := make([]Run, 0, r1-r0)
+	for i := r0; i < r1; i++ {
+		runs = append(runs, Run{Row: i, J0: c0, J1: c1})
+	}
+	return runs
 }
 
 // Flops returns the number of floating-point operations (multiply-adds

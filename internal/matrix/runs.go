@@ -24,12 +24,21 @@ const PivotChunk = 64
 // Each cell adds its products in strictly ascending k, skipping zero
 // A[i][k] exactly as MulKIJ does, so applying [0, n) — in one call or as
 // consecutive sub-ranges — leaves every covered cell bit-identical to
-// MulKIJ's. The kernel keeps an 8-column segment of a run in eight
-// register accumulators across a whole chunk of pivots: every
-// accumulator still receives its own cell's products one pivot at a
-// time, so the blocking changes which memory is read when, never the
-// order of any cell's sum.
+// MulKIJ's. The kernel keeps a segment of a run in register
+// accumulators across a whole chunk of pivots — 16, then 4, columns per
+// segment in AVX registers where the CPU has them, 8 in the portable Go
+// kernel: every accumulator still receives its own cell's products one
+// pivot at a time, each product and sum rounded alone, so the blocking
+// changes which memory is read when, never the order of any cell's sum.
+// Where two NaNs meet, Go leaves which payload survives to the compiler;
+// the vector kernel keeps the one MulKIJ's compiled code keeps.
 func MulRuns(c, a, b *Dense, runs []Run, kLo, kHi int) {
+	mulRuns(c, a, b, runs, kLo, kHi, mulRun)
+}
+
+// mulRuns is MulRuns with the per-run kernel as a parameter, so that
+// tests can run the portable kernel alone beside the dispatching one.
+func mulRuns(c, a, b *Dense, runs []Run, kLo, kHi int, kernel func(crow, arow, bp []float64, n, j0, j1 int)) {
 	checkTriple(c, a, b)
 	n := a.n
 	if kLo < 0 || kHi > n || kLo > kHi {
@@ -45,16 +54,26 @@ func MulRuns(c, a, b *Dense, runs []Run, kLo, kHi int) {
 		bp := b.data[k0*n:]
 		for _, r := range runs {
 			row := r.Row * n
-			mulRun(c.data[row:row+n], a.data[row+k0:row+k1], bp, n, r.J0, r.J1)
+			kernel(c.data[row:row+n], a.data[row+k0:row+k1], bp, n, r.J0, r.J1)
 		}
 	}
 }
 
 // mulRun adds Σ_t arow[t]·bp[t·n + j] to crow[j] for j in [j0, j1): arow
 // is A's row cut to one pivot chunk and bp starts at the chunk's first
-// row of B. Full 8-column segments accumulate in registers; the last
-// j1−j0 mod 8 columns take the scalar path.
+// row of B. The vector kernel takes the run's full 4-column groups where
+// there is one; the portable kernel takes the rest.
 func mulRun(crow, arow, bp []float64, n, j0, j1 int) {
+	j0 = mulRunVector(crow, arow, bp, n, j0, j1)
+	mulRunGo(crow, arow, bp, n, j0, j1)
+}
+
+// mulRunGo is mulRun in portable Go, the only kernel off amd64 and on
+// CPUs without AVX. Full 8-column segments accumulate in registers; the
+// last j1−j0 mod 8 columns update C in place with MulKIJ's own
+// statement, so they compile to MulKIJ's operand order and the columns
+// the vector kernel leaves keep MulKIJ's NaN payloads too.
+func mulRunGo(crow, arow, bp []float64, n, j0, j1 int) {
 	j := j0
 	for ; j+8 <= j1; j += 8 {
 		cs := crow[j : j+8 : j+8]
@@ -78,16 +97,15 @@ func mulRun(crow, arow, bp []float64, n, j0, j1 int) {
 		cs[0], cs[1], cs[2], cs[3] = c0, c1, c2, c3
 		cs[4], cs[5], cs[6], cs[7] = c4, c5, c6, c7
 	}
-	for ; j < j1; j++ {
-		s := crow[j]
-		off := j
-		for _, aik := range arow {
-			if aik != 0 {
-				s += aik * bp[off]
-			}
-			off += n
+	tail := crow[j:j1]
+	for t, aik := range arow {
+		if aik == 0 {
+			continue
 		}
-		crow[j] = s
+		brow := bp[t*n+j : t*n+j1]
+		for x := range tail {
+			tail[x] += aik * brow[x]
+		}
 	}
 }
 

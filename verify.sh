@@ -2,9 +2,12 @@
 # verify.sh — the repo's full verification gate.
 #
 # Runs a gofmt check over the tracked Go files, vet, a full build, the
-# complete test suite, vet and tests of the benchmark module (bench/,
+# complete test suite, the matrix and exec tests again built for 386 (no
+# vector kernel there, so they run the portable Go kernel end to end)
+# and a vet of the matrix package built for arm64 (its non-amd64 file),
+# vet and tests of the benchmark module (bench/,
 # a module of its own that the root build never compiles), the race
-# detector over
+# detector over the run kernel and
 # the packages with real concurrency (the push engine's pooled scratch
 # state, the partition grids cached plans share between readers, the
 # census worker pool, the journal writer, the throttle limiter, the
@@ -52,9 +55,14 @@ unformatted=$(git ls-files '*.go' | xargs gofmt -l)
 go vet ./...
 go build ./...
 go test ./...
+# The portable run kernel: 386 builds have no vector kernel, so these
+# run the Go kernel through every executor (natively on x86-64 hosts);
+# arm64 compiles the matrix package's non-amd64 file.
+GOARCH=386 go test ./internal/matrix ./internal/exec
+GOARCH=arm64 go vet ./internal/matrix
 # bench/ replaces repro with this checkout and needs no downloads.
 (cd bench && go vet ./... && go test ./...)
-go test -race ./internal/push/... ./internal/partition/... \
+go test -race ./internal/matrix/... ./internal/push/... ./internal/partition/... \
     ./internal/experiment/... ./internal/journal/... ./internal/throttle/... \
     ./internal/serve/... ./internal/chaos/... ./serve/... \
     ./internal/calibrate/... ./internal/exec/... ./internal/sim/...
@@ -367,13 +375,14 @@ grep -q "result MATCH" "$tmp/exec_flip.out"
 grep -q "quarantined \[S\] as Byzantine" "$tmp/exec_scale.out"
 grep -q "result MATCH" "$tmp/exec_scale.out"
 
-# 3. The full silent-corruption study: flips at 5%/10%, the Byzantine
+# 3. The full silent-corruption study: flips at 10%/20%, the Byzantine
 #    scaler and a combined drill under SCB and PCB — every injected
 #    corruption detected, every product bit-exact (the study exits
 #    non-zero otherwise), and the clean-run ABFT overhead under a
-#    deliberately generous CI ceiling (the committed BENCH_integrity.json
-#    records ~0% on an idle machine; the 25% ceiling only trips on a
-#    real regression, never on a loaded CI box).
+#    deliberately generous CI ceiling. The overhead is the median over 20
+#    alternating Verify off/on pairs (BENCH_integrity.json records it
+#    with its quartiles); the 25% ceiling only trips on a real
+#    regression, never on a loaded CI box.
 "$tmp/mmmsim" -integrity-study run -out "$tmp/bench_integrity.json" \
     -max-overhead 25 > "$tmp/integrity_study.out"
 grep -q "every injected corruption detected" "$tmp/integrity_study.out"
