@@ -12,8 +12,9 @@ var updateEquivalence = flag.Bool("update", false, "rewrite the equivalence gold
 
 // The plan equivalence golden pins the full /v1/plan-shaped facade output
 // (NewPlan and NewPlanForShape JSON, floats and all) to bytes generated at
-// seed state, before the CostModel refactor. A Machine carrying an explicit
-// UniformHockney cost model must keep producing these exact bytes.
+// seed state, before per-link pricing existed. A Machine carrying an
+// explicit LinkMatrix whose six links equal the seed network must keep
+// producing these exact bytes.
 
 type planScenario struct {
 	ratio string
@@ -33,7 +34,7 @@ var planScenarios = []planScenario{
 
 // writePlanCorpus renders NewPlan plus all six NewPlanForShape outputs for
 // every scenario, using mutate to install the machine configuration under
-// test (nil-cost legacy at seed; explicit cost models post-refactor).
+// test (nil Cost at seed; an explicit link matrix since).
 func writePlanCorpus(t *testing.T, mutate func(*Machine)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -42,12 +43,11 @@ func writePlanCorpus(t *testing.T, mutate func(*Machine)) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		topo, err := ParseTopology(sc.topo)
+		spec, err := ParseTopologySpec(sc.topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := DefaultMachine(ratio)
-		m.Topology = topo
+		m := spec.Apply(DefaultMachine(ratio))
 		if mutate != nil {
 			mutate(&m)
 		}
@@ -92,7 +92,7 @@ func checkPlanGolden(t *testing.T, got []byte) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("plan JSON diverged from the seed golden %s.\n"+
-			"The UniformHockney path is contractually byte-identical to the seed;\n"+
+			"A one-class link table is contractually byte-identical to the seed;\n"+
 			"regenerate with -update only for an intentional, justified change.", path)
 	}
 }
@@ -104,10 +104,19 @@ func TestPlanSeedEquivalenceLegacy(t *testing.T) {
 }
 
 // TestPlanSeedEquivalenceUniformCost replays the corpus with an explicit
-// UniformHockney installed: plan JSON must stay byte-identical to seed.
+// LinkMatrix whose six links all carry the machine's network, and Net
+// scrambled so nothing may read it: plan JSON must stay byte-identical to
+// seed, star scenarios included.
 func TestPlanSeedEquivalenceUniformCost(t *testing.T) {
 	checkPlanGolden(t, writePlanCorpus(t, func(m *Machine) {
-		m.Cost = NewUniformCost(*m)
+		lm := &LinkMatrix{}
+		for p := range lm.Links {
+			for q := range lm.Links[p] {
+				lm.Links[p][q] = m.Net
+			}
+		}
+		m.Cost = lm
+		m.Net.Alpha, m.Net.Beta = 999, 999
 	}))
 }
 

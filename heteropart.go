@@ -172,34 +172,21 @@ const (
 	Star           = model.Star
 )
 
-// ParseTopology parses a topology name ("fully-connected", "star"); the
-// empty string selects FullyConnected.
-var ParseTopology = model.ParseTopology
-
-// TopologySpec is the extended topology grammar of the cost-model layer:
-// the legacy names plus the per-link classes "2+1[:f]", "3-island[:f]"
-// and explicit "links:..." matrices. Apply configures a Machine for it.
+// TopologySpec is the topology grammar: the legacy names
+// ("fully-connected", "star"; the empty string selects fully-connected)
+// plus the per-link classes "2+1[:f]", "3-island[:f]" and explicit
+// "links:..." matrices. Apply configures a Machine for it.
 type TopologySpec = model.TopologySpec
 
-// ParseTopologySpec parses the extended grammar; errors are typed
-// (*model.ConfigError) and never panics.
+// ParseTopologySpec parses a topology name; errors are typed
+// (*model.ConfigError) and it never panics.
 var ParseTopologySpec = model.ParseTopologySpec
 
-// CostModel prices communication and computation per directed processor
-// pair; UniformHockney is the paper's single-link model (bit-for-bit the
-// legacy behaviour) and LinkMatrix the per-pair generalisation.
-type (
-	CostModel      = model.CostModel
-	UniformHockney = model.UniformHockney
-	LinkMatrix     = model.LinkMatrix
-)
-
-// NewUniformCost packages a machine's legacy parameters as an explicit
-// cost model.
-var NewUniformCost = model.NewUniformCost
+// LinkMatrix prices each directed processor pair on its own Hockney link.
+type LinkMatrix = model.LinkMatrix
 
 // Machine describes the platform: ratio, Hockney network, flop time,
-// topology, and optionally a per-link cost model.
+// topology, and optionally a per-link matrix.
 type Machine = model.Machine
 
 // DefaultMachine mirrors the paper's Fig 14 platform (1000 MB/s network,

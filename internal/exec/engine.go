@@ -249,34 +249,11 @@ func (e *engine) run() (*matrix.Dense, *Stats, error) {
 		}
 	}
 
-	// Virtual clocks of the fault-free plan, from the measured volumes
-	// and the initial assignment (recovery overhead is reported
-	// separately in the stats, not folded into the model times).
-	switch e.cfg.Algorithm {
-	case model.SCB:
-		e.stats.VirtualComm = e.cfg.Machine.Net.Time(topologyVolume(e.cfg.Machine, e.stats))
-	case model.PCB:
-		for _, w := range partition.Procs {
-			var sent int64
-			for _, v := range partition.Procs {
-				sent += e.stats.PairVolume[w][v]
-			}
-			if e.cfg.Machine.Topology == model.Star && w != partition.P {
-				sent += relayVolume(e.stats)
-			}
-			if t := e.cfg.Machine.Net.Time(sent); t > e.stats.VirtualComm {
-				e.stats.VirtualComm = t
-			}
-		}
-	}
-	for _, p := range partition.Procs {
-		flops := int64(e.g.Count(p)) * int64(e.n)
-		virt := float64(flops) * e.cfg.Machine.FlopTime / e.cfg.Machine.Ratio.Speed(p)
-		if virt > e.stats.VirtualComp {
-			e.stats.VirtualComp = virt
-		}
-	}
-	e.stats.VirtualExe = e.stats.VirtualComm + e.stats.VirtualComp
+	// Virtual clocks of the fault-free plan: the model's estimate for the
+	// partition, as every executor reports it (recovery overhead is
+	// reported separately in the stats, not folded into the model times).
+	bd := model.EvaluateGrid(e.cfg.Algorithm, e.cfg.Machine, e.g)
+	e.stats.VirtualComm, e.stats.VirtualComp, e.stats.VirtualExe = bd.Comm, bd.Comp, bd.Total
 	e.stats.Wall = time.Since(start)
 	return e.c, e.stats, nil
 }

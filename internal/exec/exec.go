@@ -122,10 +122,11 @@ type Stats struct {
 	// blocks that were committed (speculation losers are excluded; see
 	// BlocksDiscarded).
 	Flops [partition.NumProcs]int64
-	// VirtualComm/VirtualComp/VirtualExe are the modelled times of this
-	// run derived from the *measured* volumes and flop counts of the
-	// fault-free plan (not from the partition metrics), in seconds.
-	// Recovery overhead is reported separately, not folded in.
+	// VirtualComm/VirtualComp/VirtualExe are the modelled times of the
+	// fault-free plan, in seconds: model.EvaluateGrid's Comm, Comp and
+	// Total for the partition under Config.Machine, its topology and link
+	// matrix included. Recovery overhead is reported separately, not
+	// folded in.
 	VirtualComm, VirtualComp, VirtualExe float64
 	// Wall is the real elapsed time.
 	Wall time.Duration
@@ -226,19 +227,4 @@ func MultiplyContext(ctx context.Context, cfg Config, g *partition.Grid, a, b *m
 		return nil, nil, err
 	}
 	return e.run()
-}
-
-// topologyVolume is the total volume crossing the network, with the star
-// topology's relay traffic counted twice.
-func topologyVolume(m model.Machine, s *Stats) int64 {
-	v := s.TotalVolume
-	if m.Topology == model.Star {
-		v += relayVolume(s)
-	}
-	return v
-}
-
-// relayVolume is the R↔S traffic that the star topology forwards via P.
-func relayVolume(s *Stats) int64 {
-	return s.PairVolume[partition.R][partition.S] + s.PairVolume[partition.S][partition.R]
 }

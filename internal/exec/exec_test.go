@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -130,6 +129,9 @@ func TestMultiplyDFATerminalState(t *testing.T) {
 	}
 }
 
+// TestMultiplyVirtualTimesMatchModel: the engine's virtual clocks are the
+// model's, bit for bit, on every topology — star's relay and a link
+// matrix included.
 func TestMultiplyVirtualTimesMatchModel(t *testing.T) {
 	const n = 60
 	ratio := partition.MustRatio(4, 2, 1)
@@ -138,21 +140,22 @@ func TestMultiplyVirtualTimesMatchModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := randomMatrices(n, 4)
-	m := testMachine(ratio)
-	for _, alg := range []model.Algorithm{model.SCB, model.PCB} {
-		_, stats, err := Multiply(Config{Machine: m, Algorithm: alg}, g, a, b)
+	for _, topo := range []string{"fully-connected", "star", "3-island:10"} {
+		spec, err := model.ParseTopologySpec(topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := model.EvaluateGrid(alg, m, g)
-		if rel := math.Abs(stats.VirtualComm-want.Comm) / math.Max(want.Comm, 1e-30); rel > 1e-9 {
-			t.Errorf("%v: virtual comm %g vs model %g", alg, stats.VirtualComm, want.Comm)
-		}
-		if rel := math.Abs(stats.VirtualComp-want.Comp) / want.Comp; rel > 1e-9 {
-			t.Errorf("%v: virtual comp %g vs model %g", alg, stats.VirtualComp, want.Comp)
-		}
-		if rel := math.Abs(stats.VirtualExe-want.Total) / want.Total; rel > 1e-9 {
-			t.Errorf("%v: virtual exe %g vs model %g", alg, stats.VirtualExe, want.Total)
+		m := spec.Apply(testMachine(ratio))
+		for _, alg := range []model.Algorithm{model.SCB, model.PCB} {
+			_, stats, err := Multiply(Config{Machine: m, Algorithm: alg}, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := model.EvaluateGrid(alg, m, g)
+			if stats.VirtualComm != want.Comm || stats.VirtualComp != want.Comp || stats.VirtualExe != want.Total {
+				t.Errorf("%s %v: virtual comm/comp/exe %g/%g/%g, model %g/%g/%g", topo, alg,
+					stats.VirtualComm, stats.VirtualComp, stats.VirtualExe, want.Comm, want.Comp, want.Total)
+			}
 		}
 	}
 }

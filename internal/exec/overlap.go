@@ -70,10 +70,8 @@ func MultiplyOverlapContext(ctx context.Context, cfg Config, g *partition.Grid, 
 	}
 	stats.sumVolume()
 
-	bd := model.Evaluate(cfg.Algorithm, cfg.Machine, g.Snapshot())
-	stats.VirtualComm = bd.Comm
-	stats.VirtualComp = bd.Comp
-	stats.VirtualExe = bd.Total
+	bd := model.EvaluateGrid(cfg.Algorithm, cfg.Machine, g)
+	stats.VirtualComm, stats.VirtualComp, stats.VirtualExe = bd.Comm, bd.Comp, bd.Total
 	stats.Wall = time.Since(start)
 	return c, stats, nil
 }

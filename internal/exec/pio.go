@@ -107,12 +107,9 @@ func MultiplyPIO(cfg Config, g *partition.Grid, a, b *matrix.Dense) (*matrix.Den
 	}
 	stats.sumVolume()
 
-	// Virtual timings per the Eq 9 pipeline on the measured volumes.
-	snap := g.Snapshot()
-	bd := model.Evaluate(model.PIO, cfg.Machine, snap)
-	stats.VirtualComm = bd.Comm
-	stats.VirtualComp = bd.Comp
-	stats.VirtualExe = bd.Total
+	// Virtual timings: the model's Eq 9 pipeline for the partition.
+	bd := model.EvaluateGrid(model.PIO, cfg.Machine, g)
+	stats.VirtualComm, stats.VirtualComp, stats.VirtualExe = bd.Comm, bd.Comp, bd.Total
 	stats.Wall = time.Since(start)
 	return c, stats, nil
 }

@@ -7,25 +7,22 @@ import (
 	"repro/internal/partition"
 )
 
-// This file extracts the execution-time estimate behind a pluggable cost
-// model (ROADMAP item #2). The paper's models price every transfer on one
-// uniform Hockney link; real 3-processor platforms are hierarchical — two
-// GPUs sharing a node plus one across a rack, or three islands behind WAN
-// links — and the partition that wins under a uniform network can lose
-// badly when the R↔S link is 10× slower. A CostModel prices each directed
-// processor pair separately; Evaluate consults it for every communication
-// and computation term.
+// This file prices communication per directed processor pair. The paper's
+// models price every transfer on one uniform Hockney link; real
+// 3-processor platforms are hierarchical — two GPUs sharing a node plus one
+// across a rack, or three islands behind WAN links — and the partition
+// that wins under a uniform network can lose badly when the R↔S link is
+// 10× slower. Evaluate therefore prices every transfer on its own directed
+// link: the machine's LinkMatrix when one is installed, else Net on all
+// six pairs.
 //
-// Compatibility contract: a Machine with a nil Cost, or with an explicit
-// UniformHockney, reproduces the pre-CostModel evaluation BIT FOR BIT
-// (the seed equivalence goldens enforce this), and a LinkMatrix whose six
-// links are all equal reproduces it bit for bit through the general
-// per-pair path (TestLinkMatrixUniformExact enforces that, including the
-// per-step α amortisation in PIO). The latter works because the general
-// path groups links into classes of identical (α, β) and sums each
+// Compatibility contract: a machine whose links form one class — no
+// matrix, or a LinkMatrix with all six links equal — reproduces the seed
+// evaluation BIT FOR BIT (the seed equivalence goldens enforce both,
+// including the per-step α amortisation in PIO). price earns this by
+// grouping links into classes of identical (α, β) and summing each
 // class's volume in int64 before touching floats: with one class the
-// arithmetic collapses to literally α + β·float64(V), the legacy
-// expression.
+// arithmetic is literally α + β·float64(V), the seed's Hockney.Time.
 
 // ConfigError reports an invalid cost-model or topology configuration
 // field. It mirrors the typed config errors of the push and experiment
@@ -39,91 +36,12 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("model: %s: %s", e.Field, e.Reason)
 }
 
-// CostModel prices communication and computation for the three-processor
-// platform. Implementations must be deterministic: equal inputs produce
-// bit-equal outputs.
-type CostModel interface {
-	// Link returns the Hockney parameters of the directed link from→to.
-	// The diagonal is meaningless; implementations may return anything.
-	Link(from, to partition.Proc) Hockney
-	// CommTime returns the serialised communication time of the
-	// snapshot's full traffic — every unicast send on its own link, one
-	// channel active at a time (the SCB/SCO communication phase).
-	CommTime(snap partition.Metrics) float64
-	// SendTime returns sender p's communication time when all three
-	// processors transmit concurrently: p serialises its own outgoing
-	// volume (the PCB/PCO sender term, fully-connected form).
-	SendTime(snap partition.Metrics, p partition.Proc) float64
-	// StepCommTime returns the per-pivot-step communication time of the
-	// interleaved algorithm: the snapshot's volume spread over n steps
-	// with per-message latency paid every step (the PIO α sensitivity).
-	StepCommTime(snap partition.Metrics, n int) float64
-	// CompTime returns the seconds processor p needs to perform updates
-	// element-updates of the kij loop.
-	CompTime(p partition.Proc, updates int64) float64
-	// Weights returns the per-pair acceptance weights for the push
-	// engine's cost-weighted VoC: each directed link's β relative to the
-	// fastest link, so a uniform network is all ones.
-	Weights() partition.Weights
-	// Uniform reports whether every directed link is identical, in which
-	// case Evaluate takes the legacy single-link path unchanged.
-	Uniform() bool
-}
-
-// Compute carries the computation side of a cost model: the speed ratio
-// and the slowest processor's per-element-update time. Both concrete cost
-// models embed it.
-type Compute struct {
-	Ratio    partition.Ratio
-	FlopTime float64
-}
-
-// CompTime returns the seconds processor p needs for updates
-// element-updates — float64(updates)·FlopTime/Speed(p), the exact legacy
-// expression (updates stays below 2⁵³ for any tractable N, so the int64→
-// float64 conversion is lossless).
-func (c Compute) CompTime(p partition.Proc, updates int64) float64 {
-	return float64(updates) * c.FlopTime / c.Ratio.Speed(p)
-}
-
-// UniformHockney is the paper's cost model: one Hockney link shared by
-// every processor pair. It reproduces the legacy Machine evaluation bit
-// for bit.
-type UniformHockney struct {
-	Net Hockney
-	Compute
-}
-
-// NewUniformCost packages m's legacy network and compute parameters as an
-// explicit cost model. Evaluate(m with Cost=NewUniformCost(m)) is
-// bit-identical to Evaluate(m with Cost=nil).
-func NewUniformCost(m Machine) UniformHockney {
-	return UniformHockney{
-		Net:     m.Net,
-		Compute: Compute{Ratio: m.Ratio, FlopTime: m.FlopTime},
-	}
-}
-
-func (u UniformHockney) Link(from, to partition.Proc) Hockney { return u.Net }
-
-func (u UniformHockney) CommTime(snap partition.Metrics) float64 {
-	return u.Net.Time(snap.VoC)
-}
-
-func (u UniformHockney) SendTime(snap partition.Metrics, p partition.Proc) float64 {
-	return u.Net.Time(snap.Sends[p])
-}
-
-func (u UniformHockney) StepCommTime(snap partition.Metrics, n int) float64 {
-	if snap.VoC <= 0 {
-		return 0
-	}
-	return u.Net.Alpha + u.Net.Beta*float64(snap.VoC)/float64(n)
-}
-
-func (u UniformHockney) Weights() partition.Weights { return partition.UniformWeights() }
-
-func (u UniformHockney) Uniform() bool { return true }
+type (
+	// linkTable holds the Hockney model of each directed link [from][to].
+	linkTable = [partition.NumProcs][partition.NumProcs]Hockney
+	// volumeTable holds the elements sent over each directed link.
+	volumeTable = [partition.NumProcs][partition.NumProcs]int64
+)
 
 // LinkMatrix prices every directed processor pair separately: Links[p][q]
 // is the Hockney model of the p→q link. Asymmetric entries model duplex
@@ -132,7 +50,6 @@ func (u UniformHockney) Uniform() bool { return true }
 // ignored.
 type LinkMatrix struct {
 	Links [partition.NumProcs][partition.NumProcs]Hockney
-	Compute
 }
 
 // Validate checks every off-diagonal link: β must be positive and finite,
@@ -161,79 +78,6 @@ func (lm *LinkMatrix) Validate() error {
 	return nil
 }
 
-func (lm *LinkMatrix) Link(from, to partition.Proc) Hockney { return lm.Links[from][to] }
-
-// linkClass is one group of directed links sharing identical (α, β).
-type linkClass struct {
-	h   Hockney
-	vol int64
-}
-
-// classify groups the used directed links (vol > 0) by identical Hockney
-// parameters, in fixed p-major pair order, summing volumes in int64. The
-// fixed order and integer accumulation make the float reduction
-// deterministic and, for a single class, exactly the legacy single-link
-// expression.
-func (lm *LinkMatrix) classify(vols [partition.NumProcs][partition.NumProcs]int64) []linkClass {
-	classes := make([]linkClass, 0, partition.NumProcs*(partition.NumProcs-1))
-	for p := 0; p < partition.NumProcs; p++ {
-		for q := 0; q < partition.NumProcs; q++ {
-			v := vols[p][q]
-			if p == q || v <= 0 {
-				continue
-			}
-			h := lm.Links[p][q]
-			merged := false
-			for i := range classes {
-				if classes[i].h == h {
-					classes[i].vol += v
-					merged = true
-					break
-				}
-			}
-			if !merged {
-				classes = append(classes, linkClass{h: h, vol: v})
-			}
-		}
-	}
-	return classes
-}
-
-// CommTime serialises the snapshot's traffic across the link classes: one
-// bulk message per class, latencies sequential. With one class this is
-// α + β·float64(V) — Hockney.Time of the total volume.
-func (lm *LinkMatrix) CommTime(snap partition.Metrics) float64 {
-	var sum float64
-	for _, c := range lm.classify(snap.PairSends) {
-		sum += c.h.Alpha + c.h.Beta*float64(c.vol)
-	}
-	return sum
-}
-
-// SendTime returns sender p's communication time when all processors
-// transmit concurrently: p serialises its own outgoing volume across its
-// link classes (the PCB/PCO sender term).
-func (lm *LinkMatrix) SendTime(snap partition.Metrics, p partition.Proc) float64 {
-	var vols [partition.NumProcs][partition.NumProcs]int64
-	vols[p] = snap.PairSends[p]
-	var sum float64
-	for _, c := range lm.classify(vols) {
-		sum += c.h.Alpha + c.h.Beta*float64(c.vol)
-	}
-	return sum
-}
-
-// StepCommTime returns the per-pivot-step communication time of the
-// interleaved algorithm: each class's volume spread over the n steps with
-// its per-message latency paid every step (the PIO α sensitivity).
-func (lm *LinkMatrix) StepCommTime(snap partition.Metrics, n int) float64 {
-	var sum float64
-	for _, c := range lm.classify(snap.PairSends) {
-		sum += c.h.Alpha + c.h.Beta*float64(c.vol)/float64(n)
-	}
-	return sum
-}
-
 // Weights returns each directed link's β divided by the smallest β — the
 // relative per-element prices the push engine's weighted acceptance test
 // minimises. Validate guarantees the minimum is positive.
@@ -257,88 +101,39 @@ func (lm *LinkMatrix) Weights() partition.Weights {
 	return w
 }
 
-// Uniform always reports false: even an all-equal LinkMatrix evaluates
-// through the general per-pair path, so the equivalence property tests
-// exercise that path rather than a shortcut.
-func (lm *LinkMatrix) Uniform() bool { return false }
-
-// evalGeneral is the per-pair generalisation of Eqs 2–9: the same five
-// algorithm structures as the legacy path, with every communication term
-// priced by the cost model and every computation term by its CompTime.
-// Machine.Topology is ignored here — a link matrix models the
-// interconnect itself, and the topology-spec layer rejects star combined
-// with explicit links.
-func evalGeneral(a Algorithm, c CostModel, snap partition.Metrics) Breakdown {
-	maxComp := func(counts [partition.NumProcs]int, perStep bool) float64 {
-		var worst float64
-		for _, p := range partition.Procs {
-			updates := int64(counts[p])
-			if !perStep {
-				updates *= int64(snap.N)
+// price returns the time to move vols[p][q] elements over each directed
+// link p→q in steps rounds: 1 for a bulk transfer, N for PIO's pivot
+// steps. The used links (vol > 0) are grouped into classes of identical
+// (α, β), taken in p-major order of their first used link; each class's
+// volume is summed in int64 and costs α + β·V/steps, one message per
+// round, with the classes' latencies in sequence. The fixed order and the
+// integer sums make the float reduction deterministic, and with one class
+// the result is exactly Hockney.Time(V), because x/1 is exact. Fixed-size
+// arrays keep it free of allocations.
+func price(links *linkTable, vols *volumeTable, steps int) float64 {
+	const maxClasses = partition.NumProcs * (partition.NumProcs - 1)
+	var class [maxClasses]Hockney
+	var vol [maxClasses]int64
+	n := 0
+	for p := range vols {
+		for q, v := range vols[p] {
+			if p == q || v <= 0 {
+				continue
 			}
-			if t := c.CompTime(p, updates); t > worst {
-				worst = t
+			i := 0
+			for i < n && class[i] != links[p][q] {
+				i++
 			}
-		}
-		return worst
-	}
-	maxSend := func() float64 {
-		var comm float64
-		for _, p := range partition.Procs {
-			if t := c.SendTime(snap, p); t > comm {
-				comm = t
+			if i == n {
+				class[n] = links[p][q]
+				n++
 			}
-		}
-		return comm
-	}
-	switch a {
-	case SCB:
-		comm := c.CommTime(snap)
-		comp := maxComp(snap.Elements, false)
-		return Breakdown{Algorithm: SCB, Comm: comm, Comp: comp, Total: comm + comp}
-	case PCB:
-		comm := maxSend()
-		comp := maxComp(snap.Elements, false)
-		return Breakdown{Algorithm: PCB, Comm: comm, Comp: comp, Total: comm + comp}
-	case SCO, PCO:
-		var comm float64
-		if a == SCO {
-			comm = c.CommTime(snap)
-		} else {
-			comm = maxSend()
-		}
-		var overlap float64
-		var remainder [partition.NumProcs]int
-		for _, p := range partition.Procs {
-			if t := c.CompTime(p, int64(snap.Overlap[p])*int64(snap.N)); t > overlap {
-				overlap = t
-			}
-			remainder[p] = snap.Elements[p] - snap.Overlap[p]
-		}
-		comp := maxComp(remainder, false)
-		first := comm
-		if overlap > first {
-			first = overlap
-		}
-		return Breakdown{Algorithm: a, Comm: comm, Overlap: overlap, Comp: comp, Total: first + comp}
-	case PIO:
-		n := snap.N
-		if n == 0 {
-			return Breakdown{Algorithm: PIO}
-		}
-		stepComm := c.StepCommTime(snap, n)
-		stepComp := maxComp(snap.Elements, true)
-		stepMax := stepComm
-		if stepComp > stepMax {
-			stepMax = stepComp
-		}
-		total := stepComm + float64(n)*stepMax + stepComp
-		return Breakdown{
-			Algorithm: PIO,
-			Comm:      stepComm * float64(n),
-			Comp:      stepComp * float64(n),
-			Total:     total,
+			vol[i] += v
 		}
 	}
-	panic("model: unknown algorithm")
+	var t float64
+	for i := 0; i < n; i++ {
+		t += class[i].Alpha + class[i].Beta*float64(vol[i])/float64(steps)
+	}
+	return t
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // allEqualLinkMatrix builds a LinkMatrix whose six links all carry h.
-func allEqualLinkMatrix(h Hockney, ratio partition.Ratio, flop float64) *LinkMatrix {
-	lm := &LinkMatrix{Compute: Compute{Ratio: ratio, FlopTime: flop}}
+func allEqualLinkMatrix(h Hockney) *LinkMatrix {
+	lm := &LinkMatrix{}
 	for _, p := range partition.Procs {
 		for _, q := range partition.Procs {
 			if p != q {
@@ -21,12 +21,12 @@ func allEqualLinkMatrix(h Hockney, ratio partition.Ratio, flop float64) *LinkMat
 	return lm
 }
 
-// TestLinkMatrixUniformExact is the equivalence property test of the
-// refactor: a LinkMatrix with all links equal must reproduce the legacy
-// uniform evaluation EXACTLY — same float64 bits, not approximately — for
-// every algorithm, including the per-step α amortisation in PIO. The
-// general path earns this by summing link-class volumes in int64 before
-// any float arithmetic.
+// TestLinkMatrixUniformExact is the one-class property test: a LinkMatrix
+// with all links equal must reproduce the nil-Cost evaluation on Net
+// EXACTLY — same float64 bits, not approximately — for every algorithm
+// and both legacy topologies, including the per-step α amortisation in
+// PIO and the star relay. price earns this by summing link-class volumes
+// in int64 before any float arithmetic.
 func TestLinkMatrixUniformExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	nets := []Hockney{
@@ -47,17 +47,18 @@ func TestLinkMatrixUniformExact(t *testing.T) {
 		net := nets[rng.Intn(len(nets))]
 		flop := 1.0 / 1e9
 		legacy := Machine{Ratio: ratio, Net: net, FlopTime: flop}
-		linked := legacy
-		linked.Cost = allEqualLinkMatrix(net, ratio, flop)
-		if linked.Cost.Uniform() {
-			t.Fatal("LinkMatrix must report Uniform()=false so this test exercises the general path")
+		if trial%2 == 1 {
+			legacy.Topology = Star
 		}
+		linked := legacy
+		linked.Cost = allEqualLinkMatrix(net)
+		linked.Net = Hockney{Alpha: 999, Beta: 999}
 		for _, a := range AllAlgorithms {
 			want := Evaluate(a, legacy, snap)
 			got := Evaluate(a, linked, snap)
 			if got != want {
-				t.Fatalf("%v %v n=%d %s net=%+v:\n  legacy %+v\n  linked %+v",
-					s, ratio, n, a, net, want, got)
+				t.Fatalf("%v %v %v n=%d %s net=%+v:\n  legacy %+v\n  linked %+v",
+					s, ratio, legacy.Topology, n, a, net, want, got)
 			}
 		}
 	}
@@ -67,8 +68,7 @@ func TestLinkMatrixUniformExact(t *testing.T) {
 // links yield the all-ones matrix, and scaling one link scales only its
 // weight.
 func TestLinkMatrixUniformWeights(t *testing.T) {
-	ratio := partition.Ratio{Pr: 3, Rr: 2, Sr: 1}
-	lm := allEqualLinkMatrix(Hockney{Beta: 2e-9}, ratio, 1e-9)
+	lm := allEqualLinkMatrix(Hockney{Beta: 2e-9})
 	if w := lm.Weights(); !w.Uniform() {
 		t.Fatalf("all-equal LinkMatrix weights = %v, want uniform", w)
 	}
@@ -92,23 +92,51 @@ func TestLinkMatrixAsymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := g.Snapshot()
-	base := allEqualLinkMatrix(Hockney{Beta: 1e-9}, ratio, 1e-9)
-	asym := allEqualLinkMatrix(Hockney{Beta: 1e-9}, ratio, 1e-9)
+	base := allEqualLinkMatrix(Hockney{Beta: 1e-9})
+	asym := allEqualLinkMatrix(Hockney{Beta: 1e-9})
 	asym.Links[partition.R][partition.S].Beta *= 100
 	if snap.PairSends[partition.R][partition.S] == 0 {
 		t.Fatal("test shape has no R→S traffic; pick another")
 	}
-	if got, want := asym.SendTime(snap, partition.R), base.SendTime(snap, partition.R); got <= want {
+	sendTime := func(lm *LinkMatrix, p partition.Proc) float64 {
+		var v volumeTable
+		v[p] = snap.PairSends[p]
+		return price(&lm.Links, &v, 1)
+	}
+	if got, want := sendTime(asym, partition.R), sendTime(base, partition.R); got <= want {
 		t.Fatalf("R send time %v not raised above %v by 100× R→S link", got, want)
 	}
-	if got, want := asym.SendTime(snap, partition.S), base.SendTime(snap, partition.S); got != want {
+	if got, want := sendTime(asym, partition.S), sendTime(base, partition.S); got != want {
 		t.Fatalf("S send time changed (%v vs %v) though only R→S was repriced", got, want)
 	}
 }
 
+// TestPriceClasses pins price's grouping: links with equal (α, β) share
+// one message per round whatever their direction, and each further class
+// pays its own latency.
+func TestPriceClasses(t *testing.T) {
+	fast, slow := Hockney{Alpha: 1, Beta: 2}, Hockney{Alpha: 10, Beta: 20}
+	lm := allEqualLinkMatrix(fast)
+	lm.Links[partition.R][partition.S] = slow
+	lm.Links[partition.S][partition.R] = slow
+	var v volumeTable
+	v[partition.P][partition.R] = 3
+	v[partition.S][partition.P] = 5
+	v[partition.R][partition.S] = 7
+	v[partition.S][partition.R] = 1
+	if got, want := price(&lm.Links, &v, 1), fast.Time(8)+slow.Time(8); got != want {
+		t.Fatalf("bulk price %v, want %v (one message per class)", got, want)
+	}
+	if got, want := price(&lm.Links, &v, 4), (1+2*8.0/4)+(10+20*8.0/4); got != want {
+		t.Fatalf("4-step price %v, want %v (α every round, β spread)", got, want)
+	}
+	if got := price(&lm.Links, &volumeTable{}, 1); got != 0 {
+		t.Fatalf("price of no traffic = %v, want 0", got)
+	}
+}
+
 func TestLinkMatrixValidate(t *testing.T) {
-	ratio := partition.Ratio{Pr: 3, Rr: 2, Sr: 1}
-	good := allEqualLinkMatrix(Hockney{Alpha: 1e-6, Beta: 2e-9}, ratio, 1e-9)
+	good := allEqualLinkMatrix(Hockney{Alpha: 1e-6, Beta: 2e-9})
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid matrix rejected: %v", err)
 	}
@@ -124,7 +152,7 @@ func TestLinkMatrixValidate(t *testing.T) {
 		{"nan alpha", func(lm *LinkMatrix) { lm.Links[partition.R][partition.P].Alpha = nan() }},
 	}
 	for _, tc := range cases {
-		lm := allEqualLinkMatrix(Hockney{Alpha: 1e-6, Beta: 2e-9}, ratio, 1e-9)
+		lm := allEqualLinkMatrix(Hockney{Alpha: 1e-6, Beta: 2e-9})
 		tc.mutate(lm)
 		err := lm.Validate()
 		var ce *ConfigError
@@ -137,31 +165,23 @@ func TestLinkMatrixValidate(t *testing.T) {
 func nan() float64 { z := 0.0; return z / z }
 func inf() float64 { z := 0.0; return 1 / z }
 
-// customCost is a CostModel that is neither built-in: it reuses
-// UniformHockney's pricing but reports Uniform()=false, forcing Evaluate
-// through the general interface path.
-type customCost struct{ UniformHockney }
-
-func (c customCost) Uniform() bool { return false }
-
-// TestEvaluateGeneralInterface pins the interface contract: ANY CostModel
-// implementation evaluates through the general path, and when its prices
-// match the uniform network the result is bit-identical anyway (the
-// general structure degenerates to the legacy formulas).
-func TestEvaluateGeneralInterface(t *testing.T) {
-	ratio := partition.Ratio{Pr: 3, Rr: 2, Sr: 1}
-	g, err := partition.Build(partition.TraditionalRectangle, 24, ratio)
+// TestPushWeights: the push engine gets weights only from a link matrix
+// whose β differ; a nil or all-equal matrix keeps the integer VoC path.
+func TestPushWeights(t *testing.T) {
+	m := DefaultMachine(partition.MustRatio(5, 2, 1))
+	if w := m.PushWeights(); w != nil {
+		t.Fatalf("nil Cost: weights %v, want nil", w)
+	}
+	m.Cost = allEqualLinkMatrix(m.Net)
+	if w := m.PushWeights(); w != nil {
+		t.Fatalf("all-equal matrix: weights %v, want nil", w)
+	}
+	spec, err := ParseTopologySpec("2+1:10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := g.Snapshot()
-	m := DefaultMachine(ratio)
-	m.Cost = customCost{NewUniformCost(m)}
-	for _, a := range AllAlgorithms {
-		got := Evaluate(a, m, snap)
-		want := Evaluate(a, DefaultMachine(ratio), snap)
-		if got != want {
-			t.Fatalf("%s: general-path %+v, legacy %+v", a, got, want)
-		}
+	w := spec.Apply(m).PushWeights()
+	if w == nil || w[partition.P][partition.S] != 10 || w[partition.P][partition.R] != 1 {
+		t.Fatalf("2+1:10 weights %v, want P↔R 1 and links touching S 10", w)
 	}
 }

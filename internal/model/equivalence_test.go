@@ -14,11 +14,11 @@ import (
 
 var updateEquivalence = flag.Bool("update", false, "rewrite the equivalence golden files with the current output")
 
-// The equivalence suite pins every evaluation path in this package to
-// bytes generated from the pre-CostModel seed code. The golden file was
-// produced with -update BEFORE the CostModel refactor landed; the
-// refactored code must keep reproducing it bit for bit (floats are
-// rendered in hex, so "equal bytes" means "equal float64 bits").
+// The equivalence suite pins the evaluator to bytes generated from the
+// seed code, before per-link pricing existed. The golden file was
+// produced with -update at seed state; the single per-link evaluator must
+// keep reproducing it bit for bit (floats are rendered in hex, so "equal
+// bytes" means "equal float64 bits").
 //
 // Coverage: six shapes × the eleven paper ratios × N ∈ {64, 128, 256},
 // all five algorithms, both legacy topologies, plus the closed forms.
@@ -30,7 +30,7 @@ var equivalenceSizes = []int{64, 128, 256}
 
 // seedEvaluate is the evaluation entry point under test. It exists so the
 // golden corpus can be replayed against different Machine configurations
-// (legacy nil-cost and explicit UniformHockney) that must all agree.
+// (nil Cost and an all-equal LinkMatrix) that must all agree.
 type seedEvaluate func(a Algorithm, ratio partition.Ratio, topo Topology, snap partition.Metrics) Breakdown
 
 func legacyEvaluate(a Algorithm, ratio partition.Ratio, topo Topology, snap partition.Metrics) Breakdown {
@@ -99,7 +99,7 @@ func checkEquivalenceGolden(t *testing.T, got []byte) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("evaluation output diverged from the seed golden %s.\n"+
 			"If the change is intentional, regenerate with -update and justify the diff;\n"+
-			"the UniformHockney path is contractually bit-identical to the seed.", path)
+			"a one-class link table is contractually bit-identical to the seed.", path)
 	}
 }
 
@@ -113,8 +113,9 @@ func TestSeedEquivalenceLegacy(t *testing.T) {
 }
 
 // TestSeedEquivalenceUniformCost replays the corpus with an explicit
-// UniformHockney cost model installed: the refactored dispatch must
-// reproduce the seed bytes bit for bit.
+// LinkMatrix whose six links all carry the default network, star rows
+// included: pricing through the installed matrix must reproduce the seed
+// bytes bit for bit.
 func TestSeedEquivalenceUniformCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence corpus builds 396 grids; skipped in -short")
@@ -122,11 +123,10 @@ func TestSeedEquivalenceUniformCost(t *testing.T) {
 	eval := func(a Algorithm, ratio partition.Ratio, topo Topology, snap partition.Metrics) Breakdown {
 		m := DefaultMachine(ratio)
 		m.Topology = topo
-		m.Cost = NewUniformCost(m)
-		// Scramble the legacy fields the cost model must now supply, so
-		// the test fails if dispatch silently keeps reading them.
+		m.Cost = allEqualLinkMatrix(m.Net)
+		// Scramble Net, so the test fails if pricing silently reads it
+		// instead of the installed matrix.
 		m.Net = Hockney{Alpha: 999, Beta: 999}
-		m.FlopTime = 999
 		return Evaluate(a, m, snap)
 	}
 	checkEquivalenceGolden(t, writeEquivalenceCorpus(t, eval))

@@ -91,19 +91,6 @@ func (t Topology) String() string {
 	return fmt.Sprintf("Topology(%d)", uint8(t))
 }
 
-// ParseTopology parses a topology name as printed by Topology.String.
-// The empty string selects FullyConnected (the zero value), so wire
-// formats may omit the field.
-func ParseTopology(s string) (Topology, error) {
-	switch s {
-	case "", FullyConnected.String():
-		return FullyConnected, nil
-	case Star.String():
-		return Star, nil
-	}
-	return 0, fmt.Errorf("model: unknown topology %q", s)
-}
-
 // Hockney is the linear communication model T_comm = α + β·M of Hockney
 // [12]: α seconds of latency per message plus β seconds per element.
 type Hockney struct {
@@ -129,7 +116,8 @@ func (h Hockney) PerElement() float64 { return h.Beta }
 type Machine struct {
 	// Ratio is the relative processing-speed ratio.
 	Ratio partition.Ratio
-	// Net is the communication model.
+	// Net is the communication model: the Hockney link of every
+	// processor pair when Cost is nil.
 	Net Hockney
 	// FlopTime is the seconds the *slowest* processor (S, speed 1) needs
 	// for one element-update (one multiply-add of the kij loop).
@@ -138,13 +126,10 @@ type Machine struct {
 	// Topology selects the interconnect (Section X); the zero value is
 	// FullyConnected.
 	Topology Topology
-	// Cost, when non-nil, prices communication and computation instead
-	// of Net/FlopTime/Ratio. A UniformHockney reproduces the legacy
-	// single-link evaluation bit for bit; any other CostModel (above all
-	// *LinkMatrix) routes through the general per-pair path, which
-	// ignores Topology — explicit links subsume the star special case,
-	// and the topology-spec layer rejects the combination.
-	Cost CostModel
+	// Cost, when non-nil, prices each directed processor pair on its own
+	// link instead of Net on all six (see Evaluate). A matrix whose six
+	// links equal Net evaluates bit for bit as a nil Cost.
+	Cost *LinkMatrix
 	// Spec is the canonical topology-spec label when Cost was installed
 	// by TopologySpec.Apply; empty for legacy machines. Wire formats
 	// echo it (see TopologyName).
@@ -160,21 +145,12 @@ func (m Machine) TopologyName() string {
 	return m.Topology.String()
 }
 
-// CostModel returns the machine's explicit cost model, or its legacy
-// parameters packaged as a UniformHockney when Cost is nil.
-func (m Machine) CostModel() CostModel {
-	if m.Cost != nil {
-		return m.Cost
-	}
-	return NewUniformCost(m)
-}
-
 // PushWeights returns the per-pair acceptance weights the push engine
 // should minimise for this machine, or nil when the raw integer VoC is
-// the right objective (legacy machines and uniform cost models — the
+// the right objective (no link matrix, or one with all β equal — the
 // bit-exact path).
 func (m Machine) PushWeights() *partition.Weights {
-	if m.Cost == nil || m.Cost.Uniform() {
+	if m.Cost == nil {
 		return nil
 	}
 	w := m.Cost.Weights()
@@ -182,6 +158,16 @@ func (m Machine) PushWeights() *partition.Weights {
 		return nil
 	}
 	return &w
+}
+
+// linkTable returns the per-pair links Evaluate prices transfers on: the
+// installed LinkMatrix, else Net on every directed pair.
+func (m Machine) linkTable() linkTable {
+	if m.Cost != nil {
+		return m.Cost.Links
+	}
+	row := [partition.NumProcs]Hockney{m.Net, m.Net, m.Net}
+	return linkTable{row, row, row}
 }
 
 // DefaultMachine mirrors the paper's experimental platform of Fig 14:
@@ -194,18 +180,6 @@ func DefaultMachine(ratio partition.Ratio) Machine {
 		Net:      Hockney{Alpha: 0, Beta: 8.0 / 1e9}, // 8 B / (1000 MB/s)
 		FlopTime: 1.0 / 1e9,
 	}
-}
-
-// compTime returns the seconds processor p needs to update count elements
-// once per pivot step over all N steps (count · N element-updates).
-func (m Machine) compTime(p partition.Proc, count int, n int) float64 {
-	return float64(count) * float64(n) * m.FlopTime / m.Ratio.Speed(p)
-}
-
-// stepTime returns the seconds processor p needs for a single pivot step
-// over count elements.
-func (m Machine) stepTime(p partition.Proc, count int) float64 {
-	return float64(count) * m.FlopTime / m.Ratio.Speed(p)
 }
 
 // Breakdown reports the components of an execution-time estimate.
@@ -223,30 +197,101 @@ type Breakdown struct {
 }
 
 // Evaluate models the execution time of algorithm a on partition metrics
-// snap (Eqs 2–9 for the uniform network; their per-pair generalisation
-// when the machine carries a non-uniform cost model).
+// snap (Eqs 2–9). Every transfer is priced on its directed link by price
+// and every computation at its processor's speed:
+//
+//   - SCB (Eqs 2–3) sends all traffic serially, then computes;
+//   - PCB (Eqs 4–6) lets the three processors send at once, so the
+//     slowest sender sets the communication time;
+//   - SCO and PCO (Eqs 7–8) overlap those two phases with the
+//     computation of each processor's communication-free elements, then
+//     compute the remainder;
+//   - PIO (Eq 9) pipelines the N pivot steps: step k's share of the
+//     traffic overlaps step k−1's computation, with the per-message
+//     latency paid every step — the interleaved algorithm sends N small
+//     messages where the others send one large one, the latency
+//     sensitivity the paper's conclusion names as future work.
+//
+// Star (Section X) routes R↔S traffic through P. The relay volume is
+// min(d_R, d_S) (StarRelayVolume), the only relay rule, and it enters
+// where the paper's single-link models put it: SCB, SCO and PIO add it
+// to the serial traffic, PCB adds it to R's and S's own sends, and PCO
+// pays it as one extra message after the parallel phase. The relay is
+// priced on the P→S link, because P forwards it; with equal links that
+// is the single message of the seed model. No topology spec combines
+// star with a link matrix, but a Machine that does follows this rule.
 func Evaluate(a Algorithm, m Machine, snap partition.Metrics) Breakdown {
-	if c := m.Cost; c != nil {
-		u, ok := c.(UniformHockney)
-		if !ok {
-			return evalGeneral(a, c, snap)
+	links := m.linkTable()
+	var relay int64
+	if m.Topology == Star {
+		relay = StarRelayVolume(snap)
+	}
+	serial := snap.PairSends
+	serial[partition.P][partition.S] += relay
+	// maxSend is the parallel phase: each sender serialises its own
+	// traffic, the slow senders each carrying extra relayed elements.
+	maxSend := func(extra int64) float64 {
+		var worst float64
+		for _, p := range partition.Procs {
+			var v volumeTable
+			v[p] = snap.PairSends[p]
+			if p != partition.P {
+				v[partition.P][partition.S] = extra
+			}
+			if t := price(&links, &v, 1); t > worst {
+				worst = t
+			}
 		}
-		// An explicit UniformHockney takes the legacy path below with
-		// its parameters substituted, preserving both the star-topology
-		// handling and the bit-for-bit seed equivalence contract.
-		m.Net, m.Ratio, m.FlopTime = u.Net, u.Ratio, u.FlopTime
+		return worst
+	}
+	// maxComp is the slowest processor's time to update its counts[p]
+	// elements once per pivot step, over steps steps.
+	maxComp := func(counts *[partition.NumProcs]int, steps int) float64 {
+		var worst float64
+		for _, p := range partition.Procs {
+			if t := float64(counts[p]) * float64(steps) * m.FlopTime / m.Ratio.Speed(p); t > worst {
+				worst = t
+			}
+		}
+		return worst
+	}
+	n := snap.N
+	barrier := func(comm float64) Breakdown {
+		comp := maxComp(&snap.Elements, n)
+		return Breakdown{Algorithm: a, Comm: comm, Comp: comp, Total: comm + comp}
+	}
+	overlapped := func(comm float64) Breakdown {
+		var remainder [partition.NumProcs]int
+		for _, p := range partition.Procs {
+			remainder[p] = snap.Elements[p] - snap.Overlap[p]
+		}
+		overlap := maxComp(&snap.Overlap, n)
+		comp := maxComp(&remainder, n)
+		return Breakdown{Algorithm: a, Comm: comm, Overlap: overlap, Comp: comp, Total: max(comm, overlap) + comp}
 	}
 	switch a {
 	case SCB:
-		return evalSCB(m, snap)
+		return barrier(price(&links, &serial, 1))
 	case PCB:
-		return evalPCB(m, snap)
+		return barrier(maxSend(relay))
 	case SCO:
-		return evalSCO(m, snap)
+		return overlapped(price(&links, &serial, 1))
 	case PCO:
-		return evalPCO(m, snap)
+		return overlapped(maxSend(0) + links[partition.P][partition.S].Time(relay))
 	case PIO:
-		return evalPIO(m, snap)
+		if n == 0 {
+			return Breakdown{Algorithm: PIO}
+		}
+		stepComm := price(&links, &serial, n)
+		stepComp := maxComp(&snap.Elements, 1)
+		// Send step 1, run the pipeline, compute step N.
+		total := stepComm + float64(n)*max(stepComm, stepComp) + stepComp
+		return Breakdown{
+			Algorithm: PIO,
+			Comm:      stepComm * float64(n),
+			Comp:      stepComp * float64(n),
+			Total:     total,
+		}
 	}
 	panic("model: unknown algorithm")
 }
@@ -259,30 +304,24 @@ func EvaluateGrid(a Algorithm, m Machine, g *partition.Grid) Breakdown {
 // CommVolume returns the total communication volume in elements for the
 // given topology. Under the fully connected topology it is Eq 1's VoC.
 // Under the star topology every element exchanged between R and S crosses
-// two links (via P), so the R↔S share of the volume is doubled; the
-// per-processor send volumes d_X (Eq 6) bound that share.
+// two links (via P), so StarRelayVolume is added.
 func CommVolume(m Machine, snap partition.Metrics) int64 {
 	v := snap.VoC
 	if m.Topology == Star {
-		v += starRelayVolume(snap)
+		v += StarRelayVolume(snap)
 	}
 	return v
 }
 
-// starRelayVolume estimates the extra volume the star topology forwards
+// StarRelayVolume estimates the extra volume the star topology forwards
 // through P: the data R needs from S plus the data S needs from R. With
 // identically partitioned matrices this is bounded by the smaller of the
 // two processors' send volumes; we use that bound as the model.
-func starRelayVolume(snap partition.Metrics) int64 {
-	dR := sendVolume(snap, partition.R)
-	dS := sendVolume(snap, partition.S)
-	if dR < dS {
-		return dR
-	}
-	return dS
+func StarRelayVolume(snap partition.Metrics) int64 {
+	return min(snap.Sends[partition.R], snap.Sends[partition.S])
 }
 
-// sendVolume returns the exact unicast send volume of processor p in
+// SendVolume returns the exact unicast send volume of processor p in
 // elements: each of p's cells is sent once per other processor in its row
 // and once per other processor in its column. Summed over processors this
 // equals Eq 1's VoC exactly, and it vanishes when no communication is
@@ -290,13 +329,8 @@ func starRelayVolume(snap partition.Metrics) int64 {
 // which over-counts when a processor's rows or columns are unshared (it
 // is N² even for a single-processor grid); Eq 6's literal form remains
 // available as SendVolumeEq6.
-func sendVolume(snap partition.Metrics, p partition.Proc) int64 {
-	return snap.Sends[p]
-}
-
-// SendVolume exposes the exact per-processor send volume.
 func SendVolume(snap partition.Metrics, p partition.Proc) int64 {
-	return sendVolume(snap, p)
+	return snap.Sends[p]
 }
 
 // SendVolumeEq6 is the paper's literal d_X formula (Eq 6):
@@ -304,141 +338,6 @@ func SendVolume(snap partition.Metrics, p partition.Proc) int64 {
 func SendVolumeEq6(snap partition.Metrics, p partition.Proc) int64 {
 	n := int64(snap.N)
 	return n*int64(snap.Rows[p]) + n*int64(snap.Cols[p]) - int64(snap.Elements[p])
-}
-
-func maxCompTime(m Machine, snap partition.Metrics, counts [partition.NumProcs]int) float64 {
-	var worst float64
-	for _, p := range partition.Procs {
-		if t := m.compTime(p, counts[p], snap.N); t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
-// evalSCB implements Eqs 2–3: serial communication of the whole VoC, then
-// a barrier, then parallel computation.
-func evalSCB(m Machine, snap partition.Metrics) Breakdown {
-	comm := m.Net.Time(CommVolume(m, snap))
-	comp := maxCompTime(m, snap, snap.Elements)
-	return Breakdown{Algorithm: SCB, Comm: comm, Comp: comp, Total: comm + comp}
-}
-
-// evalPCB implements Eqs 4–6: each processor sends its volume d_X in
-// parallel; communication time is the slowest sender.
-func evalPCB(m Machine, snap partition.Metrics) Breakdown {
-	var comm float64
-	for _, p := range partition.Procs {
-		d := sendVolume(snap, p)
-		if m.Topology == Star && p != partition.P {
-			// R and S reach each other via P: their traffic to the
-			// other slow processor is sent twice (once into P, once
-			// out). Model the second hop as P's burden, which is the
-			// slowest-link bound.
-			d += minInt64(sendVolume(snap, partition.R), sendVolume(snap, partition.S))
-		}
-		if t := m.Net.Time(d); t > comm {
-			comm = t
-		}
-	}
-	comp := maxCompTime(m, snap, snap.Elements)
-	return Breakdown{Algorithm: PCB, Comm: comm, Comp: comp, Total: comm + comp}
-}
-
-// evalSCO implements Eq 7: serial communication overlapped with the
-// computation of the communication-free (overlap) elements; then the
-// remainder is computed.
-func evalSCO(m Machine, snap partition.Metrics) Breakdown {
-	comm := m.Net.Time(CommVolume(m, snap))
-	var overlap float64
-	var remainder [partition.NumProcs]int
-	for _, p := range partition.Procs {
-		if t := m.compTime(p, snap.Overlap[p], snap.N); t > overlap {
-			overlap = t
-		}
-		remainder[p] = snap.Elements[p] - snap.Overlap[p]
-	}
-	comp := maxCompTime(m, snap, remainder)
-	first := comm
-	if overlap > first {
-		first = overlap
-	}
-	return Breakdown{Algorithm: SCO, Comm: comm, Overlap: overlap, Comp: comp, Total: first + comp}
-}
-
-// evalPCO implements Eq 8: parallel communication overlapped with the
-// overlap-element computation, then the remainder.
-func evalPCO(m Machine, snap partition.Metrics) Breakdown {
-	var comm float64
-	for _, p := range partition.Procs {
-		if t := m.Net.Time(sendVolume(snap, p)); t > comm {
-			comm = t
-		}
-	}
-	if m.Topology == Star {
-		comm += m.Net.Time(starRelayVolume(snap))
-	}
-	var overlap float64
-	var remainder [partition.NumProcs]int
-	for _, p := range partition.Procs {
-		if t := m.compTime(p, snap.Overlap[p], snap.N); t > overlap {
-			overlap = t
-		}
-		remainder[p] = snap.Elements[p] - snap.Overlap[p]
-	}
-	comp := maxCompTime(m, snap, remainder)
-	first := comm
-	if overlap > first {
-		first = overlap
-	}
-	return Breakdown{Algorithm: PCO, Comm: comm, Overlap: overlap, Comp: comp, Total: first + comp}
-}
-
-// evalPIO implements Eq 9: the N pivot steps are pipelined — step k's
-// communication (the pivot row and column, costed at the per-step share
-// of the VoC) overlaps step k−1's computation; a fill (first send) and a
-// drain (last compute) bracket the pipeline.
-func evalPIO(m Machine, snap partition.Metrics) Breakdown {
-	n := snap.N
-	if n == 0 {
-		return Breakdown{Algorithm: PIO}
-	}
-	// Per-step communication: the VoC spread evenly over the N pivots
-	// (each pivot step communicates the pivot row and column shares) —
-	// but the Hockney latency α is paid per step, not amortised: the
-	// interleaved algorithm sends N small messages where the barrier
-	// algorithms send one large one. This is the latency sensitivity the
-	// paper's conclusion names as future work.
-	vol := CommVolume(m, snap)
-	stepComm := 0.0
-	if vol > 0 {
-		stepComm = m.Net.Alpha + m.Net.Beta*float64(vol)/float64(n)
-	}
-	// Per-step computation: every processor updates its elements once.
-	var stepComp float64
-	for _, p := range partition.Procs {
-		if t := m.stepTime(p, snap.Elements[p]); t > stepComp {
-			stepComp = t
-		}
-	}
-	stepMax := stepComm
-	if stepComp > stepMax {
-		stepMax = stepComp
-	}
-	total := stepComm + float64(n)*stepMax + stepComp // Send k, pipeline, Compute k+1
-	return Breakdown{
-		Algorithm: PIO,
-		Comm:      stepComm * float64(n),
-		Comp:      stepComp * float64(n),
-		Total:     total,
-	}
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // IdealTime returns the communication-free, perfectly-balanced lower

@@ -307,18 +307,58 @@ func TestEvaluatePanicsOnUnknown(t *testing.T) {
 	Evaluate(Algorithm(42), mach(partition.MustRatio(2, 1, 1)), partition.Metrics{N: 4})
 }
 
-func BenchmarkEvaluateAll(b *testing.B) {
+// evaluateTopologies are the topologies the plan_search workload cycles
+// through: both legacy names and the two named link classes.
+var evaluateTopologies = []string{"fully-connected", "star", "2+1:10", "3-island:10"}
+
+// evaluateFixture returns Block-Rectangle 5:2:1 at N=200 and its machine
+// under topology spec.
+func evaluateFixture(tb testing.TB, spec string) (Machine, partition.Metrics) {
+	tb.Helper()
 	ratio := partition.MustRatio(5, 2, 1)
 	g, err := partition.Build(partition.BlockRectangle, 200, ratio)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	m := mach(ratio)
-	snap := g.Snapshot()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, a := range AllAlgorithms {
-			Evaluate(a, m, snap)
+	ts, err := ParseTopologySpec(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ts.Apply(mach(ratio)), g.Snapshot()
+}
+
+// evaluateSink keeps the benchmarked evaluations from being optimised away.
+var evaluateSink Breakdown
+
+// BenchmarkEvaluateAll times the five evaluations of one partition, once
+// per topology.
+func BenchmarkEvaluateAll(b *testing.B) {
+	for _, spec := range evaluateTopologies {
+		b.Run(spec, func(b *testing.B) {
+			m, snap := evaluateFixture(b, spec)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, a := range AllAlgorithms {
+					evaluateSink = Evaluate(a, m, snap)
+				}
+			}
+		})
+	}
+}
+
+// TestEvaluateZeroAllocs: the one pricing path works on fixed-size arrays,
+// so no topology makes Evaluate allocate.
+func TestEvaluateZeroAllocs(t *testing.T) {
+	for _, spec := range evaluateTopologies {
+		m, snap := evaluateFixture(t, spec)
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, a := range AllAlgorithms {
+				Evaluate(a, m, snap)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Evaluate allocates %v times per five evaluations, want 0", spec, allocs)
 		}
 	}
 }
@@ -357,24 +397,5 @@ func TestIdealTimeAndEfficiency(t *testing.T) {
 	want = ratio.Pr / ratio.T()
 	if math.Abs(eff-want) > 1e-9 {
 		t.Errorf("all-P efficiency %g, want Pr/T = %g", eff, want)
-	}
-}
-
-func TestParseTopology(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Topology
-		ok   bool
-	}{
-		{"", FullyConnected, true},
-		{"fully-connected", FullyConnected, true},
-		{"star", Star, true},
-		{"ring", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseTopology(c.in)
-		if (err == nil) != c.ok || (c.ok && got != c.want) {
-			t.Errorf("ParseTopology(%q) = %v, %v", c.in, got, err)
-		}
 	}
 }

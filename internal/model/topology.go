@@ -118,8 +118,8 @@ var linkPairs = [3]struct{ a, b partition.Proc }{
 
 // Apply configures m for the topology: legacy kinds set m.Topology; link
 // kinds install a *LinkMatrix built from m's base network (β scaled per
-// link, α unchanged) and compute parameters, recording the canonical spec
-// so wire formats echo it back.
+// link, α unchanged), recording the canonical spec so wire formats echo
+// it back.
 func (t TopologySpec) Apply(m Machine) Machine {
 	if t.kind == kindLegacy {
 		m.Topology = t.legacy
@@ -127,7 +127,7 @@ func (t TopologySpec) Apply(m Machine) Machine {
 		m.Cost = nil
 		return m
 	}
-	lm := &LinkMatrix{Compute: Compute{Ratio: m.Ratio, FlopTime: m.FlopTime}}
+	lm := &LinkMatrix{}
 	for _, p := range partition.Procs {
 		for _, q := range partition.Procs {
 			if p == q {

@@ -145,9 +145,9 @@ func TestTopologySpecApplyLinks(t *testing.T) {
 	}
 	base := DefaultMachine(ratio)
 	m := spec.Apply(base)
-	lm, ok := m.Cost.(*LinkMatrix)
-	if !ok {
-		t.Fatalf("Apply installed %T, want *LinkMatrix", m.Cost)
+	lm := m.Cost
+	if lm == nil {
+		t.Fatal("Apply installed no link matrix")
 	}
 	if err := lm.Validate(); err != nil {
 		t.Fatalf("applied matrix invalid: %v", err)
@@ -158,8 +158,8 @@ func TestTopologySpecApplyLinks(t *testing.T) {
 	if got := lm.Links[partition.P][partition.S].Beta; got != 10*base.Net.Beta {
 		t.Fatalf("cross-node β %v, want 10× base", got)
 	}
-	if lm.Ratio != ratio || lm.FlopTime != base.FlopTime {
-		t.Fatal("compute parameters not carried into the matrix")
+	if m.Ratio != ratio || m.FlopTime != base.FlopTime || m.Net != base.Net {
+		t.Fatal("Apply changed the machine's own ratio, flop time or network")
 	}
 	if m.TopologyName() != "2+1:10" {
 		t.Fatalf("TopologyName = %q", m.TopologyName())
@@ -188,8 +188,11 @@ func FuzzParseTopologySpec(f *testing.F) {
 			return
 		}
 		m := spec.Apply(DefaultMachine(partition.Ratio{Pr: 3, Rr: 2, Sr: 1}))
-		if lm, ok := m.Cost.(*LinkMatrix); ok {
-			if err := lm.Validate(); err != nil {
+		if spec.HasLinks() != (m.Cost != nil) {
+			t.Fatalf("%q: HasLinks=%v but Apply installed matrix %v", s, spec.HasLinks(), m.Cost)
+		}
+		if m.Cost != nil {
+			if err := m.Cost.Validate(); err != nil {
 				t.Fatalf("%q: parsed spec applied to an invalid matrix: %v", s, err)
 			}
 		}

@@ -532,10 +532,44 @@ type planInputs struct {
 	n     int
 	ratio heteropart.Ratio
 	alg   heteropart.Algorithm
+	spec  heteropart.TopologySpec
 	m     heteropart.Machine
 	seed  int64
 	auto  bool // ratio was "auto", resolved from the calibrated scenario
 	key   string
+}
+
+// planFor builds the machine and cache key of one plan scenario, for a
+// request and for a drift re-plan alike: the configured machine for
+// ratio, then sc's calibrated β when one is published, then the topology
+// spec. sc is nil unless the ratio was "auto".
+func (s *Server) planFor(n int, ratio heteropart.Ratio, alg heteropart.Algorithm, spec heteropart.TopologySpec, seed int64, sc *autoScenario) planInputs {
+	m := s.cfg.Machine(ratio)
+	if sc != nil && sc.beta > 0 && s.atlasSt.Load() == nil {
+		// Calibrated link estimate. Applied only without an atlas: the
+		// atlas is baked for the default β, and serving its records
+		// under another model would answer with a different machine's
+		// winners (the cross-check would reject every cell anyway).
+		m.Net.Beta = sc.beta
+	}
+	return planInputs{
+		n:     n,
+		ratio: ratio,
+		alg:   alg,
+		spec:  spec,
+		// The spec applies after calibration so per-link multipliers
+		// stack on the calibrated base β, not the factory default.
+		m:    spec.Apply(m),
+		seed: seed,
+		auto: sc != nil,
+		// The ratio is quantized into the key via Ratio.Key — the same
+		// identity the atlas lattice snaps on — so the cache and the
+		// atlas can never disagree about two ratios being the same
+		// scenario (see partition.Ratio.Key). The topology enters as the
+		// canonical spec string, which for the legacy names is exactly
+		// the old Topology.String() — pre-existing keys are unchanged.
+		key: fmt.Sprintf("%d|%s|%s|%s|%d", n, ratio.Key(), alg, spec, seed),
+	}
 }
 
 func (s *Server) parsePlan(r *http.Request) (planInputs, error) {
@@ -589,36 +623,11 @@ func (s *Server) parsePlanRequest(req wire.PlanRequest) (planInputs, error) {
 		// *model.ConfigError — the message names the offending entry.
 		return planInputs{}, badRequest("%v", err)
 	}
-	m := s.cfg.Machine(ratio)
-	if sc != nil && sc.beta > 0 && s.atlasSt.Load() == nil {
-		// Calibrated link estimate. Applied only without an atlas: the
-		// atlas is baked for the default β, and serving its records
-		// under another model would answer with a different machine's
-		// winners (the cross-check would reject every cell anyway).
-		m.Net.Beta = sc.beta
-	}
-	// The spec applies after calibration so per-link multipliers stack on
-	// the calibrated base β, not the factory default.
-	m = spec.Apply(m)
 	seed := req.Seed
 	if seed == 0 {
 		seed = s.cfg.SearchSeed
 	}
-	in := planInputs{
-		n:     req.N,
-		ratio: ratio,
-		alg:   alg,
-		m:     m,
-		seed:  seed,
-		auto:  sc != nil,
-		// The ratio is quantized into the key via Ratio.Key — the same
-		// identity the atlas lattice snaps on — so the cache and the
-		// atlas can never disagree about two ratios being the same
-		// scenario (see partition.Ratio.Key). The topology enters as the
-		// canonical spec string, which for the legacy names is exactly
-		// the old Topology.String() — pre-existing keys are unchanged.
-		key: fmt.Sprintf("%d|%s|%s|%s|%d", req.N, ratio.Key(), alg, spec, seed),
-	}
+	in := s.planFor(req.N, ratio, alg, spec, seed, sc)
 	if in.auto {
 		s.trackAuto(in)
 	}

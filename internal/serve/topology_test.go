@@ -99,31 +99,6 @@ func TestEvaluateTopologySpec(t *testing.T) {
 	}
 }
 
-// TestPlanUniformCostMachineByteIdentical is the serve-level half of the
-// differential equivalence suite: a Machine hook that installs an
-// explicit UniformHockney must serve /v1/plan bytes identical to the
-// default (nil cost model) server.
-func TestPlanUniformCostMachineByteIdentical(t *testing.T) {
-	_, tsDefault := newTestServer(t, Config{})
-	_, tsUniform := newTestServer(t, Config{
-		Machine: func(ratio heteropart.Ratio) heteropart.Machine {
-			m := heteropart.DefaultMachine(ratio)
-			m.Cost = heteropart.NewUniformCost(m)
-			return m
-		},
-	})
-	req := wire.PlanRequest{N: 24, Ratio: "5:2:1", Algorithm: "PIO", Topology: "star"}
-	respD, bodyD := postJSON(t, tsDefault.URL+"/v1/plan", "10s", req)
-	respU, bodyU := postJSON(t, tsUniform.URL+"/v1/plan", "10s", req)
-	if respD.StatusCode != http.StatusOK || respU.StatusCode != http.StatusOK {
-		t.Fatalf("status %d / %d", respD.StatusCode, respU.StatusCode)
-	}
-	prD, prU := decodePlan(t, bodyD), decodePlan(t, bodyU)
-	if got, want := planJSON(t, prU.Plan), planJSON(t, prD.Plan); !bytes.Equal(got, want) {
-		t.Fatalf("UniformHockney machine served different plan bytes:\n%s\nvs\n%s", got, want)
-	}
-}
-
 // TestAtlasSkipsLinkTopology: a scenario that sits exactly on the atlas
 // grid but carries a per-link topology spec must bypass the atlas tier —
 // the baked winners were priced under the uniform model.

@@ -260,7 +260,7 @@ func (s *Server) replanTracked(tracked map[string]planInputs, sc *autoScenario) 
 		if s.draining.Load() {
 			continue
 		}
-		fresh := s.reresolveAuto(in, sc)
+		fresh := s.planFor(in.n, sc.ratio, in.alg, in.spec, in.seed, sc)
 		s.replans.Add(1)
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultTimeout)
 		if _, err := s.computePlan(ctx, fresh, false); err != nil {
@@ -269,26 +269,6 @@ func (s *Server) replanTracked(tracked map[string]planInputs, sc *autoScenario) 
 			s.trackAuto(fresh)
 		}
 		cancel()
-	}
-}
-
-// reresolveAuto rebuilds an auto scenario's inputs under a new
-// published estimate, keeping n, algorithm, topology, and seed.
-func (s *Server) reresolveAuto(in planInputs, sc *autoScenario) planInputs {
-	topo := in.m.Topology
-	m := s.cfg.Machine(sc.ratio)
-	m.Topology = topo
-	if sc.beta > 0 && s.atlasSt.Load() == nil {
-		m.Net.Beta = sc.beta
-	}
-	return planInputs{
-		n:     in.n,
-		ratio: sc.ratio,
-		alg:   in.alg,
-		m:     m,
-		seed:  in.seed,
-		auto:  true,
-		key:   fmt.Sprintf("%d|%s|%s|%s|%d", in.n, sc.ratio.Key(), in.alg, topo, in.seed),
 	}
 }
 

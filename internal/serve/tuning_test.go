@@ -51,14 +51,23 @@ func TestAutoRatioDriftReplansAndNeverServesOldPlan(t *testing.T) {
 	if pr := decodePlan(t, body); pr.Plan.Ratio != oldRatio {
 		t.Fatalf("auto plan ratio = %q, want %q", pr.Plan.Ratio, oldRatio)
 	}
+	// The same scenario on a per-link topology is tracked on its own.
+	islandReq := req
+	islandReq.Topology = "3-island:10"
+	if resp, body := postJSON(t, ts.URL+"/v1/plan", "10s", islandReq); resp.StatusCode != http.StatusOK {
+		t.Fatalf("3-island status %d: %s", resp.StatusCode, body)
+	}
 
 	// Drift: the calibrator publishes 4:1:1. Replans must happen in the
 	// background and new auto requests must resolve to the new ratio.
 	s.ApplyEstimate(est(4, 1, 1))
+	// Each finished re-plan is tracked again under its new key; the two
+	// topologies must stay two scenarios.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Replans == 0 {
+	for s.Stats().Replans < 2 || len(trackedKeys(s)) < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("no background re-plan counted after drift publish")
+			t.Fatalf("after drift: %d re-plans, tracked %v; want both topologies re-planned",
+				s.Stats().Replans, trackedKeys(s))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -77,6 +86,28 @@ func TestAutoRatioDriftReplansAndNeverServesOldPlan(t *testing.T) {
 			t.Fatalf("auto plan ratio = %q after drift, want %q", pr.Plan.Ratio, newRatio)
 		}
 	}
+	// The background re-plan kept the link topology: the next 3-island
+	// request is its cached answer, not a fresh fully-connected search.
+	resp, body = postJSON(t, ts.URL+"/v1/plan", "10s", islandReq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("3-island status %d after drift: %s", resp.StatusCode, body)
+	}
+	pr := decodePlan(t, body)
+	if pr.Source != wire.SourceCache || pr.Plan.Topology != "3-island:10" || pr.Plan.Ratio != newRatio {
+		t.Fatalf("3-island after drift: source %q topology %q ratio %q, want cache, 3-island:10, %s",
+			pr.Source, pr.Plan.Topology, pr.Plan.Ratio, newRatio)
+	}
+}
+
+// trackedKeys returns the auto scenarios s tracks for drift invalidation.
+func trackedKeys(s *Server) []string {
+	s.autoMu.Lock()
+	defer s.autoMu.Unlock()
+	keys := make([]string, 0, len(s.autoTracked))
+	for k := range s.autoTracked {
+		keys = append(keys, k)
+	}
+	return keys
 }
 
 // TestApplyEstimateUnchangedRatioIsANoOp: re-publishing the same

@@ -81,7 +81,7 @@ func buildBarrierTasks(e *Engine, a model.Algorithm, m model.Machine, snap parti
 		}
 		d := sendDuration(m, snap, p)
 		if m.Topology == model.Star && p != partition.P {
-			d += m.Net.Time(starRelay(snap))
+			d += m.Net.Time(model.StarRelayVolume(snap))
 		}
 		if d > 0 {
 			t := e.NewTask("send-"+p.String(), d, link)
@@ -110,7 +110,7 @@ func buildBulkOverlapTasks(e *Engine, a model.Algorithm, m model.Machine, snap p
 		}
 		d := sendDuration(m, snap, p)
 		if m.Topology == model.Star && p != partition.P {
-			d += m.Net.Time(starRelay(snap))
+			d += m.Net.Time(model.StarRelayVolume(snap))
 		}
 		if d > 0 {
 			t := e.NewTask("send-"+p.String(), d, link)

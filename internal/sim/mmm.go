@@ -166,12 +166,3 @@ func simPIO(m model.Machine, snap partition.Metrics, steps int, fp *FaultPlan) R
 	}
 	return Result{Algorithm: model.PIO, TExe: makespan, TComm: commFinish, TComp: makespan - commFinish, Tasks: len(e.tasks)}
 }
-
-func starRelay(snap partition.Metrics) int64 {
-	dR := model.SendVolume(snap, partition.R)
-	dS := model.SendVolume(snap, partition.S)
-	if dR < dS {
-		return dR
-	}
-	return dS
-}

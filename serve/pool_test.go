@@ -413,6 +413,24 @@ func TestVerifyPlanResponse(t *testing.T) {
 	if err := VerifyPlanResponse(wrongRatio, &ok); err == nil {
 		t.Fatal("plan for another ratio verified")
 	}
+	// The topology is compared in canonical spec form, so a plan crossed
+	// over from another topology fails, per-link specs included.
+	for _, topo := range []string{"star", "3-island:10", "2+1", "links:PR=1,PS=10,RS=10"} {
+		wrongTopo := req
+		wrongTopo.Topology = topo
+		if err := VerifyPlanResponse(wrongTopo, &ok); err == nil {
+			t.Fatalf("%s plan verified for a %q request", ok.Plan.Topology, topo)
+		}
+	}
+	island := planOK()
+	islandPlan := *island.Plan
+	islandPlan.Topology = "3-island:10"
+	island.Plan = &islandPlan
+	islandReq := req
+	islandReq.Topology = "3-island"
+	if err := VerifyPlanResponse(islandReq, &island); err != nil {
+		t.Fatalf("3-island:10 plan rejected for its own topology: %v", err)
+	}
 	// An unparseable request field skips the cross-check rather than
 	// rejecting a plan the server somehow answered.
 	looseReq := req

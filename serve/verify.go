@@ -70,8 +70,8 @@ func VerifyPlanResponse(req PlanRequest, resp *PlanResponse) error {
 	if a, err := heteropart.ParseAlgorithm(req.Algorithm); err == nil && p.Algorithm != a.String() {
 		return fmt.Errorf("plan is for algorithm %s, requested %s", p.Algorithm, a.String())
 	}
-	if tp, err := heteropart.ParseTopology(req.Topology); err == nil && p.Topology != tp.String() {
-		return fmt.Errorf("plan is for topology %s, requested %s", p.Topology, tp.String())
+	if ts, err := heteropart.ParseTopologySpec(req.Topology); err == nil && p.Topology != ts.String() {
+		return fmt.Errorf("plan is for topology %s, requested %s", p.Topology, ts.String())
 	}
 	return nil
 }
