@@ -129,7 +129,7 @@ func main() {
 	fmt.Printf("VoC: %d elements (%.4f × N²)\n", g.VoC(), float64(g.VoC())/float64(*n**n))
 	mod := model.EvaluateGrid(alg, m, g)
 	fmt.Printf("model: T_comm=%.6fs T_comp=%.6fs T_exe=%.6fs\n", mod.Comm, mod.Comp, mod.Total)
-	res, err := sim.Simulate(alg, m, g, 0)
+	res, err := sim.Simulate(alg, m, g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func main() {
 	if *winnerMap {
 		os.Exit(winnerMapMode(os.Stdout, *algStr, *rrMax, *prMax, *step, *n))
 	}
-	compareShapes(*ratioStr, *n, *algStr, *topoStr)
+	os.Exit(compareShapes(os.Stdout, *ratioStr, *n, *algStr, *topoStr))
 }
 
 // parseTopology accepts the full topology spec grammar, with "full" kept
@@ -206,29 +206,33 @@ func dumpAtlas(path string, spot int, seed int64) int {
 	return 0
 }
 
-// compareShapes is the original single-ratio report.
-func compareShapes(ratioStr string, n int, algStr, topoStr string) {
+// compareShapes is the single-ratio report: each candidate's modelled and
+// simulated execution time and efficiency per algorithm, then the optimum.
+func compareShapes(w io.Writer, ratioStr string, n int, algStr, topoStr string) int {
 	ratio, err := partition.ParseRatio(ratioStr)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 2
 	}
 	spec, err := parseTopology(topoStr)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 2
 	}
 	m := spec.Apply(model.DefaultMachine(ratio))
 	algs := model.AllAlgorithms[:]
 	if algStr != "" {
 		a, err := model.ParseAlgorithm(algStr)
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 2
 		}
 		algs = []model.Algorithm{a}
 	}
 
-	fmt.Printf("Candidate shapes for ratio %s on N=%d (%s topology)\n\n", ratio, n, m.TopologyName())
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "shape\tVoC (elements)\talgorithm\tmodel T_exe (s)\tsim T_exe (s)\tefficiency")
+	fmt.Fprintf(w, "Candidate shapes for ratio %s on N=%d (%s topology)\n\n", ratio, n, m.TopologyName())
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "shape\tVoC (elements)\talgorithm\tmodel T_exe (s)\tsim T_exe (s)\tefficiency")
 	type key struct {
 		alg  model.Algorithm
 		best float64
@@ -238,7 +242,7 @@ func compareShapes(ratioStr string, n int, algStr, topoStr string) {
 	for _, s := range partition.AllShapes {
 		g, err := partition.Build(s, n, ratio)
 		if err != nil {
-			fmt.Fprintf(w, "%s\tinfeasible\t\t\t\t\n", s)
+			fmt.Fprintf(tw, "%s\tinfeasible\t\t\t\t\n", s)
 			continue
 		}
 		for i, a := range algs {
@@ -249,30 +253,27 @@ func compareShapes(ratioStr string, n int, algStr, topoStr string) {
 				name = s.String()
 				voc = fmt.Sprintf("%d", g.VoC())
 			}
-			// The discrete-event simulator and the efficiency metric
-			// price the uniform network only; under a per-link cost
-			// model those columns would silently disagree with the
-			// model column, so they are dashed out instead.
-			simCol, effCol := "-", "-"
-			if m.Cost == nil {
-				res, err := sim.Simulate(a, m, g, 0)
-				if err != nil {
-					log.Fatal(err)
-				}
-				simCol = fmt.Sprintf("%.6f", res.TExe)
-				effCol = fmt.Sprintf("%.1f%%", 100*model.Efficiency(a, m, g.Snapshot()))
+			res, err := sim.Simulate(a, m, g)
+			if err != nil {
+				log.Print(err)
+				return 1
 			}
-			fmt.Fprintf(w, "%s\t%s\t%s\t%.6f\t%s\t%s\n", name, voc, a, mod.Total, simCol, effCol)
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%.6f\t%.6f\t%.1f%%\n", name, voc, a, mod.Total, res.TExe,
+				100*model.Efficiency(a, m, g.Snapshot()))
 			if b := bests[a]; b == nil || mod.Total < b.best {
 				bests[a] = &key{alg: a, best: mod.Total, name: s}
 			}
 		}
 	}
-	w.Flush()
-	fmt.Println()
+	if err := tw.Flush(); err != nil {
+		log.Print(err)
+		return 1
+	}
+	fmt.Fprintln(w)
 	for _, a := range algs {
 		if b := bests[a]; b != nil {
-			fmt.Printf("optimal for %s: %s (model T_exe %.6f s)\n", a, b.name, b.best)
+			fmt.Fprintf(w, "optimal for %s: %s (model T_exe %.6f s)\n", a, b.name, b.best)
 		}
 	}
+	return 0
 }

@@ -110,3 +110,46 @@ func TestParseTopologyGrammar(t *testing.T) {
 		t.Error("parseTopology accepted \"ring\"")
 	}
 }
+
+// TestCompareShapesLinkTopology: under a link matrix the report fills
+// every column, and the simulator reproduces the model column for every
+// algorithm but PIO, whose pipeline the simulator schedules stage by
+// stage.
+func TestCompareShapesLinkTopology(t *testing.T) {
+	var buf bytes.Buffer
+	if code := compareShapes(&buf, "5:2:1", 60, "", "3-island:10"); code != 0 {
+		t.Fatalf("compareShapes exit %d", code)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "(3-island:10 topology)") {
+		t.Fatalf("header misses the topology:\n%s", out)
+	}
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		for _, cell := range f {
+			if cell == "-" {
+				t.Fatalf("blank cell in %q:\n%s", line, out)
+			}
+		}
+		if len(f) < 4 || !strings.HasSuffix(f[len(f)-1], "%") {
+			continue
+		}
+		rows++
+		alg, mod, sim := f[len(f)-4], f[len(f)-3], f[len(f)-2]
+		if alg != "PIO" && sim != mod {
+			t.Errorf("%s: sim %s, model %s in %q", alg, sim, mod, line)
+		}
+	}
+	if rows == 0 {
+		t.Fatalf("no algorithm rows:\n%s", out)
+	}
+	for _, bad := range [][2]string{{"1:2:3", "full"}, {"5:2:1", "ring"}} {
+		if code := compareShapes(&buf, bad[0], 60, "", bad[1]); code != 2 {
+			t.Errorf("ratio %s topology %s: exit %d, want 2", bad[0], bad[1], code)
+		}
+	}
+	if code := compareShapes(&buf, "5:2:1", 60, "nope", "full"); code != 2 {
+		t.Errorf("bad algorithm: exit %d, want 2", code)
+	}
+}

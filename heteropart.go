@@ -208,7 +208,7 @@ type SimResult = sim.Result
 // Simulate runs the discrete-event simulation of an algorithm on a
 // partition.
 func Simulate(a Algorithm, m Machine, g *Partition) (SimResult, error) {
-	return sim.Simulate(a, m, g, 0)
+	return sim.Simulate(a, m, g)
 }
 
 // Matrix is a dense square float64 matrix.

@@ -483,7 +483,7 @@ func Fig14SweepContext(ctx context.Context, xs []float64, nModel, nSim int) ([]F
 			if row.SCFeasible {
 				g, err := partition.Build(partition.SquareCorner, nSim, ratio)
 				if err == nil {
-					res, err := sim.Simulate(model.SCB, m, g, 0)
+					res, err := sim.Simulate(model.SCB, m, g)
 					if err != nil {
 						return nil, err
 					}
@@ -496,7 +496,7 @@ func Fig14SweepContext(ctx context.Context, xs []float64, nModel, nSim int) ([]F
 			if err != nil {
 				return nil, err
 			}
-			res, err := sim.Simulate(model.SCB, m, g, 0)
+			res, err := sim.Simulate(model.SCB, m, g)
 			if err != nil {
 				return nil, err
 			}
@@ -600,7 +600,7 @@ func OptimalShapesContext(ctx context.Context, n int, ratios []partition.Ratio, 
 					sc.Feasible = true
 					sc.VoC = g.VoC()
 					sc.Total = model.EvaluateGrid(alg, m, g).Total
-					res, err := sim.Simulate(alg, m, g, 0)
+					res, err := sim.Simulate(alg, m, g)
 					if err != nil {
 						return nil, err
 					}

@@ -53,7 +53,7 @@ func FaultStudy(ctx context.Context, a model.Algorithm, topo model.Topology, n i
 		row := FaultRow{Shape: s}
 		g, err := partition.Build(s, n, ratio)
 		if err == nil {
-			res, err := sim.Simulate(a, m, g, 0)
+			res, err := sim.Simulate(a, m, g)
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +81,7 @@ func FaultStudy(ctx context.Context, a model.Algorithm, topo model.Topology, n i
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.SimulateFaults(a, m, g, 0, fp)
+		res, err := sim.SimulateFaults(a, m, g, fp)
 		if err != nil {
 			return nil, err
 		}

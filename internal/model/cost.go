@@ -12,14 +12,14 @@ import (
 // 3-processor platforms are hierarchical — two GPUs sharing a node plus one
 // across a rack, or three islands behind WAN links — and the partition
 // that wins under a uniform network can lose badly when the R↔S link is
-// 10× slower. Evaluate therefore prices every transfer on its own directed
-// link: the machine's LinkMatrix when one is installed, else Net on all
-// six pairs.
+// 10× slower. Machine.Price therefore prices every transfer on its own
+// directed link: the machine's LinkMatrix when one is installed, else Net
+// on all six pairs.
 //
 // Compatibility contract: a machine whose links form one class — no
 // matrix, or a LinkMatrix with all six links equal — reproduces the seed
 // evaluation BIT FOR BIT (the seed equivalence goldens enforce both,
-// including the per-step α amortisation in PIO). price earns this by
+// including the per-step α amortisation in PIO). Price earns this by
 // grouping links into classes of identical (α, β) and summing each
 // class's volume in int64 before touching floats: with one class the
 // arithmetic is literally α + β·float64(V), the seed's Hockney.Time.
@@ -36,12 +36,9 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("model: %s: %s", e.Field, e.Reason)
 }
 
-type (
-	// linkTable holds the Hockney model of each directed link [from][to].
-	linkTable = [partition.NumProcs][partition.NumProcs]Hockney
-	// volumeTable holds the elements sent over each directed link.
-	volumeTable = [partition.NumProcs][partition.NumProcs]int64
-)
+// VolumeTable holds the elements sent over each directed link [from][to];
+// Metrics.PairSends is one.
+type VolumeTable = [partition.NumProcs][partition.NumProcs]int64
 
 // LinkMatrix prices every directed processor pair separately: Links[p][q]
 // is the Hockney model of the p→q link. Asymmetric entries model duplex
@@ -101,16 +98,17 @@ func (lm *LinkMatrix) Weights() partition.Weights {
 	return w
 }
 
-// price returns the time to move vols[p][q] elements over each directed
-// link p→q in steps rounds: 1 for a bulk transfer, N for PIO's pivot
-// steps. The used links (vol > 0) are grouped into classes of identical
-// (α, β), taken in p-major order of their first used link; each class's
-// volume is summed in int64 and costs α + β·V/steps, one message per
-// round, with the classes' latencies in sequence. The fixed order and the
-// integer sums make the float reduction deterministic, and with one class
-// the result is exactly Hockney.Time(V), because x/1 is exact. Fixed-size
-// arrays keep it free of allocations.
-func price(links *linkTable, vols *volumeTable, steps int) float64 {
+// Price returns the seconds to move vols[p][q] elements over each directed
+// link p→q — Cost.Links[p][q] when a LinkMatrix is installed, else Net —
+// in steps rounds: 1 for a bulk transfer, N for PIO's pivot steps. The
+// used links (vol > 0) are grouped into classes of identical (α, β), taken
+// in p-major order of their first used link; each class's volume is summed
+// in int64 and costs α + β·V/steps, one message per round, with the
+// classes' latencies in sequence. The fixed order and the integer sums
+// make the float reduction deterministic, and with one class the result is
+// exactly Hockney.Time(V), because x/1 is exact. Fixed-size arrays keep it
+// free of allocations.
+func (m Machine) Price(vols *VolumeTable, steps int) float64 {
 	const maxClasses = partition.NumProcs * (partition.NumProcs - 1)
 	var class [maxClasses]Hockney
 	var vol [maxClasses]int64
@@ -120,12 +118,16 @@ func price(links *linkTable, vols *volumeTable, steps int) float64 {
 			if p == q || v <= 0 {
 				continue
 			}
+			h := m.Net
+			if m.Cost != nil {
+				h = m.Cost.Links[p][q]
+			}
 			i := 0
-			for i < n && class[i] != links[p][q] {
+			for i < n && class[i] != h {
 				i++
 			}
 			if i == n {
-				class[n] = links[p][q]
+				class[n] = h
 				n++
 			}
 			vol[i] += v

@@ -25,7 +25,7 @@ func allEqualLinkMatrix(h Hockney) *LinkMatrix {
 // with all links equal must reproduce the nil-Cost evaluation on Net
 // EXACTLY — same float64 bits, not approximately — for every algorithm
 // and both legacy topologies, including the per-step α amortisation in
-// PIO and the star relay. price earns this by summing link-class volumes
+// PIO and the star relay. Price earns this by summing link-class volumes
 // in int64 before any float arithmetic.
 func TestLinkMatrixUniformExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -99,9 +99,9 @@ func TestLinkMatrixAsymmetric(t *testing.T) {
 		t.Fatal("test shape has no R→S traffic; pick another")
 	}
 	sendTime := func(lm *LinkMatrix, p partition.Proc) float64 {
-		var v volumeTable
+		var v VolumeTable
 		v[p] = snap.PairSends[p]
-		return price(&lm.Links, &v, 1)
+		return Machine{Cost: lm}.Price(&v, 1)
 	}
 	if got, want := sendTime(asym, partition.R), sendTime(base, partition.R); got <= want {
 		t.Fatalf("R send time %v not raised above %v by 100× R→S link", got, want)
@@ -111,7 +111,7 @@ func TestLinkMatrixAsymmetric(t *testing.T) {
 	}
 }
 
-// TestPriceClasses pins price's grouping: links with equal (α, β) share
+// TestPriceClasses pins Price's grouping: links with equal (α, β) share
 // one message per round whatever their direction, and each further class
 // pays its own latency.
 func TestPriceClasses(t *testing.T) {
@@ -119,18 +119,19 @@ func TestPriceClasses(t *testing.T) {
 	lm := allEqualLinkMatrix(fast)
 	lm.Links[partition.R][partition.S] = slow
 	lm.Links[partition.S][partition.R] = slow
-	var v volumeTable
+	m := Machine{Cost: lm}
+	var v VolumeTable
 	v[partition.P][partition.R] = 3
 	v[partition.S][partition.P] = 5
 	v[partition.R][partition.S] = 7
 	v[partition.S][partition.R] = 1
-	if got, want := price(&lm.Links, &v, 1), fast.Time(8)+slow.Time(8); got != want {
+	if got, want := m.Price(&v, 1), fast.Time(8)+slow.Time(8); got != want {
 		t.Fatalf("bulk price %v, want %v (one message per class)", got, want)
 	}
-	if got, want := price(&lm.Links, &v, 4), (1+2*8.0/4)+(10+20*8.0/4); got != want {
+	if got, want := m.Price(&v, 4), (1+2*8.0/4)+(10+20*8.0/4); got != want {
 		t.Fatalf("4-step price %v, want %v (α every round, β spread)", got, want)
 	}
-	if got := price(&lm.Links, &volumeTable{}, 1); got != 0 {
+	if got := m.Price(&VolumeTable{}, 1); got != 0 {
 		t.Fatalf("price of no traffic = %v, want 0", got)
 	}
 }

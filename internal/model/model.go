@@ -109,9 +109,6 @@ func (h Hockney) Time(m int64) float64 {
 	return h.Alpha + h.Beta*float64(m)
 }
 
-// PerElement returns the marginal per-element cost β.
-func (h Hockney) PerElement() float64 { return h.Beta }
-
 // Machine gathers everything the models need about the platform.
 type Machine struct {
 	// Ratio is the relative processing-speed ratio.
@@ -160,14 +157,10 @@ func (m Machine) PushWeights() *partition.Weights {
 	return &w
 }
 
-// linkTable returns the per-pair links Evaluate prices transfers on: the
-// installed LinkMatrix, else Net on every directed pair.
-func (m Machine) linkTable() linkTable {
-	if m.Cost != nil {
-		return m.Cost.Links
-	}
-	row := [partition.NumProcs]Hockney{m.Net, m.Net, m.Net}
-	return linkTable{row, row, row}
+// CompTime returns the seconds processor p needs to update count elements
+// once per pivot step, over steps pivot steps.
+func (m Machine) CompTime(p partition.Proc, count, steps int) float64 {
+	return float64(count) * float64(steps) * m.FlopTime / m.Ratio.Speed(p)
 }
 
 // DefaultMachine mirrors the paper's experimental platform of Fig 14:
@@ -196,9 +189,50 @@ type Breakdown struct {
 	Total float64
 }
 
+// Traffic is who sends what during one run of an algorithm.
+type Traffic struct {
+	// Sends[p] is the directed-volume table of the messages processor p
+	// sends: its row of PairSends, plus the star relay where the
+	// algorithm carries it. Price(&Sends[p], steps) is p's stream.
+	Sends [partition.NumProcs]VolumeTable
+	// Relay is PCO's trailing relay message, sent after the parallel
+	// phase; zero for every other algorithm and topology.
+	Relay VolumeTable
+}
+
+// Transfers splits algorithm a's communication on partition snap by
+// sender. Star (Section X) routes R↔S traffic through P. The relay volume
+// is min(d_R, d_S) (StarRelayVolume), the only relay rule, and it enters
+// where the paper's single-link models put it: SCB, SCO and PIO add it to
+// P's sends, which share one serial stream with R's and S's; PCB adds it
+// to R's and S's own sends; and PCO pays it as one extra message after
+// the parallel phase. The relay rides the P→S link, because P forwards
+// it; with equal links that is the single message of the seed model. No
+// topology spec combines star with a link matrix, but a Machine that does
+// follows this rule.
+func Transfers(a Algorithm, m Machine, snap partition.Metrics) (t Traffic) {
+	for p := range t.Sends {
+		t.Sends[p][p] = snap.PairSends[p] // row p of p's own table
+	}
+	if m.Topology != Star {
+		return t
+	}
+	relay := StarRelayVolume(snap)
+	switch a {
+	case SCB, SCO, PIO:
+		t.Sends[partition.P][partition.P][partition.S] += relay
+	case PCB:
+		t.Sends[partition.R][partition.P][partition.S] = relay
+		t.Sends[partition.S][partition.P][partition.S] = relay
+	case PCO:
+		t.Relay[partition.P][partition.S] = relay
+	}
+	return t
+}
+
 // Evaluate models the execution time of algorithm a on partition metrics
-// snap (Eqs 2–9). Every transfer is priced on its directed link by price
-// and every computation at its processor's speed:
+// snap (Eqs 2–9). Every transfer is Transfers' traffic priced by Price and
+// every computation is CompTime:
 //
 //   - SCB (Eqs 2–3) sends all traffic serially, then computes;
 //   - PCB (Eqs 4–6) lets the three processors send at once, so the
@@ -211,35 +245,25 @@ type Breakdown struct {
 //     latency paid every step — the interleaved algorithm sends N small
 //     messages where the others send one large one, the latency
 //     sensitivity the paper's conclusion names as future work.
-//
-// Star (Section X) routes R↔S traffic through P. The relay volume is
-// min(d_R, d_S) (StarRelayVolume), the only relay rule, and it enters
-// where the paper's single-link models put it: SCB, SCO and PIO add it
-// to the serial traffic, PCB adds it to R's and S's own sends, and PCO
-// pays it as one extra message after the parallel phase. The relay is
-// priced on the P→S link, because P forwards it; with equal links that
-// is the single message of the seed model. No topology spec combines
-// star with a link matrix, but a Machine that does follows this rule.
 func Evaluate(a Algorithm, m Machine, snap partition.Metrics) Breakdown {
-	links := m.linkTable()
-	var relay int64
-	if m.Topology == Star {
-		relay = StarRelayVolume(snap)
-	}
-	serial := snap.PairSends
-	serial[partition.P][partition.S] += relay
-	// maxSend is the parallel phase: each sender serialises its own
-	// traffic, the slow senders each carrying extra relayed elements.
-	maxSend := func(extra int64) float64 {
-		var worst float64
-		for _, p := range partition.Procs {
-			var v volumeTable
-			v[p] = snap.PairSends[p]
-			if p != partition.P {
-				v[partition.P][partition.S] = extra
+	t := Transfers(a, m, snap)
+	// serial is every sender's traffic as one stream of steps rounds.
+	serial := func(steps int) float64 {
+		var all VolumeTable
+		for from := range all {
+			for to := range all[from] {
+				all[from][to] = t.Sends[partition.P][from][to] +
+					t.Sends[partition.R][from][to] + t.Sends[partition.S][from][to]
 			}
-			if t := price(&links, &v, 1); t > worst {
-				worst = t
+		}
+		return m.Price(&all, steps)
+	}
+	// parallel is the slowest of the senders' own streams.
+	parallel := func() float64 {
+		var worst float64
+		for p := range t.Sends {
+			if c := m.Price(&t.Sends[p], 1); c > worst {
+				worst = c
 			}
 		}
 		return worst
@@ -249,8 +273,8 @@ func Evaluate(a Algorithm, m Machine, snap partition.Metrics) Breakdown {
 	maxComp := func(counts *[partition.NumProcs]int, steps int) float64 {
 		var worst float64
 		for _, p := range partition.Procs {
-			if t := float64(counts[p]) * float64(steps) * m.FlopTime / m.Ratio.Speed(p); t > worst {
-				worst = t
+			if c := m.CompTime(p, counts[p], steps); c > worst {
+				worst = c
 			}
 		}
 		return worst
@@ -271,18 +295,18 @@ func Evaluate(a Algorithm, m Machine, snap partition.Metrics) Breakdown {
 	}
 	switch a {
 	case SCB:
-		return barrier(price(&links, &serial, 1))
+		return barrier(serial(1))
 	case PCB:
-		return barrier(maxSend(relay))
+		return barrier(parallel())
 	case SCO:
-		return overlapped(price(&links, &serial, 1))
+		return overlapped(serial(1))
 	case PCO:
-		return overlapped(maxSend(0) + links[partition.P][partition.S].Time(relay))
+		return overlapped(parallel() + m.Price(&t.Relay, 1))
 	case PIO:
 		if n == 0 {
 			return Breakdown{Algorithm: PIO}
 		}
-		stepComm := price(&links, &serial, n)
+		stepComm := serial(n)
 		stepComp := maxComp(&snap.Elements, 1)
 		// Send step 1, run the pipeline, compute step N.
 		total := stepComm + float64(n)*max(stepComm, stepComp) + stepComp
@@ -301,36 +325,12 @@ func EvaluateGrid(a Algorithm, m Machine, g *partition.Grid) Breakdown {
 	return Evaluate(a, m, g.Snapshot())
 }
 
-// CommVolume returns the total communication volume in elements for the
-// given topology. Under the fully connected topology it is Eq 1's VoC.
-// Under the star topology every element exchanged between R and S crosses
-// two links (via P), so StarRelayVolume is added.
-func CommVolume(m Machine, snap partition.Metrics) int64 {
-	v := snap.VoC
-	if m.Topology == Star {
-		v += StarRelayVolume(snap)
-	}
-	return v
-}
-
 // StarRelayVolume estimates the extra volume the star topology forwards
 // through P: the data R needs from S plus the data S needs from R. With
 // identically partitioned matrices this is bounded by the smaller of the
 // two processors' send volumes; we use that bound as the model.
 func StarRelayVolume(snap partition.Metrics) int64 {
 	return min(snap.Sends[partition.R], snap.Sends[partition.S])
-}
-
-// SendVolume returns the exact unicast send volume of processor p in
-// elements: each of p's cells is sent once per other processor in its row
-// and once per other processor in its column. Summed over processors this
-// equals Eq 1's VoC exactly, and it vanishes when no communication is
-// needed. The paper's Eq 6 approximates it as d_X = (N·i_X + N·j_X) − ∈X,
-// which over-counts when a processor's rows or columns are unshared (it
-// is N² even for a single-processor grid); Eq 6's literal form remains
-// available as SendVolumeEq6.
-func SendVolume(snap partition.Metrics, p partition.Proc) int64 {
-	return snap.Sends[p]
 }
 
 // SendVolumeEq6 is the paper's literal d_X formula (Eq 6):

@@ -39,9 +39,6 @@ func TestHockney(t *testing.T) {
 	if got := h.Time(1000); math.Abs(got-want) > 1e-18 {
 		t.Errorf("Time(1000) = %g, want %g", got, want)
 	}
-	if h.PerElement() != 1e-9 {
-		t.Error("PerElement")
-	}
 }
 
 func TestSendVolumeDefinition(t *testing.T) {
@@ -55,14 +52,14 @@ func TestSendVolumeDefinition(t *testing.T) {
 	snap := g.Snapshot()
 	// Exact sends: R's 6 cells each sit in a shared row (+6) and a shared
 	// column (+6) → 12.
-	if got := SendVolume(snap, partition.R); got != 12 {
+	if got := snap.Sends[partition.R]; got != 12 {
 		t.Errorf("sends(R) = %d, want 12", got)
 	}
 	// P's cells in R's 2 rows: 2·(6−3)=6; in R's 3 cols: 3·(6−2)=12 → 18.
-	if got := SendVolume(snap, partition.P); got != 18 {
+	if got := snap.Sends[partition.P]; got != 18 {
 		t.Errorf("sends(P) = %d, want 18", got)
 	}
-	if got := SendVolume(snap, partition.S); got != 0 {
+	if got := snap.Sends[partition.S]; got != 0 {
 		t.Errorf("sends(S) = %d, want 0 for empty processor", got)
 	}
 	// The paper's literal Eq 6 for comparison: d_R = 6·2+6·3−6 = 24.
@@ -70,7 +67,7 @@ func TestSendVolumeDefinition(t *testing.T) {
 		t.Errorf("Eq6 d_R = %d, want 24", got)
 	}
 	// Exact sends always sum to the VoC of Eq 1.
-	total := SendVolume(snap, partition.P) + SendVolume(snap, partition.R) + SendVolume(snap, partition.S)
+	total := snap.Sends[partition.P] + snap.Sends[partition.R] + snap.Sends[partition.S]
 	if total != snap.VoC {
 		t.Errorf("Σ sends = %d, VoC = %d", total, snap.VoC)
 	}
@@ -118,7 +115,7 @@ func TestPCBNoSlowerThanSerializedSends(t *testing.T) {
 	pcb := EvaluateGrid(PCB, m, g)
 	var serial float64
 	for _, p := range partition.Procs {
-		serial += m.Net.Time(SendVolume(g.Snapshot(), p))
+		serial += m.Net.Time(g.Snapshot().Sends[p])
 	}
 	if pcb.Comm > serial+1e-15 {
 		t.Errorf("parallel comm %g exceeds serialised sends %g", pcb.Comm, serial)
@@ -284,17 +281,51 @@ func TestSCBCommSeconds(t *testing.T) {
 }
 
 func TestCommVolumeStarAddsRelay(t *testing.T) {
+	// Star adds StarRelayVolume to each algorithm's traffic exactly once,
+	// on the P→S link: in P's serial stream (SCB, SCO, PIO), in R's and
+	// S's own sends (PCB), or as PCO's trailing message.
 	ratio := partition.MustRatio(4, 2, 1)
 	g, err := partition.Build(partition.BlockRectangle, 40, ratio)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := g.Snapshot()
+	relay := StarRelayVolume(snap)
+	if relay == 0 {
+		t.Fatal("test shape has no R↔S traffic; pick another")
+	}
 	full := mach(ratio)
 	star := full
 	star.Topology = Star
-	if CommVolume(star, snap) <= CommVolume(full, snap) {
-		t.Error("star volume should exceed fully-connected for shapes with R↔S traffic")
+	for _, a := range AllAlgorithms {
+		f, s := Transfers(a, full, snap), Transfers(a, star, snap)
+		if f.Relay != (VolumeTable{}) {
+			t.Errorf("%v: fully connected relay %v, want none", a, f.Relay)
+		}
+		var extra VolumeTable
+		for _, p := range partition.Procs {
+			if f.Sends[p][p] != snap.PairSends[p] {
+				t.Errorf("%v: %v's sends %v, want its PairSends row %v", a, p, f.Sends[p], snap.PairSends[p])
+			}
+			for from := range extra {
+				for to := range extra[from] {
+					extra[from][to] += s.Sends[p][from][to] - f.Sends[p][from][to]
+				}
+			}
+		}
+		for from := range extra {
+			for to := range extra[from] {
+				extra[from][to] += s.Relay[from][to]
+			}
+		}
+		var want VolumeTable
+		want[partition.P][partition.S] = relay
+		if a == PCB {
+			want[partition.P][partition.S] = 2 * relay
+		}
+		if extra != want {
+			t.Errorf("%v: star adds %v, want %v", a, extra, want)
+		}
 	}
 }
 

@@ -3,9 +3,11 @@
 // analytic models of internal/model: each of the five algorithms of
 // Section II is expressed as a task graph over explicit resources
 // (network links, CPUs), and the event engine computes when every message
-// and compute phase starts and finishes. The simulator and the analytic
-// models are cross-validated in tests; the simulator additionally exposes
-// per-task timelines that the models collapse into maxima.
+// and compute phase starts and finishes. Every task's duration is the
+// model's own price (model.Transfers, Machine.Price, Machine.CompTime),
+// so a clean run reproduces model.Evaluate; the simulator adds
+// per-processor fault injection and the per-task timelines that the
+// models collapse into maxima.
 package sim
 
 import (

@@ -111,18 +111,18 @@ func TestSimulateFaultsNilAndIdentityPlansMatchClean(t *testing.T) {
 		}
 	}
 	for _, a := range model.AllAlgorithms {
-		clean, err := Simulate(a, m, g, 0)
+		clean, err := Simulate(a, m, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaNil, err := SimulateFaults(a, m, g, 0, nil)
+		viaNil, err := SimulateFaults(a, m, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if viaNil != clean {
 			t.Errorf("%v: nil plan differs from clean: %+v vs %+v", a, viaNil, clean)
 		}
-		viaID, err := SimulateFaults(a, m, g, 0, identity)
+		viaID, err := SimulateFaults(a, m, g, identity)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,18 +139,18 @@ func TestSimulateFaultsStragglerSlowsAndIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range model.AllAlgorithms {
-		clean, err := Simulate(a, m, g, 0)
+		clean, err := Simulate(a, m, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulted, err := SimulateFaults(a, m, g, 0, fp)
+		faulted, err := SimulateFaults(a, m, g, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if faulted.TExe <= clean.TExe {
 			t.Errorf("%v: straggling P did not slow the run: %v vs clean %v", a, faulted.TExe, clean.TExe)
 		}
-		again, err := SimulateFaults(a, m, g, 0, fp)
+		again, err := SimulateFaults(a, m, g, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestSimulateFaultsStragglerSlowsAndIsDeterministic(t *testing.T) {
 
 func TestSimulateFaultsLinkDegradeAndSpike(t *testing.T) {
 	m, g := studyGrid(t)
-	clean, err := Simulate(model.SCB, m, g, 0)
+	clean, err := Simulate(model.SCB, m, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSimulateFaultsLinkDegradeAndSpike(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	faulted, err := SimulateFaults(model.SCB, m, g, 0, fp)
+	faulted, err := SimulateFaults(model.SCB, m, g, fp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,6 +123,99 @@ func buildGrid(t testing.TB, s partition.Shape, n int, ratio partition.Ratio) *p
 	return g
 }
 
+// TestSimulateMatchesModel is the simulator's contract with
+// model.Evaluate: a clean run schedules the model's own prices, so PCB and
+// PCO equal Total bit for bit (also at α > 0), SCB and SCO differ only in
+// float summation order (the bus adds the senders' prices, Evaluate prices
+// their summed table), and PIO's pipeline lands between N/(N+1)·Total and
+// Total, and never behind SCB's no-overlap schedule. N = 300 and 512
+// exceed maxPIOStages, so they cover the coarsened pipeline. Run with -v
+// for the sim ÷ model range of every algorithm and topology.
+func TestSimulateMatchesModel(t *testing.T) {
+	specs := []string{"fully-connected", "star", "2+1:10", "3-island:10"}
+	type key struct {
+		a    model.Algorithm
+		spec string
+	}
+	lo, hi, gap, cases := map[key]float64{}, map[key]float64{}, map[key]float64{}, map[key]int{}
+	check := func(a model.Algorithm, spec string, m model.Machine, g *partition.Grid, alpha bool) float64 {
+		t.Helper()
+		res, err := Simulate(a, m, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := model.EvaluateGrid(a, m, g).Total
+		ok := true
+		switch a {
+		case model.PCB, model.PCO:
+			ok = res.TExe == want
+		case model.SCB, model.SCO:
+			ok = math.Abs(res.TExe-want) <= 1e-15*want
+		case model.PIO:
+			n := float64(g.N())
+			ok = res.TExe >= n/(n+1)*want*(1-1e-12) && res.TExe <= want*(1+1e-12)
+		}
+		if !ok {
+			t.Errorf("%v %s N=%d %s α=%v: sim %v, model %v (ratio %v)",
+				a, spec, g.N(), m.Ratio, m.Net.Alpha, res.TExe, want, res.TExe/want)
+		}
+		if alpha {
+			return res.TExe
+		}
+		k := key{a, spec}
+		r := res.TExe / want
+		if cases[k] == 0 || r < lo[k] {
+			lo[k] = r
+		}
+		if cases[k] == 0 || r > hi[k] {
+			hi[k] = r
+		}
+		gap[k] = max(gap[k], math.Abs(res.TExe-want)/want)
+		cases[k]++
+		return res.TExe
+	}
+	for _, ratio := range partition.PaperRatios {
+		var plain, latent []model.Machine
+		for _, spec := range specs {
+			ts, err := model.ParseTopologySpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := model.DefaultMachine(ratio)
+			plain = append(plain, ts.Apply(base))
+			base.Net.Alpha = 1e-6
+			latent = append(latent, ts.Apply(base))
+		}
+		for _, n := range []int{60, 64, 120, 128, 200, 256, 300, 512} {
+			for _, s := range partition.AllShapes {
+				g, err := partition.Build(s, n, ratio)
+				if err != nil {
+					continue
+				}
+				for i, spec := range specs {
+					scb := check(model.SCB, spec, plain[i], g, false)
+					for _, a := range model.AllAlgorithms[1:] {
+						if texe := check(a, spec, plain[i], g, false); a == model.PIO && texe > scb*(1+1e-12) {
+							t.Errorf("PIO %s N=%d %s: sim %v behind SCB's %v", spec, g.N(), ratio, texe, scb)
+						}
+					}
+					check(model.PCB, spec, latent[i], g, true)
+					check(model.PCO, spec, latent[i], g, true)
+				}
+			}
+		}
+	}
+	for _, a := range model.AllAlgorithms {
+		for _, spec := range specs {
+			k := key{a, spec}
+			if cases[k] < 500 {
+				t.Errorf("%v %s: only %d feasible cases", a, spec, cases[k])
+			}
+			t.Logf("%v %-16s %d cases, sim/model %.6f–%.6f, max relative gap %.2g", a, spec, cases[k], lo[k], hi[k], gap[k])
+		}
+	}
+}
+
 func TestSimulateMatchesModelBarrier(t *testing.T) {
 	// The simulator and the analytic models must agree for the barrier
 	// algorithms (their schedules are exactly the models' formulas).
@@ -138,7 +231,7 @@ func TestSimulateMatchesModelBarrier(t *testing.T) {
 				continue
 			}
 			for _, a := range []model.Algorithm{model.SCB, model.PCB} {
-				res, err := Simulate(a, m, g, 0)
+				res, err := Simulate(a, m, g)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,7 +253,7 @@ func TestSimulateMatchesModelBulkOverlap(t *testing.T) {
 			continue
 		}
 		for _, a := range []model.Algorithm{model.SCO, model.PCO} {
-			res, err := Simulate(a, m, g, 0)
+			res, err := Simulate(a, m, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +271,7 @@ func TestSimulatePIOWithinModelBounds(t *testing.T) {
 	ratio := partition.MustRatio(4, 2, 1)
 	m := model.DefaultMachine(ratio)
 	g := buildGrid(t, partition.BlockRectangle, 100, ratio)
-	res, err := Simulate(model.PIO, m, g, 0)
+	res, err := Simulate(model.PIO, m, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +292,8 @@ func TestSimulateOverlapBeatsBarrier(t *testing.T) {
 	ratio := partition.MustRatio(10, 1, 1)
 	m := model.DefaultMachine(ratio)
 	g := buildGrid(t, partition.SquareCorner, 100, ratio)
-	scb, _ := Simulate(model.SCB, m, g, 0)
-	sco, _ := Simulate(model.SCO, m, g, 0)
+	scb, _ := Simulate(model.SCB, m, g)
+	sco, _ := Simulate(model.SCO, m, g)
 	if sco.TExe > scb.TExe+1e-12 {
 		t.Errorf("SCO %g should not exceed SCB %g", sco.TExe, scb.TExe)
 	}
@@ -221,8 +314,8 @@ func TestSimulateSquareCornerVsBlockRectangleCrossover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("x=%v: %v", x, err)
 		}
-		scRes, _ := Simulate(model.SCB, m, sc, 0)
-		brRes, _ := Simulate(model.SCB, m, br, 0)
+		scRes, _ := Simulate(model.SCB, m, sc)
+		brRes, _ := Simulate(model.SCB, m, br)
 		if scWins && scRes.TComm >= brRes.TComm {
 			t.Errorf("x=%v: SC comm %g should beat BR %g", x, scRes.TComm, brRes.TComm)
 		}
@@ -241,11 +334,11 @@ func TestSimulateStarSlower(t *testing.T) {
 	star := full
 	star.Topology = model.Star
 	for _, a := range model.AllAlgorithms {
-		f, err := Simulate(a, full, g, 0)
+		f, err := Simulate(a, full, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Simulate(a, star, g, 0)
+		s, err := Simulate(a, star, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,32 +350,12 @@ func TestSimulateStarSlower(t *testing.T) {
 
 func TestSimulateInvalidInputs(t *testing.T) {
 	g := partition.NewGrid(10)
-	if _, err := Simulate(model.SCB, model.Machine{}, g, 0); err == nil {
+	if _, err := Simulate(model.SCB, model.Machine{}, g); err == nil {
 		t.Error("zero machine should fail ratio validation")
 	}
 	m := model.DefaultMachine(partition.MustRatio(2, 1, 1))
-	if _, err := Simulate(model.Algorithm(77), m, g, 0); err == nil {
+	if _, err := Simulate(model.Algorithm(77), m, g); err == nil {
 		t.Error("unknown algorithm should error")
-	}
-}
-
-func TestSimulatePIOStepCoarsening(t *testing.T) {
-	ratio := partition.MustRatio(5, 2, 1)
-	m := model.DefaultMachine(ratio)
-	g := buildGrid(t, partition.TraditionalRectangle, 120, ratio)
-	fine, err := Simulate(model.PIO, m, g, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coarse, err := Simulate(model.PIO, m, g, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(fine.TExe-coarse.TExe) / fine.TExe; rel > 0.15 {
-		t.Errorf("coarsening changed PIO estimate too much: %g vs %g", fine.TExe, coarse.TExe)
-	}
-	if coarse.Tasks >= fine.Tasks {
-		t.Error("coarsening should reduce task count")
 	}
 }
 
@@ -295,7 +368,7 @@ func BenchmarkSimulateSCB(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(model.SCB, m, g, 0); err != nil {
+		if _, err := Simulate(model.SCB, m, g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,7 +383,7 @@ func BenchmarkSimulatePIO(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(model.PIO, m, g, 0); err != nil {
+		if _, err := Simulate(model.PIO, m, g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -330,6 +403,24 @@ func TestGantt(t *testing.T) {
 		}
 		if !strings.Contains(chart, "send-") || !strings.Contains(chart, "█") {
 			t.Errorf("%v: bars missing:\n%s", a, chart)
+		}
+	}
+	// The header names the machine's topology, link classes included, and
+	// PCO's star relay is its own row.
+	for _, tc := range []struct{ spec, row string }{
+		{"3-island:10", "send-S"},
+		{"star", "relay-P"},
+	} {
+		ts, err := model.ParseTopologySpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chart, err := Gantt(model.PCO, ts.Apply(m), g, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(chart, "PCO on "+tc.spec+" topology") || !strings.Contains(chart, tc.row) {
+			t.Errorf("%s chart lacks its header or %s row:\n%s", tc.spec, tc.row, chart)
 		}
 	}
 	if _, err := Gantt(model.PIO, m, g, 60); err == nil {
@@ -375,7 +466,7 @@ func TestGanttMatchesSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(model.PCB, m, g, 0)
+	res, err := Simulate(model.PCB, m, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func NewPlanForShape(a Algorithm, m Machine, n int, s Shape) (*Plan, error) {
 			Speed:        m.Ratio.Speed(proc),
 			Elements:     g.Count(proc),
 			Rect:         [4]int{r.Top, r.Left, r.Bottom, r.Right},
-			SendElements: model.SendVolume(snap, proc),
+			SendElements: snap.Sends[proc],
 		})
 	}
 	return p, nil

@@ -40,7 +40,9 @@
 # differential-equivalence step (the evaluator, with and without an
 # all-equal link matrix, must reproduce the seed goldens byte-for-byte,
 # the exec engine's virtual clocks must equal the model's bit for bit,
-# and the Push engine must reproduce its run-equivalence golden), and
+# a clean simulation must reproduce the model's times on every
+# plan_search topology, and the Push engine must reproduce its
+# run-equivalence golden), and
 # a topology-census smoke (shapeopt -winner-map must show the 2+1 and
 # 3-island link classes each moving at least one winner-map cell off the
 # uniform baseline). CI and pre-commit hooks run
@@ -174,20 +176,24 @@ if wait "$p3"; then
 fi
 wait "$l3" || true
 
-# --- differential equivalence suite (~5s) ------------------------------
+# --- differential equivalence suite (~10s) -----------------------------
 # The evaluator's contract, run explicitly and uncached: Evaluate
 # breakdowns, closed forms and plan JSON must be byte-identical to the
 # seed goldens both with a nil link matrix and with an explicit
 # all-equal one (Net scrambled), the exec engine's SCB/PCB virtual
 # clocks must equal model.EvaluateGrid bit for bit on fully-connected,
-# star and 3-island:10, and the weighted-push property tests must hold
-# under the race detector. The Push engine's own contract: every
+# star and 3-island:10, a clean sim.Simulate must match model.Evaluate
+# on fully-connected, star, 2+1:10 and 3-island:10 (PCB/PCO bit for bit,
+# also at α > 0; SCB/SCO within relative 1e-15; PIO between
+# N/(N+1)·Total and Total), and the weighted-push property tests must
+# hold under the race detector. The Push engine's own contract: every
 # seeded search in the run-equivalence table (sizes straddling 64-bit
 # words, both start families, Beautify, step caps, the relaxed types in
 # both orders, link weights, supplied starts, pooled scratch grids) keeps
 # its steps, VoCs, final cells, archetype and search counters.
 go test -count=1 -run 'TestSeedEquivalence|TestPlanSeedEquivalence' . ./internal/model/
 go test -count=1 -run 'TestMultiplyVirtualTimesMatchModel' ./internal/exec/
+go test -count=1 -run 'TestSimulateMatchesModel' ./internal/sim/
 go test -count=1 -run 'TestRunEquivalenceGolden' ./internal/push/
 go test -race -count=1 -run 'TestWeighted' ./internal/push/
 
