@@ -67,8 +67,8 @@ func main() {
 		resume   = flag.Bool("resume", false, "exec: resume from -checkpoint instead of starting fresh")
 		pace     = flag.Bool("pace", false, "exec: throttle workers to their relative speeds in real time")
 		paceRate = flag.Float64("pace-rate", 5e7, "exec: real flops/s of the slowest worker when pacing")
-		blockSz  = flag.Int("block", 32, "exec: scheduler block size (C tile edge)")
-		verify   = flag.Bool("verify", false, "exec: ABFT-verify every C tile against supervisor checksums")
+		blockSz  = flag.Int("block", 32, "exec: scheduler block size (rows per band task; also sets the ABFT detection floor)")
+		verify   = flag.Bool("verify", false, "exec: ABFT-verify every C row band against supervisor checksums")
 		budget   = flag.Int("mismatch-budget", 3, "exec: uncorrectable mismatches before a worker is quarantined as Byzantine")
 
 		recStudy    = flag.String("recovery-study", "", "run the recovery-overhead study ('run' or with -out a BENCH json path)")
@@ -214,7 +214,7 @@ func main() {
 			stats.Speculations, stats.BlocksDiscarded)
 	}
 	if *verify {
-		fmt.Printf("exec:  integrity: %d tiles checked, %d cells corrected, %d blocks recomputed (injected %d)\n",
+		fmt.Printf("exec:  integrity: %d bands checked, %d cells corrected, %d blocks recomputed (injected %d)\n",
 			stats.IntegrityChecks, stats.CorruptionsCorrected, stats.BlocksRecomputed, stats.InjectedCorruptions)
 		if len(stats.Byzantine) > 0 {
 			fmt.Printf("exec:  quarantined %v as Byzantine (budget %d), rejected %d in-flight results, re-plans %v\n",
@@ -315,10 +315,12 @@ func runIntegrityStudy(ctx context.Context, outPath string, maxOverheadPct float
 	report := benchIntegrityReport{
 		Description: "ABFT integrity drill: runs under injected silent corruption (single-cell flips on R at 10%/20% " +
 			"of its blocks, deterministic ×8 scaling of every S result, and a combined flip+scale drill) with " +
-			"supervisor-side checksum verification on (N=96, block 16, ratio 3:2:1, Block-Rectangle, SCB and PCB). " +
+			"supervisor-side checksum verification on (N=96, block 4, ratio 3:2:1, Block-Rectangle, SCB and PCB). " +
 			"Every product is verified bit-identical to the serial kij kernel and every injected corruption is " +
 			"detected (corrected in place, recomputed, or rejected from a quarantined Byzantine worker); a row " +
-			"that injected nothing reports a null detection rate. The overhead block times clean runs at N=256, " +
+			"that injected nothing reports a null detection rate. The counts in the scale:S rows depend on timing: " +
+			"a worker is handed its next block before its last result is verified, so how many blocks S computes " +
+			"before its quarantine lands varies from run to run. The overhead block times clean runs at N=256, " +
 			"block 64 in 20 back-to-back pairs with verification off and on, alternating which runs first, and " +
 			"reports the median per-pair overhead with its quartiles. " +
 			"Reproduce with: go run ./cmd/mmmsim -integrity-study run -out BENCH_integrity.json",

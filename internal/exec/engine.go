@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -27,11 +28,11 @@ const (
 )
 
 // blockTask is one schedulable unit: a set of C cells (one partition
-// owner's cells inside one tile) plus any A/B fragments the assignee
-// must receive before it can compute them (recovery and speculation
-// patches). Tasks created by recovery keep fresh ids; a speculative
-// re-execution reuses the original id, which is what the commit-side
-// dedup keys on.
+// owner's cells in one band of BlockSize rows, across the full width)
+// plus any A/B fragments the assignee must receive before it can compute
+// them (recovery and speculation patches). Tasks created by recovery
+// keep fresh ids; a speculative re-execution reuses the original id,
+// which is what the commit-side dedup keys on.
 type blockTask struct {
 	id    int
 	owner partition.Proc
@@ -43,7 +44,7 @@ type blockTask struct {
 	patchAV, patchBV []float64
 	speculative      bool
 	// prior holds the discarded values (per cells) when this task is an
-	// integrity re-lease of a block withdrawn at tile verification, and
+	// integrity re-lease of a block withdrawn at band verification, and
 	// priorFrom the worker that computed them. Honest blocks recompute
 	// bit-identically, so a differing recompute convicts priorFrom of
 	// the mismatch — attribution by evidence, not by suspicion.
@@ -90,7 +91,7 @@ func newExecMetrics(reg *metrics.Registry) *execMetrics {
 			"Stall from a lost worker's last heartbeat to its work being re-planned.",
 			[]float64{.01, .025, .05, .1, .25, .5, 1, 2.5}),
 		integrity: reg.Counter("exec_integrity_checks_total",
-			"C tiles ABFT-verified against supervisor-side checksum references."),
+			"C row bands ABFT-verified against supervisor-side checksum references."),
 		corrupted: reg.NewCounterVec("exec_corruptions_total",
 			"Detected result corruptions by outcome (corrected, recomputed, quarantined).", "outcome"),
 	}
@@ -217,6 +218,7 @@ func newEngine(ctx context.Context, cfg Config, g *partition.Grid, a, b *matrix.
 	if cfg.BlockSize <= 0 {
 		e.cfg.BlockSize = defaultBlockSize
 	}
+	e.cfg.BlockSize = min(e.cfg.BlockSize, n) // one band covers everything
 	for _, p := range partition.Procs {
 		e.assign[p] = make(chan *blockTask, 1)
 		e.alive[p] = true
@@ -240,8 +242,16 @@ func (e *engine) run() (*matrix.Dense, *Stats, error) {
 		}
 	}()
 	start := time.Now()
+	// Cut the initial tasks beside the exchange: the cutter reads only
+	// the owner grid and the done mask, and the exchange never touches
+	// the task lists.
+	built := make(chan struct{})
+	go func() {
+		defer close(built)
+		e.buildInitialTasks()
+	}()
 	e.exchange()
-	e.buildInitialTasks()
+	<-built
 
 	if e.doneCells < e.totalCells {
 		if err := e.supervise(); err != nil {
@@ -295,40 +305,27 @@ func (e *engine) have(v partition.Proc) (aHave, bHave []bool) {
 }
 
 // buildInitialTasks cuts the not-yet-done region (everything, unless a
-// checkpoint was resumed) into (tile, owner) block tasks.
+// checkpoint was resumed) into (band, owner) block tasks.
 func (e *engine) buildInitialTasks() {
-	n, bs := e.n, e.cfg.BlockSize
-	for tr := 0; tr < n; tr += bs {
-		for tc := 0; tc < n; tc += bs {
-			var cells [partition.NumProcs][]int32
-			for i := tr; i < min(tr+bs, n); i++ {
-				for j := tc; j < min(tc+bs, n); j++ {
-					idx := i*n + j
-					if e.doneMask[idx] {
-						continue
-					}
-					p := e.g.At(i, j)
-					cells[p] = append(cells[p], int32(idx))
-				}
-			}
-			for _, p := range partition.Procs {
-				if len(cells[p]) == 0 {
-					continue
-				}
-				t := &blockTask{id: e.nextID, owner: p, cells: cells[p]}
-				e.nextID++
-				e.pending[p] = append(e.pending[p], t)
-			}
+	cells := make([]int32, 0, e.totalCells-e.doneCells)
+	for idx, done := range e.doneMask {
+		if !done {
+			cells = append(cells, int32(idx))
 		}
 	}
-	for _, p := range partition.Procs {
-		e.stats.Blocks += len(e.pending[p])
+	tasks := e.bandTasks(cells, func(idx int32) partition.Proc { return e.plan.cells[idx] })
+	for _, t := range tasks {
+		e.pending[t.owner] = append(e.pending[t.owner], t)
 	}
+	e.stats.Blocks += len(tasks)
 }
 
 // supervise runs the compute phase: workers pull blocks, the supervisor
 // commits results, checkpoints them, and watches leases for losses and
-// stragglers.
+// stragglers. A worker asks for work once; after that each result it
+// reports is its request for the next block, which the supervisor hands
+// out before it commits and verifies the result, so that supervision
+// overlaps the worker's next computation.
 func (e *engine) supervise() error {
 	defer e.cancel()
 
@@ -358,6 +355,10 @@ func (e *engine) supervise() error {
 		case w := <-e.reqCh:
 			e.handleRequest(w)
 		case r := <-e.resCh:
+			if ab := e.active[r.from]; ab != nil && ab.task.id == r.task.id {
+				e.active[r.from] = nil
+			}
+			e.handleRequest(r.from)
 			if err := e.commit(r); err != nil {
 				return err
 			}
@@ -382,8 +383,13 @@ func (e *engine) supervise() error {
 	}
 }
 
-// workerLoop is one processor: request a block, compute it, report it,
-// heartbeat throughout — unless the fault plan kills or hangs it first.
+// workerLoop is one processor: request a block once, then compute each
+// block it is handed and report it (the report asks for the next),
+// heartbeating throughout — unless the fault plan kills or hangs it
+// first. A kill or hang fires inside a block, after the pivot chunk that
+// takes the worker's progress (flops computed over flops initially
+// assigned) to the fate's fraction: the worker dies holding its lease
+// and never reports that block, whatever the block size.
 func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 	defer e.wg.Done()
 	sp := e.tr("worker " + w.String())
@@ -396,6 +402,10 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 	}()
 
 	fate, frac := e.cfg.Faults.WorkerFateFor(w)
+	fireAt := math.Inf(1) // flops computed at which the fate fires
+	if fate != sim.FateNone {
+		fireAt = frac * float64(initFlops)
+	}
 	slow := e.cfg.Faults.WorkerSlowdown(w)
 	corrupt, cval := e.cfg.Faults.WorkerCorruption(w)
 	var crng *rand.Rand
@@ -413,34 +423,28 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 
 	scratch := matrix.New(e.n)
 	var done int64
+	e.beat(w)
+	select {
+	case <-e.runCtx.Done():
+		return
+	case e.reqCh <- w:
+	}
 	for {
-		if fate != sim.FateNone {
-			progress := 1.0
-			if initFlops > 0 {
-				progress = float64(done) / float64(initFlops)
-			}
-			if progress >= frac {
-				if fate == sim.FateHang {
-					// Hold the lease, stop heartbeating, block until the
-					// run is over.
-					<-e.runCtx.Done()
-				}
-				return
-			}
-		}
-		e.beat(w)
-		select {
-		case <-e.runCtx.Done():
-			return
-		case e.reqCh <- w:
-		}
 		var t *blockTask
 		select {
 		case <-e.runCtx.Done():
 			return
 		case t = <-e.assign[w]:
 		}
-		vals := e.computeBlock(w, t, lim, scratch)
+		vals, ok := e.computeBlock(w, t, lim, scratch, fireAt-float64(done))
+		if !ok {
+			if fate == sim.FateHang {
+				// Hold the lease, stop heartbeating, block until the run
+				// is over.
+				<-e.runCtx.Done()
+			}
+			return
+		}
 		injected := false
 		switch corrupt {
 		case sim.FateScale:
@@ -476,7 +480,9 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 // work. scratch is the worker's own C; the block's cells are zeroed
 // first, because a worker can be handed cells it computed before (an
 // integrity re-lease on a sole survivor, a re-planned speculation).
-func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limiter, scratch *matrix.Dense) []float64 {
+// It returns false, without the values, once the flops computed in the
+// block reach fireIn: the worker's kill or hang fate has fired.
+func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limiter, scratch *matrix.Dense, fireIn float64) ([]float64, bool) {
 	ws := e.workers[w]
 	ad, bd := ws.aLocal.Data(), ws.bLocal.Data()
 	for i, idx := range t.patchA {
@@ -495,6 +501,9 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 	for k0 := 0; k0 < n; k0 += matrix.PivotChunk {
 		k1 := min(k0+matrix.PivotChunk, n)
 		matrix.MulRuns(scratch, ws.aLocal, ws.bLocal, runs, k0, k1)
+		if float64(cells*int64(k1)) >= fireIn {
+			return nil, false
+		}
 		e.beat(w)
 		if lim != nil {
 			e.pacedAcquire(w, lim, cells*int64(k1-k0))
@@ -504,7 +513,7 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 	for ci, idx := range t.cells {
 		vals[ci] = cd[idx]
 	}
-	return vals
+	return vals, true
 }
 
 // pacedAcquire sleeps the worker to its paced rate in slices short
@@ -574,9 +583,6 @@ func (e *engine) commit(r blockResult) error {
 		e.em.block("rejected", 1)
 		return nil
 	}
-	if ab := e.active[r.from]; ab != nil && ab.task.id == r.task.id {
-		e.active[r.from] = nil
-	}
 	if e.committed[r.task.id] {
 		e.stats.BlocksDiscarded++
 		e.em.block("discarded", 1)
@@ -585,6 +591,9 @@ func (e *engine) commit(r blockResult) error {
 	e.committed[r.task.id] = true
 	fresh := 0
 	var freshCells []int32
+	if e.integ != nil {
+		freshCells = make([]int32, 0, len(r.task.cells))
+	}
 	cd := e.c.Data()
 	for ci, idx := range r.task.cells {
 		if !e.doneMask[idx] {
@@ -612,8 +621,8 @@ func (e *engine) commit(r blockResult) error {
 	e.stats.Flops[r.from] += int64(len(r.task.cells)) * int64(e.n)
 	e.em.block("done", 1)
 	if e.integ != nil {
-		// Verification is tile-grained; with a checkpoint configured the
-		// journal append is deferred until the block's tile verifies.
+		// Verification is band-grained; with a checkpoint configured the
+		// journal append is deferred until the block's band verifies.
 		return e.integ.blockCommitted(r, freshCells)
 	}
 	if e.ckpt != nil {
@@ -751,9 +760,9 @@ func (e *engine) evict(w partition.Proc, now time.Time, byzantine bool) error {
 		}
 	}
 
-	// Re-tile the remaining cells under the new ownership and attach the
-	// missing A/B fragments to each new block.
-	newTasks := e.retile(remaining, ownerOf)
+	// Cut the remaining cells into bands under the new ownership and
+	// attach the missing A/B fragments to each new block.
+	newTasks := e.bandTasks(remaining, ownerOf)
 	for _, t := range newTasks {
 		e.buildPatch(t)
 		e.pending[t.owner] = append(e.pending[t.owner], t)
@@ -822,36 +831,29 @@ func (e *engine) survivorsBySpeed() []partition.Proc {
 	return s
 }
 
-// retile groups cells into (tile, owner) block tasks with fresh ids.
-func (e *engine) retile(cells []int32, ownerOf func(int32) partition.Proc) []*blockTask {
-	n, bs := e.n, e.cfg.BlockSize
-	tilesPerRow := (n + bs - 1) / bs
-	type key struct {
-		tile  int
-		owner partition.Proc
-	}
-	group := make(map[key][]int32)
-	var order []key
-	for _, idx := range cells {
-		i, j := int(idx)/n, int(idx)%n
-		k := key{tile: (i/bs)*tilesPerRow + j/bs, owner: ownerOf(idx)}
-		if _, ok := group[k]; !ok {
-			order = append(order, k)
+// bandTasks groups ascending cells into (band, owner) block tasks with
+// fresh ids: one task per owner per band of BlockSize rows.
+func (e *engine) bandTasks(cells []int32, ownerOf func(int32) partition.Proc) []*blockTask {
+	bandCells := int32(e.cfg.BlockSize * e.n)
+	var tasks []*blockTask
+	var group [partition.NumProcs][]int32
+	flush := func() {
+		for _, p := range partition.Procs {
+			if len(group[p]) > 0 {
+				tasks = append(tasks, &blockTask{id: e.nextID, owner: p, cells: group[p]})
+				e.nextID++
+				group[p] = nil
+			}
 		}
-		group[k] = append(group[k], idx)
 	}
-	sort.Slice(order, func(x, y int) bool {
-		if order[x].tile != order[y].tile {
-			return order[x].tile < order[y].tile
+	for i, idx := range cells {
+		if i > 0 && idx/bandCells != cells[i-1]/bandCells {
+			flush()
 		}
-		return order[x].owner < order[y].owner
-	})
-	tasks := make([]*blockTask, 0, len(order))
-	for _, k := range order {
-		t := &blockTask{id: e.nextID, owner: k.owner, cells: group[k]}
-		e.nextID++
-		tasks = append(tasks, t)
+		p := ownerOf(idx)
+		group[p] = append(group[p], idx)
 	}
+	flush()
 	return tasks
 }
 

@@ -11,14 +11,18 @@
 // matrix.MulRuns.
 //
 // The barrier algorithms (SCB, PCB) run on a supervised block scheduler
-// (engine.go): the multiplication is split into block tasks with lease +
+// (engine.go): the multiplication is split into block tasks — one
+// owner's cells in a band of rows across the full width — with lease +
 // heartbeat tracking, completed C-blocks are journal-checkpointed so a
 // killed run resumes byte-identically, and a worker lost mid-multiply is
 // survived by re-planning the remaining region on the survivors — 3→2
 // with the optimal two-processor shapes of the authors' prior work
 // (internal/twoproc), 2→1 with a serial fallback. Stragglers are
 // speculatively re-executed on the fastest idle survivor, with results
-// deduplicated by block id so the volume accounting stays exact.
+// deduplicated by block id so the volume accounting stays exact. A
+// worker's result is also its request for the next block, so the
+// supervisor commits and verifies one block while the worker computes
+// the next.
 package exec
 
 import (
@@ -50,10 +54,11 @@ type Config struct {
 	// processor when Pace is set (default 5e7).
 	PaceFlopsPerSec float64
 
-	// BlockSize is the tile edge of the supervised block scheduler: the
-	// C matrix is cut into BlockSize×BlockSize tiles and each (tile,
-	// owner) pair becomes one schedulable, checkpointable block task.
-	// Defaults to 32.
+	// BlockSize is the band height of the supervised block scheduler:
+	// the C matrix is cut into bands of BlockSize rows across the full
+	// width, and each (band, owner) pair becomes one schedulable,
+	// checkpointable block task. It also sets the ABFT detection floor
+	// (see Verify). Defaults to 32.
 	BlockSize int
 	// Faults injects worker-level faults (kill/hang at a progress
 	// fraction, persistent slowdown) into the compute phase. Nil injects
@@ -82,13 +87,15 @@ type Config struct {
 	StraggleAfter time.Duration
 
 	// Verify turns on ABFT result verification (integrity.go): every
-	// completed C tile is checked against checksum references the
+	// completed band is checked once against checksum references the
 	// supervisor derives from its own pristine A and B, a localized
 	// single-cell error is corrected in place (bit-exactly, by
 	// recomputing the cell), and an uncorrectable mismatch discards the
-	// offending blocks and re-leases them to a different worker. With a
+	// offending blocks and re-leases them to a different worker. A row's
+	// cells are weighted per BlockSize-wide column stripe, so each cell
+	// keeps the detection floor of its BlockSize×BlockSize tile. With a
 	// checkpoint configured, journal appends are deferred until the
-	// block's tile verifies, so the journal only ever holds verified
+	// block's band verifies, so the journal only ever holds verified
 	// results.
 	Verify bool
 	// MismatchBudget is how many uncorrectable mismatches a worker may
@@ -173,7 +180,7 @@ type Stats struct {
 	// re-planned onto the survivors.
 	RecoveryLatency time.Duration
 
-	// IntegrityChecks counts C tiles ABFT-verified under Config.Verify.
+	// IntegrityChecks counts C bands ABFT-verified under Config.Verify.
 	IntegrityChecks int
 	// CorruptionsCorrected counts single-cell errors localized by the
 	// row×column checksum intersection and corrected in place.

@@ -268,6 +268,39 @@ func BenchmarkMultiplySCB(b *testing.B) {
 	}
 }
 
+// BenchmarkMultiplyN512 is the engine-against-overlap gap at the size
+// the repository benchmark runs: SCB and PCB on the supervised engine
+// with ABFT on, beside SCO's bulk-overlap executor, on Square-Corner
+// 10:1:1 at N=512.
+func BenchmarkMultiplyN512(b *testing.B) {
+	const n = 512
+	ratio := partition.MustRatio(10, 1, 1)
+	g, err := partition.Build(partition.SquareCorner, n, ratio)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, y := randomMatrices(n, 1)
+	for _, bc := range []struct {
+		name   string
+		alg    model.Algorithm
+		verify bool
+	}{
+		{"SCB+Verify", model.SCB, true},
+		{"PCB+Verify", model.PCB, true},
+		{"SCO", model.SCO, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := Config{Machine: testMachine(ratio), Algorithm: bc.alg, Verify: bc.verify}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := multiplyAlg(cfg, g, x, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestMultiplyPIOBitExact(t *testing.T) {
 	// The interleaved pipeline must produce the serial kij product
 	// bit-exactly for every canonical shape and move exactly VoC elements.

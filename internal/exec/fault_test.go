@@ -33,9 +33,9 @@ func TestMultiplyKillRecoveryBitExact(t *testing.T) {
 	// lease expires, and the remainder is re-planned on the two survivors
 	// with the prior work's optimal two-processor shapes — and the final
 	// matrix is still bit-identical to the serial kij kernel. The ragged
-	// case re-tiles the remainder into 24-cell tiles that n=130 cuts
-	// short at the edges, so uneven recovery blocks go through the
-	// kernel too.
+	// case cuts the remainder into 24-row bands that n=130 cuts short at
+	// the bottom edge, so uneven recovery blocks go through the kernel
+	// too.
 	ratio := partition.MustRatio(3, 2, 1)
 	for _, tc := range []struct {
 		n, blockSize int
@@ -105,6 +105,51 @@ func TestMultiplyKillRecoveryBitExact(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestMultiplyKillInsideOnlyBlock(t *testing.T) {
+	// A fate fires inside a block, not between blocks: with BlockSize ≥ n
+	// each worker holds exactly one block, and R killed at half its work
+	// must die holding it, unreported — lost, re-planned on the two
+	// survivors, and the product still bit-exact. n = 96 gives each block
+	// two pivot chunks, so the kill lands after the first.
+	const n = 96
+	ratio := partition.MustRatio(3, 2, 1)
+	a, b := randomMatrices(n, 61)
+	want := matrix.New(n)
+	matrix.MulKIJ(want, a, b)
+	g, err := partition.Build(partition.SquareCorner, n, ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []model.Algorithm{model.SCB, model.PCB} {
+		t.Run(alg.String(), func(t *testing.T) {
+			fp := sim.NewFaultPlan()
+			if err := fp.AddWorkerKill(partition.R, 0.5); err != nil {
+				t.Fatal(err)
+			}
+			cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: 2 * n, Faults: fp})
+			c, stats, err := Multiply(cfg, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Blocks != partition.NumProcs {
+				t.Fatalf("Blocks = %d, want one per worker", stats.Blocks)
+			}
+			if !c.Equal(want) {
+				t.Fatal("product differs from serial kij")
+			}
+			if len(stats.Lost) != 1 || stats.Lost[0] != partition.R {
+				t.Fatalf("Lost = %v, want [R]", stats.Lost)
+			}
+			if stats.Recoveries != 1 || len(stats.RecoveryKinds) != 1 || stats.RecoveryKinds[0] != "replan-2proc" {
+				t.Fatalf("Recoveries=%d kinds=%v, want one replan-2proc", stats.Recoveries, stats.RecoveryKinds)
+			}
+			if stats.TotalVolume != g.VoC() {
+				t.Errorf("TotalVolume %d != VoC %d", stats.TotalVolume, g.VoC())
+			}
+		})
 	}
 }
 

@@ -11,33 +11,51 @@ import (
 )
 
 // ABFT result verification (Huang–Abraham, adapted to the supervised
-// block scheduler). The key identity: for a C tile spanning rows
-// [r0, r1) and columns [c0, c1),
+// block scheduler). The key identity: for every row i of C and any
+// column weights w,
 //
-//	Σ_{j∈[c0,c1)} C[i][j] = Σ_k A[i][k] · (Σ_{j∈[c0,c1)} B[k][j])
+//	Σ_j w_j·C[i][j] = Σ_k A[i][k] · (Σ_j w_j·B[k][j])
 //
-// so with the per-tile-band column sums of B precomputed once (bband),
-// the supervisor can check every row of a completed tile against a
-// reference it derives from its own pristine A and B in O(n) per row —
-// O(n·bs) per tile, an ~1/BlockSize fraction of the tile's 2n·bs²
-// compute flops. The symmetric column identity (aband, built lazily —
-// only suspect tiles pay for it) localizes a single corrupted cell as
-// the intersection of the failing row and failing column; that cell is
-// then recomputed *exactly* (same ascending-k order as the kij kernel),
-// so correction preserves the engine's bit-exactness guarantee.
+// so with the weighted row sums of B precomputed once (rowSumB), the
+// supervisor can check every row of a completed band of BlockSize rows
+// against a reference it derives from its own pristine A and B in O(n)
+// per row — O(n·bs) per band, a 1/n fraction of the band's 2n²·bs
+// compute flops.
+// The symmetric column identity over the band's rows (aband, built
+// lazily — only suspect bands pay for it) localizes a single corrupted
+// cell as the intersection of the failing row and failing column; that
+// cell is then recomputed *exactly* (same ascending-k order as the kij
+// kernel), so correction preserves the engine's bit-exactness guarantee.
 //
 // Crucially the references never involve worker-computed data: a
 // systematically wrong worker (sim.FateScale) produces blocks that are
 // self-consistent with any checksum the worker itself could have
-// attached, but not with the supervisor's independent bands.
+// attached, but not with the supervisor's independent references.
 //
-// Verification is tile-grained, not block-grained, because a partition
-// owner's cells inside a tile form an arbitrary (ragged) subset with no
-// checksum identity of its own; the enclosing tile is always a full
-// rectangle. Each committed block therefore parks as a "contribution"
-// until its tile is complete, and with checkpointing enabled the
-// journal append is deferred to tile verification, so the checkpoint
-// never contains a block that was not verified.
+// Verification is band-grained, not block-grained, because a partition
+// owner's cells inside a band form an arbitrary (ragged) subset with no
+// checksum identity of its own; the enclosing band is always a full
+// rectangle, and it is the unit block tasks are cut from. Each committed
+// block therefore parks as a "contribution" until its band is complete,
+// and with checkpointing enabled the journal append is deferred to band
+// verification, so the checkpoint never contains a block that was not
+// verified.
+//
+// A band row sums n cells where a BlockSize×BlockSize tile row summed
+// bs, but every cell keeps its tile's detection floor, relTol ×
+// Σ_k |A[i][k]| × s_t, where s_t is the largest Σ_{j in t} |B[k][j]|
+// over k of the cell's BlockSize-wide column stripe t. The weights do
+// it: w_j = 1/s_t, so a cell off by δ moves its weighted row sum by δ/s_t,
+// against a row tolerance of relTol × Σ_k |A[i][k]|. Without them one
+// tolerance would serve every stripe of the row, and the floor of a
+// light stripe would loosen to that of the heaviest (or, with the
+// full-width |B| sum, n/bs-fold everywhere). Rounding stays far below the
+// floor: each stripe adds at most about 3nε·Σ_k |A[i][k]| to a weighted
+// row's worst case, 3nε·(n/bs) ≈ 3e-12 of the tolerance at n = 512,
+// bs = 32, against relTol = 1e-9. A stripe of B that is all zero has
+// exactly zero products and a floor of zero in the tile check; it takes
+// the weight of the lightest nonzero stripe, the tightest of the nonzero
+// stripes' floors.
 
 // defaultMismatchBudget is how many uncorrectable mismatches a worker
 // may cause before it is declared Byzantine and quarantined.
@@ -51,20 +69,19 @@ const defaultMismatchBudget = 3
 // exponent-bit flip, a constant scale factor) overshoot it by many more.
 const relTol = 1e-9
 
-// tileContrib is one committed block's freshly written cells inside a
-// tile, remembered until the tile verifies so a mismatch can be
+// bandContrib is one committed block's freshly written cells inside a
+// band, remembered until the band verifies so a mismatch can be
 // attributed to (and charged against) the worker that computed it.
-type tileContrib struct {
+type bandContrib struct {
 	from  partition.Proc
 	cells []int32
 }
 
-// tileState tracks one BlockSize×BlockSize C tile through verification.
-type tileState struct {
-	r0, c0, r1, c1 int
-	remaining      int // undone cells; 0 triggers verification
-	verified       bool
-	contrib        map[int]*tileContrib // by block id
+// bandState tracks one band of BlockSize C rows through verification.
+type bandState struct {
+	r0, r1    int
+	remaining int                  // undone cells; 0 triggers verification
+	contrib   map[int]*bandContrib // by block id
 }
 
 // integrity is the engine's ABFT layer. It lives entirely on the
@@ -73,19 +90,16 @@ type tileState struct {
 type integrity struct {
 	e     *engine
 	bs    int
-	tpr   int // tiles per row
-	tiles []*tileState
+	bands []*bandState
 
-	// bband[tc][k] = Σ_{j in column band tc} B[k][j]; bbandAbs the same
-	// over |B|, with bbandAbsMax[tc] its max over k (for the tolerance
-	// bound). Precomputed once, O(n²).
-	bband       [][]float64
-	bbandAbsMax []float64
-	// rowAbsA[i] = Σ_k |A[i][k]|, for the row-tolerance bound.
-	rowAbsA []float64
+	// stripeW[t] = 1/s_t, the weight of column stripe t, and rowSumB[k]
+	// = Σ_j w_j·B[k][j], the row check's reference vector. Precomputed
+	// once, O(n²).
+	stripeW []float64
+	rowSumB []float64
 
-	// aband[tr][k] = Σ_{i in row band tr} A[i][k]; built lazily per row
-	// band, because only suspect tiles need column localization.
+	// aband[band][k] = Σ_{i in band} A[i][k]; built lazily per band,
+	// because only suspect bands need column localization.
 	aband       map[int][]float64
 	abandAbsMax map[int]float64
 	// colAbsB[j] = Σ_k |B[k][j]|, built lazily with the first aband.
@@ -95,23 +109,21 @@ type integrity struct {
 	budget  int
 }
 
-// newIntegrity builds the tile table and the B-side reference bands.
-// Called after checkpoint replay: a tile fully restored from the
-// journal was verified before it was flushed (records are appended only
-// on tile verification) and its records passed the per-record checksum,
-// so it is trusted; partially restored tiles are re-verified whole once
-// their remaining cells are computed.
+// newIntegrity builds the band table and the B-side references. Called
+// after checkpoint replay: a band fully restored from the journal was
+// verified before it was flushed (records are appended only on band
+// verification) and its records passed the per-record checksum, so it
+// is trusted; partially restored bands are re-verified whole once their
+// remaining cells are computed.
 func newIntegrity(e *engine) *integrity {
 	n, bs := e.n, e.cfg.BlockSize
-	tpr := (n + bs - 1) / bs
+	nb := (n + bs - 1) / bs
 	in := &integrity{
 		e:           e,
 		bs:          bs,
-		tpr:         tpr,
-		tiles:       make([]*tileState, tpr*tpr),
-		bband:       make([][]float64, tpr),
-		bbandAbsMax: make([]float64, tpr),
-		rowAbsA:     make([]float64, n),
+		bands:       make([]*bandState, nb),
+		stripeW:     make([]float64, nb), // C is square: nb column stripes
+		rowSumB:     make([]float64, n),
 		aband:       make(map[int][]float64),
 		abandAbsMax: make(map[int]float64),
 		strikes:     make(map[partition.Proc]int),
@@ -120,61 +132,66 @@ func newIntegrity(e *engine) *integrity {
 	if in.budget <= 0 {
 		in.budget = defaultMismatchBudget
 	}
-	for ti := range in.tiles {
-		r0, c0 := (ti/tpr)*bs, (ti%tpr)*bs
-		ts := &tileState{
-			r0: r0, c0: c0,
-			r1: min(r0+bs, n), c1: min(c0+bs, n),
-			contrib: make(map[int]*tileContrib),
-		}
-		for i := ts.r0; i < ts.r1; i++ {
-			for j := ts.c0; j < ts.c1; j++ {
-				if !e.doneMask[i*n+j] {
-					ts.remaining++
-				}
+	for b := range in.bands {
+		bnd := &bandState{r0: b * bs, r1: min(b*bs+bs, n), contrib: make(map[int]*bandContrib)}
+		for _, done := range e.doneMask[bnd.r0*n : bnd.r1*n] {
+			if !done {
+				bnd.remaining++
 			}
 		}
-		ts.verified = ts.remaining == 0
-		in.tiles[ti] = ts
+		in.bands[b] = bnd
 	}
-	ad, bd := e.a.Data(), e.b.Data()
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for k := 0; k < n; k++ {
-			s += math.Abs(ad[i*n+k])
+	bd := e.b.Data()
+	for k := 0; k < n; k++ {
+		for t := range in.stripeW {
+			sa := 0.0
+			for _, v := range bd[k*n+t*bs : k*n+min(t*bs+bs, n)] {
+				sa += math.Abs(v)
+			}
+			in.stripeW[t] = max(in.stripeW[t], sa) // s_t, inverted below
 		}
-		in.rowAbsA[i] = s
 	}
-	for tc := 0; tc < tpr; tc++ {
-		c0, c1 := tc*bs, min(tc*bs+bs, n)
-		band := make([]float64, n)
-		maxAbs := 0.0
-		for k := 0; k < n; k++ {
-			s, sa := 0.0, 0.0
-			row := bd[k*n : (k+1)*n]
-			for j := c0; j < c1; j++ {
-				s += row[j]
-				sa += math.Abs(row[j])
-			}
-			band[k] = s
-			if sa > maxAbs {
-				maxAbs = sa
-			}
+	zeroW := 0.0 // the lightest nonzero stripe's weight, for all-zero ones
+	for t, s := range in.stripeW {
+		if s > 0 {
+			in.stripeW[t] = 1 / s
+			zeroW = max(zeroW, in.stripeW[t])
 		}
-		in.bband[tc] = band
-		in.bbandAbsMax[tc] = maxAbs
+	}
+	if zeroW == 0 {
+		zeroW = 1 // B is all zero
+	}
+	for t, s := range in.stripeW {
+		if s == 0 {
+			in.stripeW[t] = zeroW
+		}
+	}
+	for k := 0; k < n; k++ {
+		in.rowSumB[k] = in.weightedSum(bd[k*n : (k+1)*n])
 	}
 	return in
 }
 
-func (in *integrity) tileOf(idx int32) int {
-	n, bs := in.e.n, in.bs
-	i, j := int(idx)/n, int(idx)%n
-	return (i/bs)*in.tpr + j/bs
+// weightedSum returns Σ_j w_j·row[j] over one full row, stripe by
+// stripe.
+func (in *integrity) weightedSum(row []float64) float64 {
+	sum := 0.0
+	for t, w := range in.stripeW {
+		s := 0.0
+		for _, v := range row[t*in.bs : min(t*in.bs+in.bs, len(row))] {
+			s += v
+		}
+		sum += w * s
+	}
+	return sum
+}
+
+func (in *integrity) bandOf(idx int32) *bandState {
+	return in.bands[int(idx)/in.e.n/in.bs]
 }
 
 // blockCommitted records a committed block's fresh cells against its
-// tile and verifies the tile once its last cell lands. When the block
+// band and verifies the band once its last cell lands. When the block
 // is an integrity re-lease, the recompute is first compared against the
 // discarded values; a difference means at least one of the two parties
 // is wrong, so the supervisor settles it by computing the first
@@ -202,13 +219,13 @@ func (in *integrity) blockCommitted(r blockResult, fresh []int32) error {
 			}
 		}
 	}
-	ts := in.tiles[in.tileOf(fresh[0])]
-	ts.contrib[r.task.id] = &tileContrib{from: r.from, cells: fresh}
-	ts.remaining -= len(fresh)
-	if ts.remaining > 0 {
+	bnd := in.bandOf(fresh[0])
+	bnd.contrib[r.task.id] = &bandContrib{from: r.from, cells: fresh}
+	bnd.remaining -= len(fresh)
+	if bnd.remaining > 0 {
 		return nil
 	}
-	return in.verifyTile(ts)
+	return in.verifyBand(bnd)
 }
 
 // strike charges worker w one uncorrectable mismatch; past the budget
@@ -232,26 +249,21 @@ func (in *integrity) strike(w partition.Proc) error {
 	return nil
 }
 
-// checkRows returns the tile rows whose C sums disagree with the
-// A·bband reference beyond tolerance.
-func (in *integrity) checkRows(ts *tileState) []int {
+// checkRows returns the band rows whose weighted C sums disagree with
+// the A·rowSumB reference beyond tolerance.
+func (in *integrity) checkRows(bnd *bandState) []int {
 	e := in.e
 	n := e.n
-	tc := ts.c0 / in.bs
-	band := in.bband[tc]
 	cd, ad := e.c.Data(), e.a.Data()
 	var bad []int
-	for i := ts.r0; i < ts.r1; i++ {
-		sum := 0.0
-		for j := ts.c0; j < ts.c1; j++ {
-			sum += cd[i*n+j]
+	for i := bnd.r0; i < bnd.r1; i++ {
+		sum := in.weightedSum(cd[i*n : (i+1)*n])
+		ref, absA := 0.0, 0.0
+		for k, v := range ad[i*n : (i+1)*n] {
+			ref += v * in.rowSumB[k]
+			absA += math.Abs(v)
 		}
-		ref := 0.0
-		arow := ad[i*n : (i+1)*n]
-		for k := 0; k < n; k++ {
-			ref += arow[k] * band[k]
-		}
-		tol := relTol * in.rowAbsA[i] * in.bbandAbsMax[tc]
+		tol := relTol * absA
 		// NaN compares false against everything: a corrupted cell that
 		// went non-finite must still read as suspect.
 		if d := math.Abs(sum - ref); d > tol || math.IsNaN(d) {
@@ -261,19 +273,19 @@ func (in *integrity) checkRows(ts *tileState) []int {
 	return bad
 }
 
-// checkCols is the column-side localizer, paid only by suspect tiles.
-func (in *integrity) checkCols(ts *tileState) []int {
+// checkCols is the column-side localizer, paid only by suspect bands.
+func (in *integrity) checkCols(bnd *bandState) []int {
 	e := in.e
 	n := e.n
-	tr := ts.r0 / in.bs
-	band, ok := in.aband[tr]
+	b := bnd.r0 / in.bs
+	band, ok := in.aband[b]
 	if !ok {
 		band = make([]float64, n)
 		maxAbs := 0.0
 		ad := e.a.Data()
 		for k := 0; k < n; k++ {
 			s, sa := 0.0, 0.0
-			for i := ts.r0; i < ts.r1; i++ {
+			for i := bnd.r0; i < bnd.r1; i++ {
 				s += ad[i*n+k]
 				sa += math.Abs(ad[i*n+k])
 			}
@@ -282,8 +294,8 @@ func (in *integrity) checkCols(ts *tileState) []int {
 				maxAbs = sa
 			}
 		}
-		in.aband[tr] = band
-		in.abandAbsMax[tr] = maxAbs
+		in.aband[b] = band
+		in.abandAbsMax[b] = maxAbs
 	}
 	if in.colAbsB == nil {
 		bd := e.b.Data()
@@ -296,16 +308,16 @@ func (in *integrity) checkCols(ts *tileState) []int {
 	}
 	cd, bd := e.c.Data(), e.b.Data()
 	var bad []int
-	for j := ts.c0; j < ts.c1; j++ {
+	for j := 0; j < n; j++ {
 		sum := 0.0
-		for i := ts.r0; i < ts.r1; i++ {
+		for i := bnd.r0; i < bnd.r1; i++ {
 			sum += cd[i*n+j]
 		}
 		ref := 0.0
 		for k := 0; k < n; k++ {
 			ref += band[k] * bd[k*n+j]
 		}
-		tol := relTol * in.colAbsB[j] * in.abandAbsMax[ts.r0/in.bs]
+		tol := relTol * in.colAbsB[j] * in.abandAbsMax[b]
 		if d := math.Abs(sum - ref); d > tol || math.IsNaN(d) {
 			bad = append(bad, j)
 		}
@@ -313,63 +325,60 @@ func (in *integrity) checkCols(ts *tileState) []int {
 	return bad
 }
 
-// verifyTile checks a completed tile, correcting a localized single
+// verifyBand checks a completed band, correcting a localized single
 // cell in place or discarding and re-leasing the mismatching blocks.
-func (in *integrity) verifyTile(ts *tileState) error {
+func (in *integrity) verifyBand(bnd *bandState) error {
 	e := in.e
 	e.stats.IntegrityChecks++
 	e.em.integrityCheck()
 
-	badRows := in.checkRows(ts)
+	badRows := in.checkRows(bnd)
 	if len(badRows) == 0 {
-		return in.pass(ts)
+		return in.pass(bnd)
 	}
-	badCols := in.checkCols(ts)
+	badCols := in.checkCols(bnd)
 	if len(badRows) == 1 && len(badCols) == 1 {
 		// A single suspect cell: recompute it exactly from the
 		// supervisor's pristine A/B (same ascending-k order as the kij
 		// kernel, so the corrected value is bit-identical to serial).
 		in.correctCell(badRows[0], badCols[0])
-		if badRows = in.checkRows(ts); len(badRows) == 0 {
+		if badRows = in.checkRows(bnd); len(badRows) == 0 {
 			e.stats.CorruptionsCorrected++
 			e.em.corruption("corrected")
-			return in.pass(ts)
+			return in.pass(bnd)
 		}
-		badCols = in.checkCols(ts)
+		badCols = in.checkCols(bnd)
 	}
-	return in.discard(ts, badRows, badCols)
+	return in.discard(bnd, badRows, badCols)
 }
 
-func (in *integrity) pass(ts *tileState) error {
-	ts.verified = true
-	err := in.flushTile(ts)
-	for id := range ts.contrib {
-		delete(ts.contrib, id)
-	}
+func (in *integrity) pass(bnd *bandState) error {
+	err := in.flushBand(bnd)
+	clear(bnd.contrib)
 	return err
 }
 
-// flushTile appends the tile's verified contributions to the
+// flushBand appends the band's verified contributions to the
 // checkpoint journal (deferred from commit so the journal only ever
 // holds verified blocks).
-func (in *integrity) flushTile(ts *tileState) error {
+func (in *integrity) flushBand(bnd *bandState) error {
 	e := in.e
 	if e.ckpt == nil {
 		return nil
 	}
-	ids := make([]int, 0, len(ts.contrib))
-	for id := range ts.contrib {
+	ids := make([]int, 0, len(bnd.contrib))
+	for id := range bnd.contrib {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	cd := e.c.Data()
 	for _, id := range ids {
-		tc := ts.contrib[id]
-		vals := make([]float64, len(tc.cells))
-		for i, idx := range tc.cells {
+		bc := bnd.contrib[id]
+		vals := make([]float64, len(bc.cells))
+		for i, idx := range bc.cells {
 			vals[i] = cd[idx]
 		}
-		if err := e.ckpt.AppendPayload(newCkptRecord(id, tc.cells, vals)); err != nil {
+		if err := e.ckpt.AppendPayload(newCkptRecord(id, bc.cells, vals)); err != nil {
 			return fmt.Errorf("exec: checkpoint: %w", err)
 		}
 	}
@@ -398,16 +407,16 @@ func (in *integrity) trueCell(idx int32) float64 {
 	return s
 }
 
-// discard throws away the tile's mismatching blocks: every contribution
-// owning a cell at a suspect (row, column) intersection is withdrawn
-// and its cells are re-leased to a different worker, carrying the
-// discarded values along — the recompute either reproduces them bit for
-// bit (the block was innocent, swept up by a neighbour's corruption) or
-// differs, which convicts the original computer and counts toward its
+// discard throws away the band's mismatching blocks: every
+// contribution owning a cell at a suspect (row, column) intersection is
+// withdrawn and its cells are re-leased to a different worker, carrying
+// the discarded values along — the recompute either reproduces them bit
+// for bit (the block was innocent, swept up by a neighbour's corruption)
+// or differs, which convicts the original computer and counts toward its
 // mismatch budget (see strike). Suspect cells restored from a
 // checkpoint (no contribution to blame) are recomputed without
 // charging anyone.
-func (in *integrity) discard(ts *tileState, badRows, badCols []int) error {
+func (in *integrity) discard(bnd *bandState, badRows, badCols []int) error {
 	e := in.e
 	n := e.n
 
@@ -418,8 +427,8 @@ func (in *integrity) discard(ts *tileState, badRows, badCols []int) error {
 		}
 	}
 	var discardIDs []int
-	for id, tc := range ts.contrib {
-		for _, idx := range tc.cells {
+	for id, bc := range bnd.contrib {
+		for _, idx := range bc.cells {
 			if suspect[idx] {
 				discardIDs = append(discardIDs, id)
 				break
@@ -429,18 +438,18 @@ func (in *integrity) discard(ts *tileState, badRows, badCols []int) error {
 	if len(discardIDs) == 0 {
 		// Mismatch with no localizable intersection (corruptions
 		// cancelling across lines): withdraw every contribution in the
-		// tile and treat all cells of every suspect line as suspect, so
+		// band and treat all cells of every suspect line as suspect, so
 		// progress is guaranteed.
-		for id := range ts.contrib {
+		for id := range bnd.contrib {
 			discardIDs = append(discardIDs, id)
 		}
 		for _, i := range badRows {
-			for j := ts.c0; j < ts.c1; j++ {
+			for j := 0; j < n; j++ {
 				suspect[int32(i*n+j)] = true
 			}
 		}
 		for _, j := range badCols {
-			for i := ts.r0; i < ts.r1; i++ {
+			for i := bnd.r0; i < bnd.r1; i++ {
 				suspect[int32(i*n+j)] = true
 			}
 		}
@@ -450,22 +459,22 @@ func (in *integrity) discard(ts *tileState, badRows, badCols []int) error {
 	cd := e.c.Data()
 	covered := make(map[int32]bool)
 	for _, id := range discardIDs {
-		tc := ts.contrib[id]
-		delete(ts.contrib, id)
-		prior := make([]float64, len(tc.cells))
-		for i, idx := range tc.cells {
+		bc := bnd.contrib[id]
+		delete(bnd.contrib, id)
+		prior := make([]float64, len(bc.cells))
+		for i, idx := range bc.cells {
 			prior[i] = cd[idx]
 			covered[idx] = true
 			e.doneMask[idx] = false
 			cd[idx] = 0
 			e.doneCells--
-			ts.remaining++
+			bnd.remaining++
 		}
 		e.stats.BlocksRecomputed++
 		e.em.corruption("recomputed")
 
-		nt := &blockTask{id: e.nextID, owner: in.releaseTarget(tc.from), cells: tc.cells,
-			prior: prior, priorFrom: tc.from}
+		nt := &blockTask{id: e.nextID, owner: in.releaseTarget(bc.from), cells: bc.cells,
+			prior: prior, priorFrom: bc.from}
 		e.nextID++
 		e.buildPatch(nt)
 		e.pending[nt.owner] = append(e.pending[nt.owner], nt)
@@ -488,7 +497,7 @@ func (in *integrity) discard(ts *tileState, badRows, badCols []int) error {
 			e.doneMask[idx] = false
 			cd[idx] = 0
 			e.doneCells--
-			ts.remaining++
+			bnd.remaining++
 		}
 		nt := &blockTask{id: e.nextID, owner: e.survivorsBySpeed()[0], cells: orphans}
 		e.nextID++

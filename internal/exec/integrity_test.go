@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -23,7 +25,7 @@ func detected(s *Stats) int {
 }
 
 func TestVerifyCleanRun(t *testing.T) {
-	// A fault-free run under Verify checks every tile exactly once,
+	// A fault-free run under Verify checks every band exactly once,
 	// corrects nothing, and stays bit-exact — the integrity layer must
 	// never fire on honest float rounding.
 	const n, bs = 48, 8
@@ -44,13 +46,154 @@ func TestVerifyCleanRun(t *testing.T) {
 	if !c.Equal(want) {
 		t.Fatal("verified clean run differs from serial kij")
 	}
-	tiles := (n / bs) * (n / bs)
-	if stats.IntegrityChecks != tiles {
-		t.Errorf("IntegrityChecks = %d, want %d (one per tile)", stats.IntegrityChecks, tiles)
+	if bands := n / bs; stats.IntegrityChecks != bands {
+		t.Errorf("IntegrityChecks = %d, want %d (one per band)", stats.IntegrityChecks, bands)
 	}
 	if stats.CorruptionsCorrected != 0 || stats.BlocksRecomputed != 0 || len(stats.Byzantine) != 0 {
 		t.Errorf("clean run reported corruption: corrected=%d recomputed=%d byzantine=%v",
 			stats.CorruptionsCorrected, stats.BlocksRecomputed, stats.Byzantine)
+	}
+}
+
+func TestVerifyBandHoldsTileFloor(t *testing.T) {
+	// The band check must not loosen the detection floor: a single cell
+	// off by twice its 32-column tile floor — relTol × Σ_k |A[i][k]| × s_t,
+	// s_t the largest 32-wide |B| row sum of the cell's column stripe t —
+	// is flagged, localized and corrected bit-exactly, though a
+	// full-width band row sums 8× as many cells as a tile row. The cell
+	// sits in a light stripe when B's first stripe is 100× heavier (one
+	// tolerance per row would let it pass), and in an all-zero stripe,
+	// which is held to the lightest nonzero stripe's floor.
+	const n, bs = 256, 32
+	const i, j = 100, 77
+	ratio := partition.MustRatio(10, 1, 1)
+	g, err := partition.Build(partition.SquareCorner, n, ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaleStripe := func(b *matrix.Dense, st int, f float64) {
+		for k := 0; k < n; k++ {
+			for jj := st * bs; jj < st*bs+bs; jj++ {
+				b.Set(k, jj, f*b.At(k, jj))
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		heavy, zeroed bool
+	}{
+		{"even", false, false},
+		{"heavy-first-stripe", true, false},
+		{"zero-stripe-beside-heavy", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := randomMatrices(n, 67)
+			if tc.heavy {
+				scaleStripe(b, 0, 100)
+			}
+			if tc.zeroed {
+				scaleStripe(b, j/bs, 0)
+			}
+			want := matrix.New(n)
+			matrix.MulKIJ(want, a, b)
+			e, err := newEngine(context.Background(), Config{Machine: testMachine(ratio), Algorithm: model.SCB, BlockSize: bs, Verify: true}, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.buildInitialTasks()
+
+			rowAbsA := 0.0
+			for k := 0; k < n; k++ {
+				rowAbsA += math.Abs(a.At(i, k))
+			}
+			stripes := make([]float64, n/bs) // s_t
+			for st := range stripes {
+				for k := 0; k < n; k++ {
+					s := 0.0
+					for jj := st * bs; jj < st*bs+bs; jj++ {
+						s += math.Abs(b.At(k, jj))
+					}
+					stripes[st] = max(stripes[st], s)
+				}
+			}
+			floor := stripes[j/bs]
+			if floor == 0 {
+				floor = math.Inf(1)
+				for _, s := range stripes {
+					if s > 0 {
+						floor = min(floor, s)
+					}
+				}
+			}
+			delta := 2 * relTol * rowAbsA * floor
+			// Each block reports its cells as serial kij computes them;
+			// the one holding (i, j) reports that cell off by delta.
+			for _, p := range partition.Procs {
+				for _, task := range e.pending[p] {
+					vals := make([]float64, len(task.cells))
+					for ci, idx := range task.cells {
+						vals[ci] = want.Data()[idx]
+						if idx == int32(i*n+j) {
+							vals[ci] += delta
+						}
+					}
+					if err := e.commit(blockResult{task: task, from: p, vals: vals}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if e.stats.IntegrityChecks != n/bs {
+				t.Errorf("IntegrityChecks = %d, want %d (one per band)", e.stats.IntegrityChecks, n/bs)
+			}
+			if e.stats.CorruptionsCorrected != 1 || e.stats.BlocksRecomputed != 0 {
+				t.Fatalf("corrected=%d recomputed=%d, want the one cell corrected in place",
+					e.stats.CorruptionsCorrected, e.stats.BlocksRecomputed)
+			}
+			if !e.c.Equal(want) {
+				t.Fatal("corrected product differs from serial kij")
+			}
+		})
+	}
+}
+
+func TestVerifyMixedMagnitudesNoFalsePositive(t *testing.T) {
+	// Honest rounding never trips the band check: mixed-sign inputs whose
+	// magnitudes span 1e-3 to 1e3 verify clean, with every band checked
+	// once and nothing corrected or recomputed.
+	const n = 256
+	ratio := partition.MustRatio(5, 2, 1)
+	rng := rand.New(rand.NewSource(71))
+	a, b := matrix.New(n), matrix.New(n)
+	for _, m := range []*matrix.Dense{a, b} {
+		for idx := range m.Data() {
+			v := math.Pow(10, 6*rng.Float64()-3)
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			m.Data()[idx] = v
+		}
+	}
+	want := matrix.New(n)
+	matrix.MulKIJ(want, a, b)
+	g, err := partition.Build(partition.BlockRectangle, n, ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []model.Algorithm{model.SCB, model.PCB} {
+		c, stats, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: alg, Verify: true}, g, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.Equal(want) {
+			t.Fatalf("%v: verified product differs from serial kij", alg)
+		}
+		if stats.IntegrityChecks != n/defaultBlockSize {
+			t.Errorf("%v: IntegrityChecks = %d, want %d", alg, stats.IntegrityChecks, n/defaultBlockSize)
+		}
+		if stats.CorruptionsCorrected != 0 || stats.BlocksRecomputed != 0 || len(stats.Byzantine) != 0 {
+			t.Errorf("%v: clean run flagged: corrected=%d recomputed=%d byzantine=%v",
+				alg, stats.CorruptionsCorrected, stats.BlocksRecomputed, stats.Byzantine)
+		}
 	}
 }
 
@@ -96,8 +239,9 @@ func TestVerifyScaleQuarantinesByzantine(t *testing.T) {
 	// A systematically scaling worker produces self-consistent garbage;
 	// the supervisor's independent references must catch every block,
 	// burn through the mismatch budget, quarantine the worker like a
-	// lost one (replan on survivors), and still finish bit-exact.
-	const n, bs = 48, 8
+	// lost one (replan on survivors), and still finish bit-exact. Bands
+	// of 2 rows give the scaler more blocks than its budget.
+	const n, bs = 48, 2
 	ratio := partition.MustRatio(3, 2, 1)
 	a, b := randomMatrices(n, 13)
 	want := matrix.New(n)

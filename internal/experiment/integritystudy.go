@@ -40,7 +40,7 @@ type IntegrityRow struct {
 	// nil (JSON null) when nothing was injected, because then there was
 	// nothing to detect.
 	DetectionRate *float64 `json:"detection_rate"`
-	// Checks counts C tiles ABFT-verified during the run.
+	// Checks counts C bands ABFT-verified during the run.
 	Checks int `json:"integrity_checks"`
 	// Byzantine lists workers quarantined for exceeding the mismatch
 	// budget; ReplanKind is the re-plan triggered by the quarantine
@@ -52,7 +52,7 @@ type IntegrityRow struct {
 }
 
 // IntegrityOverhead reports the cost of ABFT verification on a clean
-// run, at a production-ish block size where the O(tile) checksum work
+// run, at a production-ish block size where the O(band) checksum work
 // amortises. Each of Pairs pairs runs Verify off and on back to back,
 // alternating which runs first, so a drift of the machine's speed
 // touches both sides of a pair alike.
@@ -83,7 +83,9 @@ type IntegrityStudyResult struct {
 type IntegrityStudyConfig struct {
 	// N is the matrix dimension of the corruption rows (default 96).
 	N int
-	// BlockSize is the tile edge of the corruption rows (default 16).
+	// BlockSize is the band height of the corruption rows (default 4:
+	// enough blocks per worker for the Byzantine scaler to burn its
+	// mismatch budget and each flip row to inject).
 	BlockSize int
 	// Ratio is the processor speed ratio (default 3:2:1).
 	Ratio partition.Ratio
@@ -118,7 +120,7 @@ func (c *IntegrityStudyConfig) fill() error {
 		return &ConfigError{Field: "n", Reason: fmt.Sprintf("integrity study needs n ≥ 16, got %d", c.N)}
 	}
 	if c.BlockSize == 0 {
-		c.BlockSize = 16
+		c.BlockSize = 4
 	}
 	if c.BlockSize < 2 {
 		return &ConfigError{Field: "block", Reason: fmt.Sprintf("integrity study needs block size ≥ 2, got %d", c.BlockSize)}

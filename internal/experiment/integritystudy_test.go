@@ -8,7 +8,7 @@ import (
 )
 
 func TestIntegrityStudy(t *testing.T) {
-	// The default drill: N=96, block 16, SCB and PCB under every default
+	// The default drill: N=96, block 4, SCB and PCB under every default
 	// fault spec. Only the overhead pass is shrunk: its percentage is
 	// gated by verify.sh's study run, not here.
 	res, err := IntegrityStudy(context.Background(), IntegrityStudyConfig{

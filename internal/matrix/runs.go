@@ -97,6 +97,9 @@ func mulRunGo(crow, arow, bp []float64, n, j0, j1 int) {
 		cs[0], cs[1], cs[2], cs[3] = c0, c1, c2, c3
 		cs[4], cs[5], cs[6], cs[7] = c4, c5, c6, c7
 	}
+	if j == j1 {
+		return // no tail: skip the pivot loop over an empty one
+	}
 	tail := crow[j:j1]
 	for t, aik := range arow {
 		if aik == 0 {

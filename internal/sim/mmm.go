@@ -19,8 +19,21 @@ type Result struct {
 }
 
 // maxPIOStages caps PIO's pipeline: above it, each stage carries a
-// contiguous block of pivot steps, which bounds the task count.
+// contiguous block of pivot steps, which bounds the task count — but
+// never more than two (see pioStages).
 const maxPIOStages = 256
+
+// pioStages is how many pipeline stages PIO's task graph runs for n
+// pivot steps: n up to maxPIOStages, then maxPIOStages until a stage
+// would carry more than two pivot steps, then ⌈n/2⌉. A stage's
+// computation waits for its whole send, so a stage of m steps lengthens
+// the pipeline's critical path by (m−1)·min(step comm, step comp) over
+// the uncoarsened one, whose slack to Eq 9's Total is max(step comm,
+// step comp): two steps per stage is the most that keeps the simulated
+// makespan within Total for every pair of step times.
+func pioStages(n int) int {
+	return max(min(n, maxPIOStages), (n+1)/2)
+}
 
 // Simulate runs algorithm a for the partition on the machine and returns
 // the simulated timings.
@@ -66,7 +79,7 @@ func schedule(e *Engine, a model.Algorithm, m model.Machine, g *partition.Grid, 
 // and PCO's star relay is one message on P's link after the parallel
 // sends. fp, when non-nil, stretches each task by its processor's faults.
 //
-// PIO runs min(N, maxPIOStages) pipeline stages: stage k's sends follow
+// PIO runs pioStages(N) pipeline stages: stage k's sends follow
 // stage k−1's, and its computes follow its own sends and stage k−1's
 // computes. A stage of pivots pivot steps sends pivots × Price(table, N)
 // per sender, the model's per-step stream.
@@ -128,7 +141,7 @@ func build(e *Engine, a model.Algorithm, m model.Machine, snap partition.Metrics
 		}
 		compute("remainder", "", remainder, n, phase1)
 	case model.PIO:
-		stages := min(n, maxPIOStages)
+		stages := pioStages(n)
 		var sends, comps []*Task
 		for k := 0; k < stages; k++ {
 			pivots := (k+1)*n/stages - k*n/stages

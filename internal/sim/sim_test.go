@@ -129,8 +129,10 @@ func buildGrid(t testing.TB, s partition.Shape, n int, ratio partition.Ratio) *p
 // float summation order (the bus adds the senders' prices, Evaluate prices
 // their summed table), and PIO's pipeline lands between N/(N+1)·Total and
 // Total, and never behind SCB's no-overlap schedule. N = 300 and 512
-// exceed maxPIOStages, so they cover the coarsened pipeline. Run with -v
-// for the sim ÷ model range of every algorithm and topology.
+// exceed maxPIOStages, so they cover the coarsened pipeline, and PIO is
+// also held to its bounds at N = 700 and 1000, where a 256-stage cap
+// would put three or four pivot steps in a stage. Run with -v for the
+// sim ÷ model range of every algorithm and topology.
 func TestSimulateMatchesModel(t *testing.T) {
 	specs := []string{"fully-connected", "star", "2+1:10", "3-island:10"}
 	type key struct {
@@ -201,6 +203,17 @@ func TestSimulateMatchesModel(t *testing.T) {
 					}
 					check(model.PCB, spec, latent[i], g, true)
 					check(model.PCO, spec, latent[i], g, true)
+				}
+			}
+		}
+		for _, n := range []int{700, 1000} {
+			for _, s := range partition.AllShapes {
+				g, err := partition.Build(s, n, ratio)
+				if err != nil {
+					continue
+				}
+				for i, spec := range specs {
+					check(model.PIO, spec, plain[i], g, false)
 				}
 			}
 		}

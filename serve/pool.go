@@ -280,8 +280,9 @@ func (c *Client) probeOne(r *replica) {
 	// instead of holding Close for the rest of its timeout.
 	ctx, cancel := context.WithTimeout(c.probeCtx, timeout)
 	defer cancel()
-	ok := c.probeURL(ctx, r.url+"/readyz")
-	if !ok && c.probeStatus(ctx, r.url+"/readyz") == http.StatusNotFound {
+	status := c.probeStatus(ctx, r.url+"/readyz")
+	ok := status/100 == 2
+	if status == http.StatusNotFound {
 		ok = c.probeURL(ctx, r.url+"/healthz")
 	}
 	if ok {

@@ -236,8 +236,10 @@ func TestPoolProbeEjectsNotReady(t *testing.T) {
 // TestPoolProbeHealthzFallback: a pre-readiness server (404 on /readyz,
 // 200 on /healthz) must not be ejected — the prober falls back.
 func TestPoolProbeHealthzFallback(t *testing.T) {
+	var healthz atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {
+			healthz.Add(1)
 			w.WriteHeader(http.StatusOK)
 			return
 		}
@@ -245,8 +247,10 @@ func TestPoolProbeHealthzFallback(t *testing.T) {
 	}))
 	defer ts.Close()
 
+	// The probe interval is also each probe's timeout: 25 ms leaves a
+	// loaded 2-core host room for the fallback's two round trips.
 	c, err := NewPool([]string{ts.URL}, ClientConfig{
-		ProbeInterval:  5 * time.Millisecond,
+		ProbeInterval:  25 * time.Millisecond,
 		EjectThreshold: 2,
 	})
 	if err != nil {
@@ -254,7 +258,8 @@ func TestPoolProbeHealthzFallback(t *testing.T) {
 	}
 	defer c.Close()
 
-	time.Sleep(60 * time.Millisecond) // ~12 probe rounds
+	eventually(t, 5*time.Second, func() bool { return healthz.Load() >= 5 },
+		"prober never fell back to /healthz five times")
 	if st := c.Replicas()[0]; st.State != ReplicaActive || st.ConsecutiveFailures != 0 || c.Ejections() != 0 {
 		t.Fatalf("healthz-only replica penalised by probes: %+v, %d ejections", st, c.Ejections())
 	}

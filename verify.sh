@@ -380,7 +380,8 @@ grep -q "result MATCH" "$tmp/exec_flip.out"
 # 2. A worker that deterministically scales every result by 8: it must
 #    be quarantined as Byzantine once it burns its mismatch budget, the
 #    run finishes on the survivors, and the product is still bit-exact.
-"$tmp/mmmsim" -exec -alg SCB -n 64 -ratio 3:2:1 -block 16 \
+#    Bands of 4 rows give S more blocks than its budget of 3.
+"$tmp/mmmsim" -exec -alg SCB -n 64 -ratio 3:2:1 -block 4 \
     -verify -fault scale:S@8 > "$tmp/exec_scale.out"
 grep -q "quarantined \[S\] as Byzantine" "$tmp/exec_scale.out"
 grep -q "result MATCH" "$tmp/exec_scale.out"
