@@ -170,24 +170,7 @@ func main() {
 		Verify:          *verify,
 		MismatchBudget:  *budget,
 	}
-	var (
-		c     *matrix.Dense
-		stats *exec.Stats
-	)
-	switch alg {
-	case model.SCB, model.PCB:
-		c, stats, err = exec.MultiplyContext(ctx, cfg, g, a, b)
-	case model.SCO, model.PCO:
-		if faults != nil || *ckptPath != "" || *verify {
-			log.Fatal("-fault, -checkpoint and -verify need a barrier algorithm (SCB or PCB)")
-		}
-		c, stats, err = exec.MultiplyOverlapContext(ctx, cfg, g, a, b)
-	case model.PIO:
-		if faults != nil || *ckptPath != "" || *verify {
-			log.Fatal("-fault, -checkpoint and -verify need a barrier algorithm (SCB or PCB)")
-		}
-		c, stats, err = exec.MultiplyPIO(cfg, g, a, b)
-	}
+	c, stats, err := exec.MultiplyContext(ctx, cfg, g, a, b)
 	if err != nil {
 		if ctx.Err() != nil && *ckptPath != "" {
 			log.Fatalf("interrupted (%v); completed blocks are in %s, resume with -resume", err, *ckptPath)
@@ -257,8 +240,12 @@ func runRecoveryStudy(ctx context.Context, outPath string) {
 	}
 	report := benchExecReport{
 		Description: "Execution-engine recovery overhead: worker R killed at {10,50,90}% of its assigned work " +
-			"under SCB and PCB (N=64, ratio 3:2:1, Block-Rectangle). Each faulted run completes on the 2 survivors " +
-			"via the twoproc re-plan and is verified bit-identical to the serial kij kernel. " +
+			"under each of the five algorithms, SCB, PCB, SCO, PCO and PIO, all on the one supervised engine " +
+			"(N=64, ratio 3:2:1, Block-Rectangle, block 8). Each faulted run completes on the 2 survivors " +
+			"via the twoproc re-plan and is verified bit-identical to the serial kij kernel. Every scenario runs " +
+			"`repeats` times clean and `repeats` times faulted: the wall columns are medians with their quartiles " +
+			"(*_q1_ms, *_q3_ms), the wall penalty is the ratio of the medians, the latency a median, and the " +
+			"volumes are the first faulted run's. " +
 			"Reproduce with: go run ./cmd/mmmsim -recovery-study run -out BENCH_exec.json",
 		Environment: map[string]string{
 			"goos":   runtime.GOOS,

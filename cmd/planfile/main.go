@@ -127,9 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		if alg != heteropart.SCB && alg != heteropart.PCB {
-			alg = heteropart.SCB
-		}
 		rng := rand.New(rand.NewSource(*seed))
 		a := heteropart.NewMatrix(plan.N)
 		b := heteropart.NewMatrix(plan.N)

@@ -224,19 +224,21 @@ type ExecConfig = exec.Config
 type ExecStats = exec.Stats
 
 // Multiply computes C = A·B on three goroutine processors partitioned by
-// g, with real data movement and exact volume accounting (barrier
-// algorithms SCB/PCB).
+// g, with real data movement and exact volume accounting, under any of
+// the five algorithms (cfg.Algorithm). Every algorithm gets the same
+// leases, loss recovery, ABFT verification and checkpoints.
 func Multiply(cfg ExecConfig, g *Partition, a, b *Matrix) (*Matrix, *ExecStats, error) {
 	return exec.Multiply(cfg, g, a, b)
 }
 
-// MultiplyPIO computes C = A·B with the Parallel Interleaving Overlap
-// pipeline executed for real: each pivot step's A column and B row travel
-// in their own step-tagged packets over channels, and workers compute
-// one 64-step panel at a time while the next panel's packets are
-// already on the wire.
+// MultiplyPIO is Multiply with the Parallel Interleaving Overlap
+// schedule, whatever cfg.Algorithm says: each worker's exchanged A
+// columns and B rows arrive one 64-pivot panel at a time, and a worker
+// computes a panel as soon as it has landed, while the next one is on
+// the wire.
 func MultiplyPIO(cfg ExecConfig, g *Partition, a, b *Matrix) (*Matrix, *ExecStats, error) {
-	return exec.MultiplyPIO(cfg, g, a, b)
+	cfg.Algorithm = PIO
+	return exec.Multiply(cfg, g, a, b)
 }
 
 // Candidate reports one candidate's cost in an Optimal comparison.

@@ -43,6 +43,10 @@ type blockTask struct {
 	patchA, patchB   []int32
 	patchAV, patchBV []float64
 	speculative      bool
+	// local marks an SCO/PCO overlap task: its owner holds every A row
+	// and B column it needs, so it runs without waiting on the exchange.
+	// Only the initial cut makes local tasks.
+	local bool
 	// prior holds the discarded values (per cells) when this task is an
 	// integrity re-lease of a block withdrawn at band verification, and
 	// priorFrom the worker that computed them. Honest blocks recompute
@@ -142,8 +146,17 @@ type engine struct {
 	c     *matrix.Dense
 	stats *Stats
 
-	plan    *exchangePlan
-	workers [partition.NumProcs]*workerState
+	plan *exchangePlan
+	// aLocal/bLocal are each worker's private views of A and B: its own
+	// cells from the start, the exchanged ones as they land. The
+	// exchange writes them; the worker and its task patches write only
+	// cells the exchange never sends it.
+	aLocal, bLocal [partition.NumProcs]*matrix.Dense
+	// panel is the exchange's delivery width in pivots: n, or
+	// matrix.PivotChunk for PIO. ready[w][p] closes once panel p of w's
+	// exchanged A columns and B rows has been applied.
+	panel int
+	ready [partition.NumProcs][]chan struct{}
 	// aHave/bHave are the supervisor's record of which A and B cells each
 	// worker holds, built on first use by have: recovery and speculation
 	// patch only what is missing.
@@ -219,6 +232,10 @@ func newEngine(ctx context.Context, cfg Config, g *partition.Grid, a, b *matrix.
 		e.cfg.BlockSize = defaultBlockSize
 	}
 	e.cfg.BlockSize = min(e.cfg.BlockSize, n) // one band covers everything
+	e.panel = n
+	if cfg.Algorithm == model.PIO {
+		e.panel = matrix.PivotChunk
+	}
 	for _, p := range partition.Procs {
 		e.assign[p] = make(chan *blockTask, 1)
 		e.alive[p] = true
@@ -233,65 +250,43 @@ func newEngine(ctx context.Context, cfg Config, g *partition.Grid, a, b *matrix.
 	return e, nil
 }
 
-// run drives the whole execution: exchange, supervise the compute phase,
-// and assemble the stats.
+// run drives the whole execution: start the exchange, supervise the
+// compute phase beside it, and assemble the stats.
 func (e *engine) run() (*matrix.Dense, *Stats, error) {
 	defer func() {
 		if e.ckpt != nil {
 			e.ckpt.Close()
 		}
 	}()
+	defer e.cancel()
 	start := time.Now()
-	// Cut the initial tasks beside the exchange: the cutter reads only
-	// the owner grid and the done mask, and the exchange never touches
-	// the task lists.
+	// Cut the initial tasks beside the exchange's seeding: the cutter
+	// reads only the owner grid and the done mask, and the exchange never
+	// touches the task lists.
 	built := make(chan struct{})
 	go func() {
 		defer close(built)
 		e.buildInitialTasks()
 	}()
-	e.exchange()
+	delivered := e.exchange()
 	<-built
-
+	var err error
 	if e.doneCells < e.totalCells {
-		if err := e.supervise(); err != nil {
-			return nil, nil, err
-		}
+		err = e.supervise()
+	}
+	// The exchange never blocks for long and never outlives the call.
+	<-delivered
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Virtual clocks of the fault-free plan: the model's estimate for the
-	// partition, as every executor reports it (recovery overhead is
-	// reported separately in the stats, not folded into the model times).
+	// partition (recovery overhead is reported separately in the stats,
+	// not folded into the model times).
 	bd := model.EvaluateGrid(e.cfg.Algorithm, e.cfg.Machine, e.g)
 	e.stats.VirtualComm, e.stats.VirtualComp, e.stats.VirtualExe = bd.Comm, bd.Comp, bd.Total
 	e.stats.Wall = time.Since(start)
 	return e.c, e.stats, nil
-}
-
-// exchange seeds every worker's local views with its own cells and runs
-// the planned all-to-all through real channels: each worker sends every
-// peer its A cells in the peer's rows and its B cells in the peer's
-// columns, with every element accounted in PairVolume, and applies what
-// it receives. After it, every worker holds the full A rows and B
-// columns its own C cells need.
-func (e *engine) exchange() {
-	sp := e.tr("exchange")
-	e.workers = e.plan.newWorkers(e.a, e.b)
-	var xwg sync.WaitGroup
-	for _, w := range partition.Procs {
-		xwg.Add(1)
-		go func(w partition.Proc) {
-			defer xwg.Done()
-			e.plan.send(w, e.workers, e.a, e.b, e.stats)
-			e.workers[w].receive()
-		}(w)
-	}
-	xwg.Wait()
-	e.stats.sumVolume()
-	if sp != nil {
-		sp.SetDetail("moved=%d", e.stats.TotalVolume)
-		sp.End()
-	}
 }
 
 // have returns worker v's coverage masks, building them from the plan on
@@ -305,15 +300,34 @@ func (e *engine) have(v partition.Proc) (aHave, bHave []bool) {
 }
 
 // buildInitialTasks cuts the not-yet-done region (everything, unless a
-// checkpoint was resumed) into (band, owner) block tasks.
+// checkpoint was resumed) into (band, owner) block tasks. Under SCO and
+// PCO each (band, owner) group is cut in two, its local cells and the
+// rest, and every worker's queue starts with its local tasks: that is
+// the bulk overlap, computing what needs no exchanged data while the
+// exchange is in flight.
 func (e *engine) buildInitialTasks() {
+	overlap := e.cfg.Algorithm == model.SCO || e.cfg.Algorithm == model.PCO
+	var local []int32
 	cells := make([]int32, 0, e.totalCells-e.doneCells)
-	for idx, done := range e.doneMask {
-		if !done {
-			cells = append(cells, int32(idx))
+	n := e.n
+	for i := range n {
+		for j, done := range e.doneMask[i*n : (i+1)*n] {
+			idx := int32(i*n + j)
+			switch {
+			case done:
+			case overlap && e.plan.local(i, j):
+				local = append(local, idx)
+			default:
+				cells = append(cells, idx)
+			}
 		}
 	}
-	tasks := e.bandTasks(cells, func(idx int32) partition.Proc { return e.plan.cells[idx] })
+	ownerOf := func(idx int32) partition.Proc { return e.plan.cells[idx] }
+	tasks := e.bandTasks(local, ownerOf)
+	for _, t := range tasks {
+		t.local = true
+	}
+	tasks = append(tasks, e.bandTasks(cells, ownerOf)...)
 	for _, t := range tasks {
 		e.pending[t.owner] = append(e.pending[t.owner], t)
 	}
@@ -477,14 +491,21 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 // computeBlock computes the block's C cells bit-identically to the
 // serial kij kernel: the cells go through matrix.MulRuns as row runs, one
 // pivot chunk at a time, so heartbeats and pacing interleave with the
-// work. scratch is the worker's own C; the block's cells are zeroed
-// first, because a worker can be handed cells it computed before (an
-// integrity re-lease on a sole survivor, a re-planned speculation).
-// It returns false, without the values, once the flops computed in the
-// block reach fireIn: the worker's kill or hang fate has fired.
+// work. Before each chunk [k0, k1) a task that is not local waits at the
+// delivery gate until w holds its exchanged pivots below k1; the gate,
+// and which tasks skip it, is the only difference between the five
+// algorithms' schedules.
+// scratch is the worker's own C; the block's cells are zeroed first,
+// because a worker can be handed cells it computed before (an integrity
+// re-lease on a sole survivor, a re-planned speculation). It returns
+// false, without the values, once the flops computed in the block reach
+// fireIn (the worker's kill or hang fate has fired) or the run is
+// cancelled at the gate.
 func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limiter, scratch *matrix.Dense, fireIn float64) ([]float64, bool) {
-	ws := e.workers[w]
-	ad, bd := ws.aLocal.Data(), ws.bLocal.Data()
+	al, bl := e.aLocal[w], e.bLocal[w]
+	// Patch cells lie outside every row and column w owns a cell in, so
+	// the exchange never writes them.
+	ad, bd := al.Data(), bl.Data()
 	for i, idx := range t.patchA {
 		ad[idx] = t.patchAV[i]
 	}
@@ -500,7 +521,10 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 	cells := int64(len(t.cells))
 	for k0 := 0; k0 < n; k0 += matrix.PivotChunk {
 		k1 := min(k0+matrix.PivotChunk, n)
-		matrix.MulRuns(scratch, ws.aLocal, ws.bLocal, runs, k0, k1)
+		if !t.local && !e.await(w, k1) {
+			return nil, false
+		}
+		matrix.MulRuns(scratch, al, bl, runs, k0, k1)
 		if float64(cells*int64(k1)) >= fireIn {
 			return nil, false
 		}
@@ -514,6 +538,31 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 		vals[ci] = cd[idx]
 	}
 	return vals, true
+}
+
+// await is the delivery gate: it blocks worker w until its exchanged
+// pivots below k1 have landed, heartbeating meanwhile so that a slow
+// exchange never reads as a lost worker. It returns false if the run is
+// cancelled first.
+func (e *engine) await(w partition.Proc, k1 int) bool {
+	ready := e.ready[w][(k1-1)/e.panel]
+	select {
+	case <-ready:
+		return true
+	default:
+	}
+	tick := time.NewTicker(e.hb)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ready:
+			return true
+		case <-e.runCtx.Done():
+			return false
+		case <-tick.C:
+			e.beat(w)
+		}
+	}
 }
 
 // pacedAcquire sleeps the worker to its paced rate in slices short

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"sync"
+
 	"repro/internal/matrix"
 	"repro/internal/partition"
 )
@@ -39,34 +41,38 @@ func (x *exchangePlan) inCol(p partition.Proc, j int) bool {
 	return x.colCnt[j*partition.NumProcs+int(p)] > 0
 }
 
-// packet is one worker-to-worker transfer: matrix cell indices and
-// values. step tags the pivot of an interleaved-pipeline packet.
-type packet struct {
-	step int
-	aIdx []int32
-	aVal []float64
-	bIdx []int32
-	bVal []float64
+// local reports whether C cell (i, j) needs no exchanged data: its
+// owner holds the cell's whole A row and whole B column itself. These
+// cells are SCO's and PCO's overlap set, computable while the exchange
+// is in flight.
+func (x *exchangePlan) local(i, j int) bool {
+	p := int(x.cells[i*x.n+j])
+	return x.rowCnt[i*partition.NumProcs+p] == int32(x.n) && x.colCnt[j*partition.NumProcs+p] == int32(x.n)
 }
 
-func (pk *packet) volume() int64 { return int64(len(pk.aIdx) + len(pk.bIdx)) }
+// span is a run of consecutive row-major cell indices [lo, hi).
+type span struct{ lo, hi int32 }
+
+// packet is one worker-to-worker transfer: runs of A and B cells and
+// their values, run after run.
+type packet struct {
+	a, b       []span
+	aVal, bVal []float64
+}
+
+func (pk *packet) volume() int64 { return int64(len(pk.aVal) + len(pk.bVal)) }
 
 // apply writes a received packet into the receiver's local views.
 func (pk *packet) apply(aLocal, bLocal *matrix.Dense) {
 	ad, bd := aLocal.Data(), bLocal.Data()
-	for i, idx := range pk.aIdx {
-		ad[idx] = pk.aVal[i]
+	off := 0
+	for _, s := range pk.a {
+		off += copy(ad[s.lo:s.hi], pk.aVal[off:])
 	}
-	for i, idx := range pk.bIdx {
-		bd[idx] = pk.bVal[i]
+	off = 0
+	for _, s := range pk.b {
+		off += copy(bd[s.lo:s.hi], pk.bVal[off:])
 	}
-}
-
-// workerState is one worker's private view of the matrices, plus the
-// inbox of the bulk exchange.
-type workerState struct {
-	aLocal, bLocal *matrix.Dense
-	inbox          chan packet
 }
 
 // seed returns each worker's local A and B, holding only its own cells.
@@ -84,141 +90,143 @@ func (x *exchangePlan) seed(a, b *matrix.Dense) (aLocal, bLocal [partition.NumPr
 	return aLocal, bLocal
 }
 
-// newWorkers seeds the workers for a bulk exchange. Each inbox has room
-// for one packet from every peer, so sending never blocks.
-func (x *exchangePlan) newWorkers(a, b *matrix.Dense) [partition.NumProcs]*workerState {
-	aLocal, bLocal := x.seed(a, b)
-	var ws [partition.NumProcs]*workerState
-	for p := range ws {
-		ws[p] = &workerState{aLocal: aLocal[p], bLocal: bLocal[p], inbox: make(chan packet, partition.NumProcs-1)}
+// packet builds w's packet to v for the pivots [k0, k1): w's A cells in
+// columns k0..k1−1 of the rows v owns cells in, and w's B cells in rows
+// k0..k1−1 of the columns v owns cells in. For [0, n) that is all v
+// needs from w; the packets of any split of [0, n) into ranges hold
+// those cells once between them, so every schedule moves exactly VoC.
+func (x *exchangePlan) packet(w, v partition.Proc, k0, k1 int, a, b *matrix.Dense) packet {
+	n, np := x.n, partition.NumProcs
+	// Size the values from the line counters so they never regrow: exact
+	// for [0, n), an upper bound for a narrower range.
+	na, nb, nbCols := 0, 0, 0
+	for i := 0; i < n; i++ {
+		if x.inRow(v, i) {
+			na += min(int(x.rowCnt[i*np+int(w)]), k1-k0)
+		}
+		if x.inCol(v, i) {
+			nbCols += int(x.colCnt[i*np+int(w)])
+		}
 	}
-	return ws
-}
-
-// send is worker w's half of the bulk exchange: it builds w's packet
-// for every peer v — w's A cells in the rows v owns cells in and its B
-// cells in the columns v owns cells in — accounts it in
-// st.PairVolume[w][v], and delivers it. Only w's goroutine writes
-// st.PairVolume[w]; the caller sums TotalVolume once every send is done.
-func (x *exchangePlan) send(w partition.Proc, workers [partition.NumProcs]*workerState, a, b *matrix.Dense, st *Stats) {
-	n := x.n
+	for k := k0; k < k1; k++ {
+		nb += int(x.rowCnt[k*np+int(w)])
+	}
+	pk := packet{aVal: make([]float64, 0, na), bVal: make([]float64, 0, min(nb, nbCols))}
 	ad, bd := a.Data(), b.Data()
-	for _, v := range partition.Procs {
-		if v == w {
+	// One pass over each of w's runs of cells: its A cells lie in columns
+	// [k0, k1) of v's rows, its B cells in v's columns of rows [k0, k1).
+	for i := 0; i < n; i++ {
+		needA, needB := x.inRow(v, i), k0 <= i && i < k1
+		if !x.inRow(w, i) || !needA && !needB {
 			continue
 		}
-		// Size the packet exactly first, so building it never regrows.
-		na, nb := 0, 0
-		for i := 0; i < n; i++ {
-			if x.inRow(v, i) {
-				na += int(x.rowCnt[i*partition.NumProcs+int(w)])
-			}
-			if x.inCol(v, i) {
-				nb += int(x.colCnt[i*partition.NumProcs+int(w)])
-			}
+		j0, j1 := k0, k1
+		if needB {
+			j0, j1 = 0, n
 		}
-		pk := packet{
-			aIdx: make([]int32, 0, na), aVal: make([]float64, 0, na),
-			bIdx: make([]int32, 0, nb), bVal: make([]float64, 0, nb),
-		}
-		for i := 0; i < n; i++ {
-			if !x.inRow(w, i) {
+		base := i * n
+		row := x.cells[base : base+n]
+		for j := j0; j < j1; {
+			if row[j] != w {
+				j++
 				continue
 			}
-			needA := x.inRow(v, i)
-			base := i * n
-			for j, p := range x.cells[base : base+n] {
-				if p != w {
+			r := j
+			for j < j1 && row[j] == w {
+				j++
+			}
+			if lo, hi := max(r, k0), min(j, k1); needA && lo < hi {
+				pk.a = append(pk.a, span{int32(base + lo), int32(base + hi)})
+				pk.aVal = append(pk.aVal, ad[base+lo:base+hi]...)
+			}
+			for c := r; needB && c < j; {
+				if !x.inCol(v, c) {
+					c++
 					continue
 				}
-				idx := base + j
-				if needA {
-					pk.aIdx = append(pk.aIdx, int32(idx))
-					pk.aVal = append(pk.aVal, ad[idx])
+				c0 := c
+				for c < j && x.inCol(v, c) {
+					c++
 				}
-				if x.inCol(v, j) {
-					pk.bIdx = append(pk.bIdx, int32(idx))
-					pk.bVal = append(pk.bVal, bd[idx])
-				}
-			}
-		}
-		st.PairVolume[w][v] = pk.volume()
-		workers[v].inbox <- pk
-	}
-}
-
-// receive is the other half: it applies one packet from every peer.
-func (ws *workerState) receive() {
-	for range partition.NumProcs - 1 {
-		pk := <-ws.inbox
-		pk.apply(ws.aLocal, ws.bLocal)
-	}
-}
-
-// stepPacket builds w→v's packet for pivot k alone (the interleaved
-// pipeline): w's A cells in column k at the rows v owns cells in, and
-// w's B cells in row k at the columns v owns cells in. Over all k these
-// are exactly the cells of w's bulk packet to v.
-func (x *exchangePlan) stepPacket(w, v partition.Proc, k int, a, b *matrix.Dense) packet {
-	n := x.n
-	pk := packet{step: k}
-	if x.inCol(w, k) {
-		ad := a.Data()
-		for i := 0; i < n; i++ {
-			if idx := i*n + k; x.cells[idx] == w && x.inRow(v, i) {
-				pk.aIdx = append(pk.aIdx, int32(idx))
-				pk.aVal = append(pk.aVal, ad[idx])
-			}
-		}
-	}
-	if x.inRow(w, k) {
-		bd := b.Data()
-		for j, p := range x.cells[k*n : (k+1)*n] {
-			if idx := k*n + j; p == w && x.inCol(v, j) {
-				pk.bIdx = append(pk.bIdx, int32(idx))
-				pk.bVal = append(pk.bVal, bd[idx])
+				pk.b = append(pk.b, span{int32(base + c0), int32(base + c)})
+				pk.bVal = append(pk.bVal, bd[base+c0:base+c]...)
 			}
 		}
 	}
 	return pk
 }
 
-// runs returns p's C cells as row runs, split in two: overlap holds the
-// cells whose whole row and whole column p owns — computable before any
-// exchange lands, the SCO/PCO overlap set — and rest the others.
-func (x *exchangePlan) runs(p partition.Proc) (overlap, rest []matrix.Run) {
-	n := x.n
-	full := func(cnt []int32, line int) bool { return cnt[line*partition.NumProcs+int(p)] == int32(n) }
-	for i := 0; i < n; i++ {
-		if !x.inRow(p, i) {
-			continue
+// exchange seeds every worker's local views with its own cells and
+// starts the planned all-to-all on goroutines of its own, beside the
+// workers, so a worker's kill or hang fate never stops a send: each
+// worker sends every peer its A cells in the peer's rows and its B cells
+// in the peer's columns, with every element accounted in PairVolume, and
+// applies what it receives. The pivots travel in panels of e.panel — one
+// panel [0, n), or one per matrix.PivotChunk pivots for PIO — and
+// e.ready[w][p] closes once panel p's A columns and B rows have landed
+// in w's views; computeBlock's gate waits on it. The returned channel
+// closes once every packet is applied and TotalVolume is summed.
+func (e *engine) exchange() <-chan struct{} {
+	sp := e.tr("exchange")
+	e.aLocal, e.bLocal = e.plan.seed(e.a, e.b)
+	panels := (e.n + e.panel - 1) / e.panel
+	// inbox[v][w] carries w's packets to v in pivot order. w sends panel p
+	// only after it has taken v's panel p−1, which v sends only after it
+	// has taken w's panel p−2, so at most two packets wait per pair and
+	// a send never blocks.
+	var inbox [partition.NumProcs][partition.NumProcs]chan packet
+	for _, v := range partition.Procs {
+		e.ready[v] = make([]chan struct{}, panels)
+		for p := range e.ready[v] {
+			e.ready[v][p] = make(chan struct{})
 		}
-		fullRow := full(x.rowCnt, i)
-		row := x.cells[i*n : (i+1)*n]
-		for j := 0; j < n; {
-			if row[j] != p {
-				j++
-				continue
-			}
-			ov := fullRow && full(x.colCnt, j)
-			j0 := j
-			for j < n && row[j] == p && (fullRow && full(x.colCnt, j)) == ov {
-				j++
-			}
-			r := matrix.Run{Row: i, J0: j0, J1: j}
-			if ov {
-				overlap = append(overlap, r)
-			} else {
-				rest = append(rest, r)
+		for _, w := range partition.Procs {
+			if w != v {
+				inbox[v][w] = make(chan packet, 2)
 			}
 		}
 	}
-	return overlap, rest
+	var xwg sync.WaitGroup
+	for _, w := range partition.Procs {
+		xwg.Add(1)
+		go func() {
+			defer xwg.Done()
+			for p := range panels {
+				k0 := p * e.panel
+				k1 := min(k0+e.panel, e.n)
+				for _, v := range partition.Procs {
+					if v != w {
+						pk := e.plan.packet(w, v, k0, k1, e.a, e.b)
+						e.stats.PairVolume[w][v] += pk.volume() // only w's goroutine writes row w
+						inbox[v][w] <- pk
+					}
+				}
+				for _, v := range partition.Procs {
+					if v != w {
+						pk := <-inbox[w][v]
+						pk.apply(e.aLocal[w], e.bLocal[w])
+					}
+				}
+				close(e.ready[w][p])
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		xwg.Wait()
+		e.stats.sumVolume()
+		if sp != nil {
+			sp.SetDetail("moved=%d", e.stats.TotalVolume)
+			sp.End()
+		}
+		close(done)
+	}()
+	return done
 }
 
-// coverage returns which A and B cells worker v holds once the bulk
-// exchange has been applied: all of every row and every column it owns
-// a cell in (which includes its own cells).
+// coverage returns which A and B cells worker v holds once the exchange
+// has been applied: all of every row and every column it owns a cell in
+// (which includes its own cells).
 func (x *exchangePlan) coverage(v partition.Proc) (aHave, bHave []bool) {
 	n := x.n
 	aHave, bHave = make([]bool, n*n), make([]bool, n*n)

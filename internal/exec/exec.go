@@ -5,24 +5,31 @@
 // experiment (Section X-B): data actually moves between workers through
 // channels, every transferred element is accounted, processor speed
 // ratios are imposed with the token-bucket throttle, and the numerical
-// result is bit-identical to the serial kij kernel. All five algorithms
-// plan their data movement with one exchange planner (exchange.go), and
-// every worker computes only its own C cells, as row runs through
-// matrix.MulRuns.
+// result is bit-identical to the serial kij kernel. Every worker
+// computes only its own C cells, as row runs through matrix.MulRuns.
 //
-// The barrier algorithms (SCB, PCB) run on a supervised block scheduler
-// (engine.go): the multiplication is split into block tasks — one
-// owner's cells in a band of rows across the full width — with lease +
-// heartbeat tracking, completed C-blocks are journal-checkpointed so a
-// killed run resumes byte-identically, and a worker lost mid-multiply is
-// survived by re-planning the remaining region on the survivors — 3→2
-// with the optimal two-processor shapes of the authors' prior work
+// All five algorithms run on one supervised block scheduler (engine.go):
+// the multiplication is split into block tasks — one owner's cells in a
+// band of rows across the full width — with lease + heartbeat tracking,
+// completed C-blocks are journal-checkpointed so a killed run resumes
+// byte-identically, and a worker lost mid-multiply is survived by
+// re-planning the remaining region on the survivors — 3→2 with the
+// optimal two-processor shapes of the authors' prior work
 // (internal/twoproc), 2→1 with a serial fallback. Stragglers are
 // speculatively re-executed on the fastest idle survivor, with results
 // deduplicated by block id so the volume accounting stays exact. A
 // worker's result is also its request for the next block, so the
 // supervisor commits and verifies one block while the worker computes
 // the next.
+//
+// The algorithms differ only in a delivery gate. The exchange
+// (exchange.go) runs beside the workers and delivers each worker's
+// exchanged A columns and B rows in pivot panels: one panel for SCB, PCB,
+// SCO and PCO, one per matrix.PivotChunk pivots for PIO. A task computes
+// a pivot chunk only once its worker holds that chunk's pivots, so PIO
+// computes panel p while panel p+1 is on the wire. SCO and PCO also queue
+// each worker's local tasks first — the cells whose whole A row and B
+// column it owns — and those never wait: that is the bulk overlap.
 package exec
 
 import (
@@ -42,13 +49,17 @@ import (
 type Config struct {
 	// Machine supplies the speed ratio, network model and topology.
 	Machine model.Machine
-	// Algorithm must be a barrier algorithm (SCB or PCB) for Multiply;
-	// the bulk-overlap algorithms run through MultiplyOverlap and the
-	// interleaved pipeline through MultiplyPIO.
+	// Algorithm picks the schedule — when a task may compute on
+	// exchanged data (see the package comment) — and the model behind
+	// the virtual clocks and the recovery re-plan's two-processor shape.
+	// Leases, recovery, speculation, Verify, checkpoints, pacing, tracing
+	// and metrics work the same for all five.
 	Algorithm model.Algorithm
 	// Pace, when true, throttles each worker to its relative speed in
-	// real time (the paper's CPU-limiter experiment). When false the run
-	// goes at full machine speed and only the virtual clocks are paced.
+	// real time (the paper's CPU-limiter experiment), under every
+	// algorithm; a worker waiting on the exchange is not throttled. When
+	// false the run goes at full machine speed and only the virtual
+	// clocks are paced.
 	Pace bool
 	// PaceFlopsPerSec is the real flops/s granted to the slowest
 	// processor when Pace is set (default 5e7).
@@ -215,16 +226,23 @@ func Multiply(cfg Config, g *partition.Grid, a, b *matrix.Dense) (*matrix.Dense,
 	return MultiplyContext(context.Background(), cfg, g, a, b)
 }
 
-// MultiplyContext computes C = A·B on the supervised block scheduler,
-// honouring ctx: cancellation stops the supervisor and unwinds every
-// worker promptly, including workers sleeping in the pacing throttle.
+// MultiplyOverlap is Multiply, kept as the bulk-overlap entry point:
+// with cfg.Algorithm SCO or PCO it runs the Eq 7/8 schedule.
+func MultiplyOverlap(cfg Config, g *partition.Grid, a, b *matrix.Dense) (*matrix.Dense, *Stats, error) {
+	return Multiply(cfg, g, a, b)
+}
+
+// MultiplyContext computes C = A·B on the supervised block scheduler
+// under cfg.Algorithm, honouring ctx: cancellation stops the supervisor
+// and unwinds every worker promptly, including workers sleeping in the
+// pacing throttle or waiting on the exchange.
 func MultiplyContext(ctx context.Context, cfg Config, g *partition.Grid, a, b *matrix.Dense) (*matrix.Dense, *Stats, error) {
 	n := g.N()
 	if a.N() != n || b.N() != n {
 		return nil, nil, fmt.Errorf("exec: matrices are %d×%d, partition is %d×%d", a.N(), a.N(), n, n)
 	}
-	if cfg.Algorithm != model.SCB && cfg.Algorithm != model.PCB {
-		return nil, nil, fmt.Errorf("exec: algorithm %v not supported (want SCB or PCB)", cfg.Algorithm)
+	if int(cfg.Algorithm) >= model.NumAlgorithms {
+		return nil, nil, fmt.Errorf("exec: unknown algorithm %v", cfg.Algorithm)
 	}
 	if err := cfg.Machine.Ratio.Validate(); err != nil {
 		return nil, nil, err

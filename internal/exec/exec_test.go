@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/matrix"
 	"repro/internal/model"
@@ -21,18 +23,6 @@ func randomMatrices(n int, seed int64) (*matrix.Dense, *matrix.Dense) {
 	a.FillRandom(rng)
 	b.FillRandom(rng)
 	return a, b
-}
-
-// multiplyAlg runs cfg.Algorithm through its executor.
-func multiplyAlg(cfg Config, g *partition.Grid, a, b *matrix.Dense) (*matrix.Dense, *Stats, error) {
-	switch cfg.Algorithm {
-	case model.SCB, model.PCB:
-		return Multiply(cfg, g, a, b)
-	case model.SCO, model.PCO:
-		return MultiplyOverlap(cfg, g, a, b)
-	default:
-		return MultiplyPIO(cfg, g, a, b)
-	}
 }
 
 func TestMultiplyCanonicalShapesBitExact(t *testing.T) {
@@ -56,7 +46,7 @@ func TestMultiplyCanonicalShapesBitExact(t *testing.T) {
 		}
 		for name, g := range grids {
 			for _, alg := range model.AllAlgorithms {
-				c, stats, err := multiplyAlg(Config{Machine: testMachine(ratio), Algorithm: alg}, g, a, b)
+				c, stats, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: alg}, g, a, b)
 				if err != nil {
 					t.Fatalf("n=%d %v %s: %v", n, alg, name, err)
 				}
@@ -73,7 +63,8 @@ func TestMultiplyCanonicalShapesBitExact(t *testing.T) {
 }
 
 func TestMultiplyArbitraryPartitionBitExact(t *testing.T) {
-	// A raw random non-shape must also compute correctly.
+	// A raw random non-shape must also compute correctly, under every
+	// algorithm.
 	const n = 40
 	ratio := partition.MustRatio(3, 2, 1)
 	rng := rand.New(rand.NewSource(7))
@@ -81,15 +72,20 @@ func TestMultiplyArbitraryPartitionBitExact(t *testing.T) {
 	a, b := randomMatrices(n, 2)
 	want := matrix.New(n)
 	matrix.MulKIJ(want, a, b)
-	c, stats, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: model.PCB}, g, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(want) {
-		t.Error("random-partition product differs from serial kij")
-	}
-	if stats.TotalVolume != g.VoC() {
-		t.Errorf("measured volume %d != VoC %d", stats.TotalVolume, g.VoC())
+	for _, alg := range model.AllAlgorithms {
+		c, stats, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: alg}, g, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.Equal(want) {
+			t.Errorf("%v: random-partition product differs from serial kij", alg)
+		}
+		if stats.TotalVolume != g.VoC() {
+			t.Errorf("%v: measured volume %d != VoC %d", alg, stats.TotalVolume, g.VoC())
+		}
+		if stats.VirtualExe <= 0 {
+			t.Errorf("%v: virtual timing missing", alg)
+		}
 	}
 }
 
@@ -130,31 +126,39 @@ func TestMultiplyDFATerminalState(t *testing.T) {
 }
 
 // TestMultiplyVirtualTimesMatchModel: the engine's virtual clocks are the
-// model's, bit for bit, on every topology — star's relay and a link
-// matrix included.
+// model's, bit for bit, for every algorithm on every topology — star's
+// relay and a link matrix included — on a rectangular partition and on
+// one where SCO and PCO have local tasks.
 func TestMultiplyVirtualTimesMatchModel(t *testing.T) {
 	const n = 60
-	ratio := partition.MustRatio(4, 2, 1)
-	g, err := partition.Build(partition.BlockRectangle, n, ratio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := randomMatrices(n, 4)
-	for _, topo := range []string{"fully-connected", "star", "3-island:10"} {
-		spec, err := model.ParseTopologySpec(topo)
+	for _, pc := range []struct {
+		shape partition.Shape
+		ratio partition.Ratio
+	}{
+		{partition.BlockRectangle, partition.MustRatio(4, 2, 1)},
+		{partition.SquareCorner, partition.MustRatio(10, 1, 1)},
+	} {
+		g, err := partition.Build(pc.shape, n, pc.ratio)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := spec.Apply(testMachine(ratio))
-		for _, alg := range []model.Algorithm{model.SCB, model.PCB} {
-			_, stats, err := Multiply(Config{Machine: m, Algorithm: alg}, g, a, b)
+		a, b := randomMatrices(n, 4)
+		for _, topo := range []string{"fully-connected", "star", "3-island:10"} {
+			spec, err := model.ParseTopologySpec(topo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := model.EvaluateGrid(alg, m, g)
-			if stats.VirtualComm != want.Comm || stats.VirtualComp != want.Comp || stats.VirtualExe != want.Total {
-				t.Errorf("%s %v: virtual comm/comp/exe %g/%g/%g, model %g/%g/%g", topo, alg,
-					stats.VirtualComm, stats.VirtualComp, stats.VirtualExe, want.Comm, want.Comp, want.Total)
+			m := spec.Apply(testMachine(pc.ratio))
+			for _, alg := range model.AllAlgorithms {
+				_, stats, err := Multiply(Config{Machine: m, Algorithm: alg}, g, a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := model.EvaluateGrid(alg, m, g)
+				if stats.VirtualComm != want.Comm || stats.VirtualComp != want.Comp || stats.VirtualExe != want.Total {
+					t.Errorf("%v %s %v: virtual comm/comp/exe %g/%g/%g, model %g/%g/%g", pc.shape, topo, alg,
+						stats.VirtualComm, stats.VirtualComp, stats.VirtualExe, want.Comm, want.Comp, want.Total)
+				}
 			}
 		}
 	}
@@ -197,22 +201,23 @@ func TestMultiplyPacedRun(t *testing.T) {
 	a, b := randomMatrices(n, 6)
 	want := matrix.New(n)
 	matrix.MulKIJ(want, a, b)
-	// Slowest worker: n³/T flops at 2e6 flops/s ≈ 6.5k/2e6... keep small.
-	c, stats, err := Multiply(Config{
-		Machine:         testMachine(ratio),
-		Algorithm:       model.SCB,
-		Pace:            true,
-		PaceFlopsPerSec: 2e5,
-	}, g, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(want) {
-		t.Error("paced product wrong")
-	}
-	// S computes ∈S·n = (n²/4)·n = 8192 ops at 2e5/s ≈ 41ms minimum.
-	if stats.Wall.Seconds() < 0.02 {
-		t.Errorf("paced run finished implausibly fast: %v", stats.Wall)
+	for _, alg := range model.AllAlgorithms {
+		c, stats, err := Multiply(Config{
+			Machine:         testMachine(ratio),
+			Algorithm:       alg,
+			Pace:            true,
+			PaceFlopsPerSec: 2e5,
+		}, g, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.Equal(want) {
+			t.Errorf("%v: paced product wrong", alg)
+		}
+		// S computes ∈S·n = (n²/4)·n = 8192 ops at 2e5/s ≈ 41ms minimum.
+		if stats.Wall.Seconds() < 0.02 {
+			t.Errorf("%v: paced run finished implausibly fast: %v", alg, stats.Wall)
+		}
 	}
 }
 
@@ -220,15 +225,17 @@ func TestMultiplyArgumentValidation(t *testing.T) {
 	ratio := partition.MustRatio(2, 1, 1)
 	g := partition.NewGrid(8)
 	a, b := randomMatrices(8, 7)
-	if _, _, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: model.PIO}, g, a, b); err == nil {
-		t.Error("PIO should be rejected")
+	if _, _, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: model.Algorithm(model.NumAlgorithms)}, g, a, b); err == nil {
+		t.Error("an unknown algorithm should be rejected")
 	}
 	small, _ := randomMatrices(4, 7)
-	if _, _, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: model.SCB}, g, small, b); err == nil {
-		t.Error("dimension mismatch should error")
-	}
-	if _, _, err := Multiply(Config{Algorithm: model.SCB}, g, a, b); err == nil {
-		t.Error("invalid machine ratio should error")
+	for _, alg := range model.AllAlgorithms {
+		if _, _, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: alg}, g, small, b); err == nil {
+			t.Errorf("%v: dimension mismatch should error", alg)
+		}
+		if _, _, err := Multiply(Config{Algorithm: alg}, g, a, b); err == nil {
+			t.Errorf("%v: invalid machine ratio should error", alg)
+		}
 	}
 }
 
@@ -268,41 +275,47 @@ func BenchmarkMultiplySCB(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiplyN512 is the engine-against-overlap gap at the size
-// the repository benchmark runs: SCB and PCB on the supervised engine
-// with ABFT on, beside SCO's bulk-overlap executor, on Square-Corner
-// 10:1:1 at N=512.
+// BenchmarkMultiplyN512 is the traffic the repository benchmark's
+// multiply workload runs, at its size: all five algorithms on the one
+// engine, SCB and PCB with Verify on as the benchmark runs them, on
+// Square-Corner 10:1:1 (where SCO and PCO overlap local tasks with the
+// exchange) and Block-Rectangle 5:2:1 (where they have none).
 func BenchmarkMultiplyN512(b *testing.B) {
 	const n = 512
-	ratio := partition.MustRatio(10, 1, 1)
-	g, err := partition.Build(partition.SquareCorner, n, ratio)
-	if err != nil {
-		b.Fatal(err)
-	}
 	x, y := randomMatrices(n, 1)
-	for _, bc := range []struct {
-		name   string
-		alg    model.Algorithm
-		verify bool
+	for _, pc := range []struct {
+		name  string
+		shape partition.Shape
+		ratio partition.Ratio
 	}{
-		{"SCB+Verify", model.SCB, true},
-		{"PCB+Verify", model.PCB, true},
-		{"SCO", model.SCO, false},
+		{"SquareCorner10:1:1", partition.SquareCorner, partition.MustRatio(10, 1, 1)},
+		{"BlockRectangle5:2:1", partition.BlockRectangle, partition.MustRatio(5, 2, 1)},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := Config{Machine: testMachine(ratio), Algorithm: bc.alg, Verify: bc.verify}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := multiplyAlg(cfg, g, x, y); err != nil {
-					b.Fatal(err)
-				}
+		g, err := partition.Build(pc.shape, n, pc.ratio)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, alg := range model.AllAlgorithms {
+			verify := alg == model.SCB || alg == model.PCB
+			name := pc.name + "/" + alg.String()
+			if verify {
+				name += "+Verify"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				cfg := Config{Machine: testMachine(pc.ratio), Algorithm: alg, Verify: verify}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := Multiply(cfg, g, x, y); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
 func TestMultiplyPIOBitExact(t *testing.T) {
-	// The interleaved pipeline must produce the serial kij product
+	// The panel-gated schedule must produce the serial kij product
 	// bit-exactly for every canonical shape and move exactly VoC elements.
 	const n = 40
 	ratio := partition.MustRatio(5, 2, 1)
@@ -314,7 +327,7 @@ func TestMultiplyPIOBitExact(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		c, stats, err := MultiplyPIO(Config{Machine: testMachine(ratio), Algorithm: model.PIO}, g, a, b)
+		c, stats, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: model.PIO}, g, a, b)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -335,7 +348,7 @@ func TestMultiplyPIORandomPartition(t *testing.T) {
 	a, b := randomMatrices(n, 12)
 	want := matrix.New(n)
 	matrix.MulKIJ(want, a, b)
-	c, stats, err := MultiplyPIO(Config{Machine: testMachine(ratio)}, g, a, b)
+	c, stats, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: model.PIO}, g, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,19 +366,19 @@ func TestMultiplyPIORandomPartition(t *testing.T) {
 func TestMultiplyPIOValidation(t *testing.T) {
 	g := partition.NewGrid(8)
 	a, b := randomMatrices(4, 1)
-	if _, _, err := MultiplyPIO(Config{Machine: testMachine(partition.MustRatio(2, 1, 1))}, g, a, b); err == nil {
+	if _, _, err := Multiply(Config{Machine: testMachine(partition.MustRatio(2, 1, 1)), Algorithm: model.PIO}, g, a, b); err == nil {
 		t.Error("dimension mismatch should error")
 	}
 	a8, b8 := randomMatrices(8, 1)
-	if _, _, err := MultiplyPIO(Config{}, g, a8, b8); err == nil {
+	if _, _, err := Multiply(Config{Algorithm: model.PIO}, g, a8, b8); err == nil {
 		t.Error("invalid ratio should error")
 	}
 }
 
 func TestMultiplyPIOAgreesWithBarrierVolumes(t *testing.T) {
-	// PIO and SCB move the same total volume — just on different
-	// schedules.
-	const n = 36
+	// PIO and SCB move the same pair volumes — PIO in one packet per
+	// peer per pivot panel, SCB in one per peer.
+	const n = 136 // three PIO panels, the last one ragged
 	ratio := partition.MustRatio(4, 2, 1)
 	g, err := partition.Build(partition.LRectangle, n, ratio)
 	if err != nil {
@@ -376,7 +389,7 @@ func TestMultiplyPIOAgreesWithBarrierVolumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pio, err := MultiplyPIO(Config{Machine: testMachine(ratio)}, g, a, b)
+	_, pio, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: model.PIO}, g, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,8 +428,8 @@ func TestMultiplyOverlapBitExact(t *testing.T) {
 }
 
 func TestMultiplyOverlapPartitionsWork(t *testing.T) {
-	// The overlap and remainder masks partition the worker's cells: with
-	// an all-P grid everything is overlap and no traffic flows.
+	// The local and the gated tasks partition the worker's cells: with an
+	// all-P grid everything is local, nothing waits and no traffic flows.
 	const n = 20
 	ratio := partition.MustRatio(2, 1, 1)
 	g := partition.NewGrid(n)
@@ -436,11 +449,9 @@ func TestMultiplyOverlapPartitionsWork(t *testing.T) {
 }
 
 func TestMultiplyOverlapValidation(t *testing.T) {
+	// MultiplyOverlap is Multiply: it validates the same way.
 	g := partition.NewGrid(8)
 	a, b := randomMatrices(8, 17)
-	if _, _, err := MultiplyOverlap(Config{Machine: testMachine(partition.MustRatio(2, 1, 1)), Algorithm: model.SCB}, g, a, b); err == nil {
-		t.Error("SCB must be rejected by the overlap executor")
-	}
 	small, _ := randomMatrices(4, 17)
 	if _, _, err := MultiplyOverlap(Config{Machine: testMachine(partition.MustRatio(2, 1, 1)), Algorithm: model.SCO}, g, small, b); err == nil {
 		t.Error("dimension mismatch must be rejected")
@@ -466,5 +477,123 @@ func TestMultiplyOverlapVirtualMatchesModel(t *testing.T) {
 	want := model.EvaluateGrid(model.PCO, m, g)
 	if stats.VirtualExe != want.Total {
 		t.Errorf("virtual exe %g vs model %g", stats.VirtualExe, want.Total)
+	}
+}
+
+func TestInitialCutLocalTasksFirst(t *testing.T) {
+	// The cutter's half of the delivery gate: under SCO and PCO every
+	// worker's queue starts with its local tasks, whose cells are exactly
+	// its cells with a whole A row and B column of its own; SCB, PCB and
+	// PIO cut no local tasks, and neither does loss recovery.
+	const n, bs = 60, 8
+	ratio := partition.MustRatio(10, 1, 1)
+	g, err := partition.Build(partition.SquareCorner, n, ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := randomMatrices(n, 51)
+	for _, alg := range model.AllAlgorithms {
+		e, err := newEngine(context.Background(), Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: bs}, g, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.buildInitialTasks()
+		overlap := alg == model.SCO || alg == model.PCO
+		for _, p := range partition.Procs {
+			want := map[int32]bool{}
+			for i := range n {
+				for j := range n {
+					if overlap && g.At(i, j) == p && g.RowCount(i, p) == n && g.ColCount(j, p) == n {
+						want[int32(i*n+j)] = true
+					}
+				}
+			}
+			got := map[int32]bool{}
+			gated := false
+			for _, task := range e.pending[p] {
+				if task.owner != p {
+					t.Fatalf("%v: %v's queue holds a task of %v", alg, p, task.owner)
+				}
+				if !task.local {
+					gated = true
+					continue
+				}
+				if gated {
+					t.Fatalf("%v: %v's local task %d is queued after a gated one", alg, p, task.id)
+				}
+				for _, idx := range task.cells {
+					got[idx] = true
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v: %v has %d local cells, want %d", alg, p, len(got), len(want))
+			}
+			for idx := range want {
+				if !got[idx] {
+					t.Fatalf("%v: %v's cell %d is local but in a gated task", alg, p, idx)
+				}
+			}
+		}
+		if q := e.pending[partition.P]; overlap && (len(q) == 0 || !q[0].local) {
+			t.Fatalf("%v: Square-Corner 10:1:1 gives P no local task", alg)
+		}
+		if err := e.evict(partition.R, time.Now(), false); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range partition.Procs {
+			for _, task := range e.pending[p] {
+				if task.local {
+					t.Fatalf("%v: recovery cut local task %d for %v", alg, task.id, p)
+				}
+			}
+		}
+		e.cancel()
+	}
+}
+
+func TestDeliveryGate(t *testing.T) {
+	// await lets a pivot chunk through only once the panel holding its
+	// last pivot has landed, heartbeats while it waits, and gives up when
+	// the run is cancelled.
+	const n = 136 // three PIO panels, the last one ragged
+	ratio := partition.MustRatio(3, 2, 1)
+	g, err := partition.Build(partition.BlockRectangle, n, ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := randomMatrices(n, 53)
+	e, err := newEngine(context.Background(), Config{Machine: testMachine(ratio), Algorithm: model.PIO, HeartbeatEvery: time.Millisecond}, g, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := partition.R
+	for range 3 {
+		e.ready[w] = append(e.ready[w], make(chan struct{}))
+	}
+	through := make(chan bool, 1)
+	go func() { through <- e.await(w, 2*matrix.PivotChunk) }() // pivots [64, 128): panel 1
+	close(e.ready[w][0])
+	e.beat(w)
+	before := e.lastBeat(w)
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-through:
+		t.Fatal("chunk ran before its panel landed")
+	default:
+	}
+	if !e.lastBeat(w).After(before) {
+		t.Error("a worker waiting at the gate stopped heartbeating")
+	}
+	close(e.ready[w][1])
+	if !<-through {
+		t.Fatal("chunk refused after its panel landed")
+	}
+	if !e.await(w, matrix.PivotChunk) {
+		t.Fatal("landed panel 0 refused")
+	}
+	go func() { through <- e.await(w, n) }()
+	e.cancel()
+	if <-through {
+		t.Fatal("gate opened on cancellation")
 	}
 }

@@ -29,13 +29,14 @@ func fastFailover(cfg Config) Config {
 
 func TestMultiplyKillRecoveryBitExact(t *testing.T) {
 	// The acceptance chaos proof: a worker killed at {10,50,90}% of its
-	// assigned work under SCB and PCB strands its remaining blocks, the
-	// lease expires, and the remainder is re-planned on the two survivors
-	// with the prior work's optimal two-processor shapes — and the final
-	// matrix is still bit-identical to the serial kij kernel. The ragged
-	// case cuts the remainder into 24-row bands that n=130 cuts short at
-	// the bottom edge, so uneven recovery blocks go through the kernel
-	// too.
+	// assigned work under each of the five algorithms strands its
+	// remaining blocks, the lease expires, and the remainder is
+	// re-planned on the two survivors with the prior work's optimal
+	// two-processor shapes — and the final matrix is still bit-identical
+	// to the serial kij kernel. The ragged case cuts the remainder into
+	// 24-row bands that n=130 cuts short at the bottom edge, and PIO's
+	// last pivot panel short too, so uneven recovery blocks and panels go
+	// through the kernel and the delivery gate.
 	ratio := partition.MustRatio(3, 2, 1)
 	for _, tc := range []struct {
 		n, blockSize int
@@ -43,8 +44,8 @@ func TestMultiplyKillRecoveryBitExact(t *testing.T) {
 		fracs        []float64
 		tag          string
 	}{
-		{n: 48, blockSize: 8, algs: []model.Algorithm{model.SCB, model.PCB}, fracs: []float64{0.1, 0.5, 0.9}},
-		{n: 130, blockSize: 24, algs: []model.Algorithm{model.SCB}, fracs: []float64{0.5}, tag: "/ragged-n130"},
+		{n: 48, blockSize: 8, algs: model.AllAlgorithms[:], fracs: []float64{0.1, 0.5, 0.9}},
+		{n: 130, blockSize: 24, algs: model.AllAlgorithms[:], fracs: []float64{0.5}, tag: "/ragged-n130"},
 	} {
 		n := tc.n
 		a, b := randomMatrices(n, 11)
@@ -110,7 +111,7 @@ func TestMultiplyKillRecoveryBitExact(t *testing.T) {
 
 func TestMultiplyKillInsideOnlyBlock(t *testing.T) {
 	// A fate fires inside a block, not between blocks: with BlockSize ≥ n
-	// each worker holds exactly one block, and R killed at half its work
+	// each worker holds exactly one gated block, and R killed at half its work
 	// must die holding it, unreported — lost, re-planned on the two
 	// survivors, and the product still bit-exact. n = 96 gives each block
 	// two pivot chunks, so the kill lands after the first.
@@ -123,7 +124,17 @@ func TestMultiplyKillInsideOnlyBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []model.Algorithm{model.SCB, model.PCB} {
+	// Under SCO and PCO, P also holds a local block where the corner
+	// squares leave it whole rows and columns of its own.
+	locals := 0
+	x := newExchangePlan(g)
+	for idx := range n * n {
+		if x.local(idx/n, idx%n) {
+			locals = 1
+			break
+		}
+	}
+	for _, alg := range model.AllAlgorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			fp := sim.NewFaultPlan()
 			if err := fp.AddWorkerKill(partition.R, 0.5); err != nil {
@@ -134,8 +145,12 @@ func TestMultiplyKillInsideOnlyBlock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.Blocks != partition.NumProcs {
-				t.Fatalf("Blocks = %d, want one per worker", stats.Blocks)
+			blocks := partition.NumProcs
+			if alg == model.SCO || alg == model.PCO {
+				blocks += locals
+			}
+			if stats.Blocks != blocks {
+				t.Fatalf("Blocks = %d, want %d: one per worker, plus P's local block under SCO/PCO", stats.Blocks, blocks)
 			}
 			if !c.Equal(want) {
 				t.Fatal("product differs from serial kij")
@@ -172,20 +187,27 @@ func TestMultiplyDoubleKillSerialFallback(t *testing.T) {
 	if err := fp.AddWorkerKill(partition.S, 0.4); err != nil {
 		t.Fatal(err)
 	}
-	cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: model.SCB, BlockSize: 8, Faults: fp})
-	c, stats, err := Multiply(cfg, g, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(want) {
-		t.Fatal("double-kill product differs from serial kij")
-	}
-	if stats.Survivors() != 1 {
-		t.Fatalf("Survivors() = %d, want 1", stats.Survivors())
-	}
-	kinds := strings.Join(stats.RecoveryKinds, ",")
-	if !strings.Contains(kinds, "replan-serial") {
-		t.Fatalf("RecoveryKinds = %v, want a replan-serial", stats.RecoveryKinds)
+	for _, alg := range model.AllAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: 8, Faults: fp})
+			c, stats, err := Multiply(cfg, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.Equal(want) {
+				t.Fatal("double-kill product differs from serial kij")
+			}
+			if stats.Survivors() != 1 {
+				t.Fatalf("Survivors() = %d, want 1", stats.Survivors())
+			}
+			kinds := strings.Join(stats.RecoveryKinds, ",")
+			if !strings.Contains(kinds, "replan-serial") {
+				t.Fatalf("RecoveryKinds = %v, want a replan-serial", stats.RecoveryKinds)
+			}
+			if stats.TotalVolume != g.VoC() {
+				t.Errorf("TotalVolume %d != VoC %d", stats.TotalVolume, g.VoC())
+			}
+		})
 	}
 }
 
@@ -204,10 +226,12 @@ func TestMultiplyAllWorkersLost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: model.SCB, BlockSize: 8, Faults: fp})
-	_, _, err = Multiply(cfg, g, a, b)
-	if err == nil || !strings.Contains(err.Error(), "all workers lost") {
-		t.Fatalf("err = %v, want all-workers-lost failure", err)
+	for _, alg := range model.AllAlgorithms {
+		cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: 8, Faults: fp})
+		_, _, err = Multiply(cfg, g, a, b)
+		if err == nil || !strings.Contains(err.Error(), "all workers lost") {
+			t.Fatalf("%v: err = %v, want all-workers-lost failure", alg, err)
+		}
 	}
 }
 
@@ -229,16 +253,20 @@ func TestMultiplyHangRecovery(t *testing.T) {
 	if err := fp.AddWorkerHang(partition.P, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: model.PCB, BlockSize: 8, Faults: fp})
-	c, stats, err := Multiply(cfg, g, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(want) {
-		t.Fatal("hang-recovery product differs from serial kij")
-	}
-	if len(stats.Lost) != 1 || stats.Lost[0] != partition.P {
-		t.Fatalf("Lost = %v, want [P]", stats.Lost)
+	for _, alg := range model.AllAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: 8, Faults: fp})
+			c, stats, err := Multiply(cfg, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.Equal(want) {
+				t.Fatal("hang-recovery product differs from serial kij")
+			}
+			if len(stats.Lost) != 1 || stats.Lost[0] != partition.P {
+				t.Fatalf("Lost = %v, want [P]", stats.Lost)
+			}
+		})
 	}
 }
 
@@ -260,37 +288,43 @@ func TestMultiplySpeculationDedup(t *testing.T) {
 	if err := fp.AddWorkerSlowdown(partition.S, 20); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Machine:         testMachine(ratio),
-		Algorithm:       model.SCB,
-		BlockSize:       32, // the straggler owns a single large block
-		PaceFlopsPerSec: 2e5,
-		Faults:          fp,
-		HeartbeatEvery:  time.Millisecond,
-		LeaseTimeout:    time.Second, // far beyond the run: death must come from silence, not slowness
-		StraggleAfter:   10 * time.Millisecond,
-	}
-	c, stats, err := Multiply(cfg, g, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(want) {
-		t.Fatal("speculation product differs from serial kij")
-	}
-	if len(stats.Lost) != 0 {
-		t.Fatalf("straggler was declared lost: %v", stats.Lost)
-	}
-	if stats.Speculations == 0 {
-		t.Fatal("no speculation launched for a 20× straggler")
-	}
-	if stats.TotalVolume != g.VoC() {
-		t.Errorf("TotalVolume %d != VoC %d with speculation", stats.TotalVolume, g.VoC())
+	for _, alg := range model.AllAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			cfg := Config{
+				Machine:         testMachine(ratio),
+				Algorithm:       alg,
+				BlockSize:       32, // the straggler owns a single large block
+				PaceFlopsPerSec: 2e5,
+				Faults:          fp,
+				HeartbeatEvery:  time.Millisecond,
+				LeaseTimeout:    time.Second, // far beyond the run: death must come from silence, not slowness
+				StraggleAfter:   10 * time.Millisecond,
+			}
+			c, stats, err := Multiply(cfg, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.Equal(want) {
+				t.Fatal("speculation product differs from serial kij")
+			}
+			if len(stats.Lost) != 0 {
+				t.Fatalf("straggler was declared lost: %v", stats.Lost)
+			}
+			if stats.Speculations == 0 {
+				t.Fatal("no speculation launched for a 20× straggler")
+			}
+			if stats.TotalVolume != g.VoC() {
+				t.Errorf("TotalVolume %d != VoC %d with speculation", stats.TotalVolume, g.VoC())
+			}
+		})
 	}
 }
 
 func TestMultiplyContextCancel(t *testing.T) {
 	// Cancelling the context unwinds a paced run promptly — including
-	// workers asleep in the throttle — instead of leaking them.
+	// workers asleep in the throttle or waiting on the exchange — instead
+	// of leaking them, and a context cancelled before the call stops the
+	// run before it finishes.
 	const n = 48
 	ratio := partition.MustRatio(2, 1, 1)
 	a, b := randomMatrices(n, 29)
@@ -298,17 +332,27 @@ func TestMultiplyContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Paced so slowly the run would take ~minutes if not cancelled.
-	cfg := Config{Machine: testMachine(ratio), Algorithm: model.SCB, Pace: true, PaceFlopsPerSec: 1e3}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, _, err = MultiplyContext(ctx, cfg, g, a, b)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("cancellation took %v, want prompt unwind", waited)
+	for _, alg := range model.AllAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			// Paced so slowly the run would take ~minutes if not cancelled.
+			cfg := Config{Machine: testMachine(ratio), Algorithm: alg, Pace: true, PaceFlopsPerSec: 1e3}
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, _, err := MultiplyContext(ctx, cfg, g, a, b)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			}
+			if waited := time.Since(start); waited > 2*time.Second {
+				t.Fatalf("cancellation took %v, want prompt unwind", waited)
+			}
+
+			ctx, cancel = context.WithCancel(context.Background())
+			cancel()
+			if _, _, err := MultiplyContext(ctx, cfg, g, a, b); !errors.Is(err, context.Canceled) {
+				t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+			}
+		})
 	}
 }
 
@@ -322,7 +366,7 @@ func TestMultiplyOverlapContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = MultiplyOverlapContext(ctx, Config{Machine: testMachine(ratio), Algorithm: model.SCO}, g, a, b)
+	_, _, err = MultiplyContext(ctx, Config{Machine: testMachine(ratio), Algorithm: model.SCO}, g, a, b)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -331,7 +375,7 @@ func TestMultiplyOverlapContextCancelled(t *testing.T) {
 func TestPairVolumeMatchesVoCProperty(t *testing.T) {
 	// Property: on fault-free runs, the measured pair-volume totals equal
 	// the model's predicted volume of communication (Eq 1) for every
-	// partition — canonical or random — under both barrier algorithms.
+	// partition — canonical or random — under every algorithm.
 	const n = 32
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 8; trial++ {
@@ -348,7 +392,7 @@ func TestPairVolumeMatchesVoCProperty(t *testing.T) {
 			g = partition.NewRandom(n, ratio, rng)
 		}
 		a, b := randomMatrices(n, int64(100+trial))
-		for _, alg := range []model.Algorithm{model.SCB, model.PCB} {
+		for _, alg := range model.AllAlgorithms {
 			_, stats, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: alg}, g, a, b)
 			if err != nil {
 				t.Fatal(err)
@@ -386,47 +430,54 @@ func TestMultiplyCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.ckpt")
-	cfg := Config{Machine: testMachine(ratio), Algorithm: model.SCB, BlockSize: 8, Checkpoint: full}
-	_, stats, err := Multiply(cfg, g, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.BlocksDone == 0 {
-		t.Fatal("no blocks committed")
-	}
+	for _, alg := range model.AllAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			full := filepath.Join(dir, "full.ckpt")
+			cfg := Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: 8, Checkpoint: full}
+			_, stats, err := Multiply(cfg, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.BlocksDone == 0 {
+				t.Fatal("no blocks committed")
+			}
 
-	data, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
-	// lines = header + one line per block record (+ empty tail).
-	for _, keep := range []int{0, stats.BlocksDone / 2, stats.BlocksDone} {
-		part := filepath.Join(dir, "part.ckpt")
-		if err := os.WriteFile(part, []byte(strings.Join(lines[:1+keep], "")), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rcfg := cfg
-		rcfg.Checkpoint = part
-		rcfg.Resume = true
-		c, rs, err := Multiply(rcfg, g, a, b)
-		if err != nil {
-			t.Fatalf("resume with %d records: %v", keep, err)
-		}
-		if !c.Equal(want) {
-			t.Fatalf("resume with %d records: product differs from serial kij", keep)
-		}
-		if rs.BlocksResumed != keep {
-			t.Fatalf("BlocksResumed = %d, want %d", rs.BlocksResumed, keep)
-		}
-		if keep == stats.BlocksDone && rs.BlocksDone != 0 {
-			t.Fatalf("fully-checkpointed resume recomputed %d blocks", rs.BlocksDone)
-		}
-		if err := os.Remove(part); err != nil {
-			t.Fatal(err)
-		}
+			data, err := os.ReadFile(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(string(data), "\n")
+			// lines = header + one line per block record (+ empty tail).
+			for _, keep := range []int{0, stats.BlocksDone / 2, stats.BlocksDone} {
+				part := filepath.Join(dir, "part.ckpt")
+				if err := os.WriteFile(part, []byte(strings.Join(lines[:1+keep], "")), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				rcfg := cfg
+				rcfg.Checkpoint = part
+				rcfg.Resume = true
+				c, rs, err := Multiply(rcfg, g, a, b)
+				if err != nil {
+					t.Fatalf("resume with %d records: %v", keep, err)
+				}
+				if !c.Equal(want) {
+					t.Fatalf("resume with %d records: product differs from serial kij", keep)
+				}
+				if rs.BlocksResumed != keep {
+					t.Fatalf("BlocksResumed = %d, want %d", rs.BlocksResumed, keep)
+				}
+				if keep == stats.BlocksDone && rs.BlocksDone != 0 {
+					t.Fatalf("fully-checkpointed resume recomputed %d blocks", rs.BlocksDone)
+				}
+				if rs.TotalVolume != g.VoC() {
+					t.Fatalf("resume with %d records moved %d elements, VoC is %d", keep, rs.TotalVolume, g.VoC())
+				}
+				if err := os.Remove(part); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -482,24 +533,28 @@ func TestMultiplyCheckpointAfterKillRecovery(t *testing.T) {
 	if err := fp.AddWorkerKill(partition.R, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "fault.ckpt")
-	cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: model.SCB, BlockSize: 8, Faults: fp, Checkpoint: path})
-	c, _, err := Multiply(cfg, g, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(want) {
-		t.Fatal("faulted checkpointed product differs from serial kij")
-	}
-	rcfg := Config{Machine: testMachine(ratio), Algorithm: model.SCB, BlockSize: 8, Checkpoint: path, Resume: true}
-	c2, rs, err := Multiply(rcfg, g, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c2.Equal(want) {
-		t.Fatal("replayed checkpoint differs from serial kij")
-	}
-	if rs.BlocksDone != 0 {
-		t.Fatalf("complete checkpoint still recomputed %d blocks", rs.BlocksDone)
+	for _, alg := range model.AllAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fault.ckpt")
+			cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: 8, Faults: fp, Checkpoint: path})
+			c, _, err := Multiply(cfg, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.Equal(want) {
+				t.Fatal("faulted checkpointed product differs from serial kij")
+			}
+			rcfg := Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: 8, Checkpoint: path, Resume: true}
+			c2, rs, err := Multiply(rcfg, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c2.Equal(want) {
+				t.Fatal("replayed checkpoint differs from serial kij")
+			}
+			if rs.BlocksDone != 0 {
+				t.Fatalf("complete checkpoint still recomputed %d blocks", rs.BlocksDone)
+			}
+		})
 	}
 }

@@ -27,31 +27,43 @@ func detected(s *Stats) int {
 func TestVerifyCleanRun(t *testing.T) {
 	// A fault-free run under Verify checks every band exactly once,
 	// corrects nothing, and stays bit-exact — the integrity layer must
-	// never fire on honest float rounding.
+	// never fire on honest float rounding. Under every algorithm, and on
+	// a Square-Corner where SCO's and PCO's local tasks split P's bands.
 	const n, bs = 48, 8
-	ratio := partition.MustRatio(3, 2, 1)
 	a, b := randomMatrices(n, 7)
 	want := matrix.New(n)
 	matrix.MulKIJ(want, a, b)
-	g, err := partition.Build(partition.BlockRectangle, n, ratio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	cfg := Config{Machine: testMachine(ratio), Algorithm: model.SCB, BlockSize: bs, Verify: true, Metrics: reg}
-	c, stats, err := Multiply(cfg, g, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(want) {
-		t.Fatal("verified clean run differs from serial kij")
-	}
-	if bands := n / bs; stats.IntegrityChecks != bands {
-		t.Errorf("IntegrityChecks = %d, want %d (one per band)", stats.IntegrityChecks, bands)
-	}
-	if stats.CorruptionsCorrected != 0 || stats.BlocksRecomputed != 0 || len(stats.Byzantine) != 0 {
-		t.Errorf("clean run reported corruption: corrected=%d recomputed=%d byzantine=%v",
-			stats.CorruptionsCorrected, stats.BlocksRecomputed, stats.Byzantine)
+	for _, pc := range []struct {
+		shape partition.Shape
+		ratio partition.Ratio
+	}{
+		{partition.BlockRectangle, partition.MustRatio(3, 2, 1)},
+		{partition.SquareCorner, partition.MustRatio(10, 1, 1)},
+	} {
+		g, err := partition.Build(pc.shape, n, pc.ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range model.AllAlgorithms {
+			t.Run(pc.shape.String()+"/"+alg.String(), func(t *testing.T) {
+				reg := metrics.NewRegistry()
+				cfg := Config{Machine: testMachine(pc.ratio), Algorithm: alg, BlockSize: bs, Verify: true, Metrics: reg}
+				c, stats, err := Multiply(cfg, g, a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !c.Equal(want) {
+					t.Fatal("verified clean run differs from serial kij")
+				}
+				if bands := n / bs; stats.IntegrityChecks != bands {
+					t.Errorf("IntegrityChecks = %d, want %d (one per band)", stats.IntegrityChecks, bands)
+				}
+				if stats.CorruptionsCorrected != 0 || stats.BlocksRecomputed != 0 || len(stats.Byzantine) != 0 {
+					t.Errorf("clean run reported corruption: corrected=%d recomputed=%d byzantine=%v",
+						stats.CorruptionsCorrected, stats.BlocksRecomputed, stats.Byzantine)
+				}
+			})
+		}
 	}
 }
 
@@ -259,29 +271,33 @@ func TestVerifyScaleQuarantinesByzantine(t *testing.T) {
 	if err := fp.AddWorkerSlowdown(partition.S, 8); err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.NewRegistry()
-	cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: model.SCB, BlockSize: bs, Verify: true, Faults: fp, Metrics: reg})
-	c, stats, err := Multiply(cfg, g, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(want) {
-		t.Fatal("scale-faulted product differs from serial kij")
-	}
-	if len(stats.Byzantine) != 1 || stats.Byzantine[0] != partition.S {
-		t.Fatalf("Byzantine = %v, want [S]", stats.Byzantine)
-	}
-	if stats.Survivors() != 2 {
-		t.Errorf("Survivors = %d, want 2", stats.Survivors())
-	}
-	if stats.Recoveries == 0 || stats.RecoveryKinds[0] != "replan-2proc" {
-		t.Errorf("quarantine did not trigger the survivor re-plan: %v", stats.RecoveryKinds)
-	}
-	if stats.BlocksRecomputed <= defaultMismatchBudget {
-		t.Errorf("BlocksRecomputed = %d, want > mismatch budget %d", stats.BlocksRecomputed, defaultMismatchBudget)
-	}
-	if d := detected(stats); d < stats.InjectedCorruptions {
-		t.Errorf("detected %d of %d injected corruptions", d, stats.InjectedCorruptions)
+	for _, alg := range model.AllAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: bs, Verify: true, Faults: fp, Metrics: reg})
+			c, stats, err := Multiply(cfg, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.Equal(want) {
+				t.Fatal("scale-faulted product differs from serial kij")
+			}
+			if len(stats.Byzantine) != 1 || stats.Byzantine[0] != partition.S {
+				t.Fatalf("Byzantine = %v, want [S]", stats.Byzantine)
+			}
+			if stats.Survivors() != 2 {
+				t.Errorf("Survivors = %d, want 2", stats.Survivors())
+			}
+			if stats.Recoveries == 0 || stats.RecoveryKinds[0] != "replan-2proc" {
+				t.Errorf("quarantine did not trigger the survivor re-plan: %v", stats.RecoveryKinds)
+			}
+			if stats.BlocksRecomputed <= defaultMismatchBudget {
+				t.Errorf("BlocksRecomputed = %d, want > mismatch budget %d", stats.BlocksRecomputed, defaultMismatchBudget)
+			}
+			if d := detected(stats); d < stats.InjectedCorruptions {
+				t.Errorf("detected %d of %d injected corruptions", d, stats.InjectedCorruptions)
+			}
+		})
 	}
 }
 
@@ -352,16 +368,20 @@ func TestVerifyKillFlipMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: model.SCB, BlockSize: bs, Verify: true, Faults: fp})
-			c, stats, err := Multiply(cfg, g, a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !c.Equal(want) {
-				t.Fatalf("%s: product differs from serial kij", tc.spec)
-			}
-			if d := detected(stats); d < stats.InjectedCorruptions {
-				t.Errorf("%s: detected %d of %d injected corruptions", tc.spec, d, stats.InjectedCorruptions)
+			for _, alg := range model.AllAlgorithms {
+				t.Run(alg.String(), func(t *testing.T) {
+					cfg := fastFailover(Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: bs, Verify: true, Faults: fp})
+					c, stats, err := Multiply(cfg, g, a, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !c.Equal(want) {
+						t.Fatalf("%s: product differs from serial kij", tc.spec)
+					}
+					if d := detected(stats); d < stats.InjectedCorruptions {
+						t.Errorf("%s: detected %d of %d injected corruptions", tc.spec, d, stats.InjectedCorruptions)
+					}
+				})
 			}
 		})
 	}
@@ -546,9 +566,9 @@ func TestCheckpointCorruptRecordRecomputedNotReplayed(t *testing.T) {
 
 func TestVerifyFlipRatesStayBitExact(t *testing.T) {
 	// The acceptance sweep in miniature: flip rates up to 10% of blocks
-	// (and beyond) on every worker, PCB included — C must match serial
-	// kij bit for bit in every run, and the detection accounting must
-	// cover every delivered corruption.
+	// (and beyond) on every worker, under every algorithm — C must match
+	// serial kij bit for bit in every run, and the detection accounting
+	// must cover every delivered corruption.
 	const n, bs = 48, 8
 	ratio := partition.MustRatio(3, 2, 1)
 	a, b := randomMatrices(n, 37)
@@ -558,7 +578,7 @@ func TestVerifyFlipRatesStayBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []model.Algorithm{model.SCB, model.PCB} {
+	for _, alg := range model.AllAlgorithms {
 		for _, rate := range []float64{0.05, 0.1, 0.5} {
 			t.Run(fmt.Sprintf("%v-%g", alg, rate), func(t *testing.T) {
 				fp := sim.NewFaultPlan()

@@ -37,15 +37,30 @@ type RecoveryRow struct {
 	RecoveryVolume int64 `json:"recovery_volume"`
 	RemainderNeed  int64 `json:"remainder_need"`
 	BoundOK        bool  `json:"bound_ok"`
-	// CleanWallMS and FaultedWallMS are real elapsed milliseconds of the
-	// fault-free and faulted runs; WallPenalty is their ratio − 1.
-	CleanWallMS   float64 `json:"clean_wall_ms"`
-	FaultedWallMS float64 `json:"faulted_wall_ms"`
-	WallPenalty   float64 `json:"wall_penalty"`
-	// RecoveryLatencyMS is the stall between the victim's final heartbeat
-	// and its work being re-planned onto the survivors.
+	// Repeats is how many clean and how many faulted runs the row
+	// summarises (recoveryRepeats). BitExact and BoundOK hold only if they
+	// hold in every faulted run; the volumes, survivors and kind are the
+	// first faulted run's.
+	Repeats int `json:"repeats"`
+	// CleanWallMS and FaultedWallMS are the medians of the real elapsed
+	// milliseconds of the fault-free and faulted runs, the Q1/Q3 fields
+	// their quartiles; WallPenalty is the ratio of the medians − 1.
+	CleanWallMS     float64 `json:"clean_wall_ms"`
+	CleanWallQ1MS   float64 `json:"clean_wall_q1_ms"`
+	CleanWallQ3MS   float64 `json:"clean_wall_q3_ms"`
+	FaultedWallMS   float64 `json:"faulted_wall_ms"`
+	FaultedWallQ1MS float64 `json:"faulted_wall_q1_ms"`
+	FaultedWallQ3MS float64 `json:"faulted_wall_q3_ms"`
+	WallPenalty     float64 `json:"wall_penalty"`
+	// RecoveryLatencyMS is the median stall between the victim's final
+	// heartbeat and its work being re-planned onto the survivors.
 	RecoveryLatencyMS float64 `json:"recovery_latency_ms"`
 }
+
+// recoveryRepeats is how many times the recovery study runs each clean
+// and each faulted scenario: single runs of a few milliseconds read the
+// host's load more than the engine.
+const recoveryRepeats = 5
 
 // RecoveryStudyConfig parameterises RecoveryStudy. The zero value is
 // completed with the defaults documented per field.
@@ -65,7 +80,8 @@ type RecoveryStudyConfig struct {
 	// KillFracs are the progress fractions at which the victim dies
 	// (default 0.1, 0.5, 0.9).
 	KillFracs []float64
-	// Algorithms are the barrier algorithms to study (default SCB, PCB).
+	// Algorithms are the algorithms to study (default all five,
+	// model.AllAlgorithms).
 	Algorithms []model.Algorithm
 	// Seed seeds the input matrices (default 1).
 	Seed int64
@@ -91,7 +107,7 @@ func (c *RecoveryStudyConfig) fill() error {
 		c.KillFracs = []float64{0.1, 0.5, 0.9}
 	}
 	if len(c.Algorithms) == 0 {
-		c.Algorithms = []model.Algorithm{model.SCB, model.PCB}
+		c.Algorithms = model.AllAlgorithms[:]
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -100,11 +116,12 @@ func (c *RecoveryStudyConfig) fill() error {
 }
 
 // RecoveryStudy measures the execution engine's fault-recovery overhead:
-// for each (algorithm, kill fraction) it runs the multiplication once
-// clean and once with the victim killed mid-run, and reports the
-// redistribution volume, the wall-clock penalty and the recovery
-// latency, with every faulted product checked bit-exact against the
-// serial kij kernel. It is the §X-B experiment under induced node loss.
+// for each (algorithm, kill fraction) it runs the multiplication
+// recoveryRepeats times clean and recoveryRepeats times with the victim
+// killed mid-run, and reports the redistribution volume, the wall-clock
+// times with their quartiles and the recovery latency, with every
+// faulted product checked bit-exact against the serial kij kernel. It is
+// the §X-B experiment under induced node loss.
 func RecoveryStudy(ctx context.Context, cfg RecoveryStudyConfig) ([]RecoveryRow, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -127,13 +144,19 @@ func RecoveryStudy(ctx context.Context, cfg RecoveryStudyConfig) ([]RecoveryRow,
 		HeartbeatEvery: time.Millisecond,
 		LeaseTimeout:   20 * time.Millisecond,
 	}
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 	var rows []RecoveryRow
 	for _, alg := range cfg.Algorithms {
 		cleanCfg := base
 		cleanCfg.Algorithm = alg
-		_, clean, err := exec.MultiplyContext(ctx, cleanCfg, g, a, b)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: recovery study clean run (%v): %w", alg, err)
+		var clean *exec.Stats
+		var cleanWall []float64
+		for range recoveryRepeats {
+			var err error
+			if _, clean, err = exec.MultiplyContext(ctx, cleanCfg, g, a, b); err != nil {
+				return nil, fmt.Errorf("experiment: recovery study clean run (%v): %w", alg, err)
+			}
+			cleanWall = append(cleanWall, ms(clean.Wall))
 		}
 		for _, frac := range cfg.KillFracs {
 			fp := sim.NewFaultPlan()
@@ -143,31 +166,39 @@ func RecoveryStudy(ctx context.Context, cfg RecoveryStudyConfig) ([]RecoveryRow,
 			fcfg := base
 			fcfg.Algorithm = alg
 			fcfg.Faults = fp
-			c, stats, err := exec.MultiplyContext(ctx, fcfg, g, a, b)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: recovery study kill %v@%g (%v): %w", cfg.Victim, frac, alg, err)
-			}
-			kind := ""
-			if len(stats.RecoveryKinds) > 0 {
-				kind = stats.RecoveryKinds[0]
-			}
 			row := RecoveryRow{
-				Algorithm:         alg.String(),
-				Victim:            cfg.Victim.String(),
-				KillFrac:          frac,
-				BitExact:          c.Equal(want),
-				Survivors:         stats.Survivors(),
-				Kind:              kind,
-				CleanVolume:       clean.TotalVolume,
-				RecoveryVolume:    stats.RecoveryVolume,
-				RemainderNeed:     stats.RemainderNeed,
-				BoundOK:           stats.RecoveryVolume < 2*stats.RemainderNeed,
-				CleanWallMS:       float64(clean.Wall.Microseconds()) / 1e3,
-				FaultedWallMS:     float64(stats.Wall.Microseconds()) / 1e3,
-				RecoveryLatencyMS: float64(stats.RecoveryLatency.Microseconds()) / 1e3,
+				Algorithm:   alg.String(),
+				Victim:      cfg.Victim.String(),
+				KillFrac:    frac,
+				BitExact:    true,
+				BoundOK:     true,
+				CleanVolume: clean.TotalVolume,
+				Repeats:     recoveryRepeats,
 			}
-			if clean.Wall > 0 {
-				row.WallPenalty = float64(stats.Wall)/float64(clean.Wall) - 1
+			var wall, latency []float64
+			for rep := range recoveryRepeats {
+				c, stats, err := exec.MultiplyContext(ctx, fcfg, g, a, b)
+				if err != nil {
+					return nil, fmt.Errorf("experiment: recovery study kill %v@%g (%v): %w", cfg.Victim, frac, alg, err)
+				}
+				if rep == 0 {
+					row.Survivors = stats.Survivors()
+					if len(stats.RecoveryKinds) > 0 {
+						row.Kind = stats.RecoveryKinds[0]
+					}
+					row.RecoveryVolume = stats.RecoveryVolume
+					row.RemainderNeed = stats.RemainderNeed
+				}
+				row.BitExact = row.BitExact && c.Equal(want)
+				row.BoundOK = row.BoundOK && stats.RecoveryVolume < 2*stats.RemainderNeed
+				wall = append(wall, ms(stats.Wall))
+				latency = append(latency, ms(stats.RecoveryLatency))
+			}
+			row.CleanWallMS, row.CleanWallQ1MS, row.CleanWallQ3MS = quantile(cleanWall, 0.5), quantile(cleanWall, 0.25), quantile(cleanWall, 0.75)
+			row.FaultedWallMS, row.FaultedWallQ1MS, row.FaultedWallQ3MS = quantile(wall, 0.5), quantile(wall, 0.25), quantile(wall, 0.75)
+			row.RecoveryLatencyMS = quantile(latency, 0.5)
+			if row.CleanWallMS > 0 {
+				row.WallPenalty = row.FaultedWallMS/row.CleanWallMS - 1
 			}
 			rows = append(rows, row)
 		}
@@ -175,12 +206,13 @@ func RecoveryStudy(ctx context.Context, cfg RecoveryStudyConfig) ([]RecoveryRow,
 	return rows, nil
 }
 
-// WriteRecoveryTable renders the study as a markdown table.
+// WriteRecoveryTable renders the study as a markdown table; the wall
+// columns read median [Q1–Q3] over the row's repeats.
 func WriteRecoveryTable(w io.Writer, rows []RecoveryRow) error {
-	if _, err := fmt.Fprintln(w, "| alg | kill | survivors | re-plan | recovery vol / need | bound | latency (ms) | wall penalty | bit-exact |"); err != nil {
+	if _, err := fmt.Fprintln(w, "| alg | kill | survivors | re-plan | recovery vol / need | bound | latency (ms) | clean wall (ms) | faulted wall (ms) | wall penalty | bit-exact |"); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|"); err != nil {
+	if _, err := fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|---|"); err != nil {
 		return err
 	}
 	for _, r := range rows {
@@ -191,9 +223,12 @@ func WriteRecoveryTable(w io.Writer, rows []RecoveryRow) error {
 		if !r.BitExact {
 			exact = "NO"
 		}
-		if _, err := fmt.Fprintf(w, "| %s | %s@%.0f%% | %d | %s | %d / %d | %s | %.1f | %+.0f%% | %s |\n",
+		if _, err := fmt.Fprintf(w, "| %s | %s@%.0f%% | %d | %s | %d / %d | %s | %.1f | %.1f [%.1f–%.1f] | %.1f [%.1f–%.1f] | %+.0f%% | %s |\n",
 			r.Algorithm, r.Victim, 100*r.KillFrac, r.Survivors, r.Kind,
-			r.RecoveryVolume, r.RemainderNeed, bound, r.RecoveryLatencyMS, 100*r.WallPenalty, exact); err != nil {
+			r.RecoveryVolume, r.RemainderNeed, bound, r.RecoveryLatencyMS,
+			r.CleanWallMS, r.CleanWallQ1MS, r.CleanWallQ3MS,
+			r.FaultedWallMS, r.FaultedWallQ1MS, r.FaultedWallQ3MS,
+			100*r.WallPenalty, exact); err != nil {
 			return err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/partition"
 )
 
@@ -17,10 +18,20 @@ func TestRecoveryStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 { // SCB and PCB, one kill fraction each
-		t.Fatalf("got %d rows, want 2", len(rows))
+	if len(rows) != model.NumAlgorithms { // every algorithm, one kill fraction each
+		t.Fatalf("got %d rows, want %d", len(rows), model.NumAlgorithms)
 	}
-	for _, r := range rows {
+	for i, r := range rows {
+		if r.Algorithm != model.AllAlgorithms[i].String() {
+			t.Errorf("row %d is %s, want %v", i, r.Algorithm, model.AllAlgorithms[i])
+		}
+		if r.Repeats != recoveryRepeats {
+			t.Errorf("%s: %d repeats, want %d", r.Algorithm, r.Repeats, recoveryRepeats)
+		}
+		if !(r.FaultedWallQ1MS <= r.FaultedWallMS && r.FaultedWallMS <= r.FaultedWallQ3MS) ||
+			!(r.CleanWallQ1MS <= r.CleanWallMS && r.CleanWallMS <= r.CleanWallQ3MS) {
+			t.Errorf("%s: wall quartiles out of order: %+v", r.Algorithm, r)
+		}
 		if !r.BitExact {
 			t.Errorf("%s kill@%g: recovered product not bit-exact", r.Algorithm, r.KillFrac)
 		}

@@ -31,10 +31,12 @@
 # (an open-loop overload sweep to ~3x capacity must walk the shed
 # ladder one rung at a time with zero availability loss), and an
 # exec-chaos smoke test (a worker killed mid-multiply recovers on the
-# survivors via the twoproc re-plan, and a paced mmmsim run SIGKILLed
+# survivors via the twoproc re-plan, under SCB and under PIO, and a
+# paced mmmsim run SIGKILLed
 # mid-multiply resumes from its checkpoint — both bit-identical to the
 # serial kij kernel), and an integrity smoke test (ABFT verification
-# catches injected single-cell flips and quarantines a deterministically
+# catches injected single-cell flips, under SCB and under SCO, and
+# quarantines a deterministically
 # corrupting worker as Byzantine, then the full silent-corruption study
 # must detect every injection with every product bit-exact), a
 # differential-equivalence step (the evaluator, with and without an
@@ -80,7 +82,16 @@ go test -race -count=1 -run 'TestChaosCluster' ./internal/chaos/
 
 # --- kill/resume smoke test (~10s) ------------------------------------
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+# Whatever ends the script, a failed gate included, stop every background
+# job it started (pland, loader, mmmsim, pushsearch) and remove $tmp.
+# jobs -p runs in this shell, not in a command substitution, which in
+# dash would see no jobs.
+cleanup() {
+    jobs -p > "$tmp/jobs"
+    kill -TERM $(cat "$tmp/jobs") 2>/dev/null || true
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
 go build -o "$tmp/pushsearch" ./cmd/pushsearch
 
 # Sized so the census takes ~2s: the kill below reliably lands mid-census.
@@ -180,9 +191,9 @@ wait "$l3" || true
 # The evaluator's contract, run explicitly and uncached: Evaluate
 # breakdowns, closed forms and plan JSON must be byte-identical to the
 # seed goldens both with a nil link matrix and with an explicit
-# all-equal one (Net scrambled), the exec engine's SCB/PCB virtual
-# clocks must equal model.EvaluateGrid bit for bit on fully-connected,
-# star and 3-island:10, a clean sim.Simulate must match model.Evaluate
+# all-equal one (Net scrambled), the exec engine's virtual clocks must
+# equal model.EvaluateGrid bit for bit for all five algorithms on
+# fully-connected, star and 3-island:10, a clean sim.Simulate must match model.Evaluate
 # on fully-connected, star, 2+1:10 and 3-island:10 (PCB/PCO bit for bit,
 # also at α > 0; SCB/SCO within relative 1e-15; PIO between
 # N/(N+1)·Total and Total), and the weighted-push property tests must
@@ -343,6 +354,14 @@ go build -o "$tmp/mmmsim" ./cmd/mmmsim
 grep -q "replan-2proc" "$tmp/exec_kill.out"
 grep -q "result MATCH" "$tmp/exec_kill.out"
 
+#    The same kill under PIO, where every block waits at the delivery
+#    gate for its pivot panels: the same engine must re-plan the same
+#    way and still match.
+"$tmp/mmmsim" -exec -alg PIO -n 64 -ratio 3:2:1 -block 8 \
+    -fault kill:R@0.5 > "$tmp/exec_kill_pio.out"
+grep -q "replan-2proc" "$tmp/exec_kill_pio.out"
+grep -q "result MATCH" "$tmp/exec_kill_pio.out"
+
 # 2. A paced, checkpointed run SIGKILLed mid-multiply must resume from
 #    its journal: completed blocks replay, only the rest is recomputed,
 #    and the product still matches the serial kernel. The kill may race
@@ -376,6 +395,13 @@ grep -q "result MATCH" "$tmp/exec_resumed.out"
     -verify -fault flip:R@0.9 > "$tmp/exec_flip.out"
 grep -Eq "\(injected [1-9]" "$tmp/exec_flip.out"
 grep -q "result MATCH" "$tmp/exec_flip.out"
+
+#    The same flips under SCO: the bulk-overlap schedule runs on the
+#    same engine, so ABFT checks its blocks like SCB's.
+"$tmp/mmmsim" -exec -alg SCO -n 64 -ratio 3:2:1 -block 16 \
+    -verify -fault flip:R@0.9 > "$tmp/exec_flip_sco.out"
+grep -Eq "\(injected [1-9]" "$tmp/exec_flip_sco.out"
+grep -q "result MATCH" "$tmp/exec_flip_sco.out"
 
 # 2. A worker that deterministically scales every result by 8: it must
 #    be quarantined as Byzantine once it burns its mismatch budget, the
