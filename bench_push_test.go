@@ -52,7 +52,7 @@ func BenchmarkCondense(b *testing.B) {
 	const n = 256
 	rng := rand.New(rand.NewSource(1))
 	start := partition.NewRandom(n, MustRatio(3, 2, 1), rng)
-	plan := push.FullPlan()
+	plan := push.FullPlan(start.K())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

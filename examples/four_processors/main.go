@@ -1,9 +1,9 @@
 // four_processors exercises the paper's §XI extension: the Push search on
 // four heterogeneous processors (e.g. two GPUs and two CPU sockets). The
-// example runs the generalised DFA and shows that the same condensation
-// behaviour — monotone VoC reduction terminating in compact, blocky
-// shapes — carries over past three processors, exactly as the paper
-// anticipates.
+// example runs the search engine from a four-processor random start and
+// shows that the same condensation behaviour — monotone VoC reduction
+// terminating in compact, blocky shapes — carries over past three
+// processors, exactly as the paper anticipates.
 //
 // Run with: go run ./examples/four_processors
 package main
@@ -11,20 +11,26 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand"
 
-	"repro/internal/nproc"
+	"repro/internal/partition"
+	"repro/internal/push"
 )
 
 func main() {
 	log.SetFlags(0)
-	ratio := nproc.Ratio{8, 4, 2, 1} // GPU0 : GPU1 : socket0 : socket1
+	ratio := partition.Speeds{8, 4, 2, 1} // GPU0 : GPU1 : socket0 : socket1
 	const n = 80
 	fmt.Printf("four abstract processors, speeds %s, N=%d\n\n", ratio, n)
 
 	var bestDrop float64
-	var best *nproc.RunResult
+	var best *push.RunResult
 	for seed := int64(0); seed < 6; seed++ {
-		res, err := nproc.Run(nproc.RunConfig{N: n, Ratio: ratio, Seed: seed, FullDirections: true})
+		start, err := partition.NewRandomK(n, ratio, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := push.Run(push.Config{N: n, Seed: seed, Start: start, Beautify: true})
 		if err != nil {
 			log.Fatal(err)
 		}

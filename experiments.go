@@ -8,9 +8,10 @@ package heteropart
 
 import (
 	"io"
+	"math/rand"
 
 	"repro/internal/experiment"
-	"repro/internal/nproc"
+	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/twoproc"
 )
@@ -88,15 +89,11 @@ func BuildTwoProc(s TwoProcShape, n int, fastRatio float64) (*Partition, error) 
 	return twoproc.Build(s, n, r)
 }
 
-// NProcRatio is a K-processor speed ratio, fastest first.
-type NProcRatio = nproc.Ratio
+// NProcRatio is a K-processor speed ratio, fastest first (§XI extension).
+type NProcRatio = partition.Speeds
 
-// NProcConfig parameterises a K-processor Push search (§XI extension).
-type NProcConfig = nproc.RunConfig
-
-// NProcResult is its outcome.
-type NProcResult = nproc.RunResult
-
-// NProcSearch runs the generalised Push search for any number of
-// processors (2–10).
-func NProcSearch(cfg NProcConfig) (*NProcResult, error) { return nproc.Run(cfg) }
+// NProcStart draws the random start of a Push search over the K = 2…10
+// processors of ratio. Search runs it when passed as SearchConfig.Start.
+func NProcStart(n int, ratio NProcRatio, seed int64) (*Partition, error) {
+	return partition.NewRandomK(n, ratio, rand.New(rand.NewSource(seed)))
+}

@@ -104,11 +104,16 @@ func TestTwoProcFacade(t *testing.T) {
 }
 
 func TestNProcFacade(t *testing.T) {
-	res, err := NProcSearch(NProcConfig{
-		N: 30, Ratio: NProcRatio{4, 2, 1, 1}, Seed: 1, FullDirections: true,
-	})
+	start, err := NProcStart(30, NProcRatio{4, 2, 1, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	res, err := Search(SearchConfig{N: 30, Seed: 1, Start: start, Beautify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Final.K() != 4 {
+		t.Errorf("search ran on %d processors, want 4", res.Final.K())
 	}
 	if !res.Converged || res.FinalVoC > res.InitialVoC {
 		t.Error("4-proc search misbehaved")

@@ -142,7 +142,9 @@ type SearchConfig = push.Config
 type SearchResult = push.RunResult
 
 // Search runs the paper's DFA: from a random start state, apply Push
-// operations (randomised directions, Types 1–6) until a fixed point.
+// operations (randomised directions, Types 1–6) until a fixed point. It is
+// the one search entry for any processor count: a search over K ≠ 3
+// processors passes a start from NProcStart.
 func Search(cfg SearchConfig) (*SearchResult, error) { return push.Run(cfg) }
 
 // Algorithm identifies one of the five MMM algorithms (Section II).

@@ -881,28 +881,42 @@ func (e *engine) survivorsBySpeed() []partition.Proc {
 }
 
 // bandTasks groups ascending cells into (band, owner) block tasks with
-// fresh ids: one task per owner per band of BlockSize rows.
+// fresh ids: one task per owner per band of BlockSize rows, bands in
+// order and R, S, P within a band. Each band's end is found once and its
+// cells counted by owner, then placed into one array the tasks share.
 func (e *engine) bandTasks(cells []int32, ownerOf func(int32) partition.Proc) []*blockTask {
 	bandCells := int32(e.cfg.BlockSize * e.n)
 	var tasks []*blockTask
-	var group [partition.NumProcs][]int32
-	flush := func() {
+	owners := make([]partition.Proc, len(cells))
+	grouped := make([]int32, len(cells))
+	for lo := 0; lo < len(cells); {
+		end := (cells[lo]/bandCells + 1) * bandCells
+		var count [partition.NumProcs]int
+		hi := lo
+		for ; hi < len(cells) && cells[hi] < end; hi++ {
+			owners[hi] = ownerOf(cells[hi])
+			count[owners[hi]]++
+		}
+		var next [partition.NumProcs]int // where each owner's next cell goes
+		at := lo
 		for _, p := range partition.Procs {
-			if len(group[p]) > 0 {
-				tasks = append(tasks, &blockTask{id: e.nextID, owner: p, cells: group[p]})
+			next[p] = at
+			at += count[p]
+		}
+		for x := lo; x < hi; x++ {
+			p := owners[x]
+			grouped[next[p]] = cells[x]
+			next[p]++
+		}
+		for _, p := range partition.Procs {
+			if count[p] > 0 {
+				group := grouped[next[p]-count[p] : next[p] : next[p]]
+				tasks = append(tasks, &blockTask{id: e.nextID, owner: p, cells: group})
 				e.nextID++
-				group[p] = nil
 			}
 		}
+		lo = hi
 	}
-	for i, idx := range cells {
-		if i > 0 && idx/bandCells != cells[i-1]/bandCells {
-			flush()
-		}
-		p := ownerOf(idx)
-		group[p] = append(group[p], idx)
-	}
-	flush()
 	return tasks
 }
 

@@ -241,6 +241,9 @@ func MultiplyContext(ctx context.Context, cfg Config, g *partition.Grid, a, b *m
 	if a.N() != n || b.N() != n {
 		return nil, nil, fmt.Errorf("exec: matrices are %d×%d, partition is %d×%d", a.N(), a.N(), n, n)
 	}
+	if g.K() != partition.NumProcs {
+		return nil, nil, fmt.Errorf("exec: partition has %d processors, want %d", g.K(), partition.NumProcs)
+	}
 	if int(cfg.Algorithm) >= model.NumAlgorithms {
 		return nil, nil, fmt.Errorf("exec: unknown algorithm %v", cfg.Algorithm)
 	}

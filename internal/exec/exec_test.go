@@ -236,6 +236,11 @@ func TestMultiplyArgumentValidation(t *testing.T) {
 		if _, _, err := Multiply(Config{Algorithm: alg}, g, a, b); err == nil {
 			t.Errorf("%v: invalid machine ratio should error", alg)
 		}
+		for _, k := range []int{2, 4} {
+			if _, _, err := Multiply(Config{Machine: testMachine(ratio), Algorithm: alg}, partition.NewGridK(8, k), a, b); err == nil {
+				t.Errorf("%v: a grid of %d processors should be rejected", alg, k)
+			}
+		}
 	}
 }
 
@@ -595,5 +600,29 @@ func TestDeliveryGate(t *testing.T) {
 	e.cancel()
 	if <-through {
 		t.Fatal("gate opened on cancellation")
+	}
+}
+
+// BenchmarkBandTasks measures the initial cut of an N=512 multiply: all
+// 262,144 cells of a Block-Rectangle 5:2:1 partition grouped into (band,
+// owner) tasks of the default band height.
+func BenchmarkBandTasks(b *testing.B) {
+	const n = 512
+	g, err := partition.Build(partition.BlockRectangle, n, partition.MustRatio(5, 2, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := make([]int32, n*n)
+	for i := range cells {
+		cells[i] = int32(i)
+	}
+	ownerOf := func(idx int32) partition.Proc { return g.AtIndex(int(idx)) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := &engine{n: n, cfg: Config{BlockSize: defaultBlockSize}}
+		if tasks := e.bandTasks(cells, ownerOf); len(tasks) == 0 {
+			b.Fatal("no tasks")
+		}
 	}
 }

@@ -1,4 +1,13 @@
-package nproc
+// Package nproc_test holds the K-processor tests of the former nproc
+// engine, a second grid, Push and search loop for any processor count.
+// That engine is gone: partition's grid carries its processor count and
+// push runs the search for any K. These tests keep their names and now
+// drive the one engine.
+//
+// nproc numbered the fastest processor 0 and the slower ones 1…K−1. The
+// one engine numbers the slower ones Proc(0)…Proc(K−2), in decreasing
+// speed, and the fastest Proc(K−1), so nproc's processor p is Proc(p−1).
+package nproc_test
 
 import (
 	"math/rand"
@@ -7,80 +16,50 @@ import (
 	"testing/quick"
 
 	"repro/internal/geom"
+	"repro/internal/partition"
+	"repro/internal/push"
 )
 
-func ratio4() Ratio { return Ratio{4, 2, 1, 1} }
+func ratio4() partition.Speeds { return partition.Speeds{4, 2, 1, 1} }
 
-func TestRatioValidate(t *testing.T) {
-	cases := []struct {
-		r       Ratio
-		wantErr bool
-	}{
-		{Ratio{2, 1}, false},
-		{Ratio{5, 3, 2, 1}, false},
-		{Ratio{1}, true},
-		{Ratio{1, 2}, true},     // increasing
-		{Ratio{2, 0}, true},     // non-positive
-		{make(Ratio, 11), true}, // too many
-	}
-	for _, c := range cases {
-		err := c.r.Validate()
-		if (err != nil) != c.wantErr {
-			t.Errorf("Validate(%v) err=%v, wantErr=%v", c.r, err, c.wantErr)
-		}
-	}
-}
-
-func TestRatioCountsSum(t *testing.T) {
-	for _, n := range []int{10, 37, 100} {
-		counts := ratio4().Counts(n)
-		sum := 0
-		for _, c := range counts {
-			sum += c
-		}
-		if sum != n*n {
-			t.Errorf("n=%d: counts sum %d", n, sum)
-		}
-	}
-}
-
-func TestGridBasics(t *testing.T) {
-	g := NewGrid(10, 4)
-	if g.N() != 10 || g.K() != 4 {
-		t.Fatal("dims")
-	}
-	if g.Count(0) != 100 || g.VoC() != 0 {
-		t.Fatal("initial state")
-	}
-	g.Set(3, 4, 2)
-	if g.At(3, 4) != 2 || g.Count(2) != 1 {
-		t.Fatal("Set/At")
-	}
-	if g.VoC() != 20 { // one shared row + one shared column
-		t.Fatalf("VoC = %d", g.VoC())
-	}
-	if err := g.Validate(); err != nil {
+// run searches from a random start of the given speeds, drawn with seed,
+// as npush does. Every such search must end in a valid, condensed grid
+// with the start's processor count and counts, and a condensed state
+// should have shed a large share of the start's communication volume.
+func run(t *testing.T, n int, speeds partition.Speeds, seed int64) *push.RunResult {
+	t.Helper()
+	start, err := partition.NewRandomK(n, speeds, rand.New(rand.NewSource(seed)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	c := g.Clone()
-	c.Set(0, 0, 1)
-	if g.At(0, 0) != 0 {
-		t.Fatal("clone leak")
+	res, err := push.Run(push.Config{N: n, Seed: seed, Start: start, Beautify: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g.Equal(c) || !g.Equal(g.Clone()) {
-		t.Fatal("Equal")
+	g := res.Final
+	if err := g.Validate(); err != nil {
+		t.Error(err)
 	}
-	if g.Fingerprint() == c.Fingerprint() {
-		t.Fatal("fingerprints should differ")
+	if g.K() != len(speeds) || !push.Condensed(g, push.FullPlan(len(speeds)), nil) {
+		t.Errorf("%v seed %d: K=%d, not condensed after %d steps", speeds, seed, g.K(), res.Steps)
 	}
+	for p := range g.Fastest() + 1 {
+		if g.Count(p) != start.Count(p) {
+			t.Errorf("%v seed %d: Count(%v) drifted", speeds, seed, p)
+		}
+	}
+	if drop := 1 - float64(res.FinalVoC)/float64(res.InitialVoC); drop < 0.2 {
+		t.Errorf("%v seed %d: only %.0f%% VoC drop", speeds, seed, 100*drop)
+	}
+	return res
 }
 
 func TestGridPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewGrid(0, 3) },
-		func() { NewGrid(5, 1) },
-		func() { NewGrid(5, 99) },
-		func() { NewGrid(5, 3).Set(0, 0, 7) },
+		func() { partition.NewGridK(0, 3) },
+		func() { partition.NewGridK(5, 1) },
+		func() { partition.NewGridK(5, 99) },
+		func() { partition.NewGridK(5, 3).Set(0, 0, partition.Proc(7)) },
 	} {
 		func() {
 			defer func() {
@@ -95,36 +74,39 @@ func TestGridPanics(t *testing.T) {
 
 func TestNewRandomCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g, err := NewRandom(40, ratio4(), rng)
+	g, err := partition.NewRandomK(40, ratio4(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if g.K() != 4 {
+		t.Fatalf("K = %d", g.K())
+	}
 	counts := ratio4().Counts(40)
 	for p, want := range counts {
-		if g.Count(p) != want {
-			t.Errorf("Count(%d) = %d, want %d", p, g.Count(p), want)
+		if g.Count(partition.Proc(p)) != want {
+			t.Errorf("Count(%d) = %d, want %d", p, g.Count(partition.Proc(p)), want)
 		}
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRandom(10, Ratio{1, 2}, rng); err == nil {
+	if _, err := partition.NewRandomK(10, partition.Speeds{1, 2}, rng); err == nil {
 		t.Error("invalid ratio should error")
 	}
 }
 
 func TestPushNeverIncreasesVoC4Proc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g, err := NewRandom(24, ratio4(), rng)
+	g, err := partition.NewRandomK(24, ratio4(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	voc := g.VoC()
 	committed := 0
 	for i := 0; i < 500; i++ {
-		p := 1 + rng.Intn(3)
+		p := partition.Proc(rng.Intn(3))
 		d := geom.AllDirections[rng.Intn(4)]
-		if _, ok := AttemptAny(g, p, d, nil); ok {
+		if _, ok := push.AttemptAny(g, p, d, nil, nil); ok {
 			committed++
 		}
 		if g.VoC() > voc {
@@ -142,25 +124,25 @@ func TestPushNeverIncreasesVoC4Proc(t *testing.T) {
 
 func TestPushInvariants4Proc(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	g, err := NewRandom(20, ratio4(), rng)
+	g, err := partition.NewRandomK(20, ratio4(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, 4)
 	for p := range counts {
-		counts[p] = g.Count(p)
+		counts[p] = g.Count(partition.Proc(p))
 	}
 	for i := 0; i < 300; i++ {
-		p := 1 + rng.Intn(3)
+		p := partition.Proc(rng.Intn(3))
 		d := geom.AllDirections[rng.Intn(4)]
 		before := g.EnclosingRect(p)
-		if _, ok := AttemptAny(g, p, d, nil); ok {
+		if _, ok := push.AttemptAny(g, p, d, nil, nil); ok {
 			if !before.ContainsRect(g.EnclosingRect(p)) {
 				t.Fatal("active rect grew")
 			}
 		}
 		for q := range counts {
-			if g.Count(q) != counts[q] {
+			if g.Count(partition.Proc(q)) != counts[q] {
 				t.Fatalf("count(%d) changed", q)
 			}
 		}
@@ -168,85 +150,73 @@ func TestPushInvariants4Proc(t *testing.T) {
 }
 
 func TestPushRejectsProcessorZero(t *testing.T) {
-	g := NewGrid(10, 3)
-	if _, ok := AttemptAny(g, 0, geom.Down, nil); ok {
+	g := partition.NewGridK(10, 3)
+	if _, ok := push.AttemptAny(g, g.Fastest(), geom.Down, nil, nil); ok {
 		t.Fatal("the fastest processor must never be pushed")
 	}
-	if _, ok := AttemptAny(g, 5, geom.Down, nil); ok {
+	if _, ok := push.AttemptAny(g, partition.Proc(5), geom.Down, nil, nil); ok {
 		t.Fatal("out-of-range processor must fail")
 	}
 }
 
 func TestRunConverges4Proc(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		res, err := Run(RunConfig{N: 36, Ratio: ratio4(), Seed: seed, FullDirections: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := run(t, 36, ratio4(), seed)
 		if !res.Converged {
 			t.Errorf("seed %d: no convergence in %d steps", seed, res.Steps)
 		}
 		if res.FinalVoC > res.InitialVoC {
 			t.Errorf("seed %d: VoC rose", seed)
 		}
-		if err := res.Final.Validate(); err != nil {
-			t.Error(err)
-		}
-		// A condensed 4-processor state should have shed a large share of
-		// the start state's communication volume.
-		if drop := 1 - float64(res.FinalVoC)/float64(res.InitialVoC); drop < 0.2 {
-			t.Errorf("seed %d: only %.0f%% VoC drop", seed, 100*drop)
-		}
 	}
 }
 
 func TestRunFiveProcessors(t *testing.T) {
-	res, err := Run(RunConfig{N: 40, Ratio: Ratio{8, 4, 2, 1, 1}, Seed: 2, FullDirections: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("5-processor run did not converge")
-	}
-	if res.FinalVoC >= res.InitialVoC {
-		t.Fatal("expected VoC reduction")
+	for _, seed := range []int64{0, 1, 2} {
+		res := run(t, 40, partition.Speeds{8, 4, 2, 1, 1}, seed)
+		if !res.Converged {
+			t.Fatalf("seed %d: 5-processor run did not converge", seed)
+		}
+		if res.FinalVoC >= res.InitialVoC {
+			t.Fatalf("seed %d: expected VoC reduction", seed)
+		}
 	}
 }
 
 func TestRunTwoProcessorsMatchesPriorWork(t *testing.T) {
-	// With K=2 the generalised engine is the prior work's two-processor
-	// Push: the slow processor condenses toward a compact region.
-	res, err := Run(RunConfig{N: 40, Ratio: Ratio{3, 1}, Seed: 3, FullDirections: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("2-processor run did not converge")
-	}
-	slow := res.Final.EnclosingRect(1)
-	slack := slow.Area() - res.Final.Count(1)
-	if float64(slack) > 0.25*float64(res.Final.Count(1)) {
-		t.Errorf("slow processor far from compact: rect %v area %d count %d",
-			slow, slow.Area(), res.Final.Count(1))
+	// With K=2 the engine is the prior work's two-processor Push: the
+	// slow processor condenses toward a compact region.
+	for _, seed := range []int64{0, 1, 3} {
+		res := run(t, 40, partition.Speeds{3, 1}, seed)
+		if !res.Converged {
+			t.Fatalf("seed %d: 2-processor run did not converge", seed)
+		}
+		slow := res.Final.EnclosingRect(0)
+		slack := slow.Area() - res.Final.Count(0)
+		if float64(slack) > 0.25*float64(res.Final.Count(0)) {
+			t.Errorf("seed %d: slow processor far from compact: rect %v area %d count %d",
+				seed, slow, slow.Area(), res.Final.Count(0))
+		}
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(RunConfig{N: 1, Ratio: Ratio{2, 1}}); err == nil {
+	one := partition.NewGridK(1, 2)
+	if _, err := push.Run(push.Config{N: 1, Start: one}); err == nil {
 		t.Error("N=1 should error")
 	}
-	if _, err := Run(RunConfig{N: 20, Ratio: Ratio{1, 2}}); err == nil {
+	if _, err := partition.NewRandomK(20, partition.Speeds{1, 2}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("bad ratio should error")
 	}
 }
 
 func TestRenderASCII4Proc(t *testing.T) {
-	g := NewGrid(40, 4)
+	g := partition.NewGridK(40, 4)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
-			g.Set(i, j, 1)
-			g.Set(i+20, j+20, 2)
-			g.Set(i, j+30, 3)
+			g.Set(i, j, 0)
+			g.Set(i+20, j+20, 1)
+			g.Set(i, j+30, 2)
 		}
 	}
 	out := g.RenderASCII(20)
@@ -255,179 +225,29 @@ func TestRenderASCII4Proc(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", glyph, out)
 		}
 	}
+	if strings.ContainsAny(out, "RS") {
+		t.Errorf("four-processor render uses three-processor glyphs:\n%s", out)
+	}
+	// Downsample keeps the processor count and takes each box's majority.
+	if d := g.Downsample(20); d.K() != 4 || d.At(0, 0) != 0 || d.At(0, 19) != 2 || d.At(19, 19) != g.Fastest() {
+		t.Errorf("downsample: K=%d corners %v %v %v", d.K(), d.At(0, 0), d.At(0, 19), d.At(19, 19))
+	}
 }
 
 func TestQuickGridMutations(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := NewGrid(12, 4)
+		g := partition.NewGridK(12, 4)
 		for i := 0; i < 200; i++ {
-			g.Set(rng.Intn(12), rng.Intn(12), rng.Intn(4))
+			g.Set(rng.Intn(12), rng.Intn(12), partition.Proc(rng.Intn(4)))
 		}
 		sum := 0
-		for p := 0; p < 4; p++ {
+		for p := range partition.Proc(4) {
 			sum += g.Count(p)
 		}
 		return sum == 144 && g.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkRun4Proc(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(RunConfig{N: 50, Ratio: ratio4(), Seed: int64(i), FullDirections: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestBuildStrips(t *testing.T) {
-	ratio := Ratio{4, 2, 1, 1}
-	const n = 80
-	g, err := BuildStrips(n, ratio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	counts := ratio.Counts(n)
-	for p, want := range counts {
-		if g.Count(p) != want {
-			t.Errorf("Count(%d) = %d, want %d", p, g.Count(p), want)
-		}
-	}
-	// Strips: VoC ≈ (K−1)·N² (every row hosts all K processors, up to
-	// the ragged boundary columns).
-	want := NormalizedStripsVoC(len(ratio)) * float64(n*n)
-	if got := float64(g.VoC()); got < want*0.95 || got > want*1.1 {
-		t.Errorf("strips VoC %v, closed form %v", got, want)
-	}
-	if _, err := BuildStrips(10, Ratio{1, 2}); err == nil {
-		t.Error("invalid ratio should error")
-	}
-}
-
-func TestBuildCornerSquares(t *testing.T) {
-	ratio := Ratio{20, 1, 1, 1, 1} // four slow corner squares
-	const n = 120
-	g, err := BuildCornerSquares(n, ratio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	counts := ratio.Counts(n)
-	for p, want := range counts {
-		if g.Count(p) != want {
-			t.Errorf("Count(%d) = %d, want %d", p, g.Count(p), want)
-		}
-	}
-	want := NormalizedCornerSquaresVoC(ratio) * float64(n*n)
-	if got := float64(g.VoC()); got < want*0.9 || got > want*1.15 {
-		t.Errorf("corner squares VoC %v, closed form %v", got, want)
-	}
-}
-
-func TestBuildCornerSquaresErrors(t *testing.T) {
-	if _, err := BuildCornerSquares(40, Ratio{2, 2, 2, 1, 1, 1}); err == nil {
-		t.Error("5 slow processors must be rejected")
-	}
-	// Two equal-share squares on the diagonal (each side ≈ 0.58·N)
-	// cannot fit together.
-	if _, err := BuildCornerSquares(20, Ratio{1, 1, 1}); err == nil {
-		t.Error("oversized squares must be rejected")
-	}
-	if _, err := BuildCornerSquares(10, Ratio{1, 2}); err == nil {
-		t.Error("invalid ratio must be rejected")
-	}
-}
-
-func TestKProcCrossover(t *testing.T) {
-	// The three-processor crossover generalises: for K=4 with ratio
-	// x:1:1:1, corner squares beat the band baseline once x is large
-	// enough (6/√T = 1+3/T ⇒ √T = 3+√6, x ≈ 26.7) and lose below it.
-	lowX, highX := 3.0, 40.0
-	low := Ratio{lowX, 1, 1, 1}
-	high := Ratio{highX, 1, 1, 1}
-	if NormalizedCornerSquaresVoC(low) < NormalizedBandVoC(low) {
-		t.Errorf("at x=%v corner squares should lose to the band: %v vs %v",
-			lowX, NormalizedCornerSquaresVoC(low), NormalizedBandVoC(low))
-	}
-	if NormalizedCornerSquaresVoC(high) > NormalizedBandVoC(high) {
-		t.Errorf("at x=%v corner squares should win: %v vs %v",
-			highX, NormalizedCornerSquaresVoC(high), NormalizedBandVoC(high))
-	}
-	// The strips baseline is dominated by the band everywhere.
-	if NormalizedBandVoC(low) >= NormalizedStripsVoC(4) {
-		t.Error("band should beat strips")
-	}
-	// Concrete grids agree with the closed forms' ordering at high x.
-	const n = 100
-	cs, err := BuildCornerSquares(n, high)
-	if err != nil {
-		t.Fatal(err)
-	}
-	band, err := BuildBand(n, high)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.VoC() >= band.VoC() {
-		t.Errorf("at x=%v grids disagree: corners %d vs band %d", highX, cs.VoC(), band.VoC())
-	}
-	st, err := BuildStrips(n, high)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if band.VoC() >= st.VoC() {
-		t.Errorf("band %d should beat strips %d", band.VoC(), st.VoC())
-	}
-}
-
-func TestBuildBandCounts(t *testing.T) {
-	ratio := Ratio{5, 2, 1, 1}
-	const n = 90
-	g, err := BuildBand(n, ratio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	counts := ratio.Counts(n)
-	for p, want := range counts {
-		if g.Count(p) != want {
-			t.Errorf("Count(%d) = %d, want %d", p, g.Count(p), want)
-		}
-	}
-	want := NormalizedBandVoC(ratio) * float64(n*n)
-	if got := float64(g.VoC()); got < want*0.9 || got > want*1.2 {
-		t.Errorf("band VoC %v, closed form %v", got, want)
-	}
-	if _, err := BuildBand(10, Ratio{1, 2}); err == nil {
-		t.Error("invalid ratio should error")
-	}
-}
-
-func TestCornerSquaresArePushStable(t *testing.T) {
-	// Like the 3-processor candidates, the K-processor corner squares
-	// admit no VoC-decreasing Push.
-	ratio := Ratio{20, 1, 1, 1}
-	g, err := BuildCornerSquares(90, ratio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 1; p < len(ratio); p++ {
-		for _, d := range geom.AllDirections {
-			for _, ty := range []Type{TypeOne, TypeTwo, TypeThree, TypeFour} {
-				c := g.Clone()
-				if res, ok := Attempt(c, p, d, ty, nil); ok {
-					t.Errorf("push %d %v %v improved corner squares by %d", p, d, ty, res.DeltaVoC)
-				}
-			}
-		}
 	}
 }

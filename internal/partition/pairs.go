@@ -15,9 +15,11 @@ package partition
 // identities, not approximations, which the tests assert.
 
 // PairVolumes returns the directed communication volumes V[from][to] in
-// elements. The diagonal is zero. Cost is O(N·NumProcs²) using the grid's
+// elements of a three-processor grid; it panics on any other processor
+// count. The diagonal is zero. Cost is O(N·NumProcs²) using the grid's
 // per-line occupancy counters — no cell scan.
 func (g *Grid) PairVolumes() [NumProcs][NumProcs]int64 {
+	g.mustBeThree("PairVolumes")
 	var v [NumProcs][NumProcs]int64
 	n := g.n
 	for line := 0; line < n; line++ {

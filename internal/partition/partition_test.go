@@ -26,13 +26,78 @@ func TestNewGridAllP(t *testing.T) {
 	}
 }
 
+// TestNewGridInvalidSizePanics covers every misuse the grid refuses by
+// panicking: a non-positive size, a processor count outside [2, MaxProcs],
+// a processor the grid does not hold, a copy between grids of different
+// processor counts, the fastest processor's (absent) cell bit sets, and
+// the three-processor readers on any other count.
 func TestNewGridInvalidSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewGrid(0) should panic")
-		}
-	}()
-	NewGrid(0)
+	for name, f := range map[string]func(){
+		"NewGrid(0)":             func() { NewGrid(0) },
+		"NewGridK(0, 4)":         func() { NewGridK(0, 4) },
+		"NewGridK(5, 1)":         func() { NewGridK(5, 1) },
+		"NewGridK(5, 11)":        func() { NewGridK(5, MaxProcs+1) },
+		"Set(Proc(7)) on K=3":    func() { NewGrid(5).Set(0, 0, Proc(7)) },
+		"Set(Proc(4)) on K=4":    func() { NewGridK(5, 4).Set(0, 0, Proc(4)) },
+		"CopyFrom K=4 into K=3":  func() { NewGrid(5).CopyFrom(NewGridK(5, 4)) },
+		"CellBits of fastest":    func() { NewGridK(5, 4).CellBits(Proc(3)) },
+		"Snapshot on K=4":        func() { NewGridK(5, 4).Snapshot() },
+		"PairVolumes on K=2":     func() { NewGridK(5, 2).PairVolumes() },
+		"Encode on K=2":          func() { NewGridK(5, 2).Encode() },
+		"WritePGM on K=4":        func() { _ = NewGridK(5, 4).WritePGM(&bytes.Buffer{}) },
+		"RandomizeInto with K=4": func() { RandomizeInto(NewGridK(5, 4), MustRatio(2, 1, 1), rand.New(rand.NewSource(1))) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestGridK exercises a grid of four processors: the fastest, Proc(3),
+// starts with every cell, and Set, the counters, Eq 1's VoC, Validate,
+// Clone, Equal and the fingerprints work as on three.
+func TestGridK(t *testing.T) {
+	g := NewGridK(10, 4)
+	if g.N() != 10 || g.K() != 4 || g.Fastest() != Proc(3) {
+		t.Fatalf("N=%d K=%d fastest=%v", g.N(), g.K(), g.Fastest())
+	}
+	if g.Count(Proc(3)) != 100 || g.VoC() != 0 {
+		t.Fatal("initial state")
+	}
+	g.Set(3, 4, Proc(1))
+	if g.At(3, 4) != Proc(1) || g.Count(Proc(1)) != 1 || g.Count(Proc(3)) != 99 {
+		t.Fatal("Set/At/Count")
+	}
+	if g.VoC() != 20 { // one shared row + one shared column
+		t.Fatalf("VoC = %d", g.VoC())
+	}
+	if g.RowProcs(3) != 2 || g.ColProcs(4) != 2 || g.RowsWith(Proc(1)) != 1 {
+		t.Fatal("occupancy")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c := g.Clone()
+	c.Set(0, 0, Proc(0))
+	if g.At(0, 0) != Proc(3) {
+		t.Fatal("clone leak")
+	}
+	if g.Equal(c) || !g.Equal(g.Clone()) {
+		t.Fatal("Equal")
+	}
+	if g.Fingerprint() == c.Fingerprint() || c.Fingerprint() != c.FingerprintRescan() {
+		t.Fatal("fingerprints")
+	}
+	// The same cells over another processor count are a different grid.
+	three := NewGrid(10)
+	if three.Equal(NewGridK(10, 4)) || three.Fingerprint() == NewGridK(10, 4).Fingerprint() {
+		t.Fatal("grids of 3 and 4 processors must differ")
+	}
 }
 
 func TestSetUpdatesCounters(t *testing.T) {
@@ -217,19 +282,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-func TestMask(t *testing.T) {
-	g := NewGrid(3)
-	g.Set(0, 1, R)
-	g.Set(2, 2, R)
-	m := g.Mask(R)
-	wantIdx := map[int]bool{1: true, 8: true}
-	for i, v := range m {
-		if v != wantIdx[i] {
-			t.Fatalf("mask[%d] = %v", i, v)
-		}
-	}
-}
-
 func TestFillRect(t *testing.T) {
 	g := NewGrid(6)
 	r := geom.NewRect(1, 2, 4, 5)
@@ -300,19 +352,22 @@ func TestValidateDetectsCorruption(t *testing.T) {
 }
 
 func TestQuickRandomMutationInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := NewGrid(9)
-		for k := 0; k < 300; k++ {
-			g.Set(rng.Intn(9), rng.Intn(9), Procs[rng.Intn(3)])
+	for _, k := range []int{3, 2, 4, 10} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			g := NewGridK(9, k)
+			for x := 0; x < 300; x++ {
+				g.Set(rng.Intn(9), rng.Intn(9), Proc(rng.Intn(k)))
+			}
+			sum := 0
+			for p := range Proc(k) {
+				sum += g.Count(p)
+			}
+			return sum == 81 && g.Validate() == nil
 		}
-		if g.Count(P)+g.Count(R)+g.Count(S) != 81 {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
 		}
-		return g.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

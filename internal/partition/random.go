@@ -16,21 +16,41 @@ func NewRandom(n int, ratio Ratio, rng *rand.Rand) *Grid {
 	return g
 }
 
-// RandomizeInto resets g to the all-P state and redraws the paper's uniform
-// random start in place — the allocation-free form of NewRandom that lets
-// the census reuse pooled grids instead of allocating N² cells per run. It
-// consumes rng identically to NewRandom, so seeded runs are reproducible
-// whichever entry point built the grid.
+// RandomizeInto resets the three-processor grid g to the all-P state and
+// redraws the paper's uniform random start in place — the allocation-free
+// form of NewRandom that lets the census reuse pooled grids instead of
+// allocating N² cells per run. It consumes rng identically to NewRandom,
+// so seeded runs are reproducible whichever entry point built the grid.
 func RandomizeInto(g *Grid, ratio Ratio, rng *rand.Rand) {
+	g.mustBeThree("RandomizeInto")
 	g.Reset()
-	n := g.N()
-	counts := ratio.Counts(n)
-	for _, x := range [2]Proc{R, S} {
-		remaining := counts[x]
-		for remaining > 0 {
+	counts := ratio.Counts(g.N())
+	drawUniform(g, counts[:], rng)
+}
+
+// NewRandomK builds the random start state of a search over the K
+// processors of s, as NewRandom does for three: every cell starts on the
+// fastest, then each slower processor claims its quota at uniform random
+// positions still owned by the fastest.
+func NewRandomK(n int, s Speeds, rng *rand.Rand) (*Grid, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	g := NewGridK(n, len(s))
+	drawUniform(g, s.Counts(n), rng)
+	return g, nil
+}
+
+// drawUniform hands each slower processor x of the all-fastest grid g, in
+// decreasing speed, counts[x] cells drawn as uniform random (row, column)
+// pairs, claiming a cell only if it still belongs to the fastest.
+func drawUniform(g *Grid, counts []int, rng *rand.Rand) {
+	n, f := g.N(), g.Fastest()
+	for x := range f {
+		for remaining := counts[x]; remaining > 0; {
 			i := rng.Intn(n)
 			j := rng.Intn(n)
-			if g.At(i, j) == P {
+			if g.At(i, j) == f {
 				g.Set(i, j, x)
 				remaining--
 			}
@@ -51,6 +71,7 @@ func NewRandomClustered(n int, ratio Ratio, rng *rand.Rand) *Grid {
 // RandomizeClusteredInto is the in-place, allocation-free form of
 // NewRandomClustered, mirroring RandomizeInto.
 func RandomizeClusteredInto(g *Grid, ratio Ratio, rng *rand.Rand) {
+	g.mustBeThree("RandomizeClusteredInto")
 	g.Reset()
 	n := g.N()
 	counts := ratio.Counts(n)

@@ -23,6 +23,26 @@ func TestNewRandomCountsExact(t *testing.T) {
 			t.Errorf("ratio %v: %v", ratio, err)
 		}
 	}
+	for _, speeds := range []Speeds{{3, 1}, {4, 2, 1, 1}, {8, 4, 2, 1, 1}} {
+		g, err := NewRandomK(40, speeds, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.K() != len(speeds) {
+			t.Errorf("speeds %v: K = %d", speeds, g.K())
+		}
+		for p, want := range speeds.Counts(40) {
+			if g.Count(Proc(p)) != want {
+				t.Errorf("speeds %v: Count(%d) = %d, want %d", speeds, p, g.Count(Proc(p)), want)
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Errorf("speeds %v: %v", speeds, err)
+		}
+	}
+	if _, err := NewRandomK(10, Speeds{1, 2}, rng); err == nil {
+		t.Error("increasing speeds should error")
+	}
 }
 
 func TestNewRandomDeterministicPerSeed(t *testing.T) {
@@ -79,6 +99,21 @@ func TestRenderASCII(t *testing.T) {
 	}
 	if lines[5][5] != '.' {
 		t.Errorf("middle should render P, got %c", lines[5][5])
+	}
+
+	// A box split evenly between R and S renders R; one split evenly
+	// between S and P renders S.
+	tie := NewGrid(2)
+	tie.Set(0, 0, R)
+	tie.Set(0, 1, S)
+	tie.Set(1, 0, R)
+	tie.Set(1, 1, S)
+	if got := tie.RenderASCII(1); got != "R\n" {
+		t.Errorf("R/S tie renders %q, want R", got)
+	}
+	tie.FillRect(geom.NewRect(0, 0, 2, 1), P)
+	if got := tie.RenderASCII(1); got != "S\n" {
+		t.Errorf("S/P tie renders %q, want S", got)
 	}
 }
 

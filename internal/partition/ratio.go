@@ -86,35 +86,94 @@ func (r Ratio) Speed(p Proc) float64 {
 func (r Ratio) Fraction(p Proc) float64 { return r.Speed(p) / r.T() }
 
 // Counts apportions the n² matrix elements to the processors
-// proportionally to speed using largest-remainder rounding, so the counts
-// are exact and sum to n².
+// proportionally to speed (see apportion), so the counts are exact and
+// sum to n².
 func (r Ratio) Counts(n int) [NumProcs]int {
-	area := n * n
-	t := r.T()
 	var counts [NumProcs]int
-	var fracs [NumProcs]float64
+	apportion(n*n, r.T(), []float64{R: r.Rr, S: r.Sr, P: r.Pr}, counts[:])
+	return counts
+}
+
+// apportion splits area cells among the processors in proportion to
+// speed[p], whose sum is t, with largest-remainder rounding: the leftover
+// cells go to the largest fractional parts, ties to the faster processor
+// and then to the lower Proc.
+func apportion(area int, t float64, speed []float64, counts []int) {
+	var fracs [MaxProcs]float64
 	assigned := 0
-	for _, p := range Procs {
-		exact := float64(area) * r.Speed(p) / t
+	for p, v := range speed {
+		exact := float64(area) * v / t
 		counts[p] = int(exact)
 		fracs[p] = exact - float64(counts[p])
 		assigned += counts[p]
 	}
-	// Hand out the leftover cells to the largest fractional parts,
-	// breaking ties toward the faster processor.
-	for assigned < area {
-		best := -1
-		for _, p := range Procs {
-			if best < 0 || fracs[p] > fracs[Proc(best)] ||
-				(fracs[p] == fracs[Proc(best)] && r.Speed(p) > r.Speed(Proc(best))) {
-				best = int(p)
+	for ; assigned < area; assigned++ {
+		best := 0
+		for p := 1; p < len(speed); p++ {
+			if fracs[p] > fracs[best] || (fracs[p] == fracs[best] && speed[p] > speed[best]) {
+				best = p
 			}
 		}
 		counts[best]++
 		fracs[best] = -1
-		assigned++
 	}
+}
+
+// Speeds is the relative speed of each of K processors, fastest first
+// (Speeds[0] ≥ Speeds[1] ≥ … > 0), the K-processor counterpart of Ratio
+// for the §XI extension; the slowest is conventionally 1. On a grid of K
+// processors Speeds[0] is the fastest, Proc(K−1), and Speeds[i] for i ≥ 1
+// is Proc(i−1).
+type Speeds []float64
+
+// Validate checks positivity, ordering and length.
+func (s Speeds) Validate() error {
+	if len(s) < 2 {
+		return fmt.Errorf("partition: need at least 2 processors, got %d", len(s))
+	}
+	if len(s) > MaxProcs {
+		return fmt.Errorf("partition: at most %d processors, got %d", MaxProcs, len(s))
+	}
+	for i, v := range s {
+		if !(v > 0) {
+			return fmt.Errorf("partition: speed %d is %v, must be positive", i, v)
+		}
+		if i > 0 && v > s[i-1] {
+			return fmt.Errorf("partition: speeds %v must be non-increasing (fastest first)", s)
+		}
+	}
+	return nil
+}
+
+// T returns the speed sum.
+func (s Speeds) T() float64 {
+	var t float64
+	for _, v := range s {
+		t += v
+	}
+	return t
+}
+
+// Counts apportions the n² matrix elements to the processors in
+// proportion to speed, as Ratio.Counts does. counts[p] is Proc(p)'s share,
+// so the fastest's is counts[K−1].
+func (s Speeds) Counts(n int) []int {
+	k := len(s)
+	speed := make([]float64, k)
+	for p := range speed {
+		speed[p] = s[(p+1)%k]
+	}
+	counts := make([]int, k)
+	apportion(n*n, s.T(), speed, counts)
 	return counts
+}
+
+func (s Speeds) String() string {
+	parts := make([]string, len(s))
+	for i, v := range s {
+		parts[i] = fmt.Sprintf("%g", v)
+	}
+	return strings.Join(parts, ":")
 }
 
 // Normalized returns the ratio scaled so Sr = 1.

@@ -85,6 +85,64 @@ func TestRatioCountsExact(t *testing.T) {
 	}
 }
 
+func TestSpeedsValidate(t *testing.T) {
+	for _, c := range []struct {
+		s       Speeds
+		wantErr bool
+	}{
+		{Speeds{2, 1}, false},
+		{Speeds{5, 3, 2, 1}, false},
+		{Speeds{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, false},
+		{Speeds{1}, true},
+		{Speeds{1, 2}, true},             // increasing
+		{Speeds{2, 0}, true},             // non-positive
+		{Speeds{2, math.NaN()}, true},    // not a number
+		{make(Speeds, MaxProcs+1), true}, // too many
+	} {
+		if err := c.s.Validate(); (err != nil) != c.wantErr {
+			t.Errorf("Validate(%v) err=%v, wantErr=%v", c.s, err, c.wantErr)
+		}
+	}
+	if got := (Speeds{8, 4, 2, 1}).String(); got != "8:4:2:1" {
+		t.Errorf("String = %q", got)
+	}
+}
+
+// TestSpeedsCounts checks the K-processor apportionment: the counts sum
+// to n², Proc(p)'s count (the fastest last) is within one cell of its
+// exact share, and on three
+// processors equal Ratio.Counts, ties included (2:2:1 splits a leftover
+// cell between the equal Pr and Rr).
+func TestSpeedsCounts(t *testing.T) {
+	for _, s := range []Speeds{{4, 2, 1, 1}, {3, 1}, {8, 4, 2, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1, 1, 1}} {
+		for _, n := range []int{10, 37, 100} {
+			counts := s.Counts(n)
+			sum := 0
+			for p, c := range counts {
+				sum += c
+				exact := float64(n*n) * s[(p+1)%len(s)] / s.T()
+				if d := float64(c) - exact; d < -1 || d > 1 {
+					t.Errorf("speeds %v n=%d: Proc(%d) gets %d of exact %.2f", s, n, p, c, exact)
+				}
+			}
+			if sum != n*n {
+				t.Errorf("speeds %v n=%d: counts %v sum to %d", s, n, counts, sum)
+			}
+		}
+	}
+	for _, r := range PaperRatios {
+		for _, n := range []int{7, 10, 33, 101} {
+			want := r.Counts(n)
+			got := Speeds{r.Pr, r.Rr, r.Sr}.Counts(n)
+			for _, p := range Procs {
+				if got[p] != want[p] {
+					t.Errorf("ratio %v n=%d: Speeds counts %v, Ratio counts %v", r, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestQuickCountsAlwaysSum(t *testing.T) {
 	f := func(a, b, c uint8, nn uint8) bool {
 		pr := float64(a%20) + 1

@@ -8,9 +8,10 @@ import (
 
 // RenderASCII draws the partition at reduced granularity, the way Fig 7
 // presents the example run: the grid is divided into boxes×boxes squares
-// and each box is drawn with the glyph of the processor owning the
-// majority of its cells ('.' for P, 'R', 'S'; majority ties break toward
-// the slower processor so small regions stay visible).
+// and each box is drawn with the glyph of its majority owner (see
+// majority). The fastest processor draws as '.'; on a three-processor
+// grid R and S draw as 'R' and 'S', on any other the slower processors
+// draw as their speed rank '1'…'9'.
 func (g *Grid) RenderASCII(boxes int) string {
 	var b strings.Builder
 	g.renderTo(&b, boxes)
@@ -21,30 +22,19 @@ func (g *Grid) renderTo(w io.Writer, boxes int) {
 	if boxes <= 0 || boxes > g.n {
 		boxes = g.n
 	}
-	glyph := [NumProcs]byte{R: 'R', S: 'S', P: '.'}
+	var glyph [MaxProcs]byte
+	for p := range g.k - 1 {
+		glyph[p] = byte('1' + p)
+	}
+	if g.k == NumProcs {
+		glyph[R], glyph[S] = 'R', 'S'
+	}
+	glyph[g.Fastest()] = '.'
 	line := make([]byte, boxes+1)
 	line[boxes] = '\n'
 	for bi := 0; bi < boxes; bi++ {
-		r0 := bi * g.n / boxes
-		r1 := (bi + 1) * g.n / boxes
 		for bj := 0; bj < boxes; bj++ {
-			c0 := bj * g.n / boxes
-			c1 := (bj + 1) * g.n / boxes
-			var tally [NumProcs]int
-			for i := r0; i < r1; i++ {
-				for j := c0; j < c1; j++ {
-					tally[g.At(i, j)]++
-				}
-			}
-			// Majority owner; ties break S > R > P so the slowest
-			// (smallest) processor never vanishes from the picture.
-			best := P
-			for _, p := range [3]Proc{R, S, P} {
-				if tally[p] > tally[best] || (tally[p] == tally[best] && p != P && best == P) {
-					best = p
-				}
-			}
-			line[bj] = glyph[best]
+			line[bj] = glyph[g.majority(boxes, bi, bj)]
 		}
 		if _, err := w.Write(line); err != nil {
 			return
@@ -53,43 +43,49 @@ func (g *Grid) renderTo(w io.Writer, boxes int) {
 }
 
 // Downsample returns a boxes×boxes grid in which each cell holds the
-// majority owner of the corresponding block of g — the same reduction the
-// paper uses to present partitions at 1/100th granularity (Fig 7).
-// Majority ties break toward the slower processor (S over R over P) so
-// small regions never vanish.
+// majority owner (see majority) of the corresponding block of g — the
+// same reduction the paper uses to present partitions at 1/100th
+// granularity (Fig 7).
 func (g *Grid) Downsample(boxes int) *Grid {
 	if boxes <= 0 || boxes > g.n {
 		boxes = g.n
 	}
-	out := NewGrid(boxes)
+	out := NewGridK(boxes, g.k)
 	for bi := 0; bi < boxes; bi++ {
-		r0 := bi * g.n / boxes
-		r1 := (bi + 1) * g.n / boxes
 		for bj := 0; bj < boxes; bj++ {
-			c0 := bj * g.n / boxes
-			c1 := (bj + 1) * g.n / boxes
-			var tally [NumProcs]int
-			for i := r0; i < r1; i++ {
-				for j := c0; j < c1; j++ {
-					tally[g.At(i, j)]++
-				}
-			}
-			best := P
-			for _, p := range [3]Proc{R, S, P} {
-				if tally[p] > tally[best] || (tally[p] == tally[best] && p != P && best == P) {
-					best = p
-				}
-			}
-			out.Set(bi, bj, best)
+			out.Set(bi, bj, g.majority(boxes, bi, bj))
 		}
 	}
 	return out
 }
 
-// WritePGM writes the partition as a binary PGM image (one pixel per cell;
-// P=white, R=gray, S=black), matching the paper's white/gray/black figure
-// convention.
+// majority returns the processor owning the most cells of box (bi, bj)
+// when the grid is cut into boxes×boxes boxes. A tie goes to a slower
+// processor over the fastest, so small regions never vanish from the
+// picture, and between slower processors to the faster: R over S over P
+// on a three-processor grid.
+func (g *Grid) majority(boxes, bi, bj int) Proc {
+	var tally [MaxProcs]int
+	for i := bi * g.n / boxes; i < (bi+1)*g.n/boxes; i++ {
+		for j := bj * g.n / boxes; j < (bj+1)*g.n/boxes; j++ {
+			tally[g.At(i, j)]++
+		}
+	}
+	best := g.Fastest()
+	for p := range g.Fastest() {
+		if tally[p] > tally[best] || (tally[p] == tally[best] && best == g.Fastest()) {
+			best = p
+		}
+	}
+	return best
+}
+
+// WritePGM writes a three-processor partition as a binary PGM image (one
+// pixel per cell; P=white, R=gray, S=black), matching the paper's
+// white/gray/black figure convention. It panics on any other processor
+// count.
 func (g *Grid) WritePGM(w io.Writer) error {
+	g.mustBeThree("WritePGM")
 	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", g.n, g.n); err != nil {
 		return err
 	}
@@ -106,9 +102,11 @@ func (g *Grid) WritePGM(w io.Writer) error {
 	return nil
 }
 
-// Encode serialises the grid into a compact byte form (size header plus
-// one byte per cell) that Decode restores exactly.
+// Encode serialises a three-processor grid into a compact byte form (size
+// header plus one byte per cell) that Decode restores exactly. It panics
+// on any other processor count, which the format does not record.
 func (g *Grid) Encode() []byte {
+	g.mustBeThree("Encode")
 	buf := make([]byte, 4+len(g.cells))
 	buf[0] = byte(g.n >> 24)
 	buf[1] = byte(g.n >> 16)
@@ -120,7 +118,7 @@ func (g *Grid) Encode() []byte {
 	return buf
 }
 
-// Decode restores a grid from Encode's output.
+// Decode restores a three-processor grid from Encode's output.
 func Decode(buf []byte) (*Grid, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("partition: decode: truncated header")

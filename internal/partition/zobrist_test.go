@@ -85,34 +85,43 @@ func TestFingerprintSurvivesLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Random lifecycles on both sides of a 64-bit word boundary, with the
-	// cell bit sets built before the sequence, part-way through, or never.
-	// Validate checks the counters, the fingerprint and both kinds of bit
-	// set against the cells after every step, and EnclosingRect is checked
-	// against a scan of the cells.
-	for _, n := range []int{63, 64, 65, 130} {
+	// Random lifecycles on both sides of a 64-bit word boundary, on grids
+	// of 3 processors and of 2, 4 and 5, with the cell bit sets built
+	// before the sequence, part-way through, or never. Validate checks the
+	// counters, the fingerprint and both kinds of bit set against the cells
+	// after every step, and EnclosingRect is checked against a scan of the
+	// cells.
+	for _, size := range []struct{ n, k int }{{63, 3}, {64, 3}, {65, 3}, {130, 3}, {63, 2}, {64, 4}, {65, 5}, {130, 4}} {
+		n, k := size.n, size.k
 		for _, build := range []string{"before", "during", "never"} {
-			g := NewRandom(n, MustRatio(3, 2, 1), rng)
-			other := NewRandomClustered(n, MustRatio(5, 2, 1), rng)
+			var g, other *Grid
+			if k == NumProcs {
+				g = NewRandom(n, MustRatio(3, 2, 1), rng)
+				other = NewRandomClustered(n, MustRatio(5, 2, 1), rng)
+			} else {
+				speeds := Speeds{8, 4, 2, 1, 1}[:k]
+				g, _ = NewRandomK(n, speeds, rng)
+				other, _ = NewRandomK(n, Speeds{3, 3, 2, 2, 1}[:k], rng)
+			}
 			if build == "before" {
-				g.CellBits(R)
+				g.CellBits(0)
 			}
 			check := func(step int, what string) {
 				t.Helper()
 				for _, h := range []*Grid{g, other} {
 					if err := h.Validate(); err != nil {
-						t.Fatalf("n=%d build %s step %d (%s): %v", n, build, step, what, err)
+						t.Fatalf("n=%d k=%d build %s step %d (%s): %v", n, k, build, step, what, err)
 					}
-					for _, p := range Procs {
+					for p := range Proc(k) {
 						if got, want := h.EnclosingRect(p), scanRect(h, p); got != want {
-							t.Fatalf("n=%d build %s step %d (%s): rect of %v = %v, scan %v", n, build, step, what, p, got, want)
+							t.Fatalf("n=%d k=%d build %s step %d (%s): rect of %v = %v, scan %v", n, k, build, step, what, p, got, want)
 						}
 					}
 				}
 			}
 			for step := 0; step < 40; step++ {
 				if build == "during" && step == 20 {
-					g.CellBits(S)
+					g.CellBits(Proc(k - 2))
 					check(step, "build")
 				}
 				switch op := rng.Intn(7); op {
@@ -123,20 +132,20 @@ func TestFingerprintSurvivesLifecycle(t *testing.T) {
 					}
 					var log []prior
 					fp := g.Fingerprint()
-					for k := 1 + rng.Intn(40); k > 0; k-- {
+					for m := 1 + rng.Intn(40); m > 0; m-- {
 						i, j := rng.Intn(n), rng.Intn(n)
 						if op == 1 { // near the edges, where words split
 							i, j = n-1-rng.Intn(3), 62+rng.Intn(n-62)
 						}
 						log = append(log, prior{i, j, g.At(i, j)})
-						g.Set(i, j, Proc(rng.Intn(NumProcs)))
+						g.Set(i, j, Proc(rng.Intn(k)))
 					}
 					check(step, "set")
-					for k := len(log) - 1; k >= 0; k-- {
-						g.Set(log[k].i, log[k].j, log[k].p)
+					for x := len(log) - 1; x >= 0; x-- {
+						g.Set(log[x].i, log[x].j, log[x].p)
 					}
 					if g.Fingerprint() != fp {
-						t.Fatalf("n=%d build %s step %d: rollback did not restore the fingerprint", n, build, step)
+						t.Fatalf("n=%d k=%d build %s step %d: rollback did not restore the fingerprint", n, k, build, step)
 					}
 					check(step, "rollback")
 				case 2:
@@ -150,13 +159,13 @@ func TestFingerprintSurvivesLifecycle(t *testing.T) {
 					check(step, "copy out")
 				case 5:
 					c := g.Clone()
-					c.Set(rng.Intn(n), rng.Intn(n), Proc(rng.Intn(NumProcs)))
+					c.Set(rng.Intn(n), rng.Intn(n), Proc(rng.Intn(k)))
 					if err := c.Validate(); err != nil {
-						t.Fatalf("n=%d build %s step %d: clone: %v", n, build, step, err)
+						t.Fatalf("n=%d k=%d build %s step %d: clone: %v", n, k, build, step, err)
 					}
 					check(step, "clone")
 				default: // the other grid gets its own cell bit sets
-					other.CellBits(R)
+					other.CellBits(0)
 					check(step, "build other")
 				}
 			}

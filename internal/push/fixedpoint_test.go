@@ -43,6 +43,26 @@ func TestCandidatesArePushFixedPoints(t *testing.T) {
 	}
 }
 
+// TestCornerSquaresArePushStable is the K-processor counterpart: like the
+// three-processor candidates, the corner squares of four processors admit
+// no VoC-decreasing Push.
+func TestCornerSquaresArePushStable(t *testing.T) {
+	g, err := partition.BuildCornerSquares(90, partition.Speeds{20, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range g.Fastest() {
+		for _, d := range geom.AllDirections {
+			for _, ty := range []Type{TypeOne, TypeTwo, TypeThree, TypeFour} {
+				c := g.Clone()
+				if res, ok := Attempt(c, p, d, ty, nil); ok {
+					t.Errorf("push %v %v %v improved corner squares by %d", p, d, ty, res.DeltaVoC)
+				}
+			}
+		}
+	}
+}
+
 // TestRandomStartsNeverBeatBestCandidate: the search never finds a state
 // with lower VoC than the best canonical candidate for the ratio — the
 // candidates really are the floor, at test scale.

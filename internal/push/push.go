@@ -1,6 +1,9 @@
 // Package push implements the paper's primary contribution: the three-
 // processor Push operation (Section IV-A) and the computer-aided search
-// program built on it (Sections V–VI).
+// program built on it (Sections V–VI). The engine reads the processor
+// count K from the grid, so the same Push and search run on any K the
+// grid holds (the §XI extension): every processor but the fastest is
+// pushed, and it may displace any other processor.
 //
 // A Push is an atomic transformation of a partition shape q into q₁ that
 // cleans one edge row/column of the active processor's enclosing rectangle,
@@ -189,7 +192,8 @@ func Attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 
 // attempt is Attempt, reporting how the attempt ended.
 func attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Type, accept AcceptFunc) (Result, outcome) {
-	if active == partition.P {
+	np := g.K()
+	if int(active) >= np-1 {
 		// Only the slower processors are ever pushed (Section VI-C: a
 		// partition is condensed when no processor except the largest
 		// may be moved).
@@ -217,14 +221,15 @@ func attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 	}
 
 	// Raw counter slices, pre-swapped into logical orientation: lrc answers
-	// "count of p in logical row i" at lrc[(fa·i+fb)·NumProcs + p], lcc
-	// answers the column question at lcc[j·NumProcs + p].
+	// "count of p in logical row i" at lrc[(fa·i+fb)·K + p], and lrp has
+	// bit p of lrp[fa·i+fb] set iff that row holds p; lcp answers the
+	// column question at lcp[j].
 	_, rawRowCnt, rawColCnt := g.Raw()
-	lrc, lcc := rawRowCnt, rawColCnt
+	rowProcs, colProcs := g.LineProcs()
+	lrc, lrp, lcp := rawRowCnt, rowProcs, colProcs
 	if v.Transposed() {
-		lrc, lcc = rawColCnt, rawRowCnt
+		lrc, lrp, lcp = rawColCnt, colProcs, rowProcs
 	}
-	const np = partition.NumProcs
 	ai := int(active)
 
 	top := rect.Top
@@ -242,24 +247,31 @@ func attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 		return Result{}, refused
 	}
 
-	// The two processors the active one can displace: the other slow one
-	// (o1) and P (o2).
-	o1, o2 := partition.S, partition.P
-	if active == partition.S {
-		o1 = partition.R
-	}
-	o1i, o2i := int(o1), int(o2)
+	// The processors the active one may displace, as a set of processor
+	// bits: every other slow one (slowOthers) and the fastest.
+	fastest := int(g.Fastest())
+	slowOthers := (uint(1)<<fastest - 1) &^ (1 << ai)
+	others := slowOthers | 1<<fastest
 
-	// Bit sets in logical orientation: act[L·W+k] and oth[L·W+k] are word k
-	// of line L's active and o1 cells, P's cells are the complement of both,
-	// and colAct has bit h set iff logical column h holds the active
-	// processor. The slot search ANDs and ORs W = ⌈N/64⌉ words per row.
+	// Bit sets in logical orientation: act[L·W+k] is word k of line L's
+	// active cells, oth[q] likewise for each slow q in slowOthers, and
+	// colAct has bit h set iff logical column h holds the active
+	// processor. The fastest owns the complement of all slow cells. The
+	// slot search ANDs and ORs W = ⌈N/64⌉ words per row.
 	actByRow, actByCol := g.CellBits(active)
-	othByRow, othByCol := g.CellBits(o1)
 	lineRows, lineCols := g.LineBits(active)
-	act, oth, colAct := actByRow, othByRow, lineCols
+	act, colAct := actByRow, lineCols
 	if v.Transposed() {
-		act, oth, colAct = actByCol, othByCol, lineRows
+		act, colAct = actByCol, lineRows
+	}
+	var oth [partition.MaxProcs - 1][]uint64
+	for x := slowOthers; x != 0; x &= x - 1 {
+		q := bits.TrailingZeros(x)
+		byRow, byCol := g.CellBits(partition.Proc(q))
+		oth[q] = byRow
+		if v.Transposed() {
+			oth[q] = byCol
+		}
 	}
 	words := len(colAct)
 
@@ -309,35 +321,25 @@ func attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 	// place moves the edge element at logical (top, j) into the first slot
 	// from cur, in logical row-major order, that the tier accepts.
 	place := func(j int, cur *cursor, tier int) bool {
-		jBase := j * np
-
-		// q1 and q2 answer "may o1 (o2) be displaced from the slot?" for
-		// this tier and edge column j: the owner-side legality. They are
-		// stable for the whole call, since placements mutate the grid only
-		// on success, which returns immediately.
-		var q1, q2 bool
-		switch {
-		case tier == tierAmortised:
-			q1 = lcc[jBase+o1i] > 0
-			q2 = lcc[jBase+o2i] > 0
-		case tier == tierStrict || ownerStrict:
-			q1 = lrc[topBase+o1i] > 0 && lcc[jBase+o1i] > 0
-			q2 = lrc[topBase+o2i] > 0 && lcc[jBase+o2i] > 0
-		default: // relaxed typed tier
-			q1, q2 = true, true
+		// owners is the set of processors that may be displaced from the
+		// slot under this tier and edge column j: the owner-side legality.
+		// The displaced processor must occupy the receiving column in tiers
+		// A and B and under a strict owner rule, and the cleaned row in
+		// tier A and under a strict owner rule. The set is stable for the
+		// whole call, since placements mutate the grid only on success,
+		// which returns immediately.
+		owners := others
+		if tier != tierTyped || ownerStrict {
+			owners &= uint(lcp[j])
+		}
+		if tier == tierStrict || (tier == tierTyped && ownerStrict) {
+			owners &= uint(lrp[topLine])
 		}
 		// No displaceable processor qualifies: every remaining cell would
 		// be rejected, so exhausting the cursor in O(1) is exact.
-		if !q1 && !q2 {
+		if owners == 0 {
 			cur.g, cur.h = cur.bounds.Bottom, cur.bounds.Left
 			return false
-		}
-		var sel1, sel2 uint64 // all ones when q1 (q2) holds
-		if q1 {
-			sel1 = ^uint64(0)
-		}
-		if q2 {
-			sel2 = ^uint64(0)
 		}
 
 		// needClean: this tier only accepts placements with willDirty == 0
@@ -347,6 +349,17 @@ func attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 		// line; when the budget cannot absorb that, skip them whole. dirtied
 		// is frozen for the duration of one place call.
 		skipEmptyRows := needClean || (dirtyLimit >= 0 && dirtied+1 > dirtyLimit)
+
+		// A slot word is the OR of the cell bit sets of the slow
+		// processors in mix when the fastest may not be displaced, mix
+		// holding the slow ones that may be, and the complement of the
+		// active cells and the mix when it may, mix holding those that may
+		// not.
+		mayFastest := owners>>fastest&1 != 0
+		mix := owners
+		if mayFastest {
+			mix = slowOthers &^ owners
+		}
 
 		cg, ch := cur.g, cur.h
 		bottom, left, right := cur.bounds.Bottom, cur.bounds.Left, cur.bounds.Right
@@ -358,8 +371,7 @@ func attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 			// the active processor's cells lie inside its enclosing
 			// rectangle, so the line count equals the in-rectangle count.)
 			rowActive := int(lrc[base+ai])
-			if rowActive == width || (rowActive == 0 && skipEmptyRows) ||
-				((!q1 || lrc[base+o1i] == 0) && (!q2 || lrc[base+o2i] == 0)) {
+			if rowActive == width || (rowActive == 0 && skipEmptyRows) || uint(lrp[line])&owners == 0 {
 				continue
 			}
 			rowDirt := 0
@@ -371,9 +383,16 @@ func attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 			// that this row's own fresh line (if any) exhausts. With
 			// budget to spare, or none at all, any column will do.
 			needCol := needClean || (dirtyLimit > 0 && dirtied+rowDirt == dirtyLimit)
-			a, o := act[line*words:(line+1)*words], oth[line*words:(line+1)*words]
+			off := line * words
 			for k := ch >> 6; k <= (right-1)>>6; k++ {
-				m := (o[k]&sel1 | ^(a[k]|o[k])&sel2) & span(k, ch, right)
+				var m uint64
+				for x := mix; x != 0; x &= x - 1 {
+					m |= oth[bits.TrailingZeros(x)][off+k]
+				}
+				if mayFastest {
+					m = ^(act[off+k] | m)
+				}
+				m &= span(k, ch, right)
 				if needCol {
 					m &= colAct[k]
 				}
@@ -382,9 +401,12 @@ func attempt(g *partition.Grid, active partition.Proc, dir geom.Direction, t Typ
 				}
 				b := bits.TrailingZeros64(m)
 				h := k*64 + b
-				owner := o2
-				if o[k]>>b&1 != 0 {
-					owner = o1
+				owner := partition.Proc(fastest)
+				for x := slowOthers & owners; x != 0; x &= x - 1 {
+					if q := bits.TrailingZeros(x); oth[q][off+k]>>b&1 != 0 {
+						owner = partition.Proc(q)
+						break
+					}
 				}
 				willDirty := rowDirt
 				if colAct[k]>>b&1 == 0 {

@@ -11,10 +11,34 @@ import (
 
 func ratio211() partition.Ratio { return partition.MustRatio(2, 1, 1) }
 
+// randomStarts returns seeded random starts on 20×20 grids of 3
+// processors (ratio 2:1:1) and of 2, 4 and 5.
+func randomStarts(rng *rand.Rand) []*partition.Grid {
+	gs := []*partition.Grid{partition.NewRandom(20, ratio211(), rng)}
+	for _, s := range []partition.Speeds{{3, 1}, {4, 2, 1, 1}, {8, 4, 2, 1, 1}} {
+		g, err := partition.NewRandomK(20, s, rng)
+		if err != nil {
+			panic(err)
+		}
+		gs = append(gs, g)
+	}
+	return gs
+}
+
+// slowProc draws one of g's slower processors.
+func slowProc(g *partition.Grid, rng *rand.Rand) partition.Proc {
+	return partition.Proc(rng.Intn(g.K() - 1))
+}
+
 func TestAttemptOnPFails(t *testing.T) {
-	g := partition.NewGrid(10)
-	if _, ok := Attempt(g, partition.P, geom.Down, TypeOne, nil); ok {
-		t.Fatal("the fastest processor must never be pushed")
+	for _, g := range randomStarts(rand.New(rand.NewSource(2))) {
+		for _, p := range []partition.Proc{g.Fastest(), partition.Proc(g.K())} {
+			for _, d := range geom.AllDirections {
+				if _, ok := AttemptAny(g, p, d, nil, nil); ok {
+					t.Fatalf("k=%d: %v, the fastest or no processor, was pushed", g.K(), p)
+				}
+			}
+		}
 	}
 }
 
@@ -86,55 +110,71 @@ func TestPushDownMovesEdgeDown(t *testing.T) {
 
 func TestPushPreservesCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	g := partition.NewRandom(24, ratio211(), rng)
-	var before [partition.NumProcs]int
-	for _, p := range partition.Procs {
-		before[p] = g.Count(p)
-	}
-	pushes := 0
-	for i := 0; i < 200; i++ {
-		p := partition.Procs[rng.Intn(2)] // R or S
-		d := geom.AllDirections[rng.Intn(4)]
-		if _, ok := AttemptAny(g, p, d, nil, nil); ok {
-			pushes++
+	for _, g := range append(randomStarts(rng), partition.NewRandom(24, ratio211(), rng)) {
+		var before [partition.MaxProcs]int
+		for p := range g.Fastest() + 1 {
+			before[p] = g.Count(p)
 		}
-		for _, q := range partition.Procs {
-			if g.Count(q) != before[q] {
-				t.Fatalf("push changed Count(%v): %d -> %d", q, before[q], g.Count(q))
+		pushes := 0
+		for i := 0; i < 200; i++ {
+			p := slowProc(g, rng)
+			d := geom.AllDirections[rng.Intn(4)]
+			if _, ok := AttemptAny(g, p, d, nil, nil); ok {
+				pushes++
+			}
+			for q := range g.Fastest() + 1 {
+				if g.Count(q) != before[q] {
+					t.Fatalf("k=%d: push changed Count(%v): %d -> %d", g.K(), q, before[q], g.Count(q))
+				}
 			}
 		}
-	}
-	if pushes == 0 {
-		t.Fatal("expected at least one successful push")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+		if pushes == 0 {
+			t.Fatalf("k=%d: expected at least one successful push", g.K())
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestPushNeverIncreasesVoC(t *testing.T) {
-	// The paper's core guarantee, exercised across ratios and seeds.
+	// The paper's core guarantee, exercised across ratios and seeds, and
+	// on 2, 4 and 5 processors.
+	var starts []*partition.Grid
 	for _, ratio := range partition.PaperRatios[:6] {
 		for seed := int64(0); seed < 3; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			g := partition.NewRandom(20, ratio, rng)
-			voc := g.VoC()
-			for i := 0; i < 400; i++ {
-				p := partition.Procs[rng.Intn(2)]
-				d := geom.AllDirections[rng.Intn(4)]
-				ty := AllTypes[rng.Intn(len(AllTypes))]
-				res, ok := Attempt(g, p, d, ty, nil)
-				if !ok {
-					continue
-				}
-				if g.VoC() > voc {
-					t.Fatalf("ratio %v seed %d: VoC rose %d -> %d via %+v", ratio, seed, voc, g.VoC(), res)
-				}
-				if res.DeltaVoC > 0 {
-					t.Fatalf("positive reported delta: %+v", res)
-				}
-				voc = g.VoC()
+			starts = append(starts, partition.NewRandom(20, ratio, rand.New(rand.NewSource(seed))))
+		}
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		starts = append(starts, randomStarts(rand.New(rand.NewSource(seed)))[1:]...)
+	}
+	for x, g := range starts {
+		rng := rand.New(rand.NewSource(int64(x)))
+		voc := g.VoC()
+		committed := 0
+		for i := 0; i < 400; i++ {
+			p := slowProc(g, rng)
+			d := geom.AllDirections[rng.Intn(4)]
+			ty := AllTypes[rng.Intn(len(AllTypes))]
+			res, ok := Attempt(g, p, d, ty, nil)
+			if !ok {
+				continue
 			}
+			committed++
+			if g.VoC() > voc {
+				t.Fatalf("start %d (k=%d): VoC rose %d -> %d via %+v", x, g.K(), voc, g.VoC(), res)
+			}
+			if res.DeltaVoC > 0 {
+				t.Fatalf("positive reported delta: %+v", res)
+			}
+			voc = g.VoC()
+		}
+		if committed == 0 {
+			t.Fatalf("start %d (k=%d): no push committed", x, g.K())
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -166,18 +206,19 @@ func TestPushTypeContracts(t *testing.T) {
 
 func TestActiveRectangleNeverGrows(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	g := partition.NewRandom(22, ratio211(), rng)
-	for i := 0; i < 400; i++ {
-		p := partition.Procs[rng.Intn(2)]
-		d := geom.AllDirections[rng.Intn(4)]
-		before := g.EnclosingRect(p)
-		if _, ok := AttemptAny(g, p, d, nil, nil); ok {
-			after := g.EnclosingRect(p)
-			if !before.ContainsRect(after) {
-				t.Fatalf("active rect grew: %v -> %v", before, after)
-			}
-			if after.Eq(before) {
-				t.Fatalf("successful push left active rect unchanged: %v", before)
+	for _, g := range append(randomStarts(rng), partition.NewRandom(22, ratio211(), rng)) {
+		for i := 0; i < 400; i++ {
+			p := slowProc(g, rng)
+			d := geom.AllDirections[rng.Intn(4)]
+			before := g.EnclosingRect(p)
+			if _, ok := AttemptAny(g, p, d, nil, nil); ok {
+				after := g.EnclosingRect(p)
+				if !before.ContainsRect(after) {
+					t.Fatalf("k=%d: active rect grew: %v -> %v", g.K(), before, after)
+				}
+				if after.Eq(before) {
+					t.Fatalf("k=%d: successful push left active rect unchanged: %v", g.K(), before)
+				}
 			}
 		}
 	}

@@ -31,11 +31,14 @@ type Config struct {
 	// N is the matrix dimension (the paper used 1000; the structure of
 	// the terminal shapes is scale-free).
 	N int
-	// Ratio is the processing-speed ratio Pr:Rr:Sr.
+	// Ratio is the processing-speed ratio Pr:Rr:Sr of the random q₀; it
+	// is read only when the run draws its own start.
 	Ratio partition.Ratio
 	// Seed drives all randomisation (start state, direction sets, order).
 	Seed int64
-	// Start overrides the random q₀ when non-nil (the grid is cloned).
+	// Start overrides the random q₀ when non-nil (the grid is cloned). It
+	// may hold any processor count the grid supports; a search over K ≠ 3
+	// processors passes its start here (see partition.NewRandomK).
 	Start *partition.Grid
 	// Types restricts the Push types tried; nil means all six.
 	Types []Type
@@ -51,7 +54,8 @@ type Config struct {
 	Clustered bool
 	// Scratch, when non-nil, is used as the run's working grid instead of
 	// allocating a fresh N² grid: it is reset and re-randomised (or
-	// overwritten from Start) in place, and RunResult.Final aliases it.
+	// overwritten from Start, whose processor count it must share) in
+	// place, and RunResult.Final aliases it.
 	// Callers pooling grids must finish with Final before reusing Scratch.
 	// Seeded runs produce identical results with or without a Scratch.
 	Scratch *partition.Grid
@@ -71,7 +75,8 @@ type Config struct {
 	// monotone non-increasing BY CONSTRUCTION — which is exactly what
 	// keeps the fingerprint memoisation sound (see condense). A uniform
 	// weight matrix is detected and routed through the bit-exact integer
-	// path.
+	// path. Weights price three processors, so a run with CostWeights
+	// searches three-processor grids only.
 	CostWeights *partition.Weights
 }
 
@@ -80,14 +85,15 @@ type Config struct {
 // a random order.
 type DirectionPlan map[partition.Proc][]geom.Direction
 
-// newPlan draws the per-processor direction sets.
-func newPlan(rng *rand.Rand) DirectionPlan {
-	plan := make(DirectionPlan, 2)
-	for _, p := range [2]partition.Proc{partition.R, partition.S} {
-		k := 1 + rng.Intn(geom.NumDirections)
+// newPlan draws the direction sets of the k−1 slow processors of a grid of
+// k, in decreasing speed (R, then S).
+func newPlan(rng *rand.Rand, k int) DirectionPlan {
+	plan := make(DirectionPlan, k-1)
+	for p := range partition.Proc(k - 1) {
+		cnt := 1 + rng.Intn(geom.NumDirections)
 		perm := rng.Perm(geom.NumDirections)
-		dirs := make([]geom.Direction, k)
-		for i := 0; i < k; i++ {
+		dirs := make([]geom.Direction, cnt)
+		for i := 0; i < cnt; i++ {
 			dirs[i] = geom.AllDirections[perm[i]]
 		}
 		plan[p] = dirs
@@ -95,14 +101,14 @@ func newPlan(rng *rand.Rand) DirectionPlan {
 	return plan
 }
 
-// FullPlan gives both processors all four directions (used by Beautify and
-// by reduction proofs).
-func FullPlan() DirectionPlan {
-	all := append([]geom.Direction(nil), geom.AllDirections[:]...)
-	return DirectionPlan{
-		partition.R: all,
-		partition.S: append([]geom.Direction(nil), all...),
+// FullPlan gives each of the k−1 slow processors of a grid of k all four
+// directions (used by Beautify and by reduction proofs).
+func FullPlan(k int) DirectionPlan {
+	plan := make(DirectionPlan, k-1)
+	for p := range partition.Proc(k - 1) {
+		plan[p] = append([]geom.Direction(nil), geom.AllDirections[:]...)
 	}
+	return plan
 }
 
 // RunResult reports a completed run.
@@ -121,7 +127,7 @@ type RunResult struct {
 }
 
 // Run executes the DFA from a random (or supplied) start state until no
-// legal Push remains for either slow processor within its direction set —
+// legal Push remains for any slow processor within its direction set —
 // the end condition of Section VI-C.
 func Run(cfg Config) (*RunResult, error) {
 	return RunContext(context.Background(), cfg)
@@ -138,16 +144,25 @@ func RunContext(ctx context.Context, cfg Config) (*RunResult, error) {
 	if cfg.MaxSteps < 0 {
 		return nil, &ConfigError{Field: "MaxSteps", Reason: fmt.Sprintf("must be non-negative, got %d", cfg.MaxSteps)}
 	}
-	if err := cfg.Ratio.Validate(); err != nil {
+	k := partition.NumProcs // the processor count of the run's own start
+	if cfg.Start != nil {
+		if cfg.Start.N() != cfg.N {
+			return nil, &ConfigError{Field: "Start", Reason: fmt.Sprintf("grid is %d×%d, config wants %d", cfg.Start.N(), cfg.Start.N(), cfg.N)}
+		}
+		k = cfg.Start.K()
+	} else if err := cfg.Ratio.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Start != nil && cfg.Start.N() != cfg.N {
-		return nil, &ConfigError{Field: "Start", Reason: fmt.Sprintf("grid is %d×%d, config wants %d", cfg.Start.N(), cfg.Start.N(), cfg.N)}
 	}
 	if cfg.Scratch != nil && cfg.Scratch.N() != cfg.N {
 		return nil, &ConfigError{Field: "Scratch", Reason: fmt.Sprintf("grid is %d×%d, config wants %d", cfg.Scratch.N(), cfg.Scratch.N(), cfg.N)}
 	}
+	if cfg.Scratch != nil && cfg.Scratch.K() != k {
+		return nil, &ConfigError{Field: "Scratch", Reason: fmt.Sprintf("grid has %d processors, the start has %d", cfg.Scratch.K(), k)}
+	}
 	weights := cfg.CostWeights
+	if weights != nil && k != partition.NumProcs {
+		return nil, &ConfigError{Field: "CostWeights", Reason: fmt.Sprintf("weights price three processors, the start has %d", k)}
+	}
 	if weights != nil {
 		for _, p := range partition.Procs {
 			for _, q := range partition.Procs {
@@ -197,7 +212,7 @@ func RunContext(ctx context.Context, cfg Config) (*RunResult, error) {
 		}
 	}
 
-	plan := newPlan(rng)
+	plan := newPlan(rng, k)
 	maxSteps := cfg.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 40 * cfg.N // far beyond observed convergence (~2N)
@@ -235,7 +250,7 @@ func RunContext(ctx context.Context, cfg Config) (*RunResult, error) {
 		if cfg.Trace != nil {
 			beautifySpan = cfg.Trace.Start("beautify")
 		}
-		extra, conv2, err := condense(ctx, g, FullPlan(), cfg.Types, maxSteps, rng, cfg.Snapshot, weights)
+		extra, conv2, err := condense(ctx, g, FullPlan(k), cfg.Types, maxSteps, rng, cfg.Snapshot, weights)
 		beautifyNanos.Add(time.Since(beautifyStart).Nanoseconds())
 		if beautifySpan != nil {
 			beautifySpan.SetDetail("steps=%d voc=%d", extra, g.VoC())
@@ -349,10 +364,11 @@ func condense(ctx context.Context, g *partition.Grid, plan DirectionPlan, types 
 	// re-probe is therefore exactly equivalent, and it eliminates the full
 	// verification sweep a fixed point otherwise pays per (processor,
 	// direction) pair.
-	var failFP [2][geom.NumDirections]uint64
-	var failKnown [2][geom.NumDirections]bool
+	var failFP [partition.MaxProcs - 1][geom.NumDirections]uint64
+	var failKnown [partition.MaxProcs - 1][geom.NumDirections]bool
 
-	procs := [2]partition.Proc{partition.R, partition.S}
+	slow := int(g.Fastest()) // the slow processors are 0…slow−1
+	var order [partition.MaxProcs - 1]partition.Proc
 	plateauStreak := 0 // ΔVoC=0 commits since the last VoC drop
 	for steps < maxSteps {
 		// The cancellation point of the DFA's step loop: once per sweep
@@ -362,12 +378,17 @@ func condense(ctx context.Context, g *partition.Grid, plan DirectionPlan, types 
 			return steps, false, err
 		}
 		progressed := false
-		// Random processor order each sweep, per the randomised search.
-		order := procs
-		if rng != nil && rng.Intn(2) == 1 {
-			order[0], order[1] = order[1], order[0]
+		// Random processor order each sweep, per the randomised search: a
+		// forward Fisher–Yates shuffle of R, S, … (at K=3 one draw, which
+		// swaps R and S iff it is 1).
+		for i := range slow {
+			order[i] = partition.Proc(i)
 		}
-		for _, p := range order {
+		for i := 0; rng != nil && i < slow-1; i++ {
+			j := i + rng.Intn(slow-i)
+			order[i], order[j] = order[j], order[i]
+		}
+		for _, p := range order[:slow] {
 			pi := int(p)
 			for _, d := range plan[p] {
 				tally.memoProbes++
@@ -421,9 +442,9 @@ func condense(ctx context.Context, g *partition.Grid, plan DirectionPlan, types 
 	return steps, false, nil
 }
 
-// Condensed reports whether no legal Push remains for either slow
-// processor in any of the plan's directions — the paper's definition of a
-// fully condensed partition.
+// Condensed reports whether no legal Push remains for any slow processor
+// in any of the plan's directions — the paper's definition of a fully
+// condensed partition.
 //
 // Legality is probed in place with an always-reject accept callback:
 // Attempt only consults the callback once a fully-formed, contract-clean
@@ -439,7 +460,7 @@ func Condensed(g *partition.Grid, plan DirectionPlan, types []Type) bool {
 		legal = true
 		return false
 	}
-	for _, p := range [2]partition.Proc{partition.R, partition.S} {
+	for p := range g.Fastest() {
 		for _, d := range plan[p] {
 			for _, t := range types {
 				if _, ok := Attempt(g, p, d, t, probe); ok || legal {

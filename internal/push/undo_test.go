@@ -13,17 +13,17 @@ import (
 type counterSnapshot struct {
 	fp       uint64
 	voc      int64
-	total    [partition.NumProcs]int
-	rowsWith [partition.NumProcs]int
-	colsWith [partition.NumProcs]int
-	rects    [partition.NumProcs]geom.Rect
+	total    [partition.MaxProcs]int
+	rowsWith [partition.MaxProcs]int
+	colsWith [partition.MaxProcs]int
+	rects    [partition.MaxProcs]geom.Rect
 }
 
 func snapshot(g *partition.Grid) counterSnapshot {
 	var s counterSnapshot
 	s.fp = g.Fingerprint()
 	s.voc = g.VoC()
-	for _, p := range partition.Procs {
+	for p := range g.Fastest() + 1 {
 		s.total[p] = g.Count(p)
 		s.rowsWith[p] = g.RowsWith(p)
 		s.colsWith[p] = g.ColsWith(p)
@@ -35,18 +35,28 @@ func snapshot(g *partition.Grid) counterSnapshot {
 // TestUndoLogRestoresEverything is the rollback property: after an
 // arbitrary sequence of recorded logical-coordinate mutations through any
 // view, rollback restores the cells, the fingerprint, and every occupancy
-// counter bit-exactly. The sizes straddle 64-bit word boundaries, and the
-// cell bit sets are built before the mutations, part-way through, or
-// never; Validate checks them against the cells after every step.
+// counter bit-exactly. The sizes straddle 64-bit word boundaries, the
+// grids hold 3 processors and 2, 4 and 5, and the cell bit sets are built
+// before the mutations, part-way through, or never; Validate checks them
+// against the cells after every step.
 func TestUndoLogRestoresEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, size := range []struct{ n, trials int }{{32, 200}, {63, 30}, {64, 30}, {65, 30}, {130, 15}} {
-		n := size.n
+	for _, size := range []struct{ n, k, trials int }{
+		{32, 3, 200}, {63, 3, 30}, {64, 3, 30}, {65, 3, 30}, {130, 3, 15},
+		{32, 2, 60}, {63, 4, 30}, {64, 5, 30}, {65, 4, 30}, {130, 5, 15},
+	} {
+		n, k := size.n, size.k
 		for trial := 0; trial < size.trials; trial++ {
 			build := trial % 3 // 0: before, 1: during, 2: never
-			g := partition.NewRandom(n, partition.MustRatio(3, 2, 1), rng)
+			g, err := partition.NewRandomK(n, partition.Speeds{8, 4, 2, 1, 1}[:k], rng)
+			if k == partition.NumProcs {
+				g = partition.NewRandom(n, partition.MustRatio(3, 2, 1), rng)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 			if build == 0 {
-				g.CellBits(partition.R)
+				g.CellBits(0)
 			}
 			ref := g.Clone()
 			before := snapshot(g)
@@ -57,14 +67,14 @@ func TestUndoLogRestoresEverything(t *testing.T) {
 			muts := 1 + rng.Intn(60)
 			for m := 0; m < muts; m++ {
 				if build == 1 && m == muts/2 {
-					g.CellBits(partition.S)
+					g.CellBits(partition.Proc(k - 2))
 				}
 				i, j := rng.Intn(n), rng.Intn(n)
 				pi, pj := vg.v.Apply(i, j)
 				undo.record(i, j, g.At(pi, pj))
-				vg.set(i, j, partition.Proc(rng.Intn(partition.NumProcs)))
+				vg.set(i, j, partition.Proc(rng.Intn(k)))
 				if err := g.Validate(); err != nil {
-					t.Fatalf("n=%d trial %d mutation %d: %v", n, trial, m, err)
+					t.Fatalf("n=%d k=%d trial %d mutation %d: %v", n, k, trial, m, err)
 				}
 			}
 			undo.rollback(vg)

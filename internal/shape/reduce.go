@@ -106,7 +106,7 @@ func ReduceToA(g *partition.Grid) (*ReduceResult, error) {
 
 	// Phase 1: beautify — exhaust all remaining pushes in every
 	// direction, with the runner's plateau-cycle protection.
-	steps, _ := push.Condense(work, push.FullPlan(), nil, 0)
+	steps, _ := push.Condense(work, push.FullPlan(work.K()), nil, 0)
 	res.PushSteps = steps
 
 	if Classify(work) != ArchetypeA {

@@ -68,6 +68,9 @@ func schedule(e *Engine, a model.Algorithm, m model.Machine, g *partition.Grid, 
 	if int(a) >= model.NumAlgorithms {
 		return nil, fmt.Errorf("sim: unknown algorithm %v", a)
 	}
+	if g.K() != partition.NumProcs {
+		return nil, fmt.Errorf("sim: partition has %d processors, want %d", g.K(), partition.NumProcs)
+	}
 	return build(e, a, m, g.Snapshot(), fp), nil
 }
 

@@ -370,6 +370,11 @@ func TestSimulateInvalidInputs(t *testing.T) {
 	if _, err := Simulate(model.Algorithm(77), m, g); err == nil {
 		t.Error("unknown algorithm should error")
 	}
+	for _, k := range []int{2, 4} {
+		if _, err := Simulate(model.SCB, m, partition.NewGridK(10, k)); err == nil {
+			t.Errorf("a grid of %d processors should be rejected", k)
+		}
+	}
 }
 
 func BenchmarkSimulateSCB(b *testing.B) {

@@ -44,7 +44,7 @@
 # the exec engine's virtual clocks must equal the model's bit for bit,
 # a clean simulation must reproduce the model's times on every
 # plan_search topology, and the Push engine must reproduce its
-# run-equivalence golden), and
+# run-equivalence golden and its K-processor golden), and
 # a topology-census smoke (shapeopt -winner-map must show the 2+1 and
 # 3-island link classes each moving at least one winner-map cell off the
 # uniform baseline). CI and pre-commit hooks run
@@ -201,11 +201,13 @@ wait "$l3" || true
 # seeded search in the run-equivalence table (sizes straddling 64-bit
 # words, both start families, Beautify, step caps, the relaxed types in
 # both orders, link weights, supplied starts, pooled scratch grids) keeps
-# its steps, VoCs, final cells, archetype and search counters.
+# its steps, VoCs, final cells, archetype and search counters, and on
+# grids of 2, 4 and 5 processors seeded Attempts and condensations keep
+# the commits, moves, volumes and final cells of the K-processor golden.
 go test -count=1 -run 'TestSeedEquivalence|TestPlanSeedEquivalence' . ./internal/model/
 go test -count=1 -run 'TestMultiplyVirtualTimesMatchModel' ./internal/exec/
 go test -count=1 -run 'TestSimulateMatchesModel' ./internal/sim/
-go test -count=1 -run 'TestRunEquivalenceGolden' ./internal/push/
+go test -count=1 -run 'TestRunEquivalenceGolden|TestKProcEquivalenceGolden' ./internal/push/
 go test -race -count=1 -run 'TestWeighted' ./internal/push/
 
 # --- topology census smoke (~3s) ---------------------------------------
