@@ -270,8 +270,6 @@ type rampReport struct {
 	NoRungSkipped   bool               `json:"no_rung_skipped"`
 }
 
-var shedTierNames = []string{"search", "bounded", "atlas", "stale", "reject"}
-
 func parseRamp(s string) (start, end float64, steps int, err error) {
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 {
@@ -295,7 +293,7 @@ func parseRamp(s string) (start, end float64, steps int, err error) {
 // not exist — is a rung skip.
 func tierTransitionSkips(mx map[string]float64) []string {
 	idx := map[string]int{}
-	for i, n := range shedTierNames {
+	for i, n := range wire.ShedTiers {
 		idx[n] = i
 	}
 	var skips []string
@@ -347,7 +345,6 @@ func runRamp(spec string, stepDur time.Duration, outFile string, client *http.Cl
 		log.Print(err)
 		return 2
 	}
-	answerTiers := []string{"atlas", "cache", "searched", "degraded"}
 	rep := rampReport{Ramp: spec, StepDurationSec: stepDur.Seconds()}
 
 	before, err := scrape(client, url)
@@ -384,13 +381,13 @@ func runRamp(spec string, stepDur time.Duration, outFile string, client *http.Cl
 			st.P99MS = percentile(all, 99)
 			st.MaxMS = all[n-1]
 		}
-		for _, tier := range answerTiers {
+		for tier := range (wire.Stats{}).AnswerTiers() {
 			key := fmt.Sprintf(`pland_answers_total{tier=%q}`, tier)
 			st.TierMix[tier] = after[key] - before[key]
 		}
 		st.Rejected = after["pland_shed_total"] - before["pland_shed_total"]
-		if rung := int(after["pland_shed_tier"]); rung >= 0 && rung < len(shedTierNames) {
-			st.ShedTierEnd = shedTierNames[rung]
+		if rung := int(after["pland_shed_tier"]); rung >= 0 && rung < len(wire.ShedTiers) {
+			st.ShedTierEnd = wire.ShedTiers[rung]
 		}
 		rep.Steps = append(rep.Steps, st)
 		log.Printf("step %d/%d @ %.0f ops/s: %d ok, %d errors, %d dropped, p99 %.1fms, tier=%s, mix %v",

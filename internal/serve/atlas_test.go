@@ -5,7 +5,6 @@ import (
 	"context"
 	"net/http"
 	"testing"
-	"time"
 
 	heteropart "repro"
 	"repro/internal/atlas"
@@ -243,7 +242,7 @@ func TestDegradedPrefersAtlasShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, derr := s.degradedPlan(in, wire.DegradedDeadline, time.Now())
+	resp, derr := s.fallback(in, wire.DegradedDeadline, true, nil)
 	if derr != nil {
 		t.Fatal(derr)
 	}
@@ -264,7 +263,7 @@ func TestDegradedPrefersAtlasShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2, derr := s.degradedPlan(in2, wire.DegradedDeadline, time.Now())
+	resp2, derr := s.fallback(in2, wire.DegradedDeadline, true, nil)
 	if derr != nil {
 		t.Fatal(derr)
 	}

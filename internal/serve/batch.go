@@ -13,8 +13,8 @@ import (
 )
 
 // POST /v1/plan:batch — many plan scenarios in one round trip. The
-// request decodes once, each item runs the same tiered path as a
-// standalone /v1/plan (atlas first, then the gated search path), and
+// request decodes once, each item is decided by answerPlan exactly as a
+// standalone /v1/plan is (atlas first, then the gated search path), and
 // items fail independently: a malformed ratio in one slot yields a
 // per-item error there while the rest still carry plans. Atlas-hit
 // items splice their pre-encoded bytes straight into the response
@@ -97,8 +97,9 @@ func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, items [
 	return nil
 }
 
-// planItem runs one batch item through the same tiers as /v1/plan.
-// Failures become per-item status/error entries, never a batch failure.
+// planItem answers one batch item as a standalone /v1/plan request would
+// be answered. Failures become per-item status/error entries, never a
+// batch failure.
 func (s *Server) planItem(ctx context.Context, idx int, item wire.PlanRequest) wire.BatchItemResult {
 	res := wire.BatchItemResult{Index: idx}
 	in, err := s.parsePlanRequest(item)
@@ -106,57 +107,15 @@ func (s *Server) planItem(ctx context.Context, idx int, item wire.PlanRequest) w
 		res.Status, res.Error = itemStatus(err)
 		return res
 	}
-	tier := s.ladder.tick(time.Now(), s.loadSignal)
-	if body, ok := s.atlasAnswer(in); ok {
-		s.atlasHits.Add(1)
-		res.Status = http.StatusOK
-		res.Response = json.RawMessage(body)
-		return res
+	body, resp, err := s.answerPlan(ctx, in)
+	if err == nil && body == nil {
+		body, err = json.Marshal(resp)
 	}
-	start := time.Now()
-	switch tier {
-	case tierAtlas, tierStale:
-		resp, err := s.shedPlan(in, tier, start)
-		if err != nil {
-			res.Status, res.Error = itemStatus(err)
-			return res
-		}
-		return marshalItem(res, resp)
-	case tierReject:
-		res.Status, res.Error = itemStatus(s.rejectShed())
-		return res
-	}
-	release, herr, saturated := s.admitPlan(ctx)
-	if saturated {
-		resp, err := s.shedPlan(in, tierAtlas, start)
-		if err != nil {
-			res.Status, res.Error = itemStatus(err)
-			return res
-		}
-		return marshalItem(res, resp)
-	}
-	if herr != nil {
-		res.Status, res.Error = itemStatus(herr)
-		return res
-	}
-	resp, err := s.planScenario(ctx, in, start, tier == tierBounded)
-	release()
 	if err != nil {
 		res.Status, res.Error = itemStatus(err)
 		return res
 	}
-	return marshalItem(res, resp)
-}
-
-// marshalItem finalises a successful item with its encoded response.
-func marshalItem(res wire.BatchItemResult, resp *wire.PlanResponse) wire.BatchItemResult {
-	body, err := json.Marshal(resp)
-	if err != nil {
-		res.Status, res.Error = http.StatusInternalServerError, err.Error()
-		return res
-	}
-	res.Status = http.StatusOK
-	res.Response = body
+	res.Status, res.Response = http.StatusOK, body
 	return res
 }
 

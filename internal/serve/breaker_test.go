@@ -62,7 +62,7 @@ func planInputsForTest(t *testing.T, s *Server) planInputs {
 }
 
 // TestDeadlineDegradeDoesNotClaimTrial: a request that degrades because
-// its remaining budget is below MinSearchBudget must not consume the
+// its remaining budget is below minSearchBudget must not consume the
 // breaker's half-open trial slot — it has no search outcome to report.
 func TestDeadlineDegradeDoesNotClaimTrial(t *testing.T) {
 	s, err := New(Config{BreakerThreshold: 1, BreakerCooldown: time.Second})

@@ -23,7 +23,6 @@ type planCache struct {
 	mu      sync.Mutex
 	entries map[string]cacheEntry
 	ttl     time.Duration
-	max     int
 	now     func() time.Time
 
 	// jw, when set, is the live rotating journal: every put is appended
@@ -40,11 +39,10 @@ type cacheEntry struct {
 	expires time.Time
 }
 
-func newPlanCache(ttl time.Duration, max int) *planCache {
+func newPlanCache(ttl time.Duration) *planCache {
 	return &planCache{
 		entries: make(map[string]cacheEntry),
 		ttl:     ttl,
-		max:     max,
 		now:     time.Now,
 	}
 }
@@ -62,7 +60,7 @@ func (c *planCache) get(key string) (resp wire.PlanResponse, fresh, ok bool) {
 }
 
 // put stores a response under key, evicting the stalest entries when the
-// soft size cap is exceeded.
+// soft size cap, cacheMax, is exceeded.
 func (c *planCache) put(key string, resp wire.PlanResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -75,7 +73,7 @@ func (c *planCache) put(key string, resp wire.PlanResponse) {
 			c.jw, c.jwErr = nil, err
 		}
 	}
-	if c.max > 0 && len(c.entries) > c.max {
+	if len(c.entries) > cacheMax {
 		type aged struct {
 			key     string
 			expires time.Time
@@ -85,7 +83,7 @@ func (c *planCache) put(key string, resp wire.PlanResponse) {
 			all = append(all, aged{k, e.expires})
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].expires.Before(all[j].expires) })
-		for _, a := range all[:len(all)-c.max] {
+		for _, a := range all[:len(all)-cacheMax] {
 			delete(c.entries, a.key)
 		}
 	}

@@ -52,14 +52,6 @@ type Config struct {
 	// client may ask for (default 30s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// ReplyMargin is reserved out of every deadline for encoding the
-	// response: the search budget is remaining − margin (default 10% of
-	// the deadline, capped at 50ms).
-	ReplyMargin time.Duration
-	// MinSearchBudget is the smallest remaining budget worth starting a
-	// search for; below it the request degrades immediately rather than
-	// starting work guaranteed to be abandoned (default 10ms).
-	MinSearchBudget time.Duration
 
 	// MaxConcurrent bounds in-flight planning work (default GOMAXPROCS);
 	// MaxQueue bounds callers waiting for a slot (default 2×MaxConcurrent).
@@ -74,10 +66,8 @@ type Config struct {
 	// (default 1e6; 0 in a request selects the engine default of 40·N).
 	MaxSearchSteps int
 
-	// CacheTTL is the freshness window of the plan cache (default 5m);
-	// CacheMax soft-caps its entry count (default 4096).
+	// CacheTTL is the freshness window of the plan cache (default 5m).
 	CacheTTL time.Duration
-	CacheMax int
 
 	// BreakerThreshold consecutive search failures open the circuit
 	// breaker for BreakerCooldown (defaults 3 and 5s; threshold < 0
@@ -115,20 +105,33 @@ type Config struct {
 
 	// The adaptive shed ladder (see tuning.go). ShedTargetLatency is
 	// the latency the EWMA is normalized against (default 300ms);
-	// ShedInterval how often the ladder re-evaluates (default 100ms);
-	// ShedUp/ShedDown the load-signal thresholds for climbing and
-	// descending a rung (defaults 0.85 and 0.5 — the gap is the
-	// hysteresis). BoundedSearchSteps is the capped step budget of the
-	// tierBounded rung (default 256).
-	ShedTargetLatency  time.Duration
-	ShedInterval       time.Duration
-	ShedUp             float64
-	ShedDown           float64
-	BoundedSearchSteps int
+	// ShedInterval how often the ladder re-evaluates (default 100ms).
+	ShedTargetLatency time.Duration
+	ShedInterval      time.Duration
 
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
 }
+
+// Fixed serving parameters.
+const (
+	// maxReplyMargin caps the reply margin: the part of a deadline kept
+	// for encoding the answer, 10% of the remaining time.
+	maxReplyMargin = 50 * time.Millisecond
+	// minSearchBudget is the smallest search budget worth starting a
+	// search for; below it the request degrades at once rather than start
+	// work that is sure to be abandoned.
+	minSearchBudget = 10 * time.Millisecond
+	// shedUp and shedDown are the load-signal thresholds for climbing and
+	// descending a ladder rung; the gap between them is the hysteresis.
+	shedUp, shedDown = 0.85, 0.5
+	// boundedSearchSteps is the step budget of a search at the bounded
+	// rung.
+	boundedSearchSteps = 256
+	// cacheMax soft-caps the plan cache's entry count, and the number of
+	// auto scenarios tracked for drift re-planning.
+	cacheMax = 4096
+)
 
 func (c Config) withDefaults() Config {
 	if c.DefaultTimeout <= 0 {
@@ -136,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 30 * time.Second
-	}
-	if c.MinSearchBudget <= 0 {
-		c.MinSearchBudget = 10 * time.Millisecond
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
@@ -154,9 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheTTL <= 0 {
 		c.CacheTTL = 5 * time.Minute
-	}
-	if c.CacheMax <= 0 {
-		c.CacheMax = 4096
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3
@@ -184,15 +181,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShedInterval <= 0 {
 		c.ShedInterval = 100 * time.Millisecond
-	}
-	if c.ShedUp <= 0 {
-		c.ShedUp = 0.85
-	}
-	if c.ShedDown <= 0 {
-		c.ShedDown = 0.5
-	}
-	if c.BoundedSearchSteps <= 0 {
-		c.BoundedSearchSteps = 256
 	}
 	if c.Machine == nil {
 		c.Machine = heteropart.DefaultMachine
@@ -270,12 +258,12 @@ func New(cfg Config) (*Server, error) {
 		cfg:           cfg,
 		gate:          gate,
 		flights:       newFlightGroup(),
-		cache:         newPlanCache(cfg.CacheTTL, cfg.CacheMax),
+		cache:         newPlanCache(cfg.CacheTTL),
 		brk:           newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		customMachine: customMachine,
 		autoTracked:   make(map[string]planInputs),
 		ladder: newLoadController(cfg.ShedTargetLatency, cfg.ShedInterval,
-			cfg.ShedUp, cfg.ShedDown, time.Now()),
+			shedUp, shedDown, time.Now()),
 	}
 	s.atlasSt.Store(newAtlasState(cfg.Atlas))
 	s.ladder.onShift = func(from, to shedTier) {
@@ -639,73 +627,77 @@ func (s *Server) handlePlan(ctx context.Context, w http.ResponseWriter, r *http.
 	if err != nil {
 		return err
 	}
-	// The ladder evaluates on the request path (at most once per
-	// interval) — before the atlas tier, so even an all-atlas workload
-	// lets an overloaded ladder recover.
+	body, resp, err := s.answerPlan(ctx, in)
+	switch {
+	case err != nil:
+		return err
+	case body != nil:
+		return writeAtlasBody(w, body)
+	}
+	if resp.Degraded {
+		w.Header().Set("Degraded", "true")
+	}
+	writeJSON(w, http.StatusOK, resp)
+	return nil
+}
+
+// answerPlan decides the answer to one validated plan scenario, for a
+// /v1/plan request and for each /v1/plan:batch item alike. On success
+// exactly one of body, a pre-encoded atlas answer, and resp is set. The
+// order of the decision:
+//
+//  1. The ladder evaluates (at most once per interval) before the atlas
+//     tier, so even an all-atlas workload lets an overloaded ladder
+//     recover.
+//  2. The atlas answers on-grid scenarios from the baked snapshot at
+//     every rung, reject included, with no gate, flight, breaker or
+//     search involvement: on-grid scenarios never lose availability.
+//  3. The atlas and stale rungs answer with the fallback; the reject
+//     rung answers 429.
+//  4. The search rungs take an admission-gate slot. A saturated gate
+//     does not fail the request: a full queue is an overload signal for
+//     the ladder's next tick, not a client error, and the fallback is
+//     always affordable.
+//  5. planScenario: coalescing, cache and the deadline-bounded search.
+func (s *Server) answerPlan(ctx context.Context, in planInputs) (body []byte, resp *wire.PlanResponse, err error) {
 	tier := s.ladder.tick(time.Now(), s.loadSignal)
-	// Tier 1: the atlas. On-grid scenarios are answered from the baked
-	// snapshot before admission control — a pointer load on the steady
-	// state, with no gate, flight, breaker, or search involvement. The
-	// atlas answers at EVERY shed rung, reject included: on-grid
-	// scenarios never lose availability.
 	if body, ok := s.atlasAnswer(in); ok {
 		s.atlasHits.Add(1)
-		return writeAtlasBody(w, body)
+		return body, nil, nil
 	}
 	start := time.Now()
 	switch tier {
 	case tierAtlas, tierStale:
-		resp, err := s.shedPlan(in, tier, start)
-		if err != nil {
-			return err
-		}
-		return s.writeResult(w, resp)
+		resp, err = s.fallback(in, wire.DegradedLoadShed, tier == tierStale, nil)
 	case tierReject:
-		return s.rejectShed()
-	}
-	release, herr, saturated := s.admitPlan(ctx)
-	if saturated {
-		resp, err := s.shedPlan(in, tierAtlas, start)
-		if err != nil {
-			return err
+		s.shed.Add(1)
+		return nil, nil, &httpError{status: http.StatusTooManyRequests, msg: "load shed: serving atlas tier only", retryAfter: time.Second}
+	default:
+		switch aerr := s.gate.Acquire(ctx); {
+		case errors.Is(aerr, throttle.ErrSaturated):
+			s.gateFallbacks.Add(1)
+			resp, err = s.fallback(in, wire.DegradedLoadShed, false, nil)
+		case aerr != nil:
+			return nil, nil, &httpError{status: http.StatusGatewayTimeout, msg: "deadline expired in admission queue"}
+		default:
+			defer s.gate.Release()
+			resp, err = s.planScenario(ctx, in, tier == tierBounded)
 		}
-		return s.writeResult(w, resp)
 	}
-	if herr != nil {
-		return herr
-	}
-	defer release()
-	resp, err := s.planScenario(ctx, in, start, tier == tierBounded)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	return s.writeResult(w, resp)
-}
-
-// admitPlan acquires an admission-gate slot for search-path work (the
-// atlas tier deliberately never holds one). A saturated gate does not
-// fail the request: it reports saturated=true and the caller serves the
-// ungated degraded fallback — a full queue is an overload signal for
-// the shed ladder's next tick, not a client error, and the closed form
-// is always affordable. Only the ladder's reject rung answers 429.
-func (s *Server) admitPlan(ctx context.Context) (release func(), herr error, saturated bool) {
-	switch err := s.gate.Acquire(ctx); {
-	case errors.Is(err, throttle.ErrSaturated):
-		s.gateFallbacks.Add(1)
-		return nil, nil, true
-	case err != nil:
-		return nil, &httpError{status: http.StatusGatewayTimeout, msg: "deadline expired in admission queue"}, false
-	}
-	return s.gate.Release, nil, false
+	resp.ElapsedMS = msSince(start)
+	return nil, resp, nil
 }
 
 // planScenario runs the gated planning path for one validated scenario:
-// singleflight coalescing, cache, bounded search, degraded fallback. It
-// is shared by /v1/plan and each /v1/plan:batch item.
-func (s *Server) planScenario(ctx context.Context, in planInputs, start time.Time, bounded bool) (*wire.PlanResponse, error) {
+// singleflight coalescing, cache, bounded search, degraded fallback. The
+// answer is the caller's own copy.
+func (s *Server) planScenario(ctx context.Context, in planInputs, bounded bool) (*wire.PlanResponse, error) {
 	// Waiters leave the coalesced flight early enough to still serve
 	// their degraded fallback inside their own deadline.
-	waitCtx, cancel := s.withReplyMargin(ctx)
+	waitCtx, cancel := withReplyMargin(ctx)
 	defer cancel()
 	resp, shared, err := s.flights.do(waitCtx, in.key, func() (*wire.PlanResponse, error) {
 		return s.computePlan(ctx, in, bounded)
@@ -718,19 +710,17 @@ func (s *Server) planScenario(ctx context.Context, in planInputs, start time.Tim
 		if ctx.Err() == nil {
 			// The flight leader is still grinding but our deadline is close:
 			// serve this caller the degraded fallback now.
-			resp, err = s.degradedPlan(in, wire.DegradedDeadline, start)
-		} else {
-			// The full request deadline — not just the reply-margin one —
-			// expired while coalesced. That is a deadline expiry, not a
-			// server fault; report 504, not 500.
-			err = &httpError{status: http.StatusGatewayTimeout, msg: "deadline expired while waiting on a coalesced flight"}
+			return s.fallback(in, wire.DegradedDeadline, true, nil)
 		}
+		// The full request deadline — not just the reply-margin one —
+		// expired while coalesced. That is a deadline expiry, not a
+		// server fault; report 504, not 500.
+		return nil, &httpError{status: http.StatusGatewayTimeout, msg: "deadline expired while waiting on a coalesced flight"}
 	}
 	if err != nil {
 		return nil, err
 	}
 	out := *resp
-	out.ElapsedMS = msSince(start)
 	return &out, nil
 }
 
@@ -747,9 +737,6 @@ func (s *Server) computePlan(ctx context.Context, in planInputs, bounded bool) (
 
 	plan, err := heteropart.NewPlan(in.alg, in.m, in.n)
 	if err != nil {
-		if errors.Is(err, heteropart.ErrInfeasible) {
-			return nil, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
-		}
 		return nil, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
 	resp := &wire.PlanResponse{Plan: plan, Source: wire.SourceSearch}
@@ -760,19 +747,19 @@ func (s *Server) computePlan(ctx context.Context, in planInputs, bounded bool) (
 	var reason wire.DegradedReason
 	budget := s.searchBudget(ctx)
 	switch {
-	case budget < s.cfg.MinSearchBudget:
+	case budget < minSearchBudget:
 		reason = wire.DegradedDeadline
 	case !s.brk.allow():
 		reason = wire.DegradedBreakerOpen
 	default:
 		maxSteps := 0
 		if bounded {
-			maxSteps = s.cfg.BoundedSearchSteps
+			maxSteps = boundedSearchSteps
 		}
 		reason = s.refineSearch(ctx, budget, in, resp, maxSteps)
 	}
 	if reason != "" {
-		return s.degradedPlanWith(resp, in, reason)
+		return s.fallback(in, reason, true, plan)
 	}
 	s.cache.put(in.key, *resp)
 	return resp, nil
@@ -820,42 +807,39 @@ func (s *Server) refineSearch(ctx context.Context, budget time.Duration, in plan
 	}
 }
 
-// degradedPlan builds the degraded response from scratch (used by flight
-// waiters that abandoned the leader). It prefers the atlas's baked
-// winner for the request's ratio — one shape built instead of the
-// canonical six-way comparison — over the bare canonical fallback.
-func (s *Server) degradedPlan(in planInputs, reason wire.DegradedReason, start time.Time) (*wire.PlanResponse, error) {
+// fallback builds every degraded answer: the paper's own fallback when
+// a search cannot run or finish. With preferStale set (every path but
+// the atlas rung and a saturated gate), a cached answer for the
+// scenario, fresh or expired, comes first: it is served as Source
+// stale-cache and keeps its search summary. Otherwise the answer is the
+// canonical plan the caller already built, else the atlas's winner
+// shape for the request's ratio at the request's n (one shape built
+// instead of the six-way comparison), else the canonical plan built
+// here.
+func (s *Server) fallback(in planInputs, reason wire.DegradedReason, preferStale bool, canonical *heteropart.Plan) (*wire.PlanResponse, error) {
+	s.degraded.Add(1)
+	s.metrics.degraded.With(string(reason)).Inc()
+	if preferStale {
+		if stale, _, ok := s.cache.get(in.key); ok {
+			s.staleServed.Add(1)
+			stale.Degraded, stale.DegradedReason, stale.Source = true, reason, wire.SourceStaleCache
+			return &stale, nil
+		}
+	}
+	resp := &wire.PlanResponse{Plan: canonical, Degraded: true, DegradedReason: reason, Source: wire.SourceCanonical}
+	if canonical != nil {
+		return resp, nil
+	}
 	if plan := s.atlasShapeFallback(in); plan != nil {
-		return s.degradedPlanWith(&wire.PlanResponse{Plan: plan, Source: wire.SourceAtlasShape}, in, reason)
+		resp.Plan, resp.Source = plan, wire.SourceAtlasShape
+		return resp, nil
 	}
 	plan, err := heteropart.NewPlan(in.alg, in.m, in.n)
 	if err != nil {
 		return nil, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
-	return s.degradedPlanWith(&wire.PlanResponse{Plan: plan}, in, reason)
-}
-
-// degradedPlanWith finalises a degraded answer, preferring a stale
-// cached search result, then an atlas-shape answer the caller already
-// built, then the bare canonical evaluation.
-func (s *Server) degradedPlanWith(resp *wire.PlanResponse, in planInputs, reason wire.DegradedReason) (*wire.PlanResponse, error) {
-	s.degraded.Add(1)
-	s.metrics.degraded.With(string(reason)).Inc()
-	if stale, _, ok := s.cache.get(in.key); ok {
-		stale.Degraded = true
-		stale.DegradedReason = reason
-		stale.Source = wire.SourceStaleCache
-		s.staleServed.Add(1)
-		return &stale, nil
-	}
-	out := *resp
-	out.Degraded = true
-	out.DegradedReason = reason
-	if out.Source != wire.SourceAtlasShape {
-		out.Source = wire.SourceCanonical
-	}
-	out.Search = nil
-	return &out, nil
+	resp.Plan = plan
+	return resp, nil
 }
 
 // searchBudget returns how much of ctx's deadline may be spent searching
@@ -866,37 +850,22 @@ func (s *Server) searchBudget(ctx context.Context) time.Duration {
 		return s.cfg.MaxTimeout
 	}
 	remain := time.Until(dl)
-	return remain - s.replyMargin(remain)
+	return remain - replyMargin(remain)
 }
 
-func (s *Server) replyMargin(remain time.Duration) time.Duration {
-	m := s.cfg.ReplyMargin
-	if m <= 0 {
-		m = remain / 10
-		if m > 50*time.Millisecond {
-			m = 50 * time.Millisecond
-		}
-	}
-	return m
+func replyMargin(remain time.Duration) time.Duration {
+	return min(remain/10, maxReplyMargin)
 }
 
 // withReplyMargin derives the context a flight waiter may wait under:
 // the request deadline minus the reply margin.
-func (s *Server) withReplyMargin(ctx context.Context) (context.Context, context.CancelFunc) {
+func withReplyMargin(ctx context.Context) (context.Context, context.CancelFunc) {
 	dl, ok := ctx.Deadline()
 	if !ok {
 		return context.WithCancel(ctx)
 	}
 	remain := time.Until(dl)
-	return context.WithDeadline(ctx, dl.Add(-s.replyMargin(remain)))
-}
-
-func (s *Server) writeResult(w http.ResponseWriter, resp *wire.PlanResponse) error {
-	if resp.Degraded {
-		w.Header().Set("Degraded", "true")
-	}
-	writeJSON(w, http.StatusOK, resp)
-	return nil
+	return context.WithDeadline(ctx, dl.Add(-replyMargin(remain)))
 }
 
 // runSearch executes one deadline-bounded Push search, billing each

@@ -48,16 +48,14 @@ const (
 	tierAtlas                   // no search: atlas shape or closed-form canonical
 	tierStale                   // stale cache preferred, then atlas shape/canonical
 	tierReject                  // 429 for everything the atlas can't answer
-	numTiers
+	numTiers    = shedTier(len(wire.ShedTiers))
 )
-
-var tierNames = [numTiers]string{"search", "bounded", "atlas", "stale", "reject"}
 
 func (t shedTier) String() string {
 	if t < 0 || t >= numTiers {
 		return fmt.Sprintf("tier(%d)", int32(t))
 	}
-	return tierNames[t]
+	return wire.ShedTiers[t]
 }
 
 // loadController is the adaptive admission controller. It is evaluated
@@ -167,47 +165,6 @@ func (lc *loadController) lastLoadSignal() float64 {
 	return math.Float64frombits(lc.signal.Load())
 }
 
-// shedPlan answers a request at the atlas or stale rung without
-// touching the gate, the flight group, or the search engine. The
-// quality order is the ladder's: tierAtlas prefers a *fresh* answer
-// (atlas shape, then the canonical closed-form comparison); tierStale
-// reaches for a stale cached search first and computes only when there
-// is nothing to reheat.
-func (s *Server) shedPlan(in planInputs, tier shedTier, start time.Time) (*wire.PlanResponse, error) {
-	s.degraded.Add(1)
-	s.metrics.degraded.With(string(wire.DegradedLoadShed)).Inc()
-	if tier >= tierStale {
-		if stale, _, ok := s.cache.get(in.key); ok {
-			stale.Degraded = true
-			stale.DegradedReason = wire.DegradedLoadShed
-			stale.Source = wire.SourceStaleCache
-			stale.Search = nil
-			stale.ElapsedMS = msSince(start)
-			s.staleServed.Add(1)
-			return &stale, nil
-		}
-	}
-	resp := &wire.PlanResponse{Degraded: true, DegradedReason: wire.DegradedLoadShed}
-	if plan := s.atlasShapeFallback(in); plan != nil {
-		resp.Plan, resp.Source = plan, wire.SourceAtlasShape
-	} else {
-		plan, err := heteropart.NewPlan(in.alg, in.m, in.n)
-		if err != nil {
-			return nil, &httpError{status: 422, msg: err.Error()}
-		}
-		resp.Plan, resp.Source = plan, wire.SourceCanonical
-	}
-	resp.ElapsedMS = msSince(start)
-	return resp, nil
-}
-
-// rejectShed is the top rung's answer for anything the atlas couldn't
-// serve: a 429 distinguishable from gate saturation by its message.
-func (s *Server) rejectShed() *httpError {
-	s.shed.Add(1)
-	return &httpError{status: 429, msg: "load shed: serving atlas tier only", retryAfter: time.Second}
-}
-
 // ---------------------------------------------------------------------
 // calibration: auto scenarios, drift invalidation, re-planning
 
@@ -275,7 +232,7 @@ func (s *Server) replanTracked(tracked map[string]planInputs, sc *autoScenario) 
 // trackAuto remembers an auto-resolved scenario for drift invalidation.
 func (s *Server) trackAuto(in planInputs) {
 	s.autoMu.Lock()
-	if len(s.autoTracked) < s.cfg.CacheMax {
+	if len(s.autoTracked) < cacheMax {
 		s.autoTracked[in.key] = in
 	}
 	s.autoMu.Unlock()

@@ -50,8 +50,9 @@ type PlanRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// SearchSummary reports the Push-search refinement attached to a
-// non-degraded plan response.
+// SearchSummary reports the Push-search refinement behind a plan
+// response: the search just run, or, on a stale-cache answer, the
+// search that produced the cached entry.
 type SearchSummary struct {
 	Steps      int   `json:"steps"`
 	InitialVoC int64 `json:"initialVoc"`
@@ -138,7 +139,10 @@ type PlanResponse struct {
 	DegradedReason DegradedReason `json:"degradedReason,omitempty"`
 	// Source is one of the Source* constants.
 	Source string `json:"source"`
-	// Search is present on non-degraded responses.
+	// Search is present on searched answers, on fresh cache hits and on
+	// every stale-cache answer, which keeps the summary of the search
+	// that produced it; other degraded answers and atlas answers carry
+	// none.
 	Search    *SearchSummary `json:"search,omitempty"`
 	ElapsedMS float64        `json:"elapsedMs"`
 }
@@ -324,8 +328,7 @@ type Stats struct {
 	// Replans counts background re-plans triggered by calibration
 	// drift publishes.
 	Replans int64 `json:"replans"`
-	// ShedTier is the load controller's current rung ("search",
-	// "bounded", "atlas", "stale", "reject").
+	// ShedTier is the load controller's current rung, one of ShedTiers.
 	ShedTier string `json:"shedTier,omitempty"`
 	// GateFallbacks counts search-path requests that found the admission
 	// gate saturated and were served the ungated degraded fallback
@@ -333,6 +336,11 @@ type Stats struct {
 	// availability loss.
 	GateFallbacks int64 `json:"gateFallbacks"`
 }
+
+// ShedTiers lists the load controller's rungs in climbing order, from
+// full search to refusal. Stats.ShedTier is one of them, and the
+// pland_shed_tier gauge reports a rung's index in this list. Read only.
+var ShedTiers = [...]string{"search", "bounded", "atlas", "stale", "reject"}
 
 // AnswerTiers breaks the served plan answers down by tier: "atlas"
 // (O(1) precomputed), "cache" (fresh memo of an earlier search),
