@@ -7,6 +7,7 @@ package heteropart
 // harness whose output EXPERIMENTS.md records.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -223,11 +224,15 @@ func BenchmarkFig14CommTime(b *testing.B) {
 // optimal candidate per (ratio, algorithm) under both topologies.
 func BenchmarkAlgoModelTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		full, err := experiment.OptimalShapes(120, nil, model.FullyConnected)
+		full, err := experiment.OptimalShapes(context.Background(), 120, nil, model.TopologySpec{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		star, err := experiment.OptimalShapes(120, nil, model.Star)
+		starSpec, err := model.ParseTopologySpec("star")
+		if err != nil {
+			b.Fatal(err)
+		}
+		star, err := experiment.OptimalShapes(context.Background(), 120, nil, starSpec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -384,7 +389,7 @@ func BenchmarkFourProcessorSearch(b *testing.B) {
 // a phase diagram of the optimal shape over the ratio plane.
 func BenchmarkWinnerMap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		wm, err := experiment.ComputeWinnerMap(model.SCB, model.FullyConnected, 6, 20, 1, 80)
+		wm, err := experiment.ComputeWinnerMap(context.Background(), model.SCB, "fully-connected", model.TopologySpec{}, 6, 20, 1, 80)
 		if err != nil {
 			b.Fatal(err)
 		}

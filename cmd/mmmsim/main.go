@@ -59,7 +59,7 @@ func main() {
 		nSim     = flag.Int("nsim", 200, "sweep: simulated grid dimension")
 		doExec   = flag.Bool("exec", false, "really execute on goroutine processors and verify the product")
 		gantt    = flag.Bool("gantt", false, "render the simulated schedule as a Gantt chart")
-		star     = flag.Bool("star", false, "use the star topology")
+		topoStr  = flag.String("topology", "fully-connected", "network topology: fully-connected, star, 2+1[:f], 3-island[:f], or links:PR=…,PS=…,RS=…")
 		seed     = flag.Int64("seed", 1, "seed for -exec matrices")
 
 		faultStr = flag.String("fault", "", "exec: worker faults, e.g. kill:R@0.5,hang:P@0.3,slow:S@8")
@@ -116,16 +116,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	spec, err := model.ParseTopologySpec(*topoStr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	g, err := partition.Build(s, *n, ratio)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := model.DefaultMachine(ratio)
-	if *star {
-		m.Topology = model.Star
-	}
+	m := spec.Apply(model.DefaultMachine(ratio))
 
-	fmt.Printf("%s, ratio %s, N=%d, %s, %s topology\n", s, ratio, *n, alg, m.Topology)
+	fmt.Printf("%s, ratio %s, N=%d, %s, %s topology\n", s, ratio, *n, alg, m.TopologyName())
 	fmt.Printf("VoC: %d elements (%.4f × N²)\n", g.VoC(), float64(g.VoC())/float64(*n**n))
 	mod := model.EvaluateGrid(alg, m, g)
 	fmt.Printf("model: T_comm=%.6fs T_comp=%.6fs T_exe=%.6fs\n", mod.Comm, mod.Comp, mod.Total)

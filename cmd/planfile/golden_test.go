@@ -48,7 +48,7 @@ func TestGoldenCreate(t *testing.T) {
 	}{
 		{"create_10_1_1_scb", []string{"-create", "-ratio", "10:1:1", "-alg", "SCB", "-n", "24"}},
 		{"create_2_2_1_pcb", []string{"-create", "-ratio", "2:2:1", "-alg", "PCB", "-n", "24"}},
-		{"create_5_2_1_sco_star", []string{"-create", "-ratio", "5:2:1", "-alg", "SCO", "-n", "24", "-star"}},
+		{"create_5_2_1_sco_star", []string{"-create", "-ratio", "5:2:1", "-alg", "SCO", "-n", "24", "-topology", "star"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		algStr   = fs.String("alg", "SCB", "create: MMM algorithm")
 		n        = fs.Int("n", 200, "create: matrix dimension")
 		out      = fs.String("o", "", "create: output path (default stdout)")
-		star     = fs.Bool("star", false, "create: star topology")
+		topoStr  = fs.String("topology", "fully-connected", "create: network topology (fully-connected, star, 2+1[:f], 3-island[:f], links:…)")
 		seed     = fs.Int64("seed", 1, "exec: matrix seed")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -63,11 +63,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		m := heteropart.DefaultMachine(ratio)
-		if *star {
-			m.Topology = heteropart.Star
+		spec, err := heteropart.ParseTopologySpec(*topoStr)
+		if err != nil {
+			return fail(err)
 		}
-		plan, err := heteropart.NewPlan(alg, m, *n)
+		plan, err := heteropart.NewPlan(alg, spec.Apply(heteropart.DefaultMachine(ratio)), *n)
 		if err != nil {
 			return fail(err)
 		}

@@ -93,7 +93,7 @@ func report(ctx context.Context, out io.Writer, n, runs int, seed int64) error {
 		}},
 		{"§X optimal shape per ratio × algorithm", func(ctx context.Context, w io.Writer) error {
 			fmt.Fprintf(w, "### fully connected\n\n")
-			full, err := experiment.OptimalShapesContext(ctx, n, nil, model.FullyConnected)
+			full, err := experiment.OptimalShapes(ctx, n, nil, model.TopologySpec{})
 			if err != nil {
 				return err
 			}
@@ -101,14 +101,19 @@ func report(ctx context.Context, out io.Writer, n, runs int, seed int64) error {
 				return err
 			}
 			fmt.Fprintf(w, "\n### star topology\n\n")
-			star, err := experiment.OptimalShapesContext(ctx, n, nil, model.Star)
+			spec, err := model.ParseTopologySpec("star")
+			if err != nil {
+				return err
+			}
+			star, err := experiment.OptimalShapes(ctx, n, nil, spec)
 			if err != nil {
 				return err
 			}
 			return experiment.WriteOptimalTable(w, star)
 		}},
 		{"Optimal-shape phase diagram (SCB)", func(ctx context.Context, w io.Writer) error {
-			wm, err := experiment.ComputeWinnerMapContext(ctx, model.SCB, model.FullyConnected, 6, 20, 1, n)
+			var full model.TopologySpec
+			wm, err := experiment.ComputeWinnerMap(ctx, model.SCB, full.String(), full, 6, 20, 1, n)
 			if err != nil {
 				return err
 			}
@@ -134,7 +139,7 @@ func report(ctx context.Context, out io.Writer, n, runs int, seed int64) error {
 			return experiment.WriteLatencyTable(w, lat)
 		}},
 		{"Fault-injection study (SCB, 5:2:1, canonical plan)", func(ctx context.Context, w io.Writer) error {
-			rows, err := experiment.FaultStudy(ctx, model.SCB, model.FullyConnected, n,
+			rows, err := experiment.FaultStudy(ctx, model.SCB, model.TopologySpec{}, n,
 				partition.MustRatio(5, 2, 1), experiment.CanonicalFaultPlan)
 			if err != nil {
 				return err

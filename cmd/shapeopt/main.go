@@ -230,39 +230,37 @@ func compareShapes(w io.Writer, ratioStr string, n int, algStr, topoStr string) 
 		algs = []model.Algorithm{a}
 	}
 
+	// One comparison per algorithm; lists[i][j] is shape j under algs[i].
+	lists := make([][]model.Candidate, len(algs))
+	bests := make([]int, len(algs))
+	for i, a := range algs {
+		if lists[i], bests[i], err = model.Compare(a, m, n); err != nil {
+			log.Print(err)
+			return 1
+		}
+	}
+
 	fmt.Fprintf(w, "Candidate shapes for ratio %s on N=%d (%s topology)\n\n", ratio, n, m.TopologyName())
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "shape\tVoC (elements)\talgorithm\tmodel T_exe (s)\tsim T_exe (s)\tefficiency")
-	type key struct {
-		alg  model.Algorithm
-		best float64
-		name partition.Shape
-	}
-	bests := map[model.Algorithm]*key{}
-	for _, s := range partition.AllShapes {
-		g, err := partition.Build(s, n, ratio)
-		if err != nil {
-			fmt.Fprintf(tw, "%s\tinfeasible\t\t\t\t\n", s)
+	for j, first := range lists[0] {
+		if !first.Feasible {
+			fmt.Fprintf(tw, "%s\tinfeasible\t\t\t\t\n", first.Shape)
 			continue
 		}
 		for i, a := range algs {
-			mod := model.EvaluateGrid(a, m, g)
-			name := ""
-			voc := ""
+			c := lists[i][j]
+			name, voc := "", ""
 			if i == 0 {
-				name = s.String()
-				voc = fmt.Sprintf("%d", g.VoC())
+				name, voc = c.Shape.String(), fmt.Sprintf("%d", c.VoC)
 			}
-			res, err := sim.Simulate(a, m, g)
+			res, err := sim.Simulate(a, m, c.Grid)
 			if err != nil {
 				log.Print(err)
 				return 1
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%.6f\t%.6f\t%.1f%%\n", name, voc, a, mod.Total, res.TExe,
-				100*model.Efficiency(a, m, g.Snapshot()))
-			if b := bests[a]; b == nil || mod.Total < b.best {
-				bests[a] = &key{alg: a, best: mod.Total, name: s}
-			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%.6f\t%.6f\t%.1f%%\n", name, voc, a, c.Breakdown.Total, res.TExe,
+				100*model.Efficiency(a, m, c.Grid.Snapshot()))
 		}
 	}
 	if err := tw.Flush(); err != nil {
@@ -270,10 +268,9 @@ func compareShapes(w io.Writer, ratioStr string, n int, algStr, topoStr string) 
 		return 1
 	}
 	fmt.Fprintln(w)
-	for _, a := range algs {
-		if b := bests[a]; b != nil {
-			fmt.Fprintf(w, "optimal for %s: %s (model T_exe %.6f s)\n", a, b.name, b.best)
-		}
+	for i, a := range algs {
+		b := lists[i][bests[i]]
+		fmt.Fprintf(w, "optimal for %s: %s (model T_exe %.6f s)\n", a, b.Shape, b.Breakdown.Total)
 	}
 	return 0
 }

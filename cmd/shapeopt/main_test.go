@@ -153,3 +153,33 @@ func TestCompareShapesLinkTopology(t *testing.T) {
 		t.Errorf("bad algorithm: exit %d, want 2", code)
 	}
 }
+
+// TestCompareShapesGolden pins the single-ratio report byte for byte —
+// every candidate's VoC, modelled and simulated time, efficiency and the
+// optimum per algorithm — for two ratios under three topologies
+// (-update to regenerate).
+func TestCompareShapesGolden(t *testing.T) {
+	for _, ratio := range []string{"5:2:1", "10:1:1"} {
+		for _, topo := range []string{"full", "star", "3-island:10"} {
+			var buf bytes.Buffer
+			if code := compareShapes(&buf, ratio, 60, "", topo); code != 0 {
+				t.Fatalf("%s %s: compareShapes exit %d", ratio, topo, code)
+			}
+			name := "compare_" + strings.ReplaceAll(ratio, ":", "_") + "_" + strings.ReplaceAll(topo, ":", "_") + ".golden"
+			path := filepath.Join("testdata", name)
+			if *update {
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden (run with -update first): %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("%s %s: report diverged from %s:\n%s", ratio, topo, path, buf.Bytes())
+			}
+		}
+	}
+}

@@ -7,6 +7,11 @@
 //	study -ratio 5:2:1 [-n 100] [-runs 50] [-topology star]
 //	      [-journal study.jsonl] [-resume]
 //
+// -topology takes the topology spec grammar ("full" or "fully-connected",
+// "star", "2+1[:f]", "3-island[:f]", "links:PR=…,PS=…,RS=…"); an unknown
+// spec exits 2. The run exits 1 when the census finds a counterexample to
+// Postulate 1 or a phase fails.
+//
 // SIGINT/SIGTERM interrupts the pipeline cleanly (non-zero exit). With
 // -journal the census phase checkpoints every completed DFA run, and
 // -resume replays the journal so a restarted study repeats no work.
@@ -15,7 +20,8 @@ package main
 import (
 	"context"
 	"flag"
-	"log"
+	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -26,46 +32,63 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("study: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main's testable core: it parses args, runs one study, writes
+// its report to stdout and returns the process exit code. Failures print
+// a single diagnostic line to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("study", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		ratioStr = flag.String("ratio", "5:2:1", "processor speed ratio Pr:Rr:Sr")
-		n        = flag.Int("n", 100, "matrix dimension")
-		runs     = flag.Int("runs", 30, "DFA runs")
-		seed     = flag.Int64("seed", 1, "base seed")
-		topoStr  = flag.String("topology", "full", "full or star")
-		journal  = flag.String("journal", "", "checkpoint census runs to this JSONL file")
-		resume   = flag.Bool("resume", false, "replay an existing -journal and finish the remaining runs")
+		ratioStr = fs.String("ratio", "5:2:1", "processor speed ratio Pr:Rr:Sr")
+		n        = fs.Int("n", 100, "matrix dimension")
+		runs     = fs.Int("runs", 30, "DFA runs")
+		seed     = fs.Int64("seed", 1, "base seed")
+		topoStr  = fs.String("topology", "full", "network topology: full, star, 2+1[:f], 3-island[:f], or links:PR=…,PS=…,RS=…")
+		journal  = fs.String("journal", "", "checkpoint census runs to this JSONL file")
+		resume   = fs.Bool("resume", false, "replay an existing -journal and finish the remaining runs")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "study: %v\n", err)
+		return code
+	}
+	topo := *topoStr
+	if topo == "full" {
+		topo = model.FullyConnected.String()
+	}
+	spec, err := model.ParseTopologySpec(topo)
+	if err != nil {
+		return fail(2, err)
+	}
+	ratio, err := partition.ParseRatio(*ratioStr)
+	if err != nil {
+		return fail(1, err)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	ratio, err := partition.ParseRatio(*ratioStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	topo := model.FullyConnected
-	if *topoStr == "star" {
-		topo = model.Star
-	}
 	st, err := core.RunContext(ctx, core.StudyConfig{
 		N:        *n,
 		Ratio:    ratio,
 		Runs:     *runs,
 		Seed:     *seed,
-		Topology: topo,
+		Topology: spec,
 		Journal:  *journal,
 		Resume:   *resume,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return fail(1, err)
 	}
-	if err := st.Write(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := st.Write(stdout); err != nil {
+		return fail(1, err)
 	}
 	if st.Counterexamples > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

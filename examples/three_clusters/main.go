@@ -27,22 +27,20 @@ func main() {
 		m.Topology = topo
 		fmt.Printf("— %s topology —\n", topo)
 		fmt.Printf("%-22s %-10s %-14s %-14s\n", "shape", "VoC", "SCB model(s)", "SCB sim(s)")
-		for _, s := range heteropart.AllShapes {
-			g, err := heteropart.BuildShape(s, n, ratio)
-			if err != nil {
-				fmt.Printf("%-22s infeasible\n", s)
+		best, cands, err := heteropart.Optimal(heteropart.SCB, m, n)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, c := range cands {
+			if !c.Feasible {
+				fmt.Printf("%-22s infeasible\n", c.Shape)
 				continue
 			}
-			mod := heteropart.Evaluate(heteropart.SCB, m, g)
-			res, err := heteropart.Simulate(heteropart.SCB, m, g)
+			res, err := heteropart.Simulate(heteropart.SCB, m, c.Grid)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("%-22s %-10d %-14.6f %-14.6f\n", s, g.VoC(), mod.Total, res.TExe)
-		}
-		best, _, err := heteropart.Optimal(heteropart.SCB, m, n)
-		if err != nil {
-			log.Fatal(err)
+			fmt.Printf("%-22s %-10d %-14.6f %-14.6f\n", c.Shape, c.VoC, c.Breakdown.Total, res.TExe)
 		}
 		fmt.Printf("optimal: %v\n\n", best)
 	}

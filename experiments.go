@@ -7,6 +7,7 @@ package heteropart
 // K-processor extension.
 
 import (
+	"context"
 	"io"
 	"math/rand"
 
@@ -41,9 +42,10 @@ func Fig14Sweep(xs []float64, nModel, nSim int) ([]Fig14Row, error) {
 }
 
 // PhaseDiagram computes the optimal-shape winner map over the ratio plane
-// (the all-candidates generalisation of Fig 13).
-func PhaseDiagram(a Algorithm, topo Topology, rrMax, prMax, step float64, n int) (*experiment.WinnerMap, error) {
-	return experiment.ComputeWinnerMap(a, topo, rrMax, prMax, step, n)
+// (the all-candidates generalisation of Fig 13) under a topology spec; the
+// zero spec is fully connected.
+func PhaseDiagram(a Algorithm, spec TopologySpec, rrMax, prMax, step float64, n int) (*experiment.WinnerMap, error) {
+	return experiment.ComputeWinnerMap(context.Background(), a, spec.String(), spec, rrMax, prMax, step, n)
 }
 
 // SearchTrace runs a Push search recording the VoC after every committed

@@ -39,7 +39,7 @@ func TestFig14Facade(t *testing.T) {
 }
 
 func TestPhaseDiagramFacade(t *testing.T) {
-	wm, err := PhaseDiagram(SCB, FullyConnected, 2, 12, 2, 40)
+	wm, err := PhaseDiagram(SCB, TopologySpec{}, 2, 12, 2, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,42 +243,26 @@ func MultiplyPIO(cfg ExecConfig, g *Partition, a, b *Matrix) (*Matrix, *ExecStat
 	return exec.Multiply(cfg, g, a, b)
 }
 
-// Candidate reports one candidate's cost in an Optimal comparison.
-type Candidate struct {
-	Shape    Shape
-	Feasible bool
-	// VoC is the communication volume in elements (Eq 1).
-	VoC int64
-	// Breakdown is the modelled execution time.
-	Breakdown Breakdown
-}
+// Candidate reports one candidate's cost in an Optimal comparison: its
+// shape, feasibility, built grid, VoC and modelled Breakdown.
+type Candidate = model.Candidate
 
 // Optimal builds all six candidates for the scenario, evaluates the
 // requested algorithm on machine m, and returns the cheapest shape with
-// the full per-candidate cost list (the Section X methodology).
+// the full per-candidate cost list (the Section X methodology, see
+// model.Compare).
 func Optimal(a Algorithm, m Machine, n int) (Shape, []Candidate, error) {
-	if n < 4 {
-		return 0, nil, fmt.Errorf("heteropart: n must be ≥ 4, got %d", n)
-	}
-	var (
-		cands []Candidate
-		best  = -1
-	)
-	for _, s := range AllShapes {
-		c := Candidate{Shape: s}
-		g, err := partition.Build(s, n, m.Ratio)
-		if err == nil {
-			c.Feasible = true
-			c.VoC = g.VoC()
-			c.Breakdown = model.EvaluateGrid(a, m, g)
-			if best < 0 || c.Breakdown.Total < cands[best].Breakdown.Total {
-				best = len(cands)
-			}
-		}
-		cands = append(cands, c)
-	}
-	if best < 0 {
-		return 0, cands, fmt.Errorf("heteropart: no feasible candidate for ratio %v", m.Ratio)
+	cands, best, err := compare(a, m, n)
+	if err != nil {
+		return 0, cands, err
 	}
 	return cands[best].Shape, cands, nil
+}
+
+// compare is model.Compare behind the facade's matrix-size check.
+func compare(a Algorithm, m Machine, n int) ([]Candidate, int, error) {
+	if n < 4 {
+		return nil, -1, fmt.Errorf("heteropart: n must be ≥ 4, got %d", n)
+	}
+	return model.Compare(a, m, n)
 }

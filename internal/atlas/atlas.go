@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/experiment"
 	"repro/internal/model"
 	"repro/internal/partition"
 )
@@ -119,11 +118,10 @@ type BuildConfig struct {
 	Progress func(done, total int)
 }
 
-// Build sweeps the grid and bakes the winner decision per cell, using the
-// same per-cell kernel as the winner map (experiment.EvaluateCell), which
-// in turn mirrors the online Optimal comparison — so a baked answer is
-// bit-identical to what a live plan request would compute. Rows run in
-// parallel; ctx cancels between rows.
+// Build sweeps the grid and bakes the winner decision per cell with
+// model.Compare, the comparison the online planner (heteropart.NewPlan)
+// runs — so a baked answer is bit-identical to what a live plan request
+// would compute. Rows run in parallel; ctx cancels between rows.
 func Build(ctx context.Context, cfg BuildConfig) (*Atlas, error) {
 	if cfg.N < 4 {
 		return nil, fmt.Errorf("atlas: n must be ≥ 4, got %d", cfg.N)
@@ -181,6 +179,14 @@ feed:
 	return a, nil
 }
 
+// machine is the platform every cell is priced on: the default machine
+// for the cell's ratio on the atlas's topology.
+func (a *Atlas) machine(ratio partition.Ratio) model.Machine {
+	m := model.DefaultMachine(ratio)
+	m.Topology = a.topo
+	return m
+}
+
 // buildRow fills every valid cell of one Pr row. A cell where no
 // candidate is feasible is recorded as such, not an error: the snapshot
 // must describe the whole grid honestly.
@@ -192,17 +198,18 @@ func (a *Atlas) buildRow(pi int) {
 		}
 		idx := a.grid.Index(c)
 		a.valid[idx] = true
-		res, err := experiment.EvaluateCell(a.alg, a.topo, a.grid.Ratio(c), a.n)
+		cands, best, err := model.Compare(a.alg, a.machine(a.grid.Ratio(c)), a.n)
 		if err != nil {
 			a.recs[idx] = Record{}
 			continue
 		}
+		w := cands[best]
 		a.recs[idx] = Record{
-			Shape:    res.Winner,
+			Shape:    w.Shape,
 			Feasible: true,
-			VoC:      res.VoC,
-			Total:    res.Breakdown.Total,
-			Comm:     res.Breakdown.Comm,
+			VoC:      w.VoC,
+			Total:    w.Breakdown.Total,
+			Comm:     w.Breakdown.Comm,
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/experiment"
 	"repro/internal/model"
 	"repro/internal/partition"
 )
@@ -44,14 +43,19 @@ func TestBuildMatchesEvaluateCell(t *testing.T) {
 			if !ok {
 				t.Fatalf("valid cell %+v not computed", c)
 			}
-			want, err := experiment.EvaluateCell(a.Algorithm(), a.Topology(), a.grid.Ratio(c), a.N())
+			// The legacy machine, built explicitly: the default platform
+			// for the cell's ratio on the atlas's topology.
+			m := model.DefaultMachine(a.grid.Ratio(c))
+			m.Topology = a.Topology()
+			cands, best, err := model.Compare(a.Algorithm(), m, a.N())
 			if err != nil {
 				if rec.Feasible {
-					t.Fatalf("cell %+v: atlas feasible but EvaluateCell failed: %v", c, err)
+					t.Fatalf("cell %+v: atlas feasible but Compare failed: %v", c, err)
 				}
 				continue
 			}
-			if !rec.Feasible || rec.Shape != want.Winner || rec.VoC != want.VoC ||
+			want := cands[best]
+			if !rec.Feasible || rec.Shape != want.Shape || rec.VoC != want.VoC ||
 				rec.Total != want.Breakdown.Total || rec.Comm != want.Breakdown.Comm {
 				t.Fatalf("cell %+v: atlas %+v, live %+v", c, rec, want)
 			}

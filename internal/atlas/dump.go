@@ -10,7 +10,6 @@ import (
 
 	heteropart "repro"
 	"repro/internal/experiment"
-	"repro/internal/model"
 	"repro/internal/partition"
 )
 
@@ -132,8 +131,7 @@ func (a *Atlas) SpotCheck(ctx context.Context, cells int, seed int64) ([]Mismatc
 
 // checkCell compares one baked record against the live search answer.
 func (a *Atlas) checkCell(c Cell, ratio partition.Ratio, rec Record) *Mismatch {
-	m := model.DefaultMachine(ratio)
-	m.Topology = a.topo
+	m := a.machine(ratio)
 	live, err := heteropart.NewPlan(a.alg, m, a.n)
 	if err != nil {
 		if !rec.Feasible {

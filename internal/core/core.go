@@ -36,8 +36,9 @@ type StudyConfig struct {
 	Runs int
 	// Seed drives all randomisation.
 	Seed int64
-	// Topology for the Section X comparison.
-	Topology model.Topology
+	// Topology for the Section X comparison; the zero spec is fully
+	// connected.
+	Topology model.TopologySpec
 	// Journal, when set, checkpoints the census phase to this JSONL file
 	// so an interrupted study can resume. Resume replays a prior journal
 	// before running the remaining work; the resumed study is bit-identical
@@ -123,37 +124,23 @@ func RunContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	st.ReducedVoC = red.VoCAfter
 
 	// Phase 4: candidate comparison per algorithm.
-	m := model.DefaultMachine(cfg.Ratio)
-	m.Topology = cfg.Topology
-	for _, s := range partition.AllShapes {
-		g, err := partition.Build(s, cfg.N, cfg.Ratio)
-		if err != nil {
-			st.CandidateVoC[s] = -1
-			continue
-		}
-		st.CandidateVoC[s] = g.VoC()
-	}
+	m := cfg.Topology.Apply(model.DefaultMachine(cfg.Ratio))
 	for _, a := range model.AllAlgorithms {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: study interrupted: %w", err)
 		}
-		bestShape := partition.Shape(0)
-		bestTotal := -1.0
-		for _, s := range partition.AllShapes {
-			g, err := partition.Build(s, cfg.N, cfg.Ratio)
-			if err != nil {
-				continue
-			}
-			total := model.EvaluateGrid(a, m, g).Total
-			if bestTotal < 0 || total < bestTotal {
-				bestTotal = total
-				bestShape = s
+		cands, best, err := model.Compare(a, m, cfg.N)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		st.Optimal[a] = cands[best].Shape
+		// A candidate's VoC does not depend on the algorithm.
+		for _, c := range cands {
+			st.CandidateVoC[c.Shape] = -1
+			if c.Feasible {
+				st.CandidateVoC[c.Shape] = c.VoC
 			}
 		}
-		if bestTotal < 0 {
-			return nil, fmt.Errorf("core: no feasible candidate for %v", cfg.Ratio)
-		}
-		st.Optimal[a] = bestShape
 	}
 	return st, nil
 }

@@ -92,17 +92,21 @@ func TestStudyHighHeterogeneityOptimum(t *testing.T) {
 }
 
 func TestStudyStarTopology(t *testing.T) {
+	star, err := model.ParseTopologySpec("star")
+	if err != nil {
+		t.Fatal(err)
+	}
 	st, err := Run(StudyConfig{
 		N:        36,
 		Ratio:    partition.MustRatio(4, 2, 1),
 		Runs:     3,
 		Seed:     5,
-		Topology: model.Star,
+		Topology: star,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Config.Topology != model.Star {
+	if st.Config.Topology != star {
 		t.Error("topology lost")
 	}
 	var sb strings.Builder

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestLatencySweep(t *testing.T) {
 }
 
 func TestWinnerMap(t *testing.T) {
-	wm, err := ComputeWinnerMap(model.SCB, model.FullyConnected, 4, 16, 1, 60)
+	wm, err := ComputeWinnerMap(context.Background(), model.SCB, "fully-connected", model.TopologySpec{}, 4, 16, 1, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestWinnerMap(t *testing.T) {
 }
 
 func TestWinnerMapValidation(t *testing.T) {
-	if _, err := ComputeWinnerMap(model.SCB, model.FullyConnected, 4, 8, 1, 2); err == nil {
+	if _, err := ComputeWinnerMap(context.Background(), model.SCB, "fully-connected", model.TopologySpec{}, 4, 8, 1, 2); err == nil {
 		t.Error("tiny n should error")
 	}
 }

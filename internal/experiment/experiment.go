@@ -561,25 +561,20 @@ type ShapeCost struct {
 }
 
 // OptimalRow reports the per-candidate costs and the winner for one
-// (ratio, algorithm, topology) scenario — the Section X methodology
-// applied across all six candidates.
+// (ratio, algorithm) scenario — the Section X methodology applied across
+// all six candidates.
 type OptimalRow struct {
 	Ratio     partition.Ratio
 	Algorithm model.Algorithm
-	Topology  model.Topology
 	Costs     []ShapeCost
 	Best      partition.Shape
 }
 
-// OptimalShapes evaluates all six candidates for each ratio × algorithm
-// under the given topology, using both the analytic models and the
-// simulator, and reports the winner by modelled execution time.
-func OptimalShapes(n int, ratios []partition.Ratio, topo model.Topology) ([]OptimalRow, error) {
-	return OptimalShapesContext(context.Background(), n, ratios, topo)
-}
-
-// OptimalShapesContext is OptimalShapes with cancellation between ratios.
-func OptimalShapesContext(ctx context.Context, n int, ratios []partition.Ratio, topo model.Topology) ([]OptimalRow, error) {
+// OptimalShapes compares the six candidates (model.Compare) for each
+// ratio × algorithm on the default platform with spec applied, adds each
+// feasible candidate's simulated execution time, and reports the winner
+// by modelled execution time. ctx cancels between ratios.
+func OptimalShapes(ctx context.Context, n int, ratios []partition.Ratio, spec model.TopologySpec) ([]OptimalRow, error) {
 	if len(ratios) == 0 {
 		ratios = partition.PaperRatios
 	}
@@ -588,33 +583,24 @@ func OptimalShapesContext(ctx context.Context, n int, ratios []partition.Ratio, 
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiment: optimal-shape sweep interrupted: %w", err)
 		}
-		m := model.DefaultMachine(ratio)
-		m.Topology = topo
+		m := spec.Apply(model.DefaultMachine(ratio))
 		for _, alg := range model.AllAlgorithms {
-			row := OptimalRow{Ratio: ratio, Algorithm: alg, Topology: topo}
-			best := -1
-			for _, s := range partition.AllShapes {
-				sc := ShapeCost{Shape: s}
-				g, err := partition.Build(s, n, ratio)
-				if err == nil {
-					sc.Feasible = true
-					sc.VoC = g.VoC()
-					sc.Total = model.EvaluateGrid(alg, m, g).Total
-					res, err := sim.Simulate(alg, m, g)
+			cands, best, err := model.Compare(alg, m, n)
+			if err != nil {
+				return nil, fmt.Errorf("experiment: no feasible shape for %v", ratio)
+			}
+			row := OptimalRow{Ratio: ratio, Algorithm: alg, Best: cands[best].Shape}
+			for _, c := range cands {
+				sc := ShapeCost{Shape: c.Shape, Feasible: c.Feasible, VoC: c.VoC, Total: c.Breakdown.Total}
+				if c.Feasible {
+					res, err := sim.Simulate(alg, m, c.Grid)
 					if err != nil {
 						return nil, err
 					}
 					sc.SimTotal = res.TExe
-					if best < 0 || sc.Total < row.Costs[best].Total {
-						best = len(row.Costs)
-					}
 				}
 				row.Costs = append(row.Costs, sc)
 			}
-			if best < 0 {
-				return nil, fmt.Errorf("experiment: no feasible shape for %v", ratio)
-			}
-			row.Best = row.Costs[best].Shape
 			rows = append(rows, row)
 		}
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -162,10 +163,10 @@ func TestFig14SweepShape(t *testing.T) {
 }
 
 func TestOptimalShapes(t *testing.T) {
-	rows, err := OptimalShapes(60, []partition.Ratio{
+	rows, err := OptimalShapes(context.Background(), 60, []partition.Ratio{
 		partition.MustRatio(2, 1, 1),
 		partition.MustRatio(10, 1, 1),
-	}, model.FullyConnected)
+	}, model.TopologySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +209,11 @@ func TestOptimalShapes(t *testing.T) {
 }
 
 func TestOptimalShapesStarDiffers(t *testing.T) {
-	full, err := OptimalShapes(60, []partition.Ratio{partition.MustRatio(5, 2, 1)}, model.FullyConnected)
+	full, err := OptimalShapes(context.Background(), 60, []partition.Ratio{partition.MustRatio(5, 2, 1)}, model.TopologySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	star, err := OptimalShapes(60, []partition.Ratio{partition.MustRatio(5, 2, 1)}, model.Star)
+	star, err := OptimalShapes(context.Background(), 60, []partition.Ratio{partition.MustRatio(5, 2, 1)}, mustSpec(t, "star"))
 	if err != nil {
 		t.Fatal(err)
 	}

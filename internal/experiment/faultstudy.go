@@ -25,12 +25,13 @@ type FaultRow struct {
 	Degradation float64
 }
 
-// FaultStudy simulates all six candidate shapes for (algorithm, ratio,
-// topology) twice — once clean, once under the fault plan returned by
-// plan — and reports each shape's degradation. plan receives the horizon
-// (the largest clean makespan across feasible shapes) so fault windows
-// can be phrased relative to the study's own time scale.
-func FaultStudy(ctx context.Context, a model.Algorithm, topo model.Topology, n int, ratio partition.Ratio, plan func(horizon float64) (*sim.FaultPlan, error)) ([]FaultRow, error) {
+// FaultStudy simulates the six candidate shapes of model.Compare for
+// (algorithm, ratio, topology spec) twice — once clean, once under the
+// fault plan returned by plan — and reports each shape's degradation.
+// plan receives the horizon (the largest clean makespan across feasible
+// shapes) so fault windows can be phrased relative to the study's own
+// time scale.
+func FaultStudy(ctx context.Context, a model.Algorithm, spec model.TopologySpec, n int, ratio partition.Ratio, plan func(horizon float64) (*sim.FaultPlan, error)) ([]FaultRow, error) {
 	if n < 10 {
 		return nil, &ConfigError{Field: "n", Reason: fmt.Sprintf("fault study needs n ≥ 10, got %d", n)}
 	}
@@ -40,28 +41,29 @@ func FaultStudy(ctx context.Context, a model.Algorithm, topo model.Topology, n i
 	if plan == nil {
 		return nil, &ConfigError{Field: "plan", Reason: "fault-plan factory must be non-nil"}
 	}
-	m := model.DefaultMachine(ratio)
-	m.Topology = topo
+	m := spec.Apply(model.DefaultMachine(ratio))
+	cands, _, err := model.Compare(a, m, n)
+	if err != nil {
+		return nil, err
+	}
 
 	// Pass 1: clean baselines and the horizon.
-	rows := make([]FaultRow, 0, len(partition.AllShapes))
+	rows := make([]FaultRow, len(cands))
 	horizon := 0.0
-	for _, s := range partition.AllShapes {
+	for i, c := range cands {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiment: fault study interrupted: %w", err)
 		}
-		row := FaultRow{Shape: s}
-		g, err := partition.Build(s, n, ratio)
-		if err == nil {
-			res, err := sim.Simulate(a, m, g)
-			if err != nil {
-				return nil, err
-			}
-			row.Feasible = true
-			row.Clean = res.TExe
-			horizon = math.Max(horizon, res.TExe)
+		rows[i] = FaultRow{Shape: c.Shape, Feasible: c.Feasible}
+		if !c.Feasible {
+			continue
 		}
-		rows = append(rows, row)
+		res, err := sim.Simulate(a, m, c.Grid)
+		if err != nil {
+			return nil, err
+		}
+		rows[i].Clean = res.TExe
+		horizon = math.Max(horizon, res.TExe)
 	}
 
 	fp, err := plan(horizon)
@@ -69,19 +71,15 @@ func FaultStudy(ctx context.Context, a model.Algorithm, topo model.Topology, n i
 		return nil, err
 	}
 
-	// Pass 2: the same shapes under the plan.
-	for i := range rows {
-		if !rows[i].Feasible {
+	// Pass 2: the same grids under the plan.
+	for i, c := range cands {
+		if !c.Feasible {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiment: fault study interrupted: %w", err)
 		}
-		g, err := partition.Build(rows[i].Shape, n, ratio)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.SimulateFaults(a, m, g, fp)
+		res, err := sim.SimulateFaults(a, m, c.Grid, fp)
 		if err != nil {
 			return nil, err
 		}

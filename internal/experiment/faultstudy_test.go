@@ -16,13 +16,13 @@ func TestFaultStudyValidationTyped(t *testing.T) {
 	ratio := partition.MustRatio(5, 2, 1)
 	var ce *ConfigError
 	ctx := context.Background()
-	if _, err := FaultStudy(ctx, model.SCB, model.FullyConnected, 5, ratio, CanonicalFaultPlan); !errors.As(err, &ce) {
+	if _, err := FaultStudy(ctx, model.SCB, model.TopologySpec{}, 5, ratio, CanonicalFaultPlan); !errors.As(err, &ce) {
 		t.Fatalf("n=5: err = %v, want *ConfigError", err)
 	}
-	if _, err := FaultStudy(ctx, model.SCB, model.FullyConnected, 64, partition.Ratio{}, CanonicalFaultPlan); !errors.As(err, &ce) {
+	if _, err := FaultStudy(ctx, model.SCB, model.TopologySpec{}, 64, partition.Ratio{}, CanonicalFaultPlan); !errors.As(err, &ce) {
 		t.Fatalf("zero ratio: err = %v, want *ConfigError", err)
 	}
-	if _, err := FaultStudy(ctx, model.SCB, model.FullyConnected, 64, ratio, nil); !errors.As(err, &ce) {
+	if _, err := FaultStudy(ctx, model.SCB, model.TopologySpec{}, 64, ratio, nil); !errors.As(err, &ce) {
 		t.Fatalf("nil plan: err = %v, want *ConfigError", err)
 	}
 }
@@ -30,7 +30,7 @@ func TestFaultStudyValidationTyped(t *testing.T) {
 func TestFaultStudyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := FaultStudy(ctx, model.SCB, model.FullyConnected, 64, partition.MustRatio(5, 2, 1), CanonicalFaultPlan)
+	_, err := FaultStudy(ctx, model.SCB, model.TopologySpec{}, 64, partition.MustRatio(5, 2, 1), CanonicalFaultPlan)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -38,7 +38,7 @@ func TestFaultStudyCancelled(t *testing.T) {
 
 func TestFaultStudyDegradationAndDeterminism(t *testing.T) {
 	ratio := partition.MustRatio(5, 2, 1)
-	rows, err := FaultStudy(context.Background(), model.SCB, model.FullyConnected, 64, ratio, CanonicalFaultPlan)
+	rows, err := FaultStudy(context.Background(), model.SCB, model.TopologySpec{}, 64, ratio, CanonicalFaultPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFaultStudyDegradationAndDeterminism(t *testing.T) {
 	if feasible == 0 {
 		t.Fatal("no feasible shapes in the study")
 	}
-	again, err := FaultStudy(context.Background(), model.SCB, model.FullyConnected, 64, ratio, CanonicalFaultPlan)
+	again, err := FaultStudy(context.Background(), model.SCB, model.TopologySpec{}, 64, ratio, CanonicalFaultPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCanonicalFaultPlanDegenerateHorizon(t *testing.T) {
 }
 
 func TestFaultStudyStarTopology(t *testing.T) {
-	rows, err := FaultStudy(context.Background(), model.PIO, model.Star, 64, partition.MustRatio(3, 2, 1), CanonicalFaultPlan)
+	rows, err := FaultStudy(context.Background(), model.PIO, mustSpec(t, "star"), 64, partition.MustRatio(3, 2, 1), CanonicalFaultPlan)
 	if err != nil {
 		t.Fatal(err)
 	}

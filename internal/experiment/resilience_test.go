@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/partition"
 )
 
@@ -282,7 +283,7 @@ func TestFig14SweepContextCancelled(t *testing.T) {
 func TestOptimalShapesContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := OptimalShapesContext(ctx, 40, nil, 0); !errors.Is(err, context.Canceled) {
+	if _, err := OptimalShapes(ctx, 40, nil, model.TopologySpec{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

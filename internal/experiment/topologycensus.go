@@ -31,7 +31,11 @@ type CensusEntry struct {
 func RunTopologyCensus(ctx context.Context, a model.Algorithm, rrMax, prMax, step float64, n int) ([]CensusEntry, error) {
 	var out []CensusEntry
 	for _, tc := range TopologyClasses() {
-		wm, err := ComputeWinnerMapSpec(ctx, a, tc.Name, tc.Spec, rrMax, prMax, step, n)
+		spec, err := model.ParseTopologySpec(tc.Spec)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: census class %s: %w", tc.Name, err)
+		}
+		wm, err := ComputeWinnerMap(ctx, a, tc.Name, spec, rrMax, prMax, step, n)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: census class %s: %w", tc.Name, err)
 		}

@@ -8,21 +8,44 @@ import (
 	"repro/internal/partition"
 )
 
+// legacyWinner is the winner at one ratio on the legacy machine, built
+// explicitly: the default platform with its Topology set and no spec.
+func legacyWinner(t *testing.T, a model.Algorithm, topo model.Topology, ratio partition.Ratio, n int) partition.Shape {
+	t.Helper()
+	m := model.DefaultMachine(ratio)
+	m.Topology = topo
+	cands, best, err := model.Compare(a, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cands[best].Shape
+}
+
 // TestWinnerMapSpecUniformMatchesLegacy: the spec-based sweep under the
-// empty (uniform) spec must agree cell-for-cell with the legacy
-// ComputeWinnerMap — the experiment-layer half of the differential
-// equivalence suite.
+// empty (uniform) spec must agree cell-for-cell with the legacy fully
+// connected machine, and under "star" with the legacy star machine — the
+// experiment-layer half of the differential equivalence suite.
 func TestWinnerMapSpecUniformMatchesLegacy(t *testing.T) {
-	legacy, err := ComputeWinnerMap(model.SCB, model.FullyConnected, 4, 10, 1, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := ComputeWinnerMapSpec(context.Background(), model.SCB, "uniform", "", 4, 10, 1, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spec.Diff(legacy)) != 0 {
-		t.Fatalf("uniform spec map disagrees with legacy map at %v", spec.Diff(legacy))
+	for _, tc := range []struct {
+		spec string
+		topo model.Topology
+	}{
+		{"", model.FullyConnected},
+		{"star", model.Star},
+	} {
+		wm, err := ComputeWinnerMap(context.Background(), model.SCB, "uniform", mustSpec(t, tc.spec), 4, 10, 1, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rr = 1..4 against Pr = Rr..10: 10 + 9 + 8 + 7 cells.
+		if len(wm.Cells) != 34 {
+			t.Fatalf("spec %q: %d cells, want 34", tc.spec, len(wm.Cells))
+		}
+		for c, got := range wm.Cells {
+			if want := legacyWinner(t, model.SCB, tc.topo, partition.MustRatio(c[1], c[0], 1), 60); got != want {
+				t.Errorf("spec %q Rr=%g Pr=%g: winner %v, legacy %v %v", tc.spec, c[0], c[1], got, tc.topo, want)
+			}
+		}
 	}
 }
 
@@ -33,11 +56,11 @@ func TestWinnerMapSpecUniformMatchesLegacy(t *testing.T) {
 // so not one cell may change winner.
 func TestUniformRescaleCannotFlip(t *testing.T) {
 	for _, a := range model.AllAlgorithms {
-		base, err := ComputeWinnerMapSpec(context.Background(), a, "uniform", "", 4, 10, 1, 60)
+		base, err := ComputeWinnerMap(context.Background(), a, "uniform", model.TopologySpec{}, 4, 10, 1, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scaled, err := ComputeWinnerMapSpec(context.Background(), a, "flat", "links:PR=10,PS=10,RS=10", 4, 10, 1, 60)
+		scaled, err := ComputeWinnerMap(context.Background(), a, "flat", mustSpec(t, "links:PR=10,PS=10,RS=10"), 4, 10, 1, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,26 +94,18 @@ func TestTopologyClassFlipsKnownCells(t *testing.T) {
 	}
 	for _, tc := range cases {
 		ratio := partition.MustRatio(tc.pr, tc.rr, 1)
-		base, err := EvaluateCell(tc.alg, model.FullyConnected, ratio, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.Winner != tc.uniform {
+		if base := legacyWinner(t, tc.alg, model.FullyConnected, ratio, n); base != tc.uniform {
 			t.Errorf("%v %g:%g:1 uniform winner %v, want %v (table stale?)",
-				tc.alg, tc.pr, tc.rr, base.Winner, tc.uniform)
+				tc.alg, tc.pr, tc.rr, base, tc.uniform)
 			continue
 		}
-		spec, err := model.ParseTopologySpec(tc.spec)
+		cands, best, err := model.Compare(tc.alg, mustSpec(t, tc.spec).Apply(model.DefaultMachine(ratio)), n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EvaluateCellSpec(tc.alg, spec, ratio, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Winner != tc.expected {
+		if got := cands[best].Shape; got != tc.expected {
 			t.Errorf("%v %s %g:%g:1: winner %v, want flip to %v",
-				tc.alg, tc.spec, tc.pr, tc.rr, got.Winner, tc.expected)
+				tc.alg, tc.spec, tc.pr, tc.rr, got, tc.expected)
 		}
 	}
 }

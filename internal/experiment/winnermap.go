@@ -15,10 +15,7 @@ import (
 // phase diagram of the optimal-shape problem over the ratio plane.
 type WinnerMap struct {
 	Algorithm model.Algorithm
-	Topology  model.Topology
-	// Label names the topology class when the map was computed under a
-	// topology spec (ComputeWinnerMapSpec); empty for the legacy maps,
-	// which label themselves with Topology.
+	// Label names the interconnect in the rendered diagram.
 	Label string
 	RrMax float64
 	PrMax float64
@@ -39,7 +36,8 @@ type TopologyClass struct {
 // TopologyClasses are the three interconnect classes the winner-map
 // census re-runs the Section IX–X methodology over: the paper's uniform
 // fully connected network, a 2+1 placement (P and R share a node, S is
-// 10× farther), and three islands (every link 10× slower than the base).
+// 10× farther), and three islands (links touching P 10× slower than the
+// base, the R↔S pair 100×).
 func TopologyClasses() []TopologyClass {
 	return []TopologyClass{
 		{Name: "uniform", Spec: ""},
@@ -49,118 +47,34 @@ func TopologyClasses() []TopologyClass {
 }
 
 // ComputeWinnerMap samples the ratio plane on an n-cell grid basis (the
-// shapes are constructed concretely so integral effects are included).
-func ComputeWinnerMap(a model.Algorithm, topo model.Topology, rrMax, prMax, step float64, n int) (*WinnerMap, error) {
-	return ComputeWinnerMapContext(context.Background(), a, topo, rrMax, prMax, step, n)
-}
-
-// ComputeWinnerMapContext is ComputeWinnerMap with cancellation between
-// sampled rows of the ratio plane.
-func ComputeWinnerMapContext(ctx context.Context, a model.Algorithm, topo model.Topology, rrMax, prMax, step float64, n int) (*WinnerMap, error) {
-	wm := &WinnerMap{Algorithm: a, Topology: topo, RrMax: rrMax, PrMax: prMax, Step: step}
-	err := fillWinnerMap(ctx, wm, n, func(ratio partition.Ratio) (CellResult, error) {
-		return EvaluateCell(a, topo, ratio, n)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return wm, nil
-}
-
-// ComputeWinnerMapSpec samples the ratio plane under a topology spec —
-// the per-link cost-model generalisation of ComputeWinnerMap. The label
-// names the class in the rendered diagram.
-func ComputeWinnerMapSpec(ctx context.Context, a model.Algorithm, label, spec string, rrMax, prMax, step float64, n int) (*WinnerMap, error) {
-	ts, err := model.ParseTopologySpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	topo := model.FullyConnected
-	if legacy, ok := ts.Legacy(); ok {
-		topo = legacy
-	}
-	wm := &WinnerMap{Algorithm: a, Topology: topo, Label: label, RrMax: rrMax, PrMax: prMax, Step: step}
-	err = fillWinnerMap(ctx, wm, n, func(ratio partition.Ratio) (CellResult, error) {
-		return EvaluateCellSpec(a, ts, ratio, n)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return wm, nil
-}
-
-// fillWinnerMap runs the ratio-plane sweep shared by the legacy and the
-// spec-based winner maps.
-func fillWinnerMap(ctx context.Context, wm *WinnerMap, n int, cell func(partition.Ratio) (CellResult, error)) error {
+// shapes are constructed concretely so integral effects are included):
+// each cell is model.Compare on the default platform with spec applied,
+// so a cell's winner is the shape an online plan request would be served.
+// The label names the interconnect in the rendered diagram; ctx cancels
+// between sampled rows.
+func ComputeWinnerMap(ctx context.Context, a model.Algorithm, label string, spec model.TopologySpec, rrMax, prMax, step float64, n int) (*WinnerMap, error) {
+	wm := &WinnerMap{Algorithm: a, Label: label, RrMax: rrMax, PrMax: prMax, Step: step}
 	if wm.Step <= 0 {
 		wm.Step = 1
 	}
 	if n < 10 {
-		return &ConfigError{Field: "n", Reason: fmt.Sprintf("winner map needs n ≥ 10, got %d", n)}
+		return nil, &ConfigError{Field: "n", Reason: fmt.Sprintf("winner map needs n ≥ 10, got %d", n)}
 	}
 	wm.Cells = make(map[[2]float64]partition.Shape)
 	for rr := 1.0; rr <= wm.RrMax+1e-9; rr += wm.Step {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("experiment: winner map interrupted: %w", err)
+			return nil, fmt.Errorf("experiment: winner map interrupted: %w", err)
 		}
 		for pr := rr; pr <= wm.PrMax+1e-9; pr += wm.Step {
-			res, err := cell(partition.MustRatio(pr, rr, 1))
+			m := spec.Apply(model.DefaultMachine(partition.MustRatio(pr, rr, 1)))
+			cands, best, err := model.Compare(a, m, n)
 			if err != nil {
-				return fmt.Errorf("experiment: no feasible shape at Pr=%v Rr=%v", pr, rr)
+				return nil, fmt.Errorf("experiment: no feasible shape at Pr=%v Rr=%v", pr, rr)
 			}
-			wm.Cells[[2]float64{rr, pr}] = res.Winner
+			wm.Cells[[2]float64{rr, pr}] = cands[best].Shape
 		}
 	}
-	return nil
-}
-
-// CellResult is the optimal-candidate decision at one sampled ratio: the
-// winning canonical shape with its communication volume and modelled
-// execution-time breakdown.
-type CellResult struct {
-	Winner    partition.Shape
-	VoC       int64
-	Breakdown model.Breakdown
-}
-
-// EvaluateCell compares the six candidate canonical shapes at one ratio
-// sample and returns the winner by modelled execution time — the per-cell
-// kernel shared by the winner map and the shape-atlas sweep
-// (internal/atlas). Candidate order and strict-less tie-breaking match
-// the Section X methodology (heteropart.Optimal), so a cell's winner here
-// is the same shape an online plan request would be served.
-func EvaluateCell(a model.Algorithm, topo model.Topology, ratio partition.Ratio, n int) (CellResult, error) {
-	m := model.DefaultMachine(ratio)
-	m.Topology = topo
-	return evaluateCellMachine(a, m, ratio, n)
-}
-
-// EvaluateCellSpec is EvaluateCell under a topology spec: the machine is
-// the default platform with the spec applied (per-link cost model for the
-// non-legacy classes), so the winner reflects the priced interconnect.
-func EvaluateCellSpec(a model.Algorithm, spec model.TopologySpec, ratio partition.Ratio, n int) (CellResult, error) {
-	m := spec.Apply(model.DefaultMachine(ratio))
-	return evaluateCellMachine(a, m, ratio, n)
-}
-
-func evaluateCellMachine(a model.Algorithm, m model.Machine, ratio partition.Ratio, n int) (CellResult, error) {
-	res := CellResult{}
-	bestTotal := -1.0
-	for _, s := range partition.AllShapes {
-		g, err := partition.Build(s, n, ratio)
-		if err != nil {
-			continue
-		}
-		br := model.EvaluateGrid(a, m, g)
-		if bestTotal < 0 || br.Total < bestTotal {
-			bestTotal = br.Total
-			res.Winner, res.VoC, res.Breakdown = s, g.VoC(), br
-		}
-	}
-	if bestTotal < 0 {
-		return CellResult{}, fmt.Errorf("experiment: no feasible shape for ratio %v", ratio)
-	}
-	return res, nil
+	return wm, nil
 }
 
 // ShapeGlyph assigns one letter per candidate for ASCII phase diagrams
@@ -183,21 +97,11 @@ func ShapeGlyph(s partition.Shape) byte {
 	return '?'
 }
 
-// topoLabel names the interconnect in the rendered diagram: the class
-// label for spec-based maps, the legacy topology name otherwise (so the
-// legacy output bytes are unchanged).
-func (wm *WinnerMap) topoLabel() string {
-	if wm.Label != "" {
-		return wm.Label
-	}
-	return wm.Topology.String()
-}
-
 // Write renders the phase diagram: Pr increases downward, Rr rightward;
 // '.' marks the Pr < Rr region excluded by the ratio ordering.
 func (wm *WinnerMap) Write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "winner map: %v, %v topology (C=Square-Corner r=Rectangle-Corner Q=Square-Rectangle B=Block-Rectangle L=L-Rectangle T=Traditional)\n",
-		wm.Algorithm, wm.topoLabel()); err != nil {
+		wm.Algorithm, wm.Label); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "rows: Pr = 1..%g (top to bottom); cols: Rr = 1..%g (left to right); step %g\n",

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/push"
 )
@@ -126,25 +127,26 @@ func ReduceToA(g *partition.Grid) (*ReduceResult, error) {
 	return res, nil
 }
 
-// cheapestCandidate builds every feasible Section IX candidate with the
-// same element counts as g and returns the one with minimum VoC.
+// cheapestCandidate returns the feasible Section IX candidate of
+// model.Compare with the same element counts as g and the minimum VoC.
+// The ranking is by VoC alone, so the algorithm Compare prices under
+// does not matter.
 func cheapestCandidate(g *partition.Grid) (*partition.Grid, bool) {
-	n := g.N()
 	ratio, err := ratioFromCounts(g)
 	if err != nil {
 		return nil, false
 	}
+	cands, _, err := model.Compare(model.SCB, model.DefaultMachine(ratio), g.N())
+	if err != nil {
+		return nil, false
+	}
 	var best *partition.Grid
-	for _, s := range partition.AllShapes {
-		cand, err := partition.Build(s, n, ratio)
-		if err != nil {
+	for _, c := range cands {
+		if !c.Feasible || !countsMatch(c.Grid, g) {
 			continue
 		}
-		if !countsMatch(cand, g) {
-			continue
-		}
-		if best == nil || cand.VoC() < best.VoC() {
-			best = cand
+		if best == nil || c.VoC < best.VoC() {
+			best = c.Grid
 		}
 	}
 	return best, best != nil

@@ -44,11 +44,11 @@ type Plan struct {
 // NewPlan picks the optimal candidate shape for the machine and algorithm
 // and packages the full decision.
 func NewPlan(a Algorithm, m Machine, n int) (*Plan, error) {
-	best, _, err := Optimal(a, m, n)
+	cands, best, err := compare(a, m, n)
 	if err != nil {
 		return nil, err
 	}
-	return NewPlanForShape(a, m, n, best)
+	return packagePlan(a, m, cands[best]), nil
 }
 
 // NewPlanForShape packages the full decision for one already-chosen
@@ -65,15 +65,21 @@ func NewPlanForShape(a Algorithm, m Machine, n int, s Shape) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	return packagePlan(a, m, Candidate{Shape: s, Feasible: true, Grid: g, VoC: g.VoC(), Breakdown: Evaluate(a, m, g)}), nil
+}
+
+// packagePlan serialises one priced, feasible candidate as a Plan.
+func packagePlan(a Algorithm, m Machine, c Candidate) *Plan {
+	g := c.Grid
 	snap := g.Snapshot()
 	p := &Plan{
-		N:         n,
+		N:         g.N(),
 		Ratio:     m.Ratio.String(),
 		Algorithm: a.String(),
 		Topology:  m.TopologyName(),
-		Shape:     s.String(),
-		VoC:       g.VoC(),
-		Expected:  Evaluate(a, m, g),
+		Shape:     c.Shape.String(),
+		VoC:       c.VoC,
+		Expected:  c.Breakdown,
 		Grid:      base64.StdEncoding.EncodeToString(g.Encode()),
 		partition: g,
 	}
@@ -87,7 +93,7 @@ func NewPlanForShape(a Algorithm, m Machine, n int, s Shape) (*Plan, error) {
 			SendElements: snap.Sends[proc],
 		})
 	}
-	return p, nil
+	return p
 }
 
 // Partition returns the plan's concrete partition, decoding it if the
