@@ -84,6 +84,34 @@ func TestOptimalShapesGolden(t *testing.T) {
 	checkGolden(t, "optimal_shapes.golden", buf.Bytes())
 }
 
+// linkTopologies are the per-link topology specs TestLinkPricingGolden
+// pins: both named classes and a directed matrix whose every link differs.
+var linkTopologies = []string{"2+1:10", "3-island:10", "links:P>R=2,R>P=3,PS=5,RS=7"}
+
+// TestLinkPricingGolden is TestOptimalShapesGolden under per-link
+// topologies: every candidate's VoC, modelled Total and simulated Total
+// as hex floats, over the paper ratios at n=40.
+func TestLinkPricingGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, topo := range linkTopologies {
+		rows, err := OptimalShapes(context.Background(), 40, nil, mustSpec(t, topo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			fmt.Fprintf(&buf, "%s %s %v best=%v\n", topo, r.Ratio, r.Algorithm, r.Best)
+			for _, c := range r.Costs {
+				if !c.Feasible {
+					fmt.Fprintf(&buf, "  %-22v infeasible\n", c.Shape)
+					continue
+				}
+				fmt.Fprintf(&buf, "  %-22v voc=%d total=%x sim=%x\n", c.Shape, c.VoC, c.Total, c.SimTotal)
+			}
+		}
+	}
+	checkGolden(t, "link_pricing.golden", buf.Bytes())
+}
+
 // TestFaultStudyGolden pins FaultStudy's rows (clean and faulted
 // simulated times, degradation) as hex floats for every algorithm over
 // the paper ratios at n=64 on both legacy topologies.
