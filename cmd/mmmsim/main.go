@@ -25,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -36,15 +35,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/sim"
 )
-
-func parseShape(s string) (partition.Shape, error) {
-	for _, sh := range partition.AllShapes {
-		if strings.EqualFold(strings.ReplaceAll(sh.String(), "-", ""), strings.ReplaceAll(s, "-", "")) {
-			return sh, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown shape %q (want one of square-corner, rectangle-corner, square-rectangle, block-rectangle, l-rectangle, traditional-rectangle)", s)
-}
 
 func main() {
 	log.SetFlags(0)
@@ -112,7 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s, err := parseShape(*shapeStr)
+	s, err := partition.ParseShape(*shapeStr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +116,7 @@ func main() {
 	}
 	m := spec.Apply(model.DefaultMachine(ratio))
 
-	fmt.Printf("%s, ratio %s, N=%d, %s, %s topology\n", s, ratio, *n, alg, m.TopologyName())
+	fmt.Printf("%s, ratio %s, N=%d, %s, %s topology\n", s, ratio, *n, alg, m.Topology)
 	fmt.Printf("VoC: %d elements (%.4f × N²)\n", g.VoC(), float64(g.VoC())/float64(*n**n))
 	mod := model.EvaluateGrid(alg, m, g)
 	fmt.Printf("model: T_comm=%.6fs T_comp=%.6fs T_exe=%.6fs\n", mod.Comm, mod.Comp, mod.Total)

@@ -71,20 +71,15 @@ func main() {
 	if *shapeStr == "" {
 		log.Fatal("need -shape or -evolve")
 	}
-	var g *partition.Grid
-	for _, sh := range partition.AllShapes {
-		if strings.EqualFold(strings.ReplaceAll(sh.String(), "-", ""), strings.ReplaceAll(*shapeStr, "-", "")) {
-			g, err = partition.Build(sh, *n, ratio)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("%s, ratio %s, N=%d, VoC %d\n\n", sh, ratio, *n, g.VoC())
-			break
-		}
+	sh, err := partition.ParseShape(*shapeStr)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if g == nil {
-		log.Fatalf("unknown shape %q", *shapeStr)
+	g, err := partition.Build(sh, *n, ratio)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("%s, ratio %s, N=%d, VoC %d\n\n", sh, ratio, *n, g.VoC())
 	if *pgmPath != "" {
 		f, err := os.Create(*pgmPath)
 		if err != nil {

@@ -25,9 +25,10 @@
 //
 //	shapeopt -winner-map [-alg SCB] [-pr-max 12] [-rr-max 4] [-step 1] [-n 60]
 //
-// The -topology flag accepts the full spec grammar everywhere outside
-// atlas mode: the legacy "full"/"star", the classes "2+1[:f]" and
-// "3-island[:f]", and explicit "links:PR=…,PS=…,RS=…" matrices.
+// The -topology flag accepts the full spec grammar: the legacy
+// "full"/"star", the classes "2+1[:f]" and "3-island[:f]", and explicit
+// "links:PR=…,PS=…,RS=…" matrices. Atlas mode bakes the legacy two only,
+// and atlas.Build refuses the others.
 package main
 
 import (
@@ -130,24 +131,17 @@ func buildAtlas(path, algStr, topoStr string, n, scale int, prMax, rrMax float64
 		log.Print(err)
 		return 2
 	}
-	topo, legacy := spec.Legacy()
-	if !legacy {
-		// The snapshot format bakes winners for the uniform cost model
-		// only; pland's atlas tier skips link-matrix scenarios to match.
-		log.Printf("atlas mode supports the legacy topologies (full, star) only, got %q", topoStr)
-		return 2
-	}
 	g, err := atlas.NewGrid(scale, prMax, rrMax)
 	if err != nil {
 		log.Print(err)
 		return 2
 	}
 	log.Printf("sweeping %d cells (%s, %s topology, n=%d, step 1/%d, Pr≤%g, Rr≤%g)",
-		g.Cells(), alg, topo, n, scale, prMax, rrMax)
+		g.Cells(), alg, spec, n, scale, prMax, rrMax)
 	lastPct := -1
 	a, err := atlas.Build(context.Background(), atlas.BuildConfig{
 		Algorithm: alg,
-		Topology:  topo,
+		Topology:  spec,
 		N:         n,
 		Grid:      g,
 		Progress: func(done, total int) {
@@ -240,7 +234,7 @@ func compareShapes(w io.Writer, ratioStr string, n int, algStr, topoStr string) 
 		}
 	}
 
-	fmt.Fprintf(w, "Candidate shapes for ratio %s on N=%d (%s topology)\n\n", ratio, n, m.TopologyName())
+	fmt.Fprintf(w, "Candidate shapes for ratio %s on N=%d (%s topology)\n\n", ratio, n, m.Topology)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "shape\tVoC (elements)\talgorithm\tmodel T_exe (s)\tsim T_exe (s)\tefficiency")
 	for j, first := range lists[0] {

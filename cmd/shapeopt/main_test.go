@@ -28,7 +28,7 @@ const (
 // TestWinnerMapGoldens pins one golden phase diagram per topology class
 // (-update to regenerate). The non-uniform classes additionally record
 // their flip list against the uniform baseline, so a pricing regression
-// in the link-matrix cost model shows up as a golden diff naming the
+// in the per-link cost model shows up as a golden diff naming the
 // exact cells that moved.
 func TestWinnerMapGoldens(t *testing.T) {
 	entries, err := experiment.RunTopologyCensus(context.Background(), model.SCB, censusRrMax, censusPrMax, censusStep, censusN)
@@ -111,7 +111,7 @@ func TestParseTopologyGrammar(t *testing.T) {
 	}
 }
 
-// TestCompareShapesLinkTopology: under a link matrix the report fills
+// TestCompareShapesLinkTopology: under a link topology the report fills
 // every column, and the simulator reproduces the model column for every
 // algorithm but PIO, whose pipeline the simulator schedules stage by
 // stage.

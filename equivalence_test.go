@@ -12,9 +12,9 @@ var updateEquivalence = flag.Bool("update", false, "rewrite the equivalence gold
 
 // The plan equivalence golden pins the full /v1/plan-shaped facade output
 // (NewPlan and NewPlanForShape JSON, floats and all) to bytes generated at
-// seed state, before per-link pricing existed. A Machine carrying an
-// explicit LinkMatrix whose six links equal the seed network must keep
-// producing these exact bytes.
+// seed state, before per-link pricing existed. A fully-connected Machine
+// priced through the all-ones link spec must keep producing these exact
+// bytes.
 
 type planScenario struct {
 	ratio string
@@ -33,9 +33,11 @@ var planScenarios = []planScenario{
 }
 
 // writePlanCorpus renders NewPlan plus all six NewPlanForShape outputs for
-// every scenario, using mutate to install the machine configuration under
-// test (nil Cost at seed; an explicit link matrix since).
-func writePlanCorpus(t *testing.T, mutate func(*Machine)) []byte {
+// every scenario on its own topology. A non-empty fullyConnected spec
+// replaces the fully-connected scenarios' topology, and their plans are
+// relabelled "fully-connected": the label is the one field that replay
+// changes by design.
+func writePlanCorpus(t *testing.T, fullyConnected string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, sc := range planScenarios {
@@ -43,22 +45,30 @@ func writePlanCorpus(t *testing.T, mutate func(*Machine)) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := ParseTopologySpec(sc.topo)
+		topo := sc.topo
+		if topo == "fully-connected" && fullyConnected != "" {
+			topo = fullyConnected
+		}
+		spec, err := ParseTopologySpec(topo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := spec.Apply(DefaultMachine(ratio))
-		if mutate != nil {
-			mutate(&m)
+		write := func(p *Plan) {
+			if p.Topology != spec.String() {
+				t.Fatalf("plan topology %q, want %q", p.Topology, spec)
+			}
+			p.Topology = sc.topo
+			if err := p.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
 		}
 		buf.WriteString("== optimal " + sc.ratio + " " + sc.alg.String() + " " + sc.topo + "\n")
 		p, err := NewPlan(sc.alg, m, sc.n)
 		if err != nil {
 			t.Fatalf("NewPlan %+v: %v", sc, err)
 		}
-		if err := p.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
+		write(p)
 		for _, s := range AllShapes {
 			sp, err := NewPlanForShape(sc.alg, m, sc.n, s)
 			if err != nil {
@@ -66,9 +76,7 @@ func writePlanCorpus(t *testing.T, mutate func(*Machine)) []byte {
 				continue
 			}
 			buf.WriteString("== shape " + s.String() + "\n")
-			if err := sp.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
+			write(sp)
 		}
 	}
 	return buf.Bytes()
@@ -100,24 +108,15 @@ func checkPlanGolden(t *testing.T, got []byte) {
 // TestPlanSeedEquivalenceLegacy pins the default Machine plan path to the
 // seed bytes.
 func TestPlanSeedEquivalenceLegacy(t *testing.T) {
-	checkPlanGolden(t, writePlanCorpus(t, nil))
+	checkPlanGolden(t, writePlanCorpus(t, ""))
 }
 
-// TestPlanSeedEquivalenceUniformCost replays the corpus with an explicit
-// LinkMatrix whose six links all carry the machine's network, and Net
-// scrambled so nothing may read it: plan JSON must stay byte-identical to
-// seed, star scenarios included.
+// TestPlanSeedEquivalenceUniformCost replays the corpus with every
+// fully-connected scenario priced through the all-ones link spec: plan
+// JSON must stay byte-identical to seed. Star relays through P and takes
+// no multipliers, so its scenarios replay on the legacy star.
 func TestPlanSeedEquivalenceUniformCost(t *testing.T) {
-	checkPlanGolden(t, writePlanCorpus(t, func(m *Machine) {
-		lm := &LinkMatrix{}
-		for p := range lm.Links {
-			for q := range lm.Links[p] {
-				lm.Links[p][q] = m.Net
-			}
-		}
-		m.Cost = lm
-		m.Net.Alpha, m.Net.Beta = 999, 999
-	}))
+	checkPlanGolden(t, writePlanCorpus(t, "links:PR=1,PS=1,RS=1"))
 }
 
 // TestPlanTopologySpecRoundTrip checks the wire path for link topologies:

@@ -22,9 +22,8 @@ func main() {
 	ratio := heteropart.MustRatio(4, 2, 1) // aggregate cluster speeds
 	fmt.Printf("three clusters, aggregate speeds %s, N=%d\n\n", ratio, n)
 
-	for _, topo := range []heteropart.Topology{heteropart.FullyConnected, heteropart.Star} {
-		m := heteropart.DefaultMachine(ratio)
-		m.Topology = topo
+	for _, topo := range []heteropart.TopologySpec{heteropart.FullyConnected, heteropart.Star} {
+		m := topo.Apply(heteropart.DefaultMachine(ratio))
 		fmt.Printf("— %s topology —\n", topo)
 		fmt.Printf("%-22s %-10s %-14s %-14s\n", "shape", "VoC", "SCB model(s)", "SCB sim(s)")
 		best, cands, err := heteropart.Optimal(heteropart.SCB, m, n)

@@ -165,30 +165,24 @@ var AllAlgorithms = model.AllAlgorithms
 // ParseAlgorithm parses an algorithm name ("SCB", ...).
 var ParseAlgorithm = model.ParseAlgorithm
 
-// Topology is the interconnect layout (Section X).
-type Topology = model.Topology
+// TopologySpec is the interconnect (Section X): the legacy names
+// ("fully-connected", "star"; the empty string selects fully-connected)
+// plus the per-link classes "2+1[:f]", "3-island[:f]" and explicit
+// "links:..." matrices. Apply puts a Machine on it.
+type TopologySpec = model.TopologySpec
 
 // The two studied topologies.
-const (
+var (
 	FullyConnected = model.FullyConnected
 	Star           = model.Star
 )
-
-// TopologySpec is the topology grammar: the legacy names
-// ("fully-connected", "star"; the empty string selects fully-connected)
-// plus the per-link classes "2+1[:f]", "3-island[:f]" and explicit
-// "links:..." matrices. Apply configures a Machine for it.
-type TopologySpec = model.TopologySpec
 
 // ParseTopologySpec parses a topology name; errors are typed
 // (*model.ConfigError) and it never panics.
 var ParseTopologySpec = model.ParseTopologySpec
 
-// LinkMatrix prices each directed processor pair on its own Hockney link.
-type LinkMatrix = model.LinkMatrix
-
-// Machine describes the platform: ratio, Hockney network, flop time,
-// topology, and optionally a per-link matrix.
+// Machine describes the platform: ratio, Hockney network, flop time and
+// topology.
 type Machine = model.Machine
 
 // DefaultMachine mirrors the paper's Fig 14 platform (1000 MB/s network,

@@ -31,7 +31,7 @@ type Record struct {
 // Load one at startup and share it freely: all methods are read-only.
 type Atlas struct {
 	alg  model.Algorithm
-	topo model.Topology
+	topo model.TopologySpec
 	n    int
 	grid Grid
 	// recs is indexed by Grid.Index; cells with Pr < Rr hold zero records
@@ -45,8 +45,9 @@ type Atlas struct {
 // Algorithm returns the MMM algorithm the sweep optimised for.
 func (a *Atlas) Algorithm() model.Algorithm { return a.alg }
 
-// Topology returns the network topology of the sweep.
-func (a *Atlas) Topology() model.Topology { return a.topo }
+// Topology returns the network topology of the sweep, one of the two
+// legacy topologies.
+func (a *Atlas) Topology() model.TopologySpec { return a.topo }
 
 // N returns the matrix dimension the plans were sized for.
 func (a *Atlas) N() int { return a.n }
@@ -107,7 +108,9 @@ func (a *Atlas) WinnerCounts() map[partition.Shape]int {
 // BuildConfig parameterises a sweep.
 type BuildConfig struct {
 	Algorithm model.Algorithm
-	Topology  model.Topology
+	// Topology is model.FullyConnected or model.Star; Build refuses a
+	// link spec, which the snapshot's topology byte cannot name.
+	Topology model.TopologySpec
 	// N is the matrix dimension the baked plans answer for.
 	N    int
 	Grid Grid
@@ -128,6 +131,9 @@ func Build(ctx context.Context, cfg BuildConfig) (*Atlas, error) {
 	}
 	if cfg.Grid.Scale < 1 || cfg.Grid.PrCells < 1 || cfg.Grid.RrCells < 1 {
 		return nil, fmt.Errorf("atlas: grid is empty or unscaled (use NewGrid)")
+	}
+	if _, ok := topologyByte(cfg.Topology); !ok {
+		return nil, fmt.Errorf("atlas: topology %v prices links individually; an atlas bakes fully-connected or star only", cfg.Topology)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {

@@ -104,6 +104,16 @@ func TestBuildValidatesConfig(t *testing.T) {
 	if _, err := Build(context.Background(), BuildConfig{N: 40}); err == nil {
 		t.Fatal("Build accepted zero grid")
 	}
+	// A snapshot names its topology in one byte, fully-connected or star.
+	for _, s := range []string{"2+1:10", "links:PR=1,PS=1,RS=1"} {
+		spec, err := model.ParseTopologySpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Build(context.Background(), BuildConfig{Topology: spec, N: 40, Grid: g}); err == nil {
+			t.Fatalf("Build accepted link topology %s", s)
+		}
+	}
 }
 
 func TestBuildCancellation(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 //	  [ 0: 8)  magic "HPATLAS\x01"
 //	  [ 8:12)  format version (uint32, = 1)
 //	  [12:13)  algorithm (uint8, model.Algorithm)
-//	  [13:14)  topology  (uint8, model.Topology)
+//	  [13:14)  topology  (uint8, 0 fully-connected, 1 star)
 //	  [14:16)  reserved (zero)
 //	  [16:20)  n         (uint32)
 //	  [20:24)  scale     (uint32, cells per unit ratio)
@@ -49,6 +49,20 @@ const (
 	flagFeasible = 2
 )
 
+// snapshotTopologies lists the topologies a snapshot can hold, indexed by
+// the header's topology byte.
+var snapshotTopologies = [...]model.TopologySpec{model.FullyConnected, model.Star}
+
+// topologyByte returns t's header byte; ok is false for a link spec.
+func topologyByte(t model.TopologySpec) (b byte, ok bool) {
+	for i, s := range snapshotTopologies {
+		if s == t {
+			return byte(i), true
+		}
+	}
+	return 0, false
+}
+
 // Encode serialises the atlas to its snapshot bytes.
 func (a *Atlas) Encode() []byte {
 	buf := make([]byte, headerSize+len(a.recs)*recordStride)
@@ -71,7 +85,7 @@ func (a *Atlas) Encode() []byte {
 	copy(buf[0:8], snapshotMagic)
 	binary.LittleEndian.PutUint32(buf[8:], snapshotVersion)
 	buf[12] = byte(a.alg)
-	buf[13] = byte(a.topo)
+	buf[13], _ = topologyByte(a.topo) // Build admits legacy topologies only
 	binary.LittleEndian.PutUint32(buf[16:], uint32(a.n))
 	binary.LittleEndian.PutUint32(buf[20:], uint32(a.grid.Scale))
 	binary.LittleEndian.PutUint32(buf[24:], uint32(a.grid.PrCells))
@@ -99,9 +113,15 @@ func Decode(data []byte) (*Atlas, error) {
 	if got, want := crc32.ChecksumIEEE(data[0:44]), binary.LittleEndian.Uint32(data[44:]); got != want {
 		return nil, fmt.Errorf("atlas: header checksum mismatch (want %08x, got %08x)", want, got)
 	}
+	if int(data[12]) >= model.NumAlgorithms {
+		return nil, fmt.Errorf("atlas: header names unknown algorithm %d", data[12])
+	}
+	if int(data[13]) >= len(snapshotTopologies) {
+		return nil, fmt.Errorf("atlas: header names unknown topology %d", data[13])
+	}
 	a := &Atlas{
 		alg:  model.Algorithm(data[12]),
-		topo: model.Topology(data[13]),
+		topo: snapshotTopologies[data[13]],
 		n:    int(binary.LittleEndian.Uint32(data[16:])),
 	}
 	a.grid = Grid{

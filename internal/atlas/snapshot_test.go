@@ -84,6 +84,16 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			reEncode(d)
 			return d
 		}, "out of range"},
+		{"unknown algorithm byte", func(d []byte) []byte {
+			d[12] = 9
+			reEncode(d)
+			return d
+		}, "unknown algorithm"},
+		{"unknown topology byte", func(d []byte) []byte {
+			d[13] = 7
+			reEncode(d)
+			return d
+		}, "unknown topology"},
 		{"unknown shape byte", func(d []byte) []byte {
 			// Find a feasible record and poison its shape.
 			for off := headerSize; off < len(d); off += recordStride {

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/matrix"
+	"repro/internal/model"
 	"repro/internal/partition"
 )
 
@@ -66,8 +67,9 @@ type Config struct {
 	// stragglers the search path bills. start is seconds since the
 	// calibrator was created.
 	Stretch func(p partition.Proc, start, work float64) float64
-	// Probe, if set, measures the link and returns β in seconds/byte.
-	// See HTTPLinkProbe for a probe that measures an HTTP fetch (and
+	// Probe, if set, measures the link and returns β in seconds/byte;
+	// RunOnce converts it to seconds per element for Estimate.Beta. See
+	// HTTPLinkProbe for a probe that measures an HTTP fetch (and
 	// therefore feels chaos-proxy faults in tests).
 	Probe func(ctx context.Context) (float64, error)
 
@@ -117,7 +119,9 @@ type Estimate struct {
 	Speeds [partition.NumProcs]float64
 	// CI are 95% confidence half-widths on Speeds, same normalization.
 	CI [partition.NumProcs]float64
-	// Beta is the EWMA link estimate in seconds/byte (0 if no Probe).
+	// Beta is the EWMA link estimate in seconds per element of
+	// model.ElementBytes bytes, the unit of model.Hockney.Beta (0 if no
+	// Probe).
 	Beta float64
 	// Generation increments on every publish; the serving layer stamps
 	// cache entries with it so anything planned under an older
@@ -216,7 +220,7 @@ func (c *Calibrator) RunOnce(ctx context.Context) Estimate {
 				c.cfg.Logf("calibrate: link probe: %v", err)
 			}
 		} else {
-			betaSample = b
+			betaSample = b * model.ElementBytes
 		}
 	}
 

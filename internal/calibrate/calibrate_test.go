@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/sim"
 )
@@ -51,6 +52,19 @@ func TestFirstRoundPublishesHomogeneous(t *testing.T) {
 	}
 	if c.DriftEvents() != 0 {
 		t.Fatalf("drift events = %d, want 0 for the initial publish", c.DriftEvents())
+	}
+}
+
+// TestEstimateBetaPerElement: the probe measures seconds per byte, and
+// the estimate carries the model's unit, seconds per element.
+func TestEstimateBetaPerElement(t *testing.T) {
+	bt := &benchTable{base: [partition.NumProcs]float64{1e-3, 1e-3, 1e-3}}
+	c := New(Config{
+		Bench: bt.bench,
+		Probe: func(context.Context) (float64, error) { return 1e-9, nil },
+	})
+	if got, want := c.RunOnce(context.Background()).Beta, 1e-9*model.ElementBytes; got != want {
+		t.Fatalf("Estimate.Beta = %v, want %v s/element", got, want)
 	}
 }
 

@@ -127,7 +127,7 @@ func TestMultiplyDFATerminalState(t *testing.T) {
 
 // TestMultiplyVirtualTimesMatchModel: the engine's virtual clocks are the
 // model's, bit for bit, for every algorithm on every topology — star's
-// relay and a link matrix included — on a rectangular partition and on
+// relay and a link topology included — on a rectangular partition and on
 // one where SCO and PCO have local tasks.
 func TestMultiplyVirtualTimesMatchModel(t *testing.T) {
 	const n = 60

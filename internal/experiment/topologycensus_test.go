@@ -9,8 +9,8 @@ import (
 )
 
 // legacyWinner is the winner at one ratio on the legacy machine, built
-// explicitly: the default platform with its Topology set and no spec.
-func legacyWinner(t *testing.T, a model.Algorithm, topo model.Topology, ratio partition.Ratio, n int) partition.Shape {
+// explicitly: the default platform with its Topology field set directly.
+func legacyWinner(t *testing.T, a model.Algorithm, topo model.TopologySpec, ratio partition.Ratio, n int) partition.Shape {
 	t.Helper()
 	m := model.DefaultMachine(ratio)
 	m.Topology = topo
@@ -28,7 +28,7 @@ func legacyWinner(t *testing.T, a model.Algorithm, topo model.Topology, ratio pa
 func TestWinnerMapSpecUniformMatchesLegacy(t *testing.T) {
 	for _, tc := range []struct {
 		spec string
-		topo model.Topology
+		topo model.TopologySpec
 	}{
 		{"", model.FullyConnected},
 		{"star", model.Star},

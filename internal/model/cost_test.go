@@ -1,32 +1,33 @@
 package model
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/partition"
 )
 
-// allEqualLinkMatrix builds a LinkMatrix whose six links all carry h.
-func allEqualLinkMatrix(h Hockney) *LinkMatrix {
-	lm := &LinkMatrix{}
-	for _, p := range partition.Procs {
-		for _, q := range partition.Procs {
-			if p != q {
-				lm.Links[p][q] = h
-			}
-		}
+// mustTopology parses a topology spec a test names literally.
+func mustTopology(tb testing.TB, s string) TopologySpec {
+	tb.Helper()
+	spec, err := ParseTopologySpec(s)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return lm
+	return spec
 }
 
-// TestLinkMatrixUniformExact is the one-class property test: a LinkMatrix
-// with all links equal must reproduce the nil-Cost evaluation on Net
-// EXACTLY — same float64 bits, not approximately — for every algorithm
-// and both legacy topologies, including the per-step α amortisation in
-// PIO and the star relay. Price earns this by summing link-class volumes
-// in int64 before any float arithmetic.
+// allOnesLinks is the link spec whose six multipliers are all 1: every
+// link carries the base network, priced through the link path.
+const allOnesLinks = "links:PR=1,PS=1,RS=1"
+
+// TestLinkMatrixUniformExact is the one-class property test: the all-ones
+// link spec must reproduce the fully-connected evaluation on Net EXACTLY —
+// same float64 bits, not approximately — for every algorithm, including
+// the per-step α amortisation in PIO. Price earns this by summing
+// link-class volumes in int64 before any float arithmetic, and β·1 is β.
+// Star relays through P and takes no multipliers, so its rows have no
+// link-spec twin.
 func TestLinkMatrixUniformExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	nets := []Hockney{
@@ -35,6 +36,7 @@ func TestLinkMatrixUniformExact(t *testing.T) {
 		{Alpha: 4.2e-4, Beta: 1.1e-7},  // slow WAN-ish link
 		{Alpha: 1.0 / 3.0, Beta: 1e-3}, // non-dyadic values
 	}
+	ones := mustTopology(t, allOnesLinks)
 	for trial := 0; trial < 60; trial++ {
 		ratio := partition.PaperRatios[rng.Intn(len(partition.PaperRatios))]
 		n := 8 + rng.Intn(64)
@@ -45,44 +47,20 @@ func TestLinkMatrixUniformExact(t *testing.T) {
 		}
 		snap := g.Snapshot()
 		net := nets[rng.Intn(len(nets))]
-		flop := 1.0 / 1e9
-		legacy := Machine{Ratio: ratio, Net: net, FlopTime: flop}
-		if trial%2 == 1 {
-			legacy.Topology = Star
-		}
-		linked := legacy
-		linked.Cost = allEqualLinkMatrix(net)
-		linked.Net = Hockney{Alpha: 999, Beta: 999}
+		legacy := Machine{Ratio: ratio, Net: net, FlopTime: 1.0 / 1e9}
+		linked := ones.Apply(legacy)
 		for _, a := range AllAlgorithms {
 			want := Evaluate(a, legacy, snap)
 			got := Evaluate(a, linked, snap)
 			if got != want {
-				t.Fatalf("%v %v %v n=%d %s net=%+v:\n  legacy %+v\n  linked %+v",
-					s, ratio, legacy.Topology, n, a, net, want, got)
+				t.Fatalf("%v %v n=%d %s net=%+v:\n  fully connected %+v\n  all-ones links  %+v",
+					s, ratio, n, a, net, want, got)
 			}
 		}
 	}
 }
 
-// TestLinkMatrixUniformWeights checks the weight normalisation: all-equal
-// links yield the all-ones matrix, and scaling one link scales only its
-// weight.
-func TestLinkMatrixUniformWeights(t *testing.T) {
-	lm := allEqualLinkMatrix(Hockney{Beta: 2e-9})
-	if w := lm.Weights(); !w.Uniform() {
-		t.Fatalf("all-equal LinkMatrix weights = %v, want uniform", w)
-	}
-	lm.Links[partition.R][partition.S].Beta *= 10
-	w := lm.Weights()
-	if w[partition.R][partition.S] != 10 {
-		t.Fatalf("w[R][S] = %v, want 10", w[partition.R][partition.S])
-	}
-	if w[partition.S][partition.R] != 1 {
-		t.Fatalf("w[S][R] = %v, want 1", w[partition.S][partition.R])
-	}
-}
-
-// TestLinkMatrixAsymmetric checks that an asymmetric matrix actually
+// TestLinkMatrixAsymmetric checks that a directed link spec actually
 // prices the two directions differently: making R→S expensive while S→R
 // stays cheap must raise exactly R's parallel send time.
 func TestLinkMatrixAsymmetric(t *testing.T) {
@@ -92,16 +70,17 @@ func TestLinkMatrixAsymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := g.Snapshot()
-	base := allEqualLinkMatrix(Hockney{Beta: 1e-9})
-	asym := allEqualLinkMatrix(Hockney{Beta: 1e-9})
-	asym.Links[partition.R][partition.S].Beta *= 100
 	if snap.PairSends[partition.R][partition.S] == 0 {
 		t.Fatal("test shape has no R→S traffic; pick another")
 	}
-	sendTime := func(lm *LinkMatrix, p partition.Proc) float64 {
+	net := Hockney{Beta: 1e-9}
+	base := mustTopology(t, allOnesLinks)
+	asym := mustTopology(t, "links:PR=1,PS=1,R>S=100,S>R=1")
+	sendTime := func(spec TopologySpec, p partition.Proc) float64 {
 		var v VolumeTable
 		v[p] = snap.PairSends[p]
-		return Machine{Cost: lm}.Price(&v, 1)
+		m := Machine{Net: net, Topology: spec}
+		return m.Price(&v, 1)
 	}
 	if got, want := sendTime(asym, partition.R), sendTime(base, partition.R); got <= want {
 		t.Fatalf("R send time %v not raised above %v by 100× R→S link", got, want)
@@ -115,11 +94,9 @@ func TestLinkMatrixAsymmetric(t *testing.T) {
 // one message per round whatever their direction, and each further class
 // pays its own latency.
 func TestPriceClasses(t *testing.T) {
-	fast, slow := Hockney{Alpha: 1, Beta: 2}, Hockney{Alpha: 10, Beta: 20}
-	lm := allEqualLinkMatrix(fast)
-	lm.Links[partition.R][partition.S] = slow
-	lm.Links[partition.S][partition.R] = slow
-	m := Machine{Cost: lm}
+	fast := Hockney{Alpha: 1, Beta: 2}
+	slow := Hockney{Alpha: 1, Beta: 20}
+	m := Machine{Net: fast, Topology: mustTopology(t, "links:PR=1,PS=1,RS=10")}
 	var v VolumeTable
 	v[partition.P][partition.R] = 3
 	v[partition.S][partition.P] = 5
@@ -128,61 +105,10 @@ func TestPriceClasses(t *testing.T) {
 	if got, want := m.Price(&v, 1), fast.Time(8)+slow.Time(8); got != want {
 		t.Fatalf("bulk price %v, want %v (one message per class)", got, want)
 	}
-	if got, want := m.Price(&v, 4), (1+2*8.0/4)+(10+20*8.0/4); got != want {
+	if got, want := m.Price(&v, 4), (1+2*8.0/4)+(1+20*8.0/4); got != want {
 		t.Fatalf("4-step price %v, want %v (α every round, β spread)", got, want)
 	}
 	if got := m.Price(&VolumeTable{}, 1); got != 0 {
 		t.Fatalf("price of no traffic = %v, want 0", got)
-	}
-}
-
-func TestLinkMatrixValidate(t *testing.T) {
-	good := allEqualLinkMatrix(Hockney{Alpha: 1e-6, Beta: 2e-9})
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid matrix rejected: %v", err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*LinkMatrix)
-	}{
-		{"negative beta", func(lm *LinkMatrix) { lm.Links[partition.P][partition.R].Beta = -1 }},
-		{"zero beta", func(lm *LinkMatrix) { lm.Links[partition.R][partition.S].Beta = 0 }},
-		{"nan beta", func(lm *LinkMatrix) { lm.Links[partition.S][partition.P].Beta = nan() }},
-		{"inf beta", func(lm *LinkMatrix) { lm.Links[partition.S][partition.R].Beta = inf() }},
-		{"negative alpha", func(lm *LinkMatrix) { lm.Links[partition.P][partition.S].Alpha = -1e-9 }},
-		{"nan alpha", func(lm *LinkMatrix) { lm.Links[partition.R][partition.P].Alpha = nan() }},
-	}
-	for _, tc := range cases {
-		lm := allEqualLinkMatrix(Hockney{Alpha: 1e-6, Beta: 2e-9})
-		tc.mutate(lm)
-		err := lm.Validate()
-		var ce *ConfigError
-		if !errors.As(err, &ce) {
-			t.Fatalf("%s: error %v, want *ConfigError", tc.name, err)
-		}
-	}
-}
-
-func nan() float64 { z := 0.0; return z / z }
-func inf() float64 { z := 0.0; return 1 / z }
-
-// TestPushWeights: the push engine gets weights only from a link matrix
-// whose β differ; a nil or all-equal matrix keeps the integer VoC path.
-func TestPushWeights(t *testing.T) {
-	m := DefaultMachine(partition.MustRatio(5, 2, 1))
-	if w := m.PushWeights(); w != nil {
-		t.Fatalf("nil Cost: weights %v, want nil", w)
-	}
-	m.Cost = allEqualLinkMatrix(m.Net)
-	if w := m.PushWeights(); w != nil {
-		t.Fatalf("all-equal matrix: weights %v, want nil", w)
-	}
-	spec, err := ParseTopologySpec("2+1:10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := spec.Apply(m).PushWeights()
-	if w == nil || w[partition.P][partition.S] != 10 || w[partition.P][partition.R] != 1 {
-		t.Fatalf("2+1:10 weights %v, want P↔R 1 and links touching S 10", w)
 	}
 }

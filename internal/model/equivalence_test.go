@@ -30,10 +30,10 @@ var equivalenceSizes = []int{64, 128, 256}
 
 // seedEvaluate is the evaluation entry point under test. It exists so the
 // golden corpus can be replayed against different Machine configurations
-// (nil Cost and an all-equal LinkMatrix) that must all agree.
-type seedEvaluate func(a Algorithm, ratio partition.Ratio, topo Topology, snap partition.Metrics) Breakdown
+// (the legacy topologies and the all-ones link spec) that must all agree.
+type seedEvaluate func(a Algorithm, ratio partition.Ratio, topo TopologySpec, snap partition.Metrics) Breakdown
 
-func legacyEvaluate(a Algorithm, ratio partition.Ratio, topo Topology, snap partition.Metrics) Breakdown {
+func legacyEvaluate(a Algorithm, ratio partition.Ratio, topo TopologySpec, snap partition.Metrics) Breakdown {
 	m := DefaultMachine(ratio)
 	m.Topology = topo
 	return Evaluate(a, m, snap)
@@ -55,7 +55,7 @@ func writeEquivalenceCorpus(t *testing.T, eval seedEvaluate) []byte {
 				fmt.Fprintf(&buf, "%s|%s|%d voc=%d sends=%d,%d,%d\n",
 					s, ratio.Key(), n, snap.VoC,
 					snap.Sends[partition.P], snap.Sends[partition.R], snap.Sends[partition.S])
-				for _, topo := range []Topology{FullyConnected, Star} {
+				for _, topo := range []TopologySpec{FullyConnected, Star} {
 					for _, a := range AllAlgorithms {
 						b := eval(a, ratio, topo, snap)
 						fmt.Fprintf(&buf, "  %s/%s comm=%s overlap=%s comp=%s total=%s\n",
@@ -112,22 +112,20 @@ func TestSeedEquivalenceLegacy(t *testing.T) {
 	checkEquivalenceGolden(t, writeEquivalenceCorpus(t, legacyEvaluate))
 }
 
-// TestSeedEquivalenceUniformCost replays the corpus with an explicit
-// LinkMatrix whose six links all carry the default network, star rows
-// included: pricing through the installed matrix must reproduce the seed
-// bytes bit for bit.
+// TestSeedEquivalenceUniformCost replays the corpus with every
+// fully-connected row priced through the all-ones link spec: the link
+// path must reproduce those seed bytes bit for bit. Star relays through P
+// and takes no multipliers, so its rows replay on the legacy star.
 func TestSeedEquivalenceUniformCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence corpus builds 396 grids; skipped in -short")
 	}
-	eval := func(a Algorithm, ratio partition.Ratio, topo Topology, snap partition.Metrics) Breakdown {
-		m := DefaultMachine(ratio)
-		m.Topology = topo
-		m.Cost = allEqualLinkMatrix(m.Net)
-		// Scramble Net, so the test fails if pricing silently reads it
-		// instead of the installed matrix.
-		m.Net = Hockney{Alpha: 999, Beta: 999}
-		return Evaluate(a, m, snap)
+	ones := mustTopology(t, allOnesLinks)
+	eval := func(a Algorithm, ratio partition.Ratio, topo TopologySpec, snap partition.Metrics) Breakdown {
+		if topo == FullyConnected {
+			topo = ones
+		}
+		return legacyEvaluate(a, ratio, topo, snap)
 	}
 	checkEquivalenceGolden(t, writeEquivalenceCorpus(t, eval))
 }

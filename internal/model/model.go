@@ -70,27 +70,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("model: unknown algorithm %q", s)
 }
 
-// Topology is the interconnect layout of Section X.
-type Topology uint8
-
-const (
-	// FullyConnected lets every processor pair communicate directly.
-	FullyConnected Topology = iota
-	// Star routes all traffic through the fastest processor P: R and S
-	// exchange data only via P, doubling the cost of any R↔S volume.
-	Star
-)
-
-func (t Topology) String() string {
-	switch t {
-	case FullyConnected:
-		return "fully-connected"
-	case Star:
-		return "star"
-	}
-	return fmt.Sprintf("Topology(%d)", uint8(t))
-}
-
 // Hockney is the linear communication model T_comm = α + β·M of Hockney
 // [12]: α seconds of latency per message plus β seconds per element.
 type Hockney struct {
@@ -109,57 +88,31 @@ func (h Hockney) Time(m int64) float64 {
 	return h.Alpha + h.Beta*float64(m)
 }
 
+// ElementBytes is the size of one matrix element in bytes (float64), the
+// unit that turns a measured β in seconds per byte into Hockney.Beta.
+const ElementBytes = 8
+
 // Machine gathers everything the models need about the platform.
 type Machine struct {
 	// Ratio is the relative processing-speed ratio.
 	Ratio partition.Ratio
-	// Net is the communication model: the Hockney link of every
-	// processor pair when Cost is nil.
+	// Net is the base communication model: the Hockney link of every
+	// processor pair, with β scaled per link by a link topology (see
+	// Price).
 	Net Hockney
 	// FlopTime is the seconds the *slowest* processor (S, speed 1) needs
 	// for one element-update (one multiply-add of the kij loop).
 	// Processor X performs an element update in FlopTime/Speed(X).
 	FlopTime float64
-	// Topology selects the interconnect (Section X); the zero value is
-	// FullyConnected.
-	Topology Topology
-	// Cost, when non-nil, prices each directed processor pair on its own
-	// link instead of Net on all six (see Evaluate). A matrix whose six
-	// links equal Net evaluates bit for bit as a nil Cost.
-	Cost *LinkMatrix
-	// Spec is the canonical topology-spec label when Cost was installed
-	// by TopologySpec.Apply; empty for legacy machines. Wire formats
-	// echo it (see TopologyName).
-	Spec string
-}
-
-// TopologyName returns the canonical topology label for wire formats: the
-// applied spec when one installed a link matrix, else the legacy name.
-func (m Machine) TopologyName() string {
-	if m.Spec != "" {
-		return m.Spec
-	}
-	return m.Topology.String()
-}
-
-// PushWeights returns the per-pair acceptance weights the push engine
-// should minimise for this machine, or nil when the raw integer VoC is
-// the right objective (no link matrix, or one with all β equal — the
-// bit-exact path).
-func (m Machine) PushWeights() *partition.Weights {
-	if m.Cost == nil {
-		return nil
-	}
-	w := m.Cost.Weights()
-	if w.Uniform() {
-		return nil
-	}
-	return &w
+	// Topology is the interconnect (Section X) and the one description
+	// of the machine's network; the zero value is FullyConnected. Wire
+	// formats echo its canonical String.
+	Topology TopologySpec
 }
 
 // CompTime returns the seconds processor p needs to update count elements
 // once per pivot step, over steps pivot steps.
-func (m Machine) CompTime(p partition.Proc, count, steps int) float64 {
+func (m *Machine) CompTime(p partition.Proc, count, steps int) float64 {
 	return float64(count) * float64(steps) * m.FlopTime / m.Ratio.Speed(p)
 }
 
@@ -170,7 +123,7 @@ func (m Machine) CompTime(p partition.Proc, count, steps int) float64 {
 func DefaultMachine(ratio partition.Ratio) Machine {
 	return Machine{
 		Ratio:    ratio,
-		Net:      Hockney{Alpha: 0, Beta: 8.0 / 1e9}, // 8 B / (1000 MB/s)
+		Net:      Hockney{Alpha: 0, Beta: ElementBytes / 1e9}, // 8 B / (1000 MB/s)
 		FlopTime: 1.0 / 1e9,
 	}
 }
@@ -207,14 +160,12 @@ type Traffic struct {
 // P's sends, which share one serial stream with R's and S's; PCB adds it
 // to R's and S's own sends; and PCO pays it as one extra message after
 // the parallel phase. The relay rides the P→S link, because P forwards
-// it; with equal links that is the single message of the seed model. No
-// topology spec combines star with a link matrix, but a Machine that does
-// follows this rule.
+// it; with equal links that is the single message of the seed model.
 func Transfers(a Algorithm, m Machine, snap partition.Metrics) (t Traffic) {
 	for p := range t.Sends {
 		t.Sends[p][p] = snap.PairSends[p] // row p of p's own table
 	}
-	if m.Topology != Star {
+	if m.Topology.kind != kindStar {
 		return t
 	}
 	relay := StarRelayVolume(snap)

@@ -36,21 +36,34 @@ import (
 //	                     (symmetric entries count for both directions).
 //
 // Factors multiply the base machine's β (bandwidth share); α is carried
-// over unchanged. All factors must be finite and within [1e-6, 1e6].
+// over unchanged. All factors must be finite and within [1e-6, 1e6]. The
+// zero value is FullyConnected, and specs compare with ==.
 type TopologySpec struct {
 	kind   specKind
-	legacy Topology
 	factor float64
-	mult   [partition.NumProcs][partition.NumProcs]float64
+	// mult[p][q] scales the base β of the p→q link (see Machine.Price);
+	// it is zero for the legacy kinds, whose every link is the base
+	// network.
+	mult [partition.NumProcs][partition.NumProcs]float64
 }
 
 type specKind uint8
 
 const (
-	kindLegacy specKind = iota
+	kindFullyConnected specKind = iota
+	kindStar
 	kindTwoPlusOne
 	kindThreeIsland
 	kindLinks
+)
+
+// The two legacy interconnects of Section X.
+var (
+	// FullyConnected lets every processor pair communicate directly.
+	FullyConnected = TopologySpec{}
+	// Star routes all traffic through the fastest processor P: R and S
+	// exchange data only via P, doubling the cost of any R↔S volume.
+	Star = TopologySpec{kind: kindStar}
 )
 
 // Factor bounds: outside this range a multiplier is either a rounding
@@ -63,22 +76,6 @@ const (
 // maxSpecLen bounds the accepted spec string; anything longer is rejected
 // before parsing (oversized wire input).
 const maxSpecLen = 256
-
-// Legacy returns the named topology and true when the spec selects one of
-// the two legacy interconnects (no per-link matrix).
-func (t TopologySpec) Legacy() (Topology, bool) {
-	return t.legacy, t.kind == kindLegacy
-}
-
-// HasLinks reports whether the spec prices links individually (any
-// non-legacy kind).
-func (t TopologySpec) HasLinks() bool { return t.kind != kindLegacy }
-
-// Multipliers returns the per-pair β multipliers (diagonal zero); only
-// meaningful when HasLinks.
-func (t TopologySpec) Multipliers() [partition.NumProcs][partition.NumProcs]float64 {
-	return t.mult
-}
 
 func formatFactor(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
@@ -105,8 +102,10 @@ func (t TopologySpec) String() string {
 			}
 		}
 		return "links:" + strings.Join(parts, ",")
+	case kindStar:
+		return "star"
 	}
-	return t.legacy.String()
+	return "fully-connected"
 }
 
 // linkPairs is the canonical unordered pair order (P fastest first).
@@ -116,29 +115,11 @@ var linkPairs = [3]struct{ a, b partition.Proc }{
 	{partition.R, partition.S},
 }
 
-// Apply configures m for the topology: legacy kinds set m.Topology; link
-// kinds install a *LinkMatrix built from m's base network (β scaled per
-// link, α unchanged), recording the canonical spec so wire formats echo
-// it back.
+// Apply returns m on this topology: Price and Transfers read the spec
+// from m.Topology, so a link spec scales whatever base network m carries
+// when it is priced.
 func (t TopologySpec) Apply(m Machine) Machine {
-	if t.kind == kindLegacy {
-		m.Topology = t.legacy
-		m.Spec = ""
-		m.Cost = nil
-		return m
-	}
-	lm := &LinkMatrix{}
-	for _, p := range partition.Procs {
-		for _, q := range partition.Procs {
-			if p == q {
-				continue
-			}
-			lm.Links[p][q] = Hockney{Alpha: m.Net.Alpha, Beta: m.Net.Beta * t.mult[p][q]}
-		}
-	}
-	m.Topology = FullyConnected
-	m.Cost = lm
-	m.Spec = t.String()
+	m.Topology = t
 	return m
 }
 
@@ -181,9 +162,9 @@ func ParseTopologySpec(s string) (TopologySpec, error) {
 	}
 	switch s {
 	case "", FullyConnected.String():
-		return TopologySpec{kind: kindLegacy, legacy: FullyConnected}, nil
+		return FullyConnected, nil
 	case Star.String():
-		return TopologySpec{kind: kindLegacy, legacy: Star}, nil
+		return Star, nil
 	}
 	if rest, ok := strings.CutPrefix(s, "links:"); ok {
 		return parseLinkList(rest)

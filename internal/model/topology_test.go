@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/partition"
@@ -13,23 +14,19 @@ func TestParseTopologySpecLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", s, err)
 		}
-		topo, legacy := spec.Legacy()
-		if !legacy || spec.HasLinks() {
-			t.Fatalf("%q parsed as non-legacy", s)
-		}
 		want := FullyConnected
 		if s == "star" {
 			want = Star
 		}
-		if topo != want {
-			t.Fatalf("%q → %v, want %v", s, topo, want)
+		if spec != want {
+			t.Fatalf("%q → %v, want %v", s, spec, want)
+		}
+		if spec.mult != ([partition.NumProcs][partition.NumProcs]float64{}) {
+			t.Fatalf("%q carries link multipliers %v", s, spec.mult)
 		}
 		m := spec.Apply(DefaultMachine(partition.Ratio{Pr: 3, Rr: 2, Sr: 1}))
-		if m.Cost != nil || m.Topology != want || m.Spec != "" {
-			t.Fatalf("%q Apply: cost=%v topo=%v spec=%q", s, m.Cost, m.Topology, m.Spec)
-		}
-		if m.TopologyName() != want.String() {
-			t.Fatalf("%q TopologyName = %q", s, m.TopologyName())
+		if m.Topology != want || m.Topology.String() != want.String() {
+			t.Fatalf("%q Apply: topology %v", s, m.Topology)
 		}
 	}
 }
@@ -42,7 +39,7 @@ func TestParseTopologySpecNamedClasses(t *testing.T) {
 	if got := spec.String(); got != "2+1:10" {
 		t.Fatalf("canonical form %q, want 2+1:10", got)
 	}
-	mult := spec.Multipliers()
+	mult := spec.mult
 	if mult[partition.P][partition.R] != 1 || mult[partition.R][partition.P] != 1 {
 		t.Fatalf("2+1 intra-node P↔R multipliers %v, want 1", mult)
 	}
@@ -61,7 +58,7 @@ func TestParseTopologySpecNamedClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mult = spec.Multipliers()
+	mult = spec.mult
 	for _, pair := range [][2]partition.Proc{
 		{partition.P, partition.R}, {partition.R, partition.P},
 		{partition.P, partition.S}, {partition.S, partition.P},
@@ -85,7 +82,7 @@ func TestParseTopologySpecLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !spec.HasLinks() {
+	if spec == FullyConnected || spec == Star {
 		t.Fatal("links spec parsed as legacy")
 	}
 	if got := spec.String(); got != "links:PR=1,PS=10,RS=10" {
@@ -96,7 +93,7 @@ func TestParseTopologySpecLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mult := spec.Multipliers()
+	mult := spec.mult
 	if mult[partition.R][partition.S] != 4 || mult[partition.S][partition.R] != 2 {
 		t.Fatalf("directed multipliers %v", mult)
 	}
@@ -104,8 +101,8 @@ func TestParseTopologySpecLinks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canonical %q did not re-parse: %v", spec.String(), err)
 	}
-	if re.Multipliers() != mult {
-		t.Fatalf("round trip changed multipliers: %v vs %v", re.Multipliers(), mult)
+	if re != spec {
+		t.Fatalf("round trip changed the spec: %v vs %v", re.mult, mult)
 	}
 }
 
@@ -145,31 +142,34 @@ func TestTopologySpecApplyLinks(t *testing.T) {
 	}
 	base := DefaultMachine(ratio)
 	m := spec.Apply(base)
-	lm := m.Cost
-	if lm == nil {
-		t.Fatal("Apply installed no link matrix")
+	if m.Topology != spec {
+		t.Fatalf("Apply installed %v, want %v", m.Topology, spec)
 	}
-	if err := lm.Validate(); err != nil {
-		t.Fatalf("applied matrix invalid: %v", err)
+	// price is the cost of one element over the p→q link alone.
+	price := func(p, q partition.Proc) float64 {
+		var v VolumeTable
+		v[p][q] = 1
+		return m.Price(&v, 1)
 	}
-	if got := lm.Links[partition.P][partition.R].Beta; got != base.Net.Beta {
+	if got := price(partition.P, partition.R); got != base.Net.Beta {
 		t.Fatalf("intra-node β %v, want base %v", got, base.Net.Beta)
 	}
-	if got := lm.Links[partition.P][partition.S].Beta; got != 10*base.Net.Beta {
+	if got := price(partition.P, partition.S); got != 10*base.Net.Beta {
 		t.Fatalf("cross-node β %v, want 10× base", got)
 	}
 	if m.Ratio != ratio || m.FlopTime != base.FlopTime || m.Net != base.Net {
 		t.Fatal("Apply changed the machine's own ratio, flop time or network")
 	}
-	if m.TopologyName() != "2+1:10" {
-		t.Fatalf("TopologyName = %q", m.TopologyName())
+	if m.Topology.String() != "2+1:10" {
+		t.Fatalf("topology label %q", m.Topology)
 	}
 }
 
 // FuzzParseTopologySpec feeds arbitrary wire strings at the parser: any
 // outcome other than success or a typed *ConfigError (above all a panic)
-// is a bug. Successful parses must produce a validatable matrix and a
-// canonical form that round-trips.
+// is a bug. A successful parse must round-trip through its canonical form
+// to the same spec, and price every link of the default machine at a
+// positive, finite β.
 func FuzzParseTopologySpec(f *testing.F) {
 	for _, seed := range []string{
 		"", "fully-connected", "star", "2+1", "2+1:3.5", "3-island:100",
@@ -187,22 +187,29 @@ func FuzzParseTopologySpec(f *testing.F) {
 			}
 			return
 		}
-		m := spec.Apply(DefaultMachine(partition.Ratio{Pr: 3, Rr: 2, Sr: 1}))
-		if spec.HasLinks() != (m.Cost != nil) {
-			t.Fatalf("%q: HasLinks=%v but Apply installed matrix %v", s, spec.HasLinks(), m.Cost)
-		}
-		if m.Cost != nil {
-			if err := m.Cost.Validate(); err != nil {
-				t.Fatalf("%q: parsed spec applied to an invalid matrix: %v", s, err)
-			}
-		}
 		canon := spec.String()
 		re, err := ParseTopologySpec(canon)
 		if err != nil {
 			t.Fatalf("%q: canonical form %q rejected: %v", s, canon, err)
 		}
+		if re != spec {
+			t.Fatalf("%q: canonical form %q parses to a different spec", s, canon)
+		}
 		if re.String() != canon {
 			t.Fatalf("%q: canonical form unstable: %q → %q", s, canon, re.String())
+		}
+		m := spec.Apply(DefaultMachine(partition.Ratio{Pr: 3, Rr: 2, Sr: 1}))
+		for _, p := range partition.Procs {
+			for _, q := range partition.Procs {
+				if p == q {
+					continue
+				}
+				var v VolumeTable
+				v[p][q] = 1
+				if c := m.Price(&v, 1); !(c > 0) || math.IsInf(c, 0) {
+					t.Fatalf("%q: link %v>%v priced at %v", s, p, q, c)
+				}
+			}
 		}
 	})
 }

@@ -43,51 +43,3 @@ func (g *Grid) PairVolumes() [NumProcs][NumProcs]int64 {
 	}
 	return v
 }
-
-// Weights assigns a relative cost to each ordered processor pair, the
-// partition-layer shadow of a per-link β matrix (normalised so the uniform
-// network is all ones). The diagonal is ignored.
-type Weights [NumProcs][NumProcs]float64
-
-// UniformWeights is the weight matrix of the uniform network: every
-// directed link costs 1, so WeightedVoC equals float64(VoC) exactly.
-func UniformWeights() Weights {
-	var w Weights
-	for p := 0; p < NumProcs; p++ {
-		for q := 0; q < NumProcs; q++ {
-			if p != q {
-				w[p][q] = 1
-			}
-		}
-	}
-	return w
-}
-
-// Uniform reports whether every off-diagonal weight equals 1.
-func (w Weights) Uniform() bool {
-	for p := 0; p < NumProcs; p++ {
-		for q := 0; q < NumProcs; q++ {
-			if p != q && w[p][q] != 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// WeightedVoC returns Σ_{p≠q} w[p][q]·V[p][q] — the cost-weighted Volume
-// of Communication the push engine's acceptance test minimises under a
-// per-link cost model. Summation order is fixed (p-major over the pair
-// matrix), so equal grids always produce bit-equal values.
-func (g *Grid) WeightedVoC(w Weights) float64 {
-	v := g.PairVolumes()
-	var sum float64
-	for p := 0; p < NumProcs; p++ {
-		for q := 0; q < NumProcs; q++ {
-			if p != q && v[p][q] != 0 {
-				sum += w[p][q] * float64(v[p][q])
-			}
-		}
-	}
-	return sum
-}

@@ -96,36 +96,3 @@ func TestPairVolumesIdentities(t *testing.T) {
 		}
 	}
 }
-
-func TestWeightedVoCUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		g := randomPairGrid(t, rng, 4+rng.Intn(30))
-		if got, want := g.WeightedVoC(UniformWeights()), float64(g.VoC()); got != want {
-			t.Fatalf("uniform WeightedVoC = %v, want exactly %v", got, want)
-		}
-	}
-	if !UniformWeights().Uniform() {
-		t.Fatal("UniformWeights().Uniform() = false")
-	}
-	w := UniformWeights()
-	w[R][S] = 2
-	if w.Uniform() {
-		t.Fatal("non-uniform weights reported Uniform")
-	}
-}
-
-func TestWeightedVoCScaling(t *testing.T) {
-	// Doubling one directed link's weight adds exactly that link's volume.
-	g, err := Build(BlockRectangle, 32, Ratio{Pr: 3, Rr: 2, Sr: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := g.PairVolumes()
-	base := g.WeightedVoC(UniformWeights())
-	w := UniformWeights()
-	w[R][S] = 2
-	if got, want := g.WeightedVoC(w), base+float64(v[R][S]); got != want {
-		t.Fatalf("scaled WeightedVoC = %v, want %v", got, want)
-	}
-}

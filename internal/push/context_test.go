@@ -31,7 +31,6 @@ func TestRunConfigValidationTyped(t *testing.T) {
 		{"Scratch", Config{N: 20, Ratio: ratio, Start: partition.NewGrid(20), Scratch: partition.NewGrid(64)}},
 		{"Scratch", Config{N: 20, Start: partition.NewGridK(20, 4), Scratch: partition.NewGrid(20)}},
 		{"Scratch", Config{N: 20, Ratio: ratio, Scratch: partition.NewGridK(20, 2)}},
-		{"CostWeights", Config{N: 20, Start: partition.NewGridK(20, 4), CostWeights: &partition.Weights{{0, 1, 2}, {1, 0, 1}, {1, 1, 0}}}},
 	} {
 		var ce *ConfigError
 		if _, err := Run(tc.cfg); !errors.As(err, &ce) {

@@ -26,7 +26,6 @@ type goldenRun struct {
 	beautify  bool
 	maxSteps  int
 	types     []push.Type
-	weights   *partition.Weights
 	start     bool // supply a random Start drawn from seed+1000
 	scratch   bool // run in the pooled scratch grid of this n
 }
@@ -45,9 +44,6 @@ func (r goldenRun) label() string {
 	if r.types != nil {
 		s += fmt.Sprintf(" types=%v", r.types)
 	}
-	if r.weights != nil {
-		s += " weighted"
-	}
 	if r.start {
 		s += " start"
 	}
@@ -60,17 +56,12 @@ func (r goldenRun) label() string {
 // goldenRuns spans the word boundaries of a 64-bit line (63, 64, 65, 128,
 // 130) and every Config path that reaches the engine: both start families,
 // Beautify on and off, a step cap that cuts runs short, the relaxed types
-// alone in both orders, non-uniform link weights, a supplied start, and a
-// scratch grid reused across runs.
+// alone in both orders, a supplied start, and a scratch grid reused
+// across runs.
 func goldenRuns() []goldenRun {
 	ratios := []partition.Ratio{
 		partition.MustRatio(3, 1, 1), partition.MustRatio(5, 2, 1),
 		partition.MustRatio(2, 1, 1), partition.MustRatio(10, 4, 1),
-	}
-	weights := partition.Weights{
-		{0, 1, 7.5},
-		{1, 0, 2.25},
-		{3, 40, 0},
 	}
 	var runs []goldenRun
 	for k, n := range []int{63, 64, 65, 128, 130} {
@@ -89,7 +80,6 @@ func goldenRuns() []goldenRun {
 			goldenRun{n: n, ratio: ratio, seed: seed, beautify: true, maxSteps: 64},
 			goldenRun{n: n, ratio: ratio, seed: seed, types: []push.Type{push.TypeFour, push.TypeSix}},
 			goldenRun{n: n, ratio: ratio, seed: seed, types: []push.Type{push.TypeSix, push.TypeFour}, beautify: true},
-			goldenRun{n: n, ratio: ratio, seed: seed + 1, weights: &weights, beautify: true},
 			goldenRun{n: n, ratio: ratio, seed: seed + 2, start: true},
 			goldenRun{n: n, ratio: ratio, seed: seed + 3, start: true, scratch: true, beautify: true})
 	}
@@ -126,7 +116,7 @@ func TestRunEquivalenceGolden(t *testing.T) {
 	for _, r := range goldenRuns() {
 		cfg := push.Config{
 			N: r.n, Ratio: r.ratio, Seed: r.seed, Clustered: r.clustered,
-			Beautify: r.beautify, MaxSteps: r.maxSteps, Types: r.types, CostWeights: r.weights,
+			Beautify: r.beautify, MaxSteps: r.maxSteps, Types: r.types,
 		}
 		if r.start {
 			cfg.Start = partition.NewRandom(r.n, r.ratio, rand.New(rand.NewSource(r.seed+1000)))

@@ -67,17 +67,6 @@ type Config struct {
 	// condense, beautify) with step/VoC annotations. Aggregate
 	// counters always flow to the package metrics regardless.
 	Trace *trace.Trace
-	// CostWeights, when non-nil and non-uniform, makes the acceptance
-	// test minimise the cost-weighted VoC Σ w[p][q]·V[p][q] (per-link
-	// relative prices, see partition.Weights) instead of the raw integer
-	// VoC. Pushes remain the paper's VoC-non-increasing moves; the
-	// weighted test is an extra veto on top, so the weighted cost is
-	// monotone non-increasing BY CONSTRUCTION — which is exactly what
-	// keeps the fingerprint memoisation sound (see condense). A uniform
-	// weight matrix is detected and routed through the bit-exact integer
-	// path. Weights price three processors, so a run with CostWeights
-	// searches three-processor grids only.
-	CostWeights *partition.Weights
 }
 
 // DirectionPlan is the randomised direction assignment of Section VI-A.1:
@@ -159,26 +148,6 @@ func RunContext(ctx context.Context, cfg Config) (*RunResult, error) {
 	if cfg.Scratch != nil && cfg.Scratch.K() != k {
 		return nil, &ConfigError{Field: "Scratch", Reason: fmt.Sprintf("grid has %d processors, the start has %d", cfg.Scratch.K(), k)}
 	}
-	weights := cfg.CostWeights
-	if weights != nil && k != partition.NumProcs {
-		return nil, &ConfigError{Field: "CostWeights", Reason: fmt.Sprintf("weights price three processors, the start has %d", k)}
-	}
-	if weights != nil {
-		for _, p := range partition.Procs {
-			for _, q := range partition.Procs {
-				if p == q {
-					continue
-				}
-				w := (*weights)[p][q]
-				if w <= 0 || w != w || w > 1e18 {
-					return nil, &ConfigError{Field: "CostWeights", Reason: fmt.Sprintf("weight %s→%s must be positive and finite, got %v", p, q, w)}
-				}
-			}
-		}
-		if weights.Uniform() {
-			weights = nil // all-ones weighted VoC == integer VoC, bit for bit
-		}
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	setupStart := time.Now()
@@ -233,7 +202,7 @@ func RunContext(ctx context.Context, cfg Config) (*RunResult, error) {
 	if cfg.Trace != nil {
 		condenseSpan = cfg.Trace.Start("condense")
 	}
-	steps, converged, err := condense(ctx, g, plan, cfg.Types, maxSteps, rng, cfg.Snapshot, weights)
+	steps, converged, err := condense(ctx, g, plan, cfg.Types, maxSteps, rng, cfg.Snapshot)
 	condenseNanos.Add(time.Since(condenseStart).Nanoseconds())
 	if condenseSpan != nil {
 		condenseSpan.SetDetail("steps=%d voc=%d", steps, g.VoC())
@@ -250,7 +219,7 @@ func RunContext(ctx context.Context, cfg Config) (*RunResult, error) {
 		if cfg.Trace != nil {
 			beautifySpan = cfg.Trace.Start("beautify")
 		}
-		extra, conv2, err := condense(ctx, g, FullPlan(k), cfg.Types, maxSteps, rng, cfg.Snapshot, weights)
+		extra, conv2, err := condense(ctx, g, FullPlan(k), cfg.Types, maxSteps, rng, cfg.Snapshot)
 		beautifyNanos.Add(time.Since(beautifyStart).Nanoseconds())
 		if beautifySpan != nil {
 			beautifySpan.SetDetail("steps=%d voc=%d", extra, g.VoC())
@@ -281,7 +250,7 @@ func Condense(g *partition.Grid, plan DirectionPlan, types []Type, maxSteps int)
 	if maxSteps <= 0 {
 		maxSteps = 40 * g.N()
 	}
-	steps, converged, _ := condense(context.Background(), g, plan, types, maxSteps, nil, nil, nil)
+	steps, converged, _ := condense(context.Background(), g, plan, types, maxSteps, nil, nil)
 	return steps, converged
 }
 
@@ -321,45 +290,25 @@ func (sc *condenseScratch) resetPlateau(fp uint64) {
 	sc.visit(fp)
 }
 
-func condense(ctx context.Context, g *partition.Grid, plan DirectionPlan, types []Type, maxSteps int, rng *rand.Rand, snapshot func(int, *partition.Grid), weights *partition.Weights) (steps int, converged bool, err error) {
+func condense(ctx context.Context, g *partition.Grid, plan DirectionPlan, types []Type, maxSteps int, rng *rand.Rand, snapshot func(int, *partition.Grid)) (steps int, converged bool, err error) {
 	sc := condensePool.Get().(*condenseScratch)
 	defer condensePool.Put(sc)
 	var tally searchTally
 	defer func() { tally.flush(steps) }()
 	sc.resetPlateau(g.Fingerprint())
 	lastVoC := g.VoC()
-	// Weighted mode: the acceptance test minimises the cost-weighted VoC.
-	// curWC tracks the CURRENT grid's weighted cost exactly (it is updated
-	// on every commit), and any candidate with a larger weighted cost is
-	// vetoed — so the weighted cost is monotone non-increasing over the
-	// run by construction, the property the memo argument below leans on
-	// (and which TestWeightedCondenseMonotone asserts end to end).
-	weighted := weights != nil
-	var curWC float64
-	if weighted {
-		curWC = g.WeightedVoC(*weights)
-	}
 	accept := func(t *partition.Grid) bool {
-		if weighted {
-			wc := t.WeightedVoC(*weights)
-			if wc < curWC {
-				return true
-			}
-			if wc > curWC {
-				return false
-			}
-		} else if t.VoC() < lastVoC {
+		if t.VoC() < lastVoC {
 			return true
 		}
 		return sc.visit(t.Fingerprint())
 	}
 
 	// Failed-probe memo. A failing AttemptAny has no side effects, and its
-	// outcome is a function of the grid plus the plateau state: the cost
-	// being minimised (raw VoC, or the weighted VoC in weighted mode)
-	// never increases, so revisiting a fingerprint means it never dropped
-	// in between — the threshold (lastVoC/curWC, a function of the grid)
-	// is unchanged and the plateau set only grew. Every structural failure
+	// outcome is a function of the grid plus the plateau state: VoC never
+	// increases, so revisiting a fingerprint means it never dropped in
+	// between — the threshold (lastVoC, a function of the grid) is
+	// unchanged and the plateau set only grew. Every structural failure
 	// still fails and every vetoed push is still vetoed. Skipping the
 	// re-probe is therefore exactly equivalent, and it eliminates the full
 	// verification sweep a fixed point otherwise pays per (processor,
@@ -399,17 +348,7 @@ func condense(ctx context.Context, g *partition.Grid, plan DirectionPlan, types 
 				if res, ok := AttemptAny(g, p, d, types, accept); ok {
 					steps++
 					progressed = true
-					drop := res.DeltaVoC < 0
-					if weighted {
-						// A raw-VoC drop can be a weighted plateau and
-						// vice versa; the weighted cost decides which
-						// branch this commit is. Accept vetoed any
-						// increase, so wcNow ≤ curWC here.
-						wcNow := g.WeightedVoC(*weights)
-						drop = wcNow < curWC
-						curWC = wcNow
-					}
-					if drop {
+					if res.DeltaVoC < 0 {
 						if plateauStreak > 0 {
 							tally.plateauEscapes++
 							plateauStreak = 0

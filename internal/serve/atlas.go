@@ -46,10 +46,9 @@ func (s *Server) atlasAnswer(in planInputs) ([]byte, bool) {
 		return nil, false
 	}
 	a := st.atlas
-	// A machine carrying a per-link cost model (a "links:"/"2+1"/"3-island"
-	// topology spec) is priced differently from the uniform model the atlas
-	// was baked with — those scenarios always take the search path.
-	if in.n != a.N() || in.alg != a.Algorithm() || in.m.Topology != a.Topology() || in.m.Cost != nil {
+	// An atlas bakes a legacy topology, so a link spec ("links:", "2+1",
+	// "3-island") never matches it and always takes the search path.
+	if in.n != a.N() || in.alg != a.Algorithm() || in.m.Topology != a.Topology() {
 		return nil, false
 	}
 	rec, c, ok := a.Lookup(in.ratio)
@@ -144,7 +143,7 @@ func (s *Server) atlasShapeFallback(in planInputs) *heteropart.Plan {
 		return nil
 	}
 	a := st.atlas
-	if in.alg != a.Algorithm() || in.m.Topology != a.Topology() || in.m.Cost != nil {
+	if in.alg != a.Algorithm() || in.m.Topology != a.Topology() {
 		return nil
 	}
 	rec, _, ok := a.Lookup(in.ratio)

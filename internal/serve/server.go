@@ -520,7 +520,6 @@ type planInputs struct {
 	n     int
 	ratio heteropart.Ratio
 	alg   heteropart.Algorithm
-	spec  heteropart.TopologySpec
 	m     heteropart.Machine
 	seed  int64
 	auto  bool // ratio was "auto", resolved from the calibrated scenario
@@ -529,33 +528,30 @@ type planInputs struct {
 
 // planFor builds the machine and cache key of one plan scenario, for a
 // request and for a drift re-plan alike: the configured machine for
-// ratio, then sc's calibrated β when one is published, then the topology
-// spec. sc is nil unless the ratio was "auto".
+// ratio on the topology spec, with sc's calibrated β as its base network
+// when one is published. sc is nil unless the ratio was "auto".
 func (s *Server) planFor(n int, ratio heteropart.Ratio, alg heteropart.Algorithm, spec heteropart.TopologySpec, seed int64, sc *autoScenario) planInputs {
-	m := s.cfg.Machine(ratio)
+	m := spec.Apply(s.cfg.Machine(ratio))
 	if sc != nil && sc.beta > 0 && s.atlasSt.Load() == nil {
-		// Calibrated link estimate. Applied only without an atlas: the
-		// atlas is baked for the default β, and serving its records
-		// under another model would answer with a different machine's
-		// winners (the cross-check would reject every cell anyway).
+		// Calibrated link estimate; per-link multipliers scale it like
+		// the factory default. Applied only without an atlas: the atlas
+		// is baked for the default β, and serving its records under
+		// another model would answer with a different machine's winners
+		// (the cross-check would reject every cell anyway).
 		m.Net.Beta = sc.beta
 	}
 	return planInputs{
 		n:     n,
 		ratio: ratio,
 		alg:   alg,
-		spec:  spec,
-		// The spec applies after calibration so per-link multipliers
-		// stack on the calibrated base β, not the factory default.
-		m:    spec.Apply(m),
-		seed: seed,
-		auto: sc != nil,
+		m:     m,
+		seed:  seed,
+		auto:  sc != nil,
 		// The ratio is quantized into the key via Ratio.Key — the same
 		// identity the atlas lattice snaps on — so the cache and the
 		// atlas can never disagree about two ratios being the same
-		// scenario (see partition.Ratio.Key). The topology enters as the
-		// canonical spec string, which for the legacy names is exactly
-		// the old Topology.String() — pre-existing keys are unchanged.
+		// scenario (see partition.Ratio.Key). The topology enters as its
+		// canonical spec string.
 		key: fmt.Sprintf("%d|%s|%s|%s|%d", n, ratio.Key(), alg, spec, seed),
 	}
 }

@@ -172,7 +172,7 @@ func (lc *loadController) lastLoadSignal() float64 {
 // requests resolve against.
 type autoScenario struct {
 	ratio heteropart.Ratio
-	beta  float64 // seconds/byte; 0 = keep the model default
+	beta  float64 // seconds per element; 0 = keep the model default
 	gen   uint64
 }
 
@@ -217,7 +217,7 @@ func (s *Server) replanTracked(tracked map[string]planInputs, sc *autoScenario) 
 		if s.draining.Load() {
 			continue
 		}
-		fresh := s.planFor(in.n, sc.ratio, in.alg, in.spec, in.seed, sc)
+		fresh := s.planFor(in.n, sc.ratio, in.alg, in.m.Topology, in.seed, sc)
 		s.replans.Add(1)
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultTimeout)
 		if _, err := s.computePlan(ctx, fresh, false); err != nil {

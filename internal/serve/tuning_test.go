@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/calibrate"
+	"repro/internal/model"
 	"repro/internal/partition"
 	wire "repro/serve"
 )
@@ -108,6 +110,31 @@ func trackedKeys(s *Server) []string {
 		keys = append(keys, k)
 	}
 	return keys
+}
+
+// TestCalibratedBetaPricesPerElement: a calibrated link estimate reaches
+// an auto plan in the model's unit. The probe measures 4 ns per byte, so
+// the link costs 32 ns per 8-byte element, and SCB on a fully connected
+// machine with no latency pays exactly β·VoC.
+func TestCalibratedBetaPricesPerElement(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const perByte = 4e-9
+	c := calibrate.New(calibrate.Config{
+		Bench:     func(partition.Proc, int) float64 { return 1e-3 },
+		Probe:     func(context.Context) (float64, error) { return perByte, nil },
+		OnPublish: s.ApplyEstimate,
+	})
+	c.RunOnce(context.Background())
+	resp, body := postJSON(t, ts.URL+"/v1/plan", "10s",
+		wire.PlanRequest{N: 24, Ratio: "auto", Algorithm: "SCB"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	plan := decodePlan(t, body).Plan
+	if want := perByte * model.ElementBytes * float64(plan.VoC); plan.Expected.Comm != want {
+		t.Fatalf("auto plan Comm = %v, want β·VoC = %v (β = %v s/element)",
+			plan.Expected.Comm, want, perByte*model.ElementBytes)
+	}
 }
 
 // TestApplyEstimateUnchangedRatioIsANoOp: re-publishing the same

@@ -33,7 +33,7 @@ func Gantt(a model.Algorithm, m model.Machine, g *partition.Grid, width int) (st
 	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Name < tasks[j].Name })
 
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%v on %s topology — makespan %.6fs\n", a, m.TopologyName(), makespan)
+	fmt.Fprintf(&sb, "%v on %s topology — makespan %.6fs\n", a, m.Topology, makespan)
 	scale := float64(width) / makespan
 	for _, t := range tasks {
 		s := int(t.Start * scale)

@@ -76,7 +76,7 @@ func packagePlan(a Algorithm, m Machine, c Candidate) *Plan {
 		N:         g.N(),
 		Ratio:     m.Ratio.String(),
 		Algorithm: a.String(),
-		Topology:  m.TopologyName(),
+		Topology:  m.Topology.String(),
 		Shape:     c.Shape.String(),
 		VoC:       c.VoC,
 		Expected:  c.Breakdown,

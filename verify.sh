@@ -39,8 +39,10 @@
 # quarantines a deterministically
 # corrupting worker as Byzantine, then the full silent-corruption study
 # must detect every injection with every product bit-exact), a
-# differential-equivalence step (the evaluator, with and without an
-# all-equal link matrix, must reproduce the seed goldens byte-for-byte,
+# differential-equivalence step (the evaluator, on the legacy topologies
+# and with fully-connected priced through the all-ones link spec, must
+# reproduce the seed goldens byte-for-byte, every candidate price under
+# the per-link topologies must reproduce its hex-float golden,
 # the exec engine's virtual clocks must equal the model's bit for bit,
 # a clean simulation must reproduce the model's times on every
 # plan_search topology, and the Push engine must reproduce its
@@ -190,25 +192,27 @@ wait "$l3" || true
 # --- differential equivalence suite (~10s) -----------------------------
 # The evaluator's contract, run explicitly and uncached: Evaluate
 # breakdowns, closed forms and plan JSON must be byte-identical to the
-# seed goldens both with a nil link matrix and with an explicit
-# all-equal one (Net scrambled), the exec engine's virtual clocks must
+# seed goldens both on the legacy topologies and with every
+# fully-connected row priced through the all-ones link spec
+# (links:PR=1,PS=1,RS=1), every candidate's VoC, model and sim Total
+# under 2+1:10, 3-island:10 and a directed links: spec must match the
+# link-pricing golden bit for bit, the exec engine's virtual clocks must
 # equal model.EvaluateGrid bit for bit for all five algorithms on
 # fully-connected, star and 3-island:10, a clean sim.Simulate must match model.Evaluate
 # on fully-connected, star, 2+1:10 and 3-island:10 (PCB/PCO bit for bit,
 # also at α > 0; SCB/SCO within relative 1e-15; PIO between
-# N/(N+1)·Total and Total), and the weighted-push property tests must
-# hold under the race detector. The Push engine's own contract: every
+# N/(N+1)·Total and Total). The Push engine's own contract: every
 # seeded search in the run-equivalence table (sizes straddling 64-bit
 # words, both start families, Beautify, step caps, the relaxed types in
-# both orders, link weights, supplied starts, pooled scratch grids) keeps
+# both orders, supplied starts, pooled scratch grids) keeps
 # its steps, VoCs, final cells, archetype and search counters, and on
 # grids of 2, 4 and 5 processors seeded Attempts and condensations keep
 # the commits, moves, volumes and final cells of the K-processor golden.
 go test -count=1 -run 'TestSeedEquivalence|TestPlanSeedEquivalence' . ./internal/model/
+go test -count=1 -run 'TestLinkPricingGolden' ./internal/experiment/
 go test -count=1 -run 'TestMultiplyVirtualTimesMatchModel' ./internal/exec/
 go test -count=1 -run 'TestSimulateMatchesModel' ./internal/sim/
 go test -count=1 -run 'TestRunEquivalenceGolden|TestKProcEquivalenceGolden' ./internal/push/
-go test -race -count=1 -run 'TestWeighted' ./internal/push/
 
 # --- topology census smoke (~3s) ---------------------------------------
 # The per-link cost model must be live end to end: each non-uniform
