@@ -435,7 +435,10 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 		lim = throttle.MustNew(baseRate * e.cfg.Machine.Ratio.Speed(w) / slow)
 	}
 
-	scratch := matrix.New(e.n)
+	// Every task lies inside one band of BlockSize rows (bandTasks cuts
+	// them so, and re-leases and speculation reuse a task's cells), so
+	// the worker's own C is one band.
+	scratch := make([]float64, e.cfg.BlockSize*e.n)
 	var done int64
 	e.beat(w)
 	select {
@@ -495,13 +498,13 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 // delivery gate until w holds its exchanged pivots below k1; the gate,
 // and which tasks skip it, is the only difference between the five
 // algorithms' schedules.
-// scratch is the worker's own C; the block's cells are zeroed first,
-// because a worker can be handed cells it computed before (an integrity
-// re-lease on a sole survivor, a re-planned speculation). It returns
-// false, without the values, once the flops computed in the block reach
-// fireIn (the worker's kill or hang fate has fired) or the run is
-// cancelled at the gate.
-func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limiter, scratch *matrix.Dense, fireIn float64) ([]float64, bool) {
+// scratch is the worker's own C for the task's band of BlockSize rows;
+// the block's cells are zeroed first, because a worker can be handed
+// cells it computed before (an integrity re-lease on a sole survivor, a
+// re-planned speculation). It returns false, without the values, once
+// the flops computed in the block reach fireIn (the worker's kill or
+// hang fate has fired) or the run is cancelled at the gate.
+func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limiter, scratch []float64, fireIn float64) ([]float64, bool) {
 	al, bl := e.aLocal[w], e.bLocal[w]
 	// Patch cells lie outside every row and column w owns a cell in, so
 	// the exchange never writes them.
@@ -513,9 +516,10 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 		bd[idx] = t.patchBV[i]
 	}
 	n := e.n
-	cd := scratch.Data()
+	row0 := int(t.cells[0]) / n / e.cfg.BlockSize * e.cfg.BlockSize
+	base := int32(row0 * n) // C cell idx is scratch[idx-base]
 	for _, idx := range t.cells {
-		cd[idx] = 0
+		scratch[idx-base] = 0
 	}
 	runs := matrix.CellRuns(t.cells, n)
 	cells := int64(len(t.cells))
@@ -524,7 +528,7 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 		if !t.local && !e.await(w, k1) {
 			return nil, false
 		}
-		matrix.MulRuns(scratch, al, bl, runs, k0, k1)
+		matrix.MulRunsBand(scratch, row0, al, bl, runs, k0, k1)
 		if float64(cells*int64(k1)) >= fireIn {
 			return nil, false
 		}
@@ -535,7 +539,7 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 	}
 	vals := make([]float64, len(t.cells))
 	for ci, idx := range t.cells {
-		vals[ci] = cd[idx]
+		vals[ci] = scratch[idx-base]
 	}
 	return vals, true
 }

@@ -319,6 +319,59 @@ func BenchmarkMultiplyN512(b *testing.B) {
 	}
 }
 
+// TestBandTasksTileShare: on the band tasks the engine cuts for the
+// repository benchmark's multiply — Square-Corner 10:1:1 and
+// Block-Rectangle 5:2:1 at N=512, all five algorithms — the kernel's
+// four-row tile must compute at least 95% of C. Products are
+// bit-identical either way, so only this count shows that the tile is
+// still taken. Each task goes through the kernel as computeBlock sends
+// it, over one pivot chunk: A holds no ±0, so every chunk tiles alike.
+func TestBandTasksTileShare(t *testing.T) {
+	const n = 512
+	a, b := randomMatrices(n, 1)
+	probe := []matrix.Run{{Row: 0, J1: 8}, {Row: 1, J1: 8}, {Row: 2, J1: 8}, {Row: 3, J1: 8}}
+	if matrix.MulRuns(matrix.New(n), a, b, probe, 0, 1) == 0 {
+		t.Skip("no vector tile on this CPU")
+	}
+	for _, pc := range []struct {
+		shape partition.Shape
+		ratio partition.Ratio
+	}{
+		{partition.SquareCorner, partition.MustRatio(10, 1, 1)},
+		{partition.BlockRectangle, partition.MustRatio(5, 2, 1)},
+	} {
+		g, err := partition.Build(pc.shape, n, pc.ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range model.AllAlgorithms {
+			e, err := newEngine(context.Background(), Config{Machine: testMachine(pc.ratio), Algorithm: alg}, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.buildInitialTasks()
+			scratch := make([]float64, e.cfg.BlockSize*n)
+			cells, tiled := 0, 0
+			for _, p := range partition.Procs {
+				for _, task := range e.pending[p] {
+					row0 := int(task.cells[0]) / n / e.cfg.BlockSize * e.cfg.BlockSize
+					runs := matrix.CellRuns(task.cells, n)
+					tiled += matrix.MulRunsBand(scratch, row0, a, b, runs, 0, matrix.PivotChunk)
+					cells += len(task.cells)
+				}
+			}
+			if cells != n*n {
+				t.Fatalf("%v %v: tasks hold %d cells, want %d", pc.shape, alg, cells, n*n)
+			}
+			share := float64(tiled) / float64(cells*matrix.PivotChunk)
+			t.Logf("%v %v %v: %.1f%% of C through the tile", pc.shape, pc.ratio, alg, 100*share)
+			if share < 0.95 {
+				t.Errorf("%v %v %v: %.1f%% of C through the tile, want at least 95%%", pc.shape, pc.ratio, alg, 100*share)
+			}
+		}
+	}
+}
+
 func TestMultiplyPIOBitExact(t *testing.T) {
 	// The panel-gated schedule must produce the serial kij product
 	// bit-exactly for every canonical shape and move exactly VoC elements.

@@ -7,9 +7,10 @@
 // multiplications used ATLAS, which we substitute with our own serial,
 // blocked and parallel kij kernels and with MulRuns, the kernel every
 // executor computes its own cells with. MulRuns runs on AVX vector lanes
-// on amd64 CPUs that have them (one multiply and one add per lane, never
-// a fused multiply-add) and in portable Go elsewhere, bit-identical to the
-// serial kij kernel either way. What matters for the study is the
+// on amd64 CPUs that have them, four rows of C at a time where their runs
+// repeat (one multiply and one add per lane, never a fused multiply-add),
+// and in portable Go elsewhere, bit-identical to the serial kij kernel
+// either way. What matters for the study is the
 // *communication* structure, which is independent of the local kernel.
 package matrix
 

@@ -300,6 +300,63 @@ func groupEdgeRuns(rng *rand.Rand, n int) [][]Run {
 	return batches
 }
 
+// tileEdgeRuns returns run sets in row order, the order the engine's
+// band tasks hand runs in, around the four-row tile's edges: rectangles
+// of every height 1–11 (4k+{0..3} rows) at each width 1–23 (8k+{0..7}
+// columns), and rectangles whose rows hold two runs, as SCO's and PCO's
+// band tasks do. Rectangles stack down the rows, some back to back with
+// different columns. want[x] is how many of set x's cells the tile
+// computes where the CPU has one and no pivot is ±0: four rows times the
+// full 8-column groups of each run, for each whole group of four rows.
+func tileEdgeRuns(rng *rand.Rand, n int) (sets [][]Run, want []int) {
+	var set []Run
+	row, cells, prevJ0 := 0, 0, -1
+	flush := func() {
+		if len(set) > 0 {
+			sets, want = append(sets, set), append(want, cells)
+		}
+		set, row, cells, prevJ0 = nil, 0, 0, -1
+	}
+	// rect adds h rows of runs at the given (start, width) pairs.
+	rect := func(h int, cols ...[2]int) {
+		if row > 0 && (cols[0][0] == prevJ0 || rng.Intn(2) == 0) {
+			row++ // an empty row; same-column neighbours always get one
+		}
+		if row+h > n {
+			flush()
+		}
+		if h > n {
+			return
+		}
+		for i := row; i < row+h; i++ {
+			for _, c := range cols {
+				set = append(set, Run{Row: i, J0: c[0], J1: c[0] + c[1]})
+			}
+		}
+		for _, c := range cols {
+			cells += 4 * (h / 4) * (c[1] &^ 7)
+		}
+		row += h
+		prevJ0 = cols[0][0]
+	}
+	for w := 1; w <= min(23, n); w++ {
+		for h := 1; h <= 11; h++ {
+			rect(h, [2]int{rng.Intn(n - w + 1), w})
+		}
+		flush()
+	}
+	for h := 1; h <= 11; h++ {
+		w1, w2, gap := 1+rng.Intn(23), 1+rng.Intn(23), 1+rng.Intn(3)
+		if w1+gap+w2 > n {
+			continue
+		}
+		j0 := rng.Intn(n - w1 - gap - w2 + 1)
+		rect(h, [2]int{j0, w1}, [2]int{j0 + w1 + gap, w2})
+	}
+	flush()
+	return sets, want
+}
+
 // runsCover returns the row-major mask of the cells the runs cover.
 func runsCover(runs []Run, n int) []bool {
 	covered := make([]bool, n*n)
@@ -312,21 +369,27 @@ func runsCover(runs []Run, n int) []bool {
 }
 
 // TestMulRunsDifferential checks both run kernels against MulKIJ across
-// chunk boundaries: MulRuns, which takes the vector kernel where the CPU
-// has one, and the portable Go kernel called directly. The cases are
-// random run sets and runs at every width and start offset around the
-// vector groups, applied over random pivot sub-ranges, and random masks
-// through MulMasked. Covered cells must be bit-identical to MulKIJ's
-// product; uncovered cells must keep their prior contents bit for bit.
+// chunk boundaries: MulRuns, which takes the vector kernels where the
+// CPU has them, and the portable Go kernel called directly. The cases
+// are random run sets, runs at every width and start offset around the
+// vector groups, and row-ordered rectangles around the four-row tile's
+// edges, applied over random pivot sub-ranges, and random masks through
+// MulMasked. Covered cells must be bit-identical to MulKIJ's product;
+// uncovered cells must keep their prior contents bit for bit. On the
+// rectangles MulRuns must also report exactly the cell updates the tile
+// owes them, so a tile that is never taken fails here.
 func TestMulRunsDifferential(t *testing.T) {
-	t.Logf("vector kernel: %v", hasVectorKernel())
+	t.Logf("vector kernel: %v, tile: %v", hasVectorKernel(), vectorTile() != nil)
+	if hasVectorKernel() != (vectorTile() != nil) {
+		t.Fatal("the tile must be taken exactly where the one-row vector kernel is")
+	}
 	kernels := []struct {
 		name string
-		mul  func(c, a, b *Dense, runs []Run, kLo, kHi int)
+		mul  func(c, a, b *Dense, runs []Run, kLo, kHi int) int
 	}{
 		{"MulRuns", MulRuns},
-		{"mulRunGo", func(c, a, b *Dense, runs []Run, kLo, kHi int) {
-			mulRuns(c, a, b, runs, kLo, kHi, mulRunGo)
+		{"mulRunGo", func(c, a, b *Dense, runs []Run, kLo, kHi int) int {
+			return mulRuns(c.data, 0, a, b, runs, kLo, kHi, mulRunGo, nil)
 		}},
 	}
 	for _, n := range []int{1, 3, 4, 15, 16, 17, 63, 64, 65, 130} {
@@ -336,16 +399,31 @@ func TestMulRunsDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		runSets := [][]Run{randomRuns(rng, n), randomRuns(rng, n), randomRuns(rng, n)}
 		runSets = append(runSets, groupEdgeRuns(rng, n)...)
+		tileSets, tileCells := tileEdgeRuns(rng, n)
+		firstTileSet := len(runSets)
+		runSets = append(runSets, tileSets...)
 		for x, runs := range runSets {
 			covered := runsCover(runs, n)
 			cuts := randomCuts(rng, n)
 			for _, k := range kernels {
 				c := New(n)
 				fillUncovered(c, covered)
+				tiled := 0
 				for y := 0; y+1 < len(cuts); y++ {
-					k.mul(c, a, b, runs, cuts[y], cuts[y+1])
+					tiled += k.mul(c, a, b, runs, cuts[y], cuts[y+1])
 				}
-				checkCells(t, fmt.Sprintf("%s n=%d run set %d", k.name, n, x), c, want, covered)
+				name := fmt.Sprintf("%s n=%d run set %d", k.name, n, x)
+				checkCells(t, name, c, want, covered)
+				if x < firstTileSet {
+					continue
+				}
+				wantTiled := 0
+				if k.name == "MulRuns" && vectorTile() != nil {
+					wantTiled = tileCells[x-firstTileSet] * n
+				}
+				if tiled != wantTiled {
+					t.Fatalf("%s: %d cell updates through the tile, want %d", name, tiled, wantTiled)
+				}
 			}
 		}
 		for trial := 0; trial < 3; trial++ {
@@ -477,7 +555,7 @@ func TestMulRunsSkipsZeroPivotsLikeKIJ(t *testing.T) {
 	MulKIJ(want, a, b)
 	for name, mul := range map[string]func(c *Dense){
 		"MulRuns":  func(c *Dense) { MulRuns(c, a, b, fullRuns(n), 0, n) },
-		"mulRunGo": func(c *Dense) { mulRuns(c, a, b, fullRuns(n), 0, n, mulRunGo) },
+		"mulRunGo": func(c *Dense) { mulRuns(c.data, 0, a, b, fullRuns(n), 0, n, mulRunGo, nil) },
 	} {
 		got := New(n)
 		mul(got)
@@ -503,6 +581,112 @@ func TestMulRunsSkipsZeroPivotsLikeKIJ(t *testing.T) {
 					i, j, g, math.Float64bits(g), o, math.Float64bits(o))
 			}
 		}
+	}
+}
+
+// TestMulRunsTileZeroPivot puts one ±0 pivot in one row of one tile:
+// that tile's four rows must take the one-row kernel for that chunk
+// only, and skip the pivot as MulKIJ does, or 0·Inf in B would turn
+// their cells into NaN. Every other tile, and that one in the next
+// chunk, is still taken.
+func TestMulRunsTileZeroPivot(t *testing.T) {
+	if vectorTile() == nil {
+		t.Skip("no vector tile on this CPU")
+	}
+	const n, zi, zk = 70, 5, 10 // rows 4–7 are the second tile; pivot 10 is in chunk [0, 64)
+	for _, zero := range []float64{0, math.Copysign(0, -1)} {
+		a, b := randomPair(n, 41)
+		a.Set(zi, zk, zero)
+		for j := 0; j < n; j += 3 {
+			b.Set(zk, j, math.Inf(1))
+		}
+		want := New(n)
+		MulKIJ(want, a, b)
+		runs := rectRuns(0, 12, 3, 3+17) // three tiles of 16 columns, and a column left over
+		covered := runsCover(runs, n)
+		got := New(n)
+		fillUncovered(got, covered)
+		tiled := MulRuns(got, a, b, runs, 0, n)
+		checkCells(t, fmt.Sprintf("zero %v", zero), got, want, covered)
+		if w := 4 * 16 * (2*PivotChunk + 3*(n-PivotChunk)); tiled != w {
+			t.Errorf("zero %v: %d cell updates through the tile, want %d", zero, tiled, w)
+		}
+	}
+}
+
+// TestMulRunsTileNaNPayloads sends NaN payloads in A and B through the
+// tile: every cell of these runs is in a tile or a 4-column vector
+// group, so every cell must match kijOrdered bit for bit, payloads
+// included. Every row multiplies a NaN A[i][13] by B[13][j], a NaN where
+// j%3==0. Even rows then carry that NaN into a sum that meets
+// B[70][j]'s, in the next pivot chunk; odd rows carry A[i][11]'s NaN
+// into the sum that meets pivot 13's product. So each of a tile's four
+// rows, in both halves of its eight columns, checks the operand order
+// of both its multiply and its add.
+func TestMulRunsTileNaNPayloads(t *testing.T) {
+	if vectorTile() == nil {
+		t.Skip("no vector tile on this CPU")
+	}
+	const n = 75
+	const rows, cols = n &^ 3, n &^ 3 // 18 tiles down, 9 across, one 4-column group
+	a, b := randomPair(n, 43)
+	nan := func(payload uint64) float64 { return math.Float64frombits(0x7ff8000000000000 | payload) }
+	for i := 0; i < n; i++ {
+		a.Set(i, 13, nan(0xa00|uint64(i)))
+		if i%2 == 1 {
+			a.Set(i, 11, nan(0xd00|uint64(i)))
+		}
+	}
+	for j := 0; j < n; j++ {
+		if j%3 == 0 {
+			b.Set(13, j, nan(0xb00|uint64(j)))
+		}
+		if j%7 == 2 {
+			b.Set(70, j, nan(0xc00|uint64(j)))
+		}
+	}
+	ordered := kijOrdered(a, b)
+	got := New(n)
+	tiled := MulRuns(got, a, b, rectRuns(0, rows, 0, cols), 0, n)
+	if w := rows * (cols &^ 7) * n; tiled != w {
+		t.Fatalf("%d cell updates through the tile, want %d", tiled, w)
+	}
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if g, o := got.At(i, j), ordered.At(i, j); math.Float64bits(g) != math.Float64bits(o) {
+				t.Fatalf("cell (%d,%d) is %v (%#x), want %v (%#x)",
+					i, j, g, math.Float64bits(g), o, math.Float64bits(o))
+			}
+		}
+	}
+}
+
+// TestMulRunsBand: C held as a band of rows gets the cells MulRuns
+// gives the full matrix, and a run outside the band panics.
+func TestMulRunsBand(t *testing.T) {
+	const n, row0, h = 40, 8, 12
+	a, b := randomPair(n, 45)
+	runs := append(rectRuns(row0, row0+8, 3, 37), rectRuns(row0+8, row0+h, 0, 9)...)
+	full := New(n)
+	wantTiled := MulRuns(full, a, b, runs, 0, n)
+	band := make([]float64, h*n)
+	if got := MulRunsBand(band, row0, a, b, runs, 0, n); got != wantTiled {
+		t.Errorf("band: %d cell updates through the tile, full C: %d", got, wantTiled)
+	}
+	for x, v := range band {
+		if w := full.data[row0*n+x]; math.Float64bits(v) != math.Float64bits(w) {
+			t.Fatalf("band cell (%d,%d) is %v, want %v", row0+x/n, x%n, v, w)
+		}
+	}
+	for name, r := range map[string]Run{"above": {row0 - 1, 0, 1}, "below": {row0 + h, 0, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("run %s the band: expected panic", name)
+				}
+			}()
+			MulRunsBand(band, row0, a, b, []Run{r}, 0, n)
+		}()
 	}
 }
 
@@ -713,18 +897,36 @@ func BenchmarkMulBlocked(b *testing.B) {
 	}
 }
 
-// BenchmarkMulRuns times the execution engine's unit of work: one
-// 32×32 tile of C at n=512, pivot chunk by pivot chunk.
+// BenchmarkMulRuns times MulRuns at n=512, pivot chunk by pivot chunk
+// as the execution engine calls it, on three run sets: one 32×32 block
+// of C; the engine's unit of work, one band of 32 rows across all 512
+// columns; and ragged runs 1–17 cells long in random order (randomRuns),
+// which the four-row tile never takes. It reports the kernel's GFLOP/s.
 func BenchmarkMulRuns(b *testing.B) {
 	const n, bs = 512, 32
 	a, x := randomPair(n, 1)
-	c := New(n)
-	runs := rectRuns(64, 64+bs, 96, 96+bs)
-	b.SetBytes(int64(8 * bs * bs))
-	for i := 0; i < b.N; i++ {
-		for k0 := 0; k0 < n; k0 += PivotChunk {
-			MulRuns(c, a, x, runs, k0, min(k0+PivotChunk, n))
+	for _, bc := range []struct {
+		name string
+		runs []Run
+	}{
+		{"block32x32", rectRuns(64, 64+bs, 96, 96+bs)},
+		{"band32x512", rectRuns(64, 64+bs, 0, n)},
+		{"ragged", randomRuns(rand.New(rand.NewSource(1)), n)},
+	} {
+		cells := 0
+		for _, r := range bc.runs {
+			cells += r.J1 - r.J0
 		}
+		b.Run(bc.name, func(b *testing.B) {
+			c := New(n)
+			b.SetBytes(int64(8 * cells))
+			for i := 0; i < b.N; i++ {
+				for k0 := 0; k0 < n; k0 += PivotChunk {
+					MulRuns(c, a, x, bc.runs, k0, min(k0+PivotChunk, n))
+				}
+			}
+			b.ReportMetric(2*float64(cells)*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

@@ -161,7 +161,7 @@ type Traffic struct {
 // to R's and S's own sends; and PCO pays it as one extra message after
 // the parallel phase. The relay rides the P→S link, because P forwards
 // it; with equal links that is the single message of the seed model.
-func Transfers(a Algorithm, m Machine, snap partition.Metrics) (t Traffic) {
+func Transfers(a Algorithm, m *Machine, snap *partition.Metrics) (t Traffic) {
 	for p := range t.Sends {
 		t.Sends[p][p] = snap.PairSends[p] // row p of p's own table
 	}
@@ -197,7 +197,7 @@ func Transfers(a Algorithm, m Machine, snap partition.Metrics) (t Traffic) {
 //     messages where the others send one large one, the latency
 //     sensitivity the paper's conclusion names as future work.
 func Evaluate(a Algorithm, m Machine, snap partition.Metrics) Breakdown {
-	t := Transfers(a, m, snap)
+	t := Transfers(a, &m, &snap)
 	// serial is every sender's traffic as one stream of steps rounds.
 	serial := func(steps int) float64 {
 		var all VolumeTable
@@ -280,7 +280,7 @@ func EvaluateGrid(a Algorithm, m Machine, g *partition.Grid) Breakdown {
 // through P: the data R needs from S plus the data S needs from R. With
 // identically partitioned matrices this is bounded by the smaller of the
 // two processors' send volumes; we use that bound as the model.
-func StarRelayVolume(snap partition.Metrics) int64 {
+func StarRelayVolume(snap *partition.Metrics) int64 {
 	return min(snap.Sends[partition.R], snap.Sends[partition.S])
 }
 

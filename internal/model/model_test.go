@@ -290,7 +290,7 @@ func TestCommVolumeStarAddsRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := g.Snapshot()
-	relay := StarRelayVolume(snap)
+	relay := StarRelayVolume(&snap)
 	if relay == 0 {
 		t.Fatal("test shape has no R↔S traffic; pick another")
 	}
@@ -298,7 +298,7 @@ func TestCommVolumeStarAddsRelay(t *testing.T) {
 	star := full
 	star.Topology = Star
 	for _, a := range AllAlgorithms {
-		f, s := Transfers(a, full, snap), Transfers(a, star, snap)
+		f, s := Transfers(a, &full, &snap), Transfers(a, &star, &snap)
 		if f.Relay != (VolumeTable{}) {
 			t.Errorf("%v: fully connected relay %v, want none", a, f.Relay)
 		}
