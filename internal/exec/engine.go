@@ -37,12 +37,16 @@ type blockTask struct {
 	id    int
 	owner partition.Proc
 	cells []int32 // row-major C indices, ascending
-	// patch*: A/B fragments delivered with the task. The assignee writes
-	// them into its local views before computing; the supervisor never
-	// touches worker memory directly.
-	patchA, patchB   []int32
-	patchAV, patchBV []float64
-	speculative      bool
+	// runs are the cells as the initial cut made them, row runs in cell
+	// order; nil for tasks cut elsewhere, whose runs computeBlock builds.
+	runs []matrix.Run
+	// patch*: whole A rows and B columns delivered with the task, n
+	// values each (a B column top to bottom). The assignee adds them to
+	// its views before computing; the supervisor never touches worker
+	// memory directly.
+	patchRows, patchCols []int32
+	patchA, patchB       []float64
+	speculative          bool
 	// local marks an SCO/PCO overlap task: its owner holds every A row
 	// and B column it needs, so it runs without waiting on the exchange.
 	// Only the initial cut makes local tasks.
@@ -147,20 +151,20 @@ type engine struct {
 	stats *Stats
 
 	plan *exchangePlan
-	// aLocal/bLocal are each worker's private views of A and B: its own
-	// cells from the start, the exchanged ones as they land. The
-	// exchange writes them; the worker and its task patches write only
-	// cells the exchange never sends it.
-	aLocal, bLocal [partition.NumProcs]*matrix.Dense
+	// views are each worker's private A rows and B columns: its own
+	// cells from the start, the exchanged ones as they land. Worker w's
+	// exchange goroutine writes views[w] until w's last panel has
+	// landed; from then on only w does, widening it for task patches.
+	views [partition.NumProcs]view
 	// panel is the exchange's delivery width in pivots: n, or
 	// matrix.PivotChunk for PIO. ready[w][p] closes once panel p of w's
 	// exchanged A columns and B rows has been applied.
 	panel int
 	ready [partition.NumProcs][]chan struct{}
-	// aHave/bHave are the supervisor's record of which A and B cells each
+	// holds is the supervisor's record of which A rows and B columns each
 	// worker holds, built on first use by have: recovery and speculation
-	// patch only what is missing.
-	aHave, bHave [partition.NumProcs][]bool
+	// patch only the lines that are missing.
+	holds [partition.NumProcs]*lineSet
 
 	doneMask   []bool
 	doneCells  int
@@ -261,7 +265,7 @@ func (e *engine) run() (*matrix.Dense, *Stats, error) {
 	defer e.cancel()
 	start := time.Now()
 	// Cut the initial tasks beside the exchange's seeding: the cutter
-	// reads only the owner grid and the done mask, and the exchange never
+	// reads only the plan and the done mask, and the exchange never
 	// touches the task lists.
 	built := make(chan struct{})
 	go func() {
@@ -289,49 +293,117 @@ func (e *engine) run() (*matrix.Dense, *Stats, error) {
 	return e.c, e.stats, nil
 }
 
-// have returns worker v's coverage masks, building them from the plan on
-// first use (a fault-free run never needs them); buildPatch and unpatch
-// keep them current from there.
-func (e *engine) have(v partition.Proc) (aHave, bHave []bool) {
-	if e.aHave[v] == nil {
-		e.aHave[v], e.bHave[v] = e.plan.coverage(v)
+// lineSet is which A rows and B columns a worker holds once its
+// exchange and the patches handed to it have landed.
+type lineSet struct{ rows, cols []bool }
+
+// have returns worker v's line set, building it from the plan on first
+// use (a fault-free run never needs it): every row and column v owns a
+// cell in. buildPatch and unpatch keep it current from there.
+func (e *engine) have(v partition.Proc) *lineSet {
+	if e.holds[v] == nil {
+		f := &e.plan.first[v]
+		h := &lineSet{rows: make([]bool, e.n), cols: make([]bool, e.n)}
+		for l := range h.rows {
+			h.rows[l], h.cols[l] = f.aRow[l] >= 0, f.bCol[l] >= 0
+		}
+		e.holds[v] = h
 	}
-	return e.aHave[v], e.bHave[v]
+	return e.holds[v]
 }
 
 // buildInitialTasks cuts the not-yet-done region (everything, unless a
-// checkpoint was resumed) into (band, owner) block tasks. Under SCO and
-// PCO each (band, owner) group is cut in two, its local cells and the
-// rest, and every worker's queue starts with its local tasks: that is
-// the bulk overlap, computing what needs no exchanged data while the
-// exchange is in flight.
+// checkpoint was resumed) into (band, owner) block tasks, as bandTasks
+// would cut it, walking the plan's owner runs instead of the cells.
+// Under SCO and PCO each (band, owner) group is cut in two, its local
+// cells — those whose owner holds their whole A row and B column — and
+// the rest, and every worker's queue starts with its local tasks: that
+// is the bulk overlap, computing what needs no exchanged data while the
+// exchange is in flight. Each task keeps the runs it was cut from.
 func (e *engine) buildInitialTasks() {
+	x, n, np := e.plan, e.n, partition.NumProcs
 	overlap := e.cfg.Algorithm == model.SCO || e.cfg.Algorithm == model.PCO
-	var local []int32
+	resumed := e.doneCells > 0
 	cells := make([]int32, 0, e.totalCells-e.doneCells)
-	n := e.n
-	for i := range n {
-		for j, done := range e.doneMask[i*n : (i+1)*n] {
-			idx := int32(i*n + j)
-			switch {
-			case done:
-			case overlap && e.plan.local(i, j):
-				local = append(local, idx)
-			default:
-				cells = append(cells, idx)
+	var runs []matrix.Run
+	// add puts the undone cells of row i, columns [j0, j1), into the task
+	// being cut: one run, unless a resumed checkpoint finished some.
+	add := func(i, j0, j1 int) {
+		for j := j0; j < j1; {
+			if resumed && e.doneMask[i*n+j] {
+				j++
+				continue
+			}
+			lo := j
+			j = j1
+			if resumed {
+				for j = lo; j < j1 && !e.doneMask[i*n+j]; j++ {
+				}
+			}
+			runs = append(runs, matrix.Run{Row: i, J0: lo, J1: j})
+			at := len(cells)
+			cells = cells[:at+j-lo]
+			for c := range cells[at:] {
+				cells[at+c] = int32(i*n + lo + c)
 			}
 		}
 	}
-	ownerOf := func(idx int32) partition.Proc { return e.plan.cells[idx] }
-	tasks := e.bandTasks(local, ownerOf)
-	for _, t := range tasks {
-		t.local = true
+	// cut returns owner p's task of rows [r0, r1): its local cells, or
+	// the rest; nil if it has none.
+	cut := func(r0, r1 int, p partition.Proc, local bool) *blockTask {
+		c0, q0 := len(cells), len(runs)
+		for i := r0; i < r1; i++ {
+			var full []span // the columns of row i whose cells are local
+			if overlap && x.rowCnt[i*np+int(p)] == int32(n) {
+				full = x.full[p]
+			}
+			for _, r := range x.row(i) {
+				if r.p != p {
+					continue
+				}
+				j := int(r.j0)
+				for _, f := range full {
+					lo, hi := max(int(f.lo), j), min(int(f.hi), int(r.j1))
+					if lo >= hi {
+						continue
+					}
+					if local {
+						add(i, lo, hi)
+					} else {
+						add(i, j, lo)
+					}
+					j = hi
+				}
+				if !local {
+					add(i, j, int(r.j1))
+				}
+			}
+		}
+		if len(cells) == c0 {
+			return nil
+		}
+		return &blockTask{owner: p, cells: cells[c0:len(cells):len(cells)], runs: runs[q0:len(runs):len(runs)], local: local}
 	}
-	tasks = append(tasks, e.bandTasks(cells, ownerOf)...)
-	for _, t := range tasks {
+	var local, gated []*blockTask
+	for r0 := 0; r0 < n; r0 += e.cfg.BlockSize {
+		r1 := min(r0+e.cfg.BlockSize, n)
+		for _, p := range partition.Procs {
+			if overlap {
+				if t := cut(r0, r1, p, true); t != nil {
+					local = append(local, t)
+				}
+			}
+			if t := cut(r0, r1, p, false); t != nil {
+				gated = append(gated, t)
+			}
+		}
+	}
+	for _, t := range append(local, gated...) {
+		t.id = e.nextID
+		e.nextID++
 		e.pending[t.owner] = append(e.pending[t.owner], t)
+		e.stats.Blocks++
 	}
-	e.stats.Blocks += len(tasks)
 }
 
 // supervise runs the compute phase: workers pull blocks, the supervisor
@@ -492,12 +564,13 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 }
 
 // computeBlock computes the block's C cells bit-identically to the
-// serial kij kernel: the cells go through matrix.MulRuns as row runs, one
-// pivot chunk at a time, so heartbeats and pacing interleave with the
-// work. Before each chunk [k0, k1) a task that is not local waits at the
-// delivery gate until w holds its exchanged pivots below k1; the gate,
-// and which tasks skip it, is the only difference between the five
-// algorithms' schedules.
+// serial kij kernel: the task's runs go through matrix.MulRunsLines on
+// w's views, one pivot chunk at a time, so heartbeats and pacing
+// interleave with the work. A patched task first widens w's views by the
+// patch's lines. Before each chunk [k0, k1) a task that is not local
+// waits at the delivery gate until w holds its exchanged pivots below
+// k1; the gate, and which tasks skip it, is the only difference between
+// the five algorithms' schedules.
 // scratch is the worker's own C for the task's band of BlockSize rows;
 // the block's cells are zeroed first, because a worker can be handed
 // cells it computed before (an integrity re-lease on a sole survivor, a
@@ -505,30 +578,35 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 // the flops computed in the block reach fireIn (the worker's kill or
 // hang fate has fired) or the run is cancelled at the gate.
 func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limiter, scratch []float64, fireIn float64) ([]float64, bool) {
-	al, bl := e.aLocal[w], e.bLocal[w]
-	// Patch cells lie outside every row and column w owns a cell in, so
-	// the exchange never writes them.
-	ad, bd := al.Data(), bl.Data()
-	for i, idx := range t.patchA {
-		ad[idx] = t.patchAV[i]
-	}
-	for i, idx := range t.patchB {
-		bd[idx] = t.patchBV[i]
-	}
 	n := e.n
-	row0 := int(t.cells[0]) / n / e.cfg.BlockSize * e.cfg.BlockSize
-	base := int32(row0 * n) // C cell idx is scratch[idx-base]
-	for _, idx := range t.cells {
-		scratch[idx-base] = 0
+	if len(t.patchRows) > 0 || len(t.patchCols) > 0 {
+		// Widening moves every line of w's views, so it waits until w's
+		// exchange goroutine has written its last panel into them.
+		if !e.await(w, n) {
+			return nil, false
+		}
+		e.views[w] = e.views[w].widen(n, t)
 	}
-	runs := matrix.CellRuns(t.cells, n)
+	v := e.views[w]
+	row0 := int(t.cells[0]) / n / e.cfg.BlockSize * e.cfg.BlockSize
+	runs := t.runs
+	if runs == nil {
+		runs = matrix.CellRuns(t.cells, n)
+	}
+	// band returns run r's cells in scratch.
+	band := func(r matrix.Run) []float64 {
+		return scratch[(r.Row-row0)*n+r.J0 : (r.Row-row0)*n+r.J1]
+	}
+	for _, r := range runs {
+		clear(band(r))
+	}
 	cells := int64(len(t.cells))
 	for k0 := 0; k0 < n; k0 += matrix.PivotChunk {
 		k1 := min(k0+matrix.PivotChunk, n)
 		if !t.local && !e.await(w, k1) {
 			return nil, false
 		}
-		matrix.MulRunsBand(scratch, row0, al, bl, runs, k0, k1)
+		matrix.MulRunsLines(scratch, row0, v.a, v.aRow, v.b, v.bCol, runs, k0, k1)
 		if float64(cells*int64(k1)) >= fireIn {
 			return nil, false
 		}
@@ -537,9 +615,9 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 			e.pacedAcquire(w, lim, cells*int64(k1-k0))
 		}
 	}
-	vals := make([]float64, len(t.cells))
-	for ci, idx := range t.cells {
-		vals[ci] = scratch[idx-base]
+	vals := make([]float64, 0, len(t.cells))
+	for _, r := range runs {
+		vals = append(vals, band(r)...)
 	}
 	return vals, true
 }
@@ -643,20 +721,24 @@ func (e *engine) commit(r blockResult) error {
 	}
 	e.committed[r.task.id] = true
 	fresh := 0
-	var freshCells []int32
-	if e.integ != nil {
-		freshCells = make([]int32, 0, len(r.task.cells))
-	}
+	var freshCells []int32 // for the verifier; nil while every cell is fresh
 	cd := e.c.Data()
 	for ci, idx := range r.task.cells {
-		if !e.doneMask[idx] {
-			e.doneMask[idx] = true
-			cd[idx] = r.vals[ci]
-			fresh++
-			if e.integ != nil {
-				freshCells = append(freshCells, idx)
+		if e.doneMask[idx] {
+			if freshCells == nil && e.integ != nil {
+				freshCells = append(make([]int32, 0, len(r.task.cells)), r.task.cells[:ci]...)
 			}
+			continue
 		}
+		e.doneMask[idx] = true
+		cd[idx] = r.vals[ci]
+		fresh++
+		if freshCells != nil {
+			freshCells = append(freshCells, idx)
+		}
+	}
+	if freshCells == nil {
+		freshCells = r.task.cells
 	}
 	if fresh == 0 {
 		// A re-planned duplicate of work that another path already
@@ -763,9 +845,9 @@ func (e *engine) evict(w partition.Proc, now time.Time, byzantine bool) error {
 		for _, t := range e.pending[p] {
 			collect(t)
 			// A withdrawn pending task never delivered its A/B patch: the
-			// coverage bits it claimed must be released, or the replacement
-			// task would get no patch and its assignee would compute from
-			// zeroed local fragments.
+			// lines it claimed must be released, or the replacement task
+			// would get no patch and its assignee would lack lines it
+			// computes with.
 			e.unpatch(t)
 		}
 		e.pending[p] = nil
@@ -858,7 +940,7 @@ func (e *engine) speculate(w partition.Proc, ab *activeBlock, now time.Time) {
 		return
 	}
 	t := ab.task
-	nt := &blockTask{id: t.id, owner: target, cells: t.cells, speculative: true}
+	nt := &blockTask{id: t.id, owner: target, cells: t.cells, runs: t.runs, speculative: true}
 	e.buildPatch(nt)
 	ab.speculated = true
 	e.stats.Speculations++
@@ -924,56 +1006,44 @@ func (e *engine) bandTasks(cells []int32, ownerOf func(int32) partition.Proc) []
 	return tasks
 }
 
-// buildPatch attaches to the task every A-row / B-column element its
-// assignee needs for the task's cells but does not yet hold, updating
-// the coverage masks and the recovery-volume accounting. Fragments the
-// worker already holds are never re-sent.
+// buildPatch attaches to the task every A row and B column its assignee
+// needs for the task's cells but does not yet hold, whole, updating its
+// line set and the recovery-volume accounting. Lines the worker already
+// holds are never re-sent.
 func (e *engine) buildPatch(t *blockTask) {
 	n := e.n
-	ah, bh := e.have(t.owner)
-	rowSeen := make(map[int]bool)
-	colSeen := make(map[int]bool)
+	h := e.have(t.owner)
+	ad, bd := e.a.Data(), e.b.Data()
 	for _, idx := range t.cells {
 		i, j := int(idx)/n, int(idx)%n
-		if !rowSeen[i] {
-			rowSeen[i] = true
-			for k := 0; k < n; k++ {
-				ai := i*n + k
-				if !ah[ai] {
-					ah[ai] = true
-					t.patchA = append(t.patchA, int32(ai))
-					t.patchAV = append(t.patchAV, e.a.Data()[ai])
-					e.stats.RecoveryVolume++
-				}
-			}
+		if !h.rows[i] {
+			h.rows[i] = true
+			t.patchRows = append(t.patchRows, int32(i))
+			t.patchA = append(t.patchA, ad[i*n:(i+1)*n]...)
 		}
-		if !colSeen[j] {
-			colSeen[j] = true
+		if !h.cols[j] {
+			h.cols[j] = true
+			t.patchCols = append(t.patchCols, int32(j))
 			for k := 0; k < n; k++ {
-				bi := k*n + j
-				if !bh[bi] {
-					bh[bi] = true
-					t.patchB = append(t.patchB, int32(bi))
-					t.patchBV = append(t.patchBV, e.b.Data()[bi])
-					e.stats.RecoveryVolume++
-				}
+				t.patchB = append(t.patchB, bd[k*n+j])
 			}
 		}
 	}
+	e.stats.RecoveryVolume += int64(len(t.patchA) + len(t.patchB))
 }
 
-// unpatch releases the coverage claims of a task that was withdrawn
-// before its assignee ever received it, reversing buildPatch: the
-// fragments ride on the task itself, so an undelivered task means the
-// worker does not hold them, whatever the masks say. The recovery
-// volume it charged is refunded — those elements never moved.
+// unpatch releases the line claims of a task that was withdrawn before
+// its assignee ever received it, reversing buildPatch: the lines ride on
+// the task itself, so an undelivered task means the worker does not hold
+// them, whatever its line set says. The recovery volume it charged is
+// refunded — those elements never moved.
 func (e *engine) unpatch(t *blockTask) {
-	ah, bh := e.have(t.owner)
-	for _, idx := range t.patchA {
-		ah[idx] = false
+	h := e.have(t.owner)
+	for _, i := range t.patchRows {
+		h.rows[i] = false
 	}
-	for _, idx := range t.patchB {
-		bh[idx] = false
+	for _, j := range t.patchCols {
+		h.cols[j] = false
 	}
 	e.stats.RecoveryVolume -= int64(len(t.patchA) + len(t.patchB))
 }

@@ -5,8 +5,9 @@
 // experiment (Section X-B): data actually moves between workers through
 // channels, every transferred element is accounted, processor speed
 // ratios are imposed with the token-bucket throttle, and the numerical
-// result is bit-identical to the serial kij kernel. Every worker
-// computes only its own C cells, as row runs through matrix.MulRuns.
+// result is bit-identical to the serial kij kernel. Every worker holds
+// only the A rows and B columns its cells need and computes only its own
+// C cells, as row runs through matrix.MulRunsLines.
 //
 // All five algorithms run on one supervised block scheduler (engine.go):
 // the multiplication is split into block tasks — one owner's cells in a

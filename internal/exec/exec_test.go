@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -325,7 +326,8 @@ func BenchmarkMultiplyN512(b *testing.B) {
 // four-row tile must compute at least 95% of C. Products are
 // bit-identical either way, so only this count shows that the tile is
 // still taken. Each task goes through the kernel as computeBlock sends
-// it, over one pivot chunk: A holds no ±0, so every chunk tiles alike.
+// it, its cut's runs on its owner's views once the exchange has landed,
+// over one pivot chunk: A holds no ±0, so every chunk tiles alike.
 func TestBandTasksTileShare(t *testing.T) {
 	const n = 512
 	a, b := randomMatrices(n, 1)
@@ -350,16 +352,18 @@ func TestBandTasksTileShare(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.buildInitialTasks()
+			<-e.exchange()
 			scratch := make([]float64, e.cfg.BlockSize*n)
 			cells, tiled := 0, 0
 			for _, p := range partition.Procs {
+				v := e.views[p]
 				for _, task := range e.pending[p] {
 					row0 := int(task.cells[0]) / n / e.cfg.BlockSize * e.cfg.BlockSize
-					runs := matrix.CellRuns(task.cells, n)
-					tiled += matrix.MulRunsBand(scratch, row0, a, b, runs, 0, matrix.PivotChunk)
+					tiled += matrix.MulRunsLines(scratch, row0, v.a, v.aRow, v.b, v.bCol, task.runs, 0, matrix.PivotChunk)
 					cells += len(task.cells)
 				}
 			}
+			e.cancel()
 			if cells != n*n {
 				t.Fatalf("%v %v: tasks hold %d cells, want %d", pc.shape, alg, cells, n*n)
 			}
@@ -609,6 +613,181 @@ func TestInitialCutLocalTasksFirst(t *testing.T) {
 	}
 }
 
+// TestViewsHoldTheirLines: on both benchmark partitions at N=512, under
+// one panel and under PIO's panels, each worker's views are sized to
+// exactly its lines — (rows it owns a cell in + columns it owns a cell
+// in) × n elements — in line order, and once seeding and the exchange
+// are done every element holds its A or B value. A and B hold no zero,
+// so an element nothing wrote would show.
+func TestViewsHoldTheirLines(t *testing.T) {
+	const n = 512
+	a, b := randomMatrices(n, 1)
+	for idx := range a.Data() {
+		if a.Data()[idx] == 0 || b.Data()[idx] == 0 {
+			t.Fatal("the inputs hold a zero; pick another seed")
+		}
+	}
+	for _, pc := range []struct {
+		shape partition.Shape
+		ratio partition.Ratio
+	}{
+		{partition.SquareCorner, partition.MustRatio(10, 1, 1)},
+		{partition.BlockRectangle, partition.MustRatio(5, 2, 1)},
+	} {
+		g, err := partition.Build(pc.shape, n, pc.ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range []model.Algorithm{model.SCB, model.PIO} {
+			e, err := newEngine(context.Background(), Config{Machine: testMachine(pc.ratio), Algorithm: alg}, g, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-e.exchange()
+			for _, p := range partition.Procs {
+				v := e.views[p]
+				name := pc.shape.String() + " " + alg.String() + " " + p.String()
+				rows, cols := 0, 0
+				for l := 0; l < n; l++ {
+					if g.RowCount(l, p) > 0 {
+						if v.aRow[l] != int32(rows) {
+							t.Fatalf("%s: row %d at slot %d, want %d", name, l, v.aRow[l], rows)
+						}
+						rows++
+					} else if v.aRow[l] != -1 {
+						t.Fatalf("%s: holds row %d, which it owns no cell in", name, l)
+					}
+					if g.ColCount(l, p) > 0 {
+						if v.bCol[l] != int32(cols) {
+							t.Fatalf("%s: column %d at slot %d, want %d", name, l, v.bCol[l], cols)
+						}
+						cols++
+					} else if v.bCol[l] != -1 {
+						t.Fatalf("%s: holds column %d, which it owns no cell in", name, l)
+					}
+				}
+				if len(v.a) != rows*n || len(v.b) != cols*n || v.rows != rows || v.cols != cols {
+					t.Fatalf("%s: views hold %d + %d elements, want (%d rows + %d columns) × %d", name, len(v.a), len(v.b), rows, cols, n)
+				}
+				for l := 0; l < n; l++ {
+					for k := 0; k < n; k++ {
+						if s := v.aRow[l]; s >= 0 && v.a[int(s)*n+k] != a.At(l, k) {
+							t.Fatalf("%s: A(%d,%d) is %v, want %v", name, l, k, v.a[int(s)*n+k], a.At(l, k))
+						}
+						if s := v.bCol[l]; s >= 0 && v.b[k*cols+int(s)] != b.At(k, l) {
+							t.Fatalf("%s: B(%d,%d) is %v, want %v", name, k, l, v.b[k*cols+int(s)], b.At(k, l))
+						}
+					}
+				}
+			}
+			if e.stats.TotalVolume != g.VoC() {
+				t.Errorf("%v %v: moved %d, VoC %d", pc.shape, alg, e.stats.TotalVolume, g.VoC())
+			}
+			e.cancel()
+		}
+	}
+}
+
+// cutByCells is the initial cut as a pass over every cell: the undone
+// cells split into local and gated lists, each grouped by bandTasks,
+// local tasks first. The engine's cut walks owner runs instead and must
+// give the same tasks.
+func cutByCells(e *engine) []*blockTask {
+	n := e.n
+	overlap := e.cfg.Algorithm == model.SCO || e.cfg.Algorithm == model.PCO
+	var local, cells []int32
+	for idx, done := range e.doneMask {
+		i, j := idx/n, idx%n
+		p := e.g.At(i, j)
+		switch {
+		case done:
+		case overlap && e.g.RowCount(i, p) == n && e.g.ColCount(j, p) == n:
+			local = append(local, int32(idx))
+		default:
+			cells = append(cells, int32(idx))
+		}
+	}
+	ref := &engine{n: n, cfg: Config{BlockSize: e.cfg.BlockSize}}
+	ownerOf := func(idx int32) partition.Proc { return e.g.AtIndex(int(idx)) }
+	tasks := ref.bandTasks(local, ownerOf)
+	for _, t := range tasks {
+		t.local = true
+	}
+	return append(tasks, ref.bandTasks(cells, ownerOf)...)
+}
+
+// TestInitialCutMatchesBandTasks: the cut that walks owner runs gives
+// exactly the tasks bandTasks cuts from the cells — ids, queue order,
+// owners, cells and the local split — for all five algorithms, on the
+// benchmark partitions, a ragged band height and a random partition,
+// and with a checkpoint-resumed done mask; and each task's runs are its
+// cells' row runs.
+func TestInitialCutMatchesBandTasks(t *testing.T) {
+	const n = 130
+	ratio := partition.MustRatio(10, 1, 1)
+	a, b := randomMatrices(n, 52)
+	rng := rand.New(rand.NewSource(53))
+	grids := map[string]*partition.Grid{"Random": partition.NewRandom(n, ratio, rng)}
+	for _, s := range []partition.Shape{partition.SquareCorner, partition.BlockRectangle} {
+		g, err := partition.Build(s, n, ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids[s.String()] = g
+	}
+	for name, g := range grids {
+		for _, alg := range model.AllAlgorithms {
+			for _, resumed := range []bool{false, true} {
+				e, err := newEngine(context.Background(), Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: 24}, g, a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resumed {
+					// Whole blocks and scattered cells, as a resumed
+					// journal and its re-verified bands leave them.
+					for idx := range e.doneMask {
+						if i := idx / n; i < 30 || (i >= 48 && i < 72 && idx%3 == 0) || rng.Intn(9) == 0 {
+							e.doneMask[idx] = true
+							e.doneCells++
+						}
+					}
+				}
+				e.buildInitialTasks()
+				want := cutByCells(e)
+				tag := name + " " + alg.String()
+				if resumed {
+					tag += " resumed"
+				}
+				if e.stats.Blocks != len(want) || e.nextID != len(want) {
+					t.Fatalf("%s: %d blocks, next id %d; want %d", tag, e.stats.Blocks, e.nextID, len(want))
+				}
+				for _, p := range partition.Procs {
+					var q []*blockTask
+					for _, w := range want {
+						if w.owner == p {
+							q = append(q, w)
+						}
+					}
+					if len(e.pending[p]) != len(q) {
+						t.Fatalf("%s: %v queues %d tasks, want %d", tag, p, len(e.pending[p]), len(q))
+					}
+					for x, got := range e.pending[p] {
+						w := q[x]
+						if got.id != w.id || got.owner != w.owner || got.local != w.local || !slices.Equal(got.cells, w.cells) {
+							t.Fatalf("%s: %v's task %d is id %d owner %v local %v with %d cells, want id %d owner %v local %v with %d cells",
+								tag, p, x, got.id, got.owner, got.local, len(got.cells), w.id, w.owner, w.local, len(w.cells))
+						}
+						if !slices.Equal(got.runs, matrix.CellRuns(got.cells, n)) {
+							t.Fatalf("%s: task %d's runs are not its cells' runs", tag, got.id)
+						}
+					}
+				}
+				e.cancel()
+			}
+		}
+	}
+}
+
 func TestDeliveryGate(t *testing.T) {
 	// await lets a pivot chunk through only once the panel holding its
 	// last pivot has landed, heartbeats while it waits, and gives up when
@@ -656,26 +835,50 @@ func TestDeliveryGate(t *testing.T) {
 	}
 }
 
-// BenchmarkBandTasks measures the initial cut of an N=512 multiply: all
-// 262,144 cells of a Block-Rectangle 5:2:1 partition grouped into (band,
-// owner) tasks of the default band height.
+// BenchmarkBandTasks measures the two cuts of an N=512 multiply on a
+// Block-Rectangle 5:2:1 partition at the default band height. "initial"
+// is buildInitialTasks under SCB, the cut every multiply runs: all
+// 262,144 cells grouped into (band, owner) tasks from the plan's owner
+// runs. "recovery" is bandTasks, the cut a loss re-plan runs on its
+// remainder, here over all cells.
 func BenchmarkBandTasks(b *testing.B) {
 	const n = 512
-	g, err := partition.Build(partition.BlockRectangle, n, partition.MustRatio(5, 2, 1))
+	ratio := partition.MustRatio(5, 2, 1)
+	g, err := partition.Build(partition.BlockRectangle, n, ratio)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cells := make([]int32, n*n)
-	for i := range cells {
-		cells[i] = int32(i)
-	}
-	ownerOf := func(idx int32) partition.Proc { return g.AtIndex(int(idx)) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := &engine{n: n, cfg: Config{BlockSize: defaultBlockSize}}
-		if tasks := e.bandTasks(cells, ownerOf); len(tasks) == 0 {
-			b.Fatal("no tasks")
+	b.Run("initial", func(b *testing.B) {
+		x, y := randomMatrices(n, 1)
+		e, err := newEngine(context.Background(), Config{Machine: testMachine(ratio), Algorithm: model.SCB}, g, x, y)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
+		defer e.cancel()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.nextID, e.stats.Blocks = 0, 0
+			clear(e.pending)
+			e.buildInitialTasks()
+			if e.stats.Blocks == 0 {
+				b.Fatal("no tasks")
+			}
+		}
+	})
+	b.Run("recovery", func(b *testing.B) {
+		cells := make([]int32, n*n)
+		for i := range cells {
+			cells[i] = int32(i)
+		}
+		ownerOf := func(idx int32) partition.Proc { return g.AtIndex(int(idx)) }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e := &engine{n: n, cfg: Config{BlockSize: defaultBlockSize}}
+			if tasks := e.bandTasks(cells, ownerOf); len(tasks) == 0 {
+				b.Fatal("no tasks")
+			}
+		}
+	})
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -127,9 +128,9 @@ func TestMultiplyKillInsideOnlyBlock(t *testing.T) {
 	// Under SCO and PCO, P also holds a local block where the corner
 	// squares leave it whole rows and columns of its own.
 	locals := 0
-	x := newExchangePlan(g)
 	for idx := range n * n {
-		if x.local(idx/n, idx%n) {
+		i, j := idx/n, idx%n
+		if p := g.At(i, j); g.RowCount(i, p) == n && g.ColCount(j, p) == n {
 			locals = 1
 			break
 		}
@@ -267,6 +268,99 @@ func TestMultiplyHangRecovery(t *testing.T) {
 				t.Fatalf("Lost = %v, want [P]", stats.Lost)
 			}
 		})
+	}
+}
+
+// TestRecoveryWidensAfterOwnPanelsLand: a survivor handed re-planned
+// work outside its lines widens its views only once its own exchange has
+// landed. R is lost before anything ran, so S's queue starts with a
+// patched task, and S computes its queue beside its own PIO exchange,
+// whose four panels land one at a time only after S is waiting. A
+// worker that widened before its last panel would copy views the
+// exchange is still writing — a race under -race — and compute from
+// views that miss what lands later, so its cells would differ from the
+// serial kij kernel's.
+func TestRecoveryWidensAfterOwnPanelsLand(t *testing.T) {
+	const n = 256 // four PIO panels
+	const v = partition.S
+	ratio := partition.MustRatio(3, 2, 1)
+	a, b := randomMatrices(n, 73)
+	want := matrix.New(n)
+	matrix.MulKIJ(want, a, b)
+	g, err := partition.Build(partition.SquareCorner, n, ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(context.Background(), Config{Machine: testMachine(ratio), Algorithm: model.PIO, HeartbeatEvery: time.Millisecond}, g, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.cancel()
+	e.buildInitialTasks()
+	if err := e.evict(partition.R, time.Now(), false); err != nil {
+		t.Fatal(err)
+	}
+	queue := e.pending[v]
+	if len(queue) == 0 || len(queue[0].patchRows)+len(queue[0].patchCols) == 0 {
+		t.Fatal("the re-plan hands S no patched task first")
+	}
+
+	// S's side of the exchange, as exchange runs it, one panel per
+	// release.
+	e.views[v] = e.plan.seed(v, a, b)
+	panels := n / matrix.PivotChunk
+	release := make([]chan struct{}, panels)
+	e.ready[v] = make([]chan struct{}, panels)
+	for p := range panels {
+		release[p], e.ready[v][p] = make(chan struct{}), make(chan struct{})
+	}
+	go func(own view) {
+		for p := range panels {
+			<-release[p]
+			for _, w := range partition.Procs {
+				if w != v {
+					pk := e.plan.packet(w, v, p*matrix.PivotChunk, (p+1)*matrix.PivotChunk, a, b)
+					pk.apply(own)
+				}
+			}
+			close(e.ready[v][p])
+		}
+	}(e.views[v])
+
+	results := make(chan []float64, len(queue))
+	go func() {
+		defer close(results)
+		scratch := make([]float64, e.cfg.BlockSize*n)
+		for _, task := range queue {
+			vals, ok := e.computeBlock(v, task, nil, scratch, math.Inf(1))
+			if !ok {
+				t.Errorf("task %d did not finish", task.id)
+				return
+			}
+			results <- vals
+		}
+	}()
+	// S heartbeats only while it waits at the gate: once it has, land
+	// the panels.
+	for start := e.lastBeat(v); !e.lastBeat(v).After(start); {
+		time.Sleep(time.Millisecond)
+	}
+	for p := range panels {
+		close(release[p])
+		<-e.ready[v][p]
+	}
+	x := 0
+	for vals := range results {
+		task := queue[x]
+		for ci, idx := range task.cells {
+			if w := want.Data()[idx]; vals[ci] != w {
+				t.Fatalf("task %d: cell (%d,%d) is %v, want %v", task.id, int(idx)/n, int(idx)%n, vals[ci], w)
+			}
+		}
+		x++
+	}
+	if x != len(queue) {
+		t.Fatalf("S computed %d of its %d tasks", x, len(queue))
 	}
 }
 

@@ -6,7 +6,8 @@
 // The kernels are deliberately self-contained (no BLAS): the paper's local
 // multiplications used ATLAS, which we substitute with our own serial,
 // blocked and parallel kij kernels and with MulRuns, the kernel every
-// executor computes its own cells with. MulRuns runs on AVX vector lanes
+// executor computes its own cells with (as MulRunsLines, on the lines of
+// A and B it holds). MulRuns runs on AVX vector lanes
 // on amd64 CPUs that have them, four rows of C at a time where their runs
 // repeat (one multiply and one add per lane, never a fused multiply-add),
 // and in portable Go elsewhere, bit-identical to the serial kij kernel

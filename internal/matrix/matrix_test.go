@@ -368,16 +368,74 @@ func runsCover(runs []Run, n int) []bool {
 	return covered
 }
 
+// whole holds A and B as MulRuns does: every line at its own index.
+func whole(a, b *Dense) operands {
+	return operands{n: a.n, a: a.data, b: b.data, bStride: a.n}
+}
+
+// heldLines holds A and B as an executor does: only the A rows and B
+// columns the runs touch, in line order, after pad unused slots of each,
+// so every row is remapped and B's stride is its columns plus pad. The
+// unused slots hold NaN, which a read of the wrong slot would carry into
+// C.
+func heldLines(a, b *Dense, runs []Run, pad int) operands {
+	n := a.n
+	o := operands{n: n, aRow: make([]int32, n), bCol: make([]int32, n)}
+	for i := range o.aRow {
+		o.aRow[i], o.bCol[i] = -1, -1
+	}
+	for _, r := range runs {
+		if r.J0 < r.J1 {
+			o.aRow[r.Row] = 0
+			for j := r.J0; j < r.J1; j++ {
+				o.bCol[j] = 0
+			}
+		}
+	}
+	rows, cols := pad, pad
+	for i := range o.aRow {
+		if o.aRow[i] == 0 {
+			o.aRow[i], rows = int32(rows), rows+1
+		}
+		if o.bCol[i] == 0 {
+			o.bCol[i], cols = int32(cols), cols+1
+		}
+	}
+	o.a, o.b, o.bStride = make([]float64, rows*n), make([]float64, n*cols), cols
+	for x := range o.a {
+		o.a[x] = math.NaN()
+	}
+	for x := range o.b {
+		o.b[x] = math.NaN()
+	}
+	for i, s := range o.aRow {
+		if s >= 0 {
+			copy(o.a[int(s)*n:int(s+1)*n], a.Row(i))
+		}
+	}
+	for k := 0; k < n; k++ {
+		for j, s := range o.bCol {
+			if s >= 0 {
+				o.b[k*cols+int(s)] = b.At(k, j)
+			}
+		}
+	}
+	return o
+}
+
 // TestMulRunsDifferential checks both run kernels against MulKIJ across
 // chunk boundaries: MulRuns, which takes the vector kernels where the
-// CPU has them, and the portable Go kernel called directly. The cases
-// are random run sets, runs at every width and start offset around the
-// vector groups, and row-ordered rectangles around the four-row tile's
-// edges, applied over random pivot sub-ranges, and random masks through
-// MulMasked. Covered cells must be bit-identical to MulKIJ's product;
-// uncovered cells must keep their prior contents bit for bit. On the
-// rectangles MulRuns must also report exactly the cell updates the tile
-// owes them, so a tile that is never taken fails here.
+// CPU has them, and the portable Go kernel called directly, each on the
+// whole matrices and on A and B held as the lines the runs need
+// (heldLines: A's rows remapped, B at its own stride), as MulRunsLines
+// takes them. The cases are random run sets, runs at every width and
+// start offset around the vector groups, and row-ordered rectangles
+// around the four-row tile's edges, applied over random pivot
+// sub-ranges, and random masks through MulMasked. Covered cells must be
+// bit-identical to MulKIJ's product; uncovered cells must keep their
+// prior contents bit for bit. On the rectangles the dispatching kernels
+// must also report exactly the cell updates the tile owes them, so a
+// tile that is never taken fails here.
 func TestMulRunsDifferential(t *testing.T) {
 	t.Logf("vector kernel: %v, tile: %v", hasVectorKernel(), vectorTile() != nil)
 	if hasVectorKernel() != (vectorTile() != nil) {
@@ -385,11 +443,19 @@ func TestMulRunsDifferential(t *testing.T) {
 	}
 	kernels := []struct {
 		name string
+		tile bool // whether the kernel takes the tile where the CPU has one
 		mul  func(c, a, b *Dense, runs []Run, kLo, kHi int) int
 	}{
-		{"MulRuns", MulRuns},
-		{"mulRunGo", func(c, a, b *Dense, runs []Run, kLo, kHi int) int {
-			return mulRuns(c.data, 0, a, b, runs, kLo, kHi, mulRunGo, nil)
+		{"MulRuns", true, MulRuns},
+		{"mulRunGo", false, func(c, a, b *Dense, runs []Run, kLo, kHi int) int {
+			return mulRuns(c.data, 0, whole(a, b), runs, kLo, kHi, mulRunGo, nil)
+		}},
+		{"MulRunsLines", true, func(c, a, b *Dense, runs []Run, kLo, kHi int) int {
+			o := heldLines(a, b, runs, 3)
+			return MulRunsLines(c.data, 0, o.a, o.aRow, o.b, o.bCol, runs, kLo, kHi)
+		}},
+		{"mulRunGo lines", false, func(c, a, b *Dense, runs []Run, kLo, kHi int) int {
+			return mulRuns(c.data, 0, heldLines(a, b, runs, 3), runs, kLo, kHi, mulRunGo, nil)
 		}},
 	}
 	for _, n := range []int{1, 3, 4, 15, 16, 17, 63, 64, 65, 130} {
@@ -418,7 +484,7 @@ func TestMulRunsDifferential(t *testing.T) {
 					continue
 				}
 				wantTiled := 0
-				if k.name == "MulRuns" && vectorTile() != nil {
+				if k.tile && vectorTile() != nil {
 					wantTiled = tileCells[x-firstTileSet] * n
 				}
 				if tiled != wantTiled {
@@ -469,7 +535,7 @@ func fillUncovered(c *Dense, covered []bool) {
 // hasVectorKernel reports whether MulRuns takes the vector kernel on
 // this CPU: it then takes a 4-cell run whole.
 func hasVectorKernel() bool {
-	return mulRunVector(make([]float64, 4), []float64{1}, make([]float64, 4), 4, 0, 4) == 4
+	return mulRunVector(make([]float64, 4), []float64{1}, make([]float64, 4), 4) == 4
 }
 
 // kijOrdered is MulKIJ with the operands' order made explicit where two
@@ -555,7 +621,7 @@ func TestMulRunsSkipsZeroPivotsLikeKIJ(t *testing.T) {
 	MulKIJ(want, a, b)
 	for name, mul := range map[string]func(c *Dense){
 		"MulRuns":  func(c *Dense) { MulRuns(c, a, b, fullRuns(n), 0, n) },
-		"mulRunGo": func(c *Dense) { mulRuns(c.data, 0, a, b, fullRuns(n), 0, n, mulRunGo, nil) },
+		"mulRunGo": func(c *Dense) { mulRuns(c.data, 0, whole(a, b), fullRuns(n), 0, n, mulRunGo, nil) },
 	} {
 		got := New(n)
 		mul(got)
@@ -584,15 +650,41 @@ func TestMulRunsSkipsZeroPivotsLikeKIJ(t *testing.T) {
 	}
 }
 
+// tilePaths are the ways a run set reaches the kernels: through MulRuns
+// and through MulRunsLines on the lines the runs touch (heldLines), each
+// with the vector kernels where the CPU has them (tile reports whether
+// it does), and the same two through the portable kernel alone.
+func tilePaths(a, b *Dense, runs []Run) []struct {
+	name string
+	tile bool
+	mul  func(c *Dense, kLo, kHi int) int
+} {
+	lines := heldLines(a, b, runs, 5)
+	return []struct {
+		name string
+		tile bool
+		mul  func(c *Dense, kLo, kHi int) int
+	}{
+		{"MulRuns", vectorTile() != nil, func(c *Dense, kLo, kHi int) int { return MulRuns(c, a, b, runs, kLo, kHi) }},
+		{"MulRunsLines", vectorTile() != nil, func(c *Dense, kLo, kHi int) int {
+			return MulRunsLines(c.data, 0, lines.a, lines.aRow, lines.b, lines.bCol, runs, kLo, kHi)
+		}},
+		{"mulRunGo", false, func(c *Dense, kLo, kHi int) int {
+			return mulRuns(c.data, 0, whole(a, b), runs, kLo, kHi, mulRunGo, nil)
+		}},
+		{"mulRunGo lines", false, func(c *Dense, kLo, kHi int) int {
+			return mulRuns(c.data, 0, lines, runs, kLo, kHi, mulRunGo, nil)
+		}},
+	}
+}
+
 // TestMulRunsTileZeroPivot puts one ±0 pivot in one row of one tile:
 // that tile's four rows must take the one-row kernel for that chunk
 // only, and skip the pivot as MulKIJ does, or 0·Inf in B would turn
 // their cells into NaN. Every other tile, and that one in the next
-// chunk, is still taken.
+// chunk, is still taken. The portable kernel takes no tile and must skip
+// the pivot too.
 func TestMulRunsTileZeroPivot(t *testing.T) {
-	if vectorTile() == nil {
-		t.Skip("no vector tile on this CPU")
-	}
 	const n, zi, zk = 70, 5, 10 // rows 4–7 are the second tile; pivot 10 is in chunk [0, 64)
 	for _, zero := range []float64{0, math.Copysign(0, -1)} {
 		a, b := randomPair(n, 41)
@@ -604,12 +696,18 @@ func TestMulRunsTileZeroPivot(t *testing.T) {
 		MulKIJ(want, a, b)
 		runs := rectRuns(0, 12, 3, 3+17) // three tiles of 16 columns, and a column left over
 		covered := runsCover(runs, n)
-		got := New(n)
-		fillUncovered(got, covered)
-		tiled := MulRuns(got, a, b, runs, 0, n)
-		checkCells(t, fmt.Sprintf("zero %v", zero), got, want, covered)
-		if w := 4 * 16 * (2*PivotChunk + 3*(n-PivotChunk)); tiled != w {
-			t.Errorf("zero %v: %d cell updates through the tile, want %d", zero, tiled, w)
+		for _, path := range tilePaths(a, b, runs) {
+			got := New(n)
+			fillUncovered(got, covered)
+			tiled := path.mul(got, 0, n)
+			checkCells(t, fmt.Sprintf("%s zero %v", path.name, zero), got, want, covered)
+			w := 0
+			if path.tile {
+				w = 4 * 16 * (2*PivotChunk + 3*(n-PivotChunk))
+			}
+			if tiled != w {
+				t.Errorf("%s zero %v: %d cell updates through the tile, want %d", path.name, zero, tiled, w)
+			}
 		}
 	}
 }
@@ -622,11 +720,10 @@ func TestMulRunsTileZeroPivot(t *testing.T) {
 // B[70][j]'s, in the next pivot chunk; odd rows carry A[i][11]'s NaN
 // into the sum that meets pivot 13's product. So each of a tile's four
 // rows, in both halves of its eight columns, checks the operand order
-// of both its multiply and its add.
+// of both its multiply and its add. Go leaves that order to the
+// compiler, so the portable kernel must match kijOrdered bit for bit
+// wherever the result is not NaN, and be NaN where it is.
 func TestMulRunsTileNaNPayloads(t *testing.T) {
-	if vectorTile() == nil {
-		t.Skip("no vector tile on this CPU")
-	}
 	const n = 75
 	const rows, cols = n &^ 3, n &^ 3 // 18 tiles down, 9 across, one 4-column group
 	a, b := randomPair(n, 43)
@@ -646,31 +743,42 @@ func TestMulRunsTileNaNPayloads(t *testing.T) {
 		}
 	}
 	ordered := kijOrdered(a, b)
-	got := New(n)
-	tiled := MulRuns(got, a, b, rectRuns(0, rows, 0, cols), 0, n)
-	if w := rows * (cols &^ 7) * n; tiled != w {
-		t.Fatalf("%d cell updates through the tile, want %d", tiled, w)
-	}
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if g, o := got.At(i, j), ordered.At(i, j); math.Float64bits(g) != math.Float64bits(o) {
-				t.Fatalf("cell (%d,%d) is %v (%#x), want %v (%#x)",
-					i, j, g, math.Float64bits(g), o, math.Float64bits(o))
+	for _, path := range tilePaths(a, b, rectRuns(0, rows, 0, cols)) {
+		got := New(n)
+		tiled := path.mul(got, 0, n)
+		w := 0
+		if path.tile {
+			w = rows * (cols &^ 7) * n
+		}
+		if tiled != w {
+			t.Fatalf("%s: %d cell updates through the tile, want %d", path.name, tiled, w)
+		}
+		vector := hasVectorKernel() && !strings.HasPrefix(path.name, "mulRunGo")
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				g, o := got.At(i, j), ordered.At(i, j)
+				if math.Float64bits(g) != math.Float64bits(o) && (vector || !math.IsNaN(g) || !math.IsNaN(o)) {
+					t.Fatalf("%s: cell (%d,%d) is %v (%#x), want %v (%#x)",
+						path.name, i, j, g, math.Float64bits(g), o, math.Float64bits(o))
+				}
 			}
 		}
 	}
 }
 
-// TestMulRunsBand: C held as a band of rows gets the cells MulRuns
-// gives the full matrix, and a run outside the band panics.
+// TestMulRunsBand: C held as a band of rows, and A and B held as the
+// lines the runs touch, get the cells MulRuns gives the full matrices,
+// through as many tile updates; a run outside the band, or outside the
+// lines held, panics.
 func TestMulRunsBand(t *testing.T) {
 	const n, row0, h = 40, 8, 12
 	a, b := randomPair(n, 45)
 	runs := append(rectRuns(row0, row0+8, 3, 37), rectRuns(row0+8, row0+h, 0, 9)...)
 	full := New(n)
 	wantTiled := MulRuns(full, a, b, runs, 0, n)
+	lines := heldLines(a, b, runs, 2)
 	band := make([]float64, h*n)
-	if got := MulRunsBand(band, row0, a, b, runs, 0, n); got != wantTiled {
+	if got := MulRunsLines(band, row0, lines.a, lines.aRow, lines.b, lines.bCol, runs, 0, n); got != wantTiled {
 		t.Errorf("band: %d cell updates through the tile, full C: %d", got, wantTiled)
 	}
 	for x, v := range band {
@@ -678,14 +786,24 @@ func TestMulRunsBand(t *testing.T) {
 			t.Fatalf("band cell (%d,%d) is %v, want %v", row0+x/n, x%n, v, w)
 		}
 	}
-	for name, r := range map[string]Run{"above": {row0 - 1, 0, 1}, "below": {row0 + h, 0, 1}} {
+	gap := heldLines(a, b, []Run{{row0, 0, 3}, {row0 + 1, 5, 9}}, 0) // columns 3 and 4 not held
+	for name, f := range map[string]func(){
+		"above the band": func() {
+			MulRunsLines(band, row0, lines.a, lines.aRow, lines.b, lines.bCol, []Run{{row0 - 1, 3, 4}}, 0, n)
+		},
+		"below the band": func() {
+			MulRunsLines(band, row0, lines.a, lines.aRow, lines.b, lines.bCol, []Run{{row0 + h, 3, 4}}, 0, n)
+		},
+		"row not held": func() { MulRunsLines(band, row0, gap.a, gap.aRow, gap.b, gap.bCol, []Run{{row0 + 2, 0, 3}}, 0, n) },
+		"column gap":   func() { MulRunsLines(band, row0, gap.a, gap.aRow, gap.b, gap.bCol, []Run{{row0, 2, 6}}, 0, n) },
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("run %s the band: expected panic", name)
+					t.Errorf("run %s: expected panic", name)
 				}
 			}()
-			MulRunsBand(band, row0, a, b, []Run{r}, 0, n)
+			f()
 		}()
 	}
 }

@@ -42,35 +42,77 @@ const PivotChunk = 64
 // vector kernels keep the one MulKIJ's compiled code keeps.
 func MulRuns(c, a, b *Dense, runs []Run, kLo, kHi int) int {
 	checkTriple(c, a, b)
-	return mulRuns(c.data, 0, a, b, runs, kLo, kHi, mulRun, vectorTile())
+	ops := operands{n: a.n, a: a.data, b: b.data, bStride: a.n}
+	return mulRuns(c.data, 0, ops, runs, kLo, kHi, mulRun, vectorTile())
 }
 
-// MulRunsBand is MulRuns with C held as a band of rows: c holds C's rows
-// from row0 on, row-major at A's width, and every run must lie in those
-// rows. c must not share memory with A or B.
-func MulRunsBand(c []float64, row0 int, a, b *Dense, runs []Run, kLo, kHi int) int {
-	if a.n != b.n {
+// MulRunsLines is MulRuns on operands held as some of their lines, as
+// the execution engine's workers hold them: C as a band of rows, A as
+// some of its rows and B as some of its columns. n is len(aRow) and must
+// equal len(bCol). c holds C's rows from row0 on, row-major at width n.
+// a holds A's rows at width n, row i from a[aRow[i]·n]; b holds B's
+// columns at row stride len(b)/n, column j of pivot row k at
+// b[k·stride + bCol[j]]. A negative slot marks a line not held. Every
+// run's row and columns must be held, and a run's columns must sit side
+// by side in b, as they do when the slots rise with the line index; a
+// run that breaks either rule panics. Four rows that sit side by side in
+// a, as rows held in line order do, share the tile as in MulRuns, so the
+// tile count and every cell are MulRuns' on the whole matrices. c must
+// not share memory with a or b.
+func MulRunsLines(c []float64, row0 int, a []float64, aRow []int32, b []float64, bCol []int32, runs []Run, kLo, kHi int) int {
+	n := len(aRow)
+	if len(bCol) != n {
 		panic("matrix: dimension mismatch")
 	}
-	return mulRuns(c, row0, a, b, runs, kLo, kHi, mulRun, vectorTile())
+	ops := operands{n: n, a: a, aRow: aRow, b: b, bCol: bCol}
+	if n > 0 {
+		ops.bStride = len(b) / n
+	}
+	return mulRuns(c, row0, ops, runs, kLo, kHi, mulRun, vectorTile())
+}
+
+// operands is where the kernels find A and B. A's row i is a[slot·n:]
+// with slot aRow[i], B's pivot row k is b[k·bStride:] and its column j
+// is at slot bCol[j]; a nil aRow or bCol holds every line at its own
+// index.
+type operands struct {
+	n          int
+	a, b       []float64
+	aRow, bCol []int32
+	bStride    int
+}
+
+func (o *operands) aSlot(i int) int {
+	if o.aRow == nil {
+		return i
+	}
+	return int(o.aRow[i])
+}
+
+func (o *operands) bSlot(j int) int {
+	if o.bCol == nil {
+		return j
+	}
+	return int(o.bCol[j])
 }
 
 // rowKernel is the one-row kernel: see mulRun.
-type rowKernel func(crow, arow, bp []float64, n, j0, j1 int)
+type rowKernel func(crow, arow, bp []float64, stride int)
 
-// tileKernel computes the full 8-column groups of columns [j0, j1) in
-// four consecutive rows and returns the first column it left. c starts
-// at the first row of C, a at the first row's A[i][k0], bp at B's row
-// k0; all three have row stride n, and kc is the chunk's pivot count.
-// None of the four A rows may hold a ±0 in the chunk.
-type tileKernel func(c, a, bp []float64, n, kc, j0, j1 int) int
+// tileKernel computes the full 8-column groups of a run w cells wide in
+// four consecutive rows and returns how many columns it took. c starts
+// at the first row's first cell of C, a at the first row's A[i][k0],
+// both at row stride n; bp starts at the run's first column in B's row
+// k0, at row stride bStride; kc is the chunk's pivot count. None of the
+// four A rows may hold a ±0 in the chunk.
+type tileKernel func(c, a, bp []float64, n, bStride, kc, w int) int
 
 // mulRuns is MulRuns over C's rows from c0 on, held in c, with the
-// one-row kernel and the tile kernel as parameters, so that tests can
-// run the portable kernel alone (tile nil: every row runs alone) beside
-// the dispatching ones.
-func mulRuns(c []float64, c0 int, a, b *Dense, runs []Run, kLo, kHi int, kernel rowKernel, tile tileKernel) (tiled int) {
-	n := a.n
+// operands as ops holds them and the one-row kernel and the tile kernel
+// as parameters, so that tests can run the portable kernel alone (tile
+// nil: every row runs alone) beside the dispatching ones.
+func mulRuns(c []float64, c0 int, ops operands, runs []Run, kLo, kHi int, kernel rowKernel, tile tileKernel) (tiled int) {
+	n := ops.n
 	if kLo < 0 || kHi > n || kLo > kHi {
 		panic("matrix: pivot range out of bounds")
 	}
@@ -82,25 +124,35 @@ func mulRuns(c []float64, c0 int, a, b *Dense, runs []Run, kLo, kHi int, kernel 
 		if r.Row < max(c0, 0) || r.Row >= min(c0+rows, n) || r.J0 < 0 || r.J1 > n || r.J0 > r.J1 {
 			panic("matrix: run out of bounds")
 		}
+		if r.J0 < r.J1 && (ops.aSlot(r.Row) < 0 || ops.bSlot(r.J0) < 0 || ops.bSlot(r.J1-1)-ops.bSlot(r.J0) != r.J1-1-r.J0) {
+			panic("matrix: run outside the lines held")
+		}
 	}
 	for k0 := kLo; k0 < kHi; k0 += PivotChunk {
 		k1 := min(k0+PivotChunk, kHi)
-		bp := b.data[k0*n:]
+		bp := ops.b[k0*ops.bStride:]
 		one := func(r Run) {
-			row := r.Row * n
+			if r.J0 == r.J1 {
+				return
+			}
+			row := ops.aSlot(r.Row) * n
 			crow := c[(r.Row-c0)*n:]
-			kernel(crow[:n], a.data[row+k0:row+k1], bp, n, r.J0, r.J1)
+			kernel(crow[r.J0:r.J1], ops.a[row+k0:row+k1], bp[ops.bSlot(r.J0):], ops.bStride)
 		}
 		for rest := runs; len(rest) > 0; {
 			// rest[:span] is one row's runs, or four rows' when they
-			// repeat; those four go to the tile unless a pivot is ±0.
+			// repeat; those four go to the tile unless a pivot is ±0 or
+			// their A rows are not side by side.
 			m := rowRuns(rest)
 			span, i := m, rest[0].Row
 			if tile != nil && repeatsBelow(rest, m) {
 				span = 4 * m
-				if !zeroPivot(a, i, k0, k1) {
+				if ai := ops.aSlot(i); ai >= 0 && ops.aSlot(i+3) == ai+3 && !zeroPivot(ops.a[ai*n:], n, k0, k1) {
 					for _, r := range rest[:m] {
-						j := tile(c[(i-c0)*n:], a.data[i*n+k0:], bp, n, k1-k0, r.J0, r.J1)
+						j := r.J0
+						if r.J0 < r.J1 {
+							j += tile(c[(i-c0)*n+r.J0:], ops.a[ai*n+k0:], bp[ops.bSlot(r.J0):], n, ops.bStride, k1-k0, r.J1-r.J0)
+						}
 						tiled += 4 * (j - r.J0) * (k1 - k0)
 						for d := range 4 {
 							one(Run{Row: i + d, J0: j, J1: r.J1})
@@ -146,12 +198,12 @@ func repeatsBelow(runs []Run, m int) bool {
 	return true
 }
 
-// zeroPivot reports whether A holds a ±0 in rows [i, i+4) at pivots
-// [k0, k1): the prescan that sends a tile's rows to the one-row kernel,
-// which skips such pivots as MulKIJ does.
-func zeroPivot(a *Dense, i, k0, k1 int) bool {
-	for r := i; r < i+4; r++ {
-		for _, v := range a.data[r*a.n+k0 : r*a.n+k1] {
+// zeroPivot reports whether a, four A rows at stride n, holds a ±0 at
+// pivots [k0, k1): the prescan that sends a tile's rows to the one-row
+// kernel, which skips such pivots as MulKIJ does.
+func zeroPivot(a []float64, n, k0, k1 int) bool {
+	for r := 0; r < 4; r++ {
+		for _, v := range a[r*n+k0 : r*n+k1] {
 			if v == 0 {
 				return true
 			}
@@ -160,22 +212,23 @@ func zeroPivot(a *Dense, i, k0, k1 int) bool {
 	return false
 }
 
-// mulRun adds Σ_t arow[t]·bp[t·n + j] to crow[j] for j in [j0, j1): arow
-// is A's row cut to one pivot chunk and bp starts at the chunk's first
-// row of B. The vector kernel takes the run's full 4-column groups where
-// there is one; the portable kernel takes the rest.
-func mulRun(crow, arow, bp []float64, n, j0, j1 int) {
-	j0 = mulRunVector(crow, arow, bp, n, j0, j1)
-	mulRunGo(crow, arow, bp, n, j0, j1)
+// mulRun adds Σ_t arow[t]·bp[t·stride + x] to crow[x] for every x in
+// crow: crow is one run of C, arow is A's row cut to one pivot chunk and
+// bp starts at the run's first column in the chunk's first row of B. The
+// vector kernel takes the run's full 4-column groups where there is one;
+// the portable kernel takes the rest.
+func mulRun(crow, arow, bp []float64, stride int) {
+	j := mulRunVector(crow, arow, bp, stride)
+	mulRunGo(crow[j:], arow, bp[j:], stride)
 }
 
 // mulRunGo is mulRun in portable Go, the only kernel off amd64 and on
 // CPUs without AVX. Full 8-column segments accumulate in registers; the
-// last j1−j0 mod 8 columns update C in place with MulKIJ's own
+// last len(crow) mod 8 columns update C in place with MulKIJ's own
 // statement, so they compile to MulKIJ's operand order and the columns
 // the vector kernel leaves keep MulKIJ's NaN payloads too.
-func mulRunGo(crow, arow, bp []float64, n, j0, j1 int) {
-	j := j0
+func mulRunGo(crow, arow, bp []float64, stride int) {
+	j, j1 := 0, len(crow)
 	for ; j+8 <= j1; j += 8 {
 		cs := crow[j : j+8 : j+8]
 		c0, c1, c2, c3 := cs[0], cs[1], cs[2], cs[3]
@@ -193,7 +246,7 @@ func mulRunGo(crow, arow, bp []float64, n, j0, j1 int) {
 				c6 += aik * bs[6]
 				c7 += aik * bs[7]
 			}
-			off += n
+			off += stride
 		}
 		cs[0], cs[1], cs[2], cs[3] = c0, c1, c2, c3
 		cs[4], cs[5], cs[6], cs[7] = c4, c5, c6, c7
@@ -206,7 +259,7 @@ func mulRunGo(crow, arow, bp []float64, n, j0, j1 int) {
 		if aik == 0 {
 			continue
 		}
-		brow := bp[t*n+j : t*n+j1]
+		brow := bp[t*stride+j : t*stride+j1]
 		for x := range tail {
 			tail[x] += aik * brow[x]
 		}

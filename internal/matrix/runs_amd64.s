@@ -117,10 +117,10 @@ done:
 	VZEROUPPER
 	RET
 
-// func mulTileAVX(c, a, b *float64, k, stride, w int)
+// func mulTileAVX(c, a, b *float64, k, stride, bstride, w int)
 //
 // For rows r in [0, 4), j in [0, w), w a positive multiple of 8, and
-// k > 0: c[r·stride + j] += Σ_{t<k} a[r·stride + t]·b[t·stride + j], one
+// k > 0: c[r·stride + j] += Σ_{t<k} a[r·stride + t]·b[t·bstride + j], one
 // pivot at a time in ascending t. It skips no pivot: the caller has
 // checked that no a[r·stride + t] is ±0. Each 8-column group keeps its
 // 4×8 cells in eight YMM accumulators (Y0–Y7, two per row) across all k
@@ -128,7 +128,7 @@ done:
 // for all four rows, and for each row broadcasts a[r·stride + t] (Y10)
 // and does VMULPD, then VADDPD, with the scalar kernel's operand order:
 // B is the multiply's first source and the product the add's.
-TEXT ·mulTileAVX(SB), NOSPLIT, $0-48
+TEXT ·mulTileAVX(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
@@ -136,7 +136,9 @@ TEXT ·mulTileAVX(SB), NOSPLIT, $0-48
 	MOVQ stride+32(FP), R9
 	SHLQ $3, R9
 	LEAQ (R9)(R9*2), R8
-	MOVQ w+40(FP), BX
+	MOVQ bstride+40(FP), R13
+	SHLQ $3, R13
+	MOVQ w+48(FP), BX
 
 group8:
 	VMOVUPD (DI), Y0
@@ -175,7 +177,7 @@ pivot8:
 	VADDPD       Y6, Y11, Y6
 	VADDPD       Y7, Y12, Y7
 	ADDQ         $8, R10
-	ADDQ         R9, R11
+	ADDQ         R13, R11
 	DECQ         R12
 	JNZ          pivot8
 	VMOVUPD      Y0, (DI)

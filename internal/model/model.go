@@ -153,20 +153,23 @@ type Traffic struct {
 	Relay VolumeTable
 }
 
-// Transfers splits algorithm a's communication on partition snap by
-// sender. Star (Section X) routes R↔S traffic through P. The relay volume
-// is min(d_R, d_S) (StarRelayVolume), the only relay rule, and it enters
-// where the paper's single-link models put it: SCB, SCO and PIO add it to
-// P's sends, which share one serial stream with R's and S's; PCB adds it
-// to R's and S's own sends; and PCO pays it as one extra message after
-// the parallel phase. The relay rides the P→S link, because P forwards
-// it; with equal links that is the single message of the seed model.
-func Transfers(a Algorithm, m *Machine, snap *partition.Metrics) (t Traffic) {
+// Transfers fills t, which must be zero, with algorithm a's
+// communication on partition snap, split by sender; filling the
+// caller's Traffic, not returning one, spares every evaluation a copy of
+// the table. Star (Section X) routes R↔S traffic through P. The relay
+// volume is min(d_R, d_S) (StarRelayVolume), the only relay rule, and it
+// enters where the paper's single-link models put it: SCB, SCO and PIO
+// add it to P's sends, which share one serial stream with R's and S's;
+// PCB adds it to R's and S's own sends; and PCO pays it as one extra
+// message after the parallel phase. The relay rides the P→S link,
+// because P forwards it; with equal links that is the single message of
+// the seed model.
+func Transfers(a Algorithm, m *Machine, snap *partition.Metrics, t *Traffic) {
 	for p := range t.Sends {
 		t.Sends[p][p] = snap.PairSends[p] // row p of p's own table
 	}
 	if m.Topology.kind != kindStar {
-		return t
+		return
 	}
 	relay := StarRelayVolume(snap)
 	switch a {
@@ -178,7 +181,6 @@ func Transfers(a Algorithm, m *Machine, snap *partition.Metrics) (t Traffic) {
 	case PCO:
 		t.Relay[partition.P][partition.S] = relay
 	}
-	return t
 }
 
 // Evaluate models the execution time of algorithm a on partition metrics
@@ -197,7 +199,8 @@ func Transfers(a Algorithm, m *Machine, snap *partition.Metrics) (t Traffic) {
 //     messages where the others send one large one, the latency
 //     sensitivity the paper's conclusion names as future work.
 func Evaluate(a Algorithm, m Machine, snap partition.Metrics) Breakdown {
-	t := Transfers(a, &m, &snap)
+	var t Traffic
+	Transfers(a, &m, &snap, &t)
 	// serial is every sender's traffic as one stream of steps rounds.
 	serial := func(steps int) float64 {
 		var all VolumeTable

@@ -298,7 +298,9 @@ func TestCommVolumeStarAddsRelay(t *testing.T) {
 	star := full
 	star.Topology = Star
 	for _, a := range AllAlgorithms {
-		f, s := Transfers(a, &full, &snap), Transfers(a, &star, &snap)
+		var f, s Traffic
+		Transfers(a, &full, &snap, &f)
+		Transfers(a, &star, &snap, &s)
 		if f.Relay != (VolumeTable{}) {
 			t.Errorf("%v: fully connected relay %v, want none", a, f.Relay)
 		}

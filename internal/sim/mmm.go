@@ -87,7 +87,8 @@ func schedule(e *Engine, a model.Algorithm, m model.Machine, g *partition.Grid, 
 // computes. A stage of pivots pivot steps sends pivots × Price(table, N)
 // per sender, the model's per-step stream.
 func build(e *Engine, a model.Algorithm, m model.Machine, snap partition.Metrics, fp *FaultPlan) []*Task {
-	tr := model.Transfers(a, &m, &snap)
+	var tr model.Traffic
+	model.Transfers(a, &m, &snap, &tr)
 	var link, cpu [partition.NumProcs]*Resource
 	bus := &Resource{Name: "bus"}
 	for _, p := range partition.Procs {
