@@ -294,48 +294,67 @@ func (e *engine) exchange() <-chan struct{} {
 // widen returns v holding also the patch's A rows and B columns, every
 // line still in line order: the worker's views after a recovery,
 // speculation or re-lease patch. Lines v already holds keep their
-// values.
+// values, and a side the patch adds no line to is kept as it is.
 func (v view) widen(n int, t *blockTask) view {
-	w := view{aRow: make([]int32, n), bCol: make([]int32, n)}
-	for l := 0; l < n; l++ {
-		w.aRow[l], w.bCol[l] = min(v.aRow[l], 0), min(v.bCol[l], 0)
-	}
-	for _, i := range t.patchRows {
-		w.aRow[i] = 0
-	}
-	for _, j := range t.patchCols {
-		w.bCol[j] = 0
-	}
-	for l := 0; l < n; l++ {
-		if w.aRow[l] == 0 {
-			w.aRow[l], w.rows = int32(w.rows), w.rows+1
-		}
-		if w.bCol[l] == 0 {
-			w.bCol[l], w.cols = int32(w.cols), w.cols+1
-		}
-	}
-	w.a, w.b = make([]float64, w.rows*n), make([]float64, n*w.cols)
-	for i, s := range v.aRow {
-		if s >= 0 {
-			copy(w.a[int(w.aRow[i])*n:], v.a[int(s)*n:int(s+1)*n])
-		}
-	}
-	for x, i := range t.patchRows {
-		copy(w.a[int(w.aRow[i])*n:], t.patchA[x*n:(x+1)*n])
-	}
-	for k := 0; k < n; k++ {
-		for j, s := range v.bCol {
+	w := v
+	if len(t.patchRows) > 0 {
+		w.aRow, w.rows = addLines(v.aRow, t.patchRows)
+		w.a = make([]float64, w.rows*n)
+		for i, s := range v.aRow {
 			if s >= 0 {
-				w.b[k*w.cols+int(w.bCol[j])] = v.b[k*v.cols+int(s)]
+				copy(w.a[int(w.aRow[i])*n:], v.a[int(s)*n:int(s+1)*n])
+			}
+		}
+		for x, i := range t.patchRows {
+			copy(w.a[int(w.aRow[i])*n:], t.patchA[x*n:(x+1)*n])
+		}
+	}
+	if len(t.patchCols) > 0 {
+		w.bCol, w.cols = addLines(v.bCol, t.patchCols)
+		w.b = make([]float64, n*w.cols)
+		// A run of columns v holds sits side by side in both layouts, so B
+		// moves run by run.
+		for j0 := 0; j0 < n; {
+			if v.bCol[j0] < 0 {
+				j0++
+				continue
+			}
+			j := j0 + 1
+			for j < n && v.bCol[j] >= 0 {
+				j++
+			}
+			from, to := int(v.bCol[j0]), int(w.bCol[j0])
+			for k := 0; k < n; k++ {
+				copy(w.b[k*w.cols+to:][:j-j0], v.b[k*v.cols+from:])
+			}
+			j0 = j
+		}
+		for x, j := range t.patchCols {
+			for k, val := range t.patchB[x*n : (x+1)*n] {
+				w.b[k*w.cols+int(w.bCol[j])] = val
 			}
 		}
 	}
-	for x, j := range t.patchCols {
-		for k, val := range t.patchB[x*n : (x+1)*n] {
-			w.b[k*w.cols+int(w.bCol[j])] = val
+	return w
+}
+
+// addLines returns the slots of the lines that slot holds and the lines
+// in add, numbered in line order, and how many lines that is.
+func addLines(slot, add []int32) ([]int32, int) {
+	out := make([]int32, len(slot))
+	for l, s := range slot {
+		out[l] = min(s, 0)
+	}
+	for _, l := range add {
+		out[l] = 0
+	}
+	held := 0
+	for l := range out {
+		if out[l] == 0 {
+			out[l], held = int32(held), held+1
 		}
 	}
-	return w
+	return out, held
 }
 
 // sumVolume sets TotalVolume to the sum of the pair volumes.
