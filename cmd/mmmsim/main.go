@@ -183,10 +183,6 @@ func main() {
 		fmt.Printf("exec:  lost %v, %d survivors, recoveries %v, redistributed %d elements (from-scratch need %d), recovery latency %v\n",
 			stats.Lost, stats.Survivors(), stats.RecoveryKinds, stats.RecoveryVolume, stats.RemainderNeed, stats.RecoveryLatency)
 	}
-	if stats.Speculations > 0 {
-		fmt.Printf("exec:  speculated %d straggling blocks, discarded %d duplicate results\n",
-			stats.Speculations, stats.BlocksDiscarded)
-	}
 	if *verify {
 		fmt.Printf("exec:  integrity: %d bands checked, %d cells corrected, %d blocks recomputed (injected %d)\n",
 			stats.IntegrityChecks, stats.CorruptionsCorrected, stats.BlocksRecomputed, stats.InjectedCorruptions)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,31 +28,28 @@ const (
 	defaultLease     = 250 * time.Millisecond
 )
 
-// blockTask is one schedulable unit: a set of C cells (one partition
-// owner's cells in one band of BlockSize rows, across the full width)
-// plus any A/B fragments the assignee must receive before it can compute
-// them (recovery and speculation patches). Tasks created by recovery
-// keep fresh ids; a speculative re-execution reuses the original id,
-// which is what the commit-side dedup keys on.
+// blockTask is one schedulable unit: a set of C cells (one owner's
+// cells in one band of BlockSize rows, across the full width) plus any
+// A/B lines the assignee must receive before it can compute them
+// (re-plan and re-lease patches). Every task has an id of its own.
 type blockTask struct {
 	id    int
 	owner partition.Proc
-	cells []int32 // row-major C indices, ascending
-	// runs are the cells as the initial cut made them, row runs in cell
-	// order; nil for tasks cut elsewhere, whose runs computeBlock builds.
+	// runs are the task's cells as maximal row runs, in row-major order,
+	// all inside one band: the only description of a task's region.
 	runs []matrix.Run
 	// patch*: whole A rows and B columns delivered with the task, n
 	// values each (a B column top to bottom). The assignee adds them to
 	// its views before computing; the supervisor never touches worker
-	// memory directly.
+	// memory directly. A re-plan attaches all of a survivor's missing
+	// lines to its first task.
 	patchRows, patchCols []int32
 	patchA, patchB       []float64
-	speculative          bool
 	// local marks an SCO/PCO overlap task: its owner holds every A row
 	// and B column it needs, so it runs without waiting on the exchange.
 	// Only the initial cut makes local tasks.
 	local bool
-	// prior holds the discarded values (per cells) when this task is an
+	// prior holds the discarded values (per cell) when this task is an
 	// integrity re-lease of a block withdrawn at band verification, and
 	// priorFrom the worker that computed them. Honest blocks recompute
 	// bit-identically, so a differing recompute convicts priorFrom of
@@ -66,15 +64,17 @@ type blockTask struct {
 type blockResult struct {
 	task     *blockTask
 	from     partition.Proc
-	vals     []float64 // per task.cells
+	vals     []float64 // per cell of task.runs, in order
 	injected bool
 }
 
-// activeBlock tracks a dispatched, unfinished block.
-type activeBlock struct {
-	task       *blockTask
-	start      time.Time
-	speculated bool
+// runCells returns how many cells runs hold.
+func runCells(runs []matrix.Run) int {
+	c := 0
+	for _, r := range runs {
+		c += r.J1 - r.J0
+	}
+	return c
 }
 
 // execMetrics is the engine's optional instrumentation surface.
@@ -92,9 +92,9 @@ func newExecMetrics(reg *metrics.Registry) *execMetrics {
 	}
 	return &execMetrics{
 		blocks: reg.NewCounterVec("exec_blocks_total",
-			"Block tasks by terminal state (done, resumed, reassigned, speculated, discarded, rejected).", "state"),
+			"Block tasks by terminal state (done, reassigned, discarded, rejected).", "state"),
 		recoveries: reg.NewCounterVec("exec_recoveries_total",
-			"Recovery events by kind (replan-2proc, replan-serial, speculate).", "kind"),
+			"Recovery events by kind (replan-2proc, replan-serial).", "kind"),
 		recLatency: reg.Histogram("exec_recovery_latency_seconds",
 			"Stall from a lost worker's last heartbeat to its work being re-planned.",
 			[]float64{.01, .025, .05, .1, .25, .5, 1, 2.5}),
@@ -162,7 +162,7 @@ type engine struct {
 	panel int
 	ready [partition.NumProcs][]chan struct{}
 	// holds is the supervisor's record of which A rows and B columns each
-	// worker holds, built on first use by have: recovery and speculation
+	// worker holds, built on first use by have: re-plans and re-leases
 	// patch only the lines that are missing.
 	holds [partition.NumProcs]*lineSet
 
@@ -171,11 +171,10 @@ type engine struct {
 	totalCells int
 
 	pending   map[partition.Proc][]*blockTask
-	active    map[partition.Proc]*activeBlock
+	active    map[partition.Proc]*blockTask // each worker's dispatched, unreported task
 	waiting   map[partition.Proc]bool
 	alive     map[partition.Proc]bool
 	byzantine map[partition.Proc]bool
-	committed map[int]bool
 	nextID    int
 
 	integ *integrity // nil unless cfg.Verify
@@ -192,8 +191,8 @@ type engine struct {
 
 	ckpt *journal.Writer
 
-	hb, lease, straggle time.Duration
-	em                  *execMetrics
+	hb, lease time.Duration
+	em        *execMetrics
 }
 
 func newEngine(ctx context.Context, cfg Config, g *partition.Grid, a, b *matrix.Dense) (*engine, error) {
@@ -210,17 +209,15 @@ func newEngine(ctx context.Context, cfg Config, g *partition.Grid, a, b *matrix.
 		doneMask:   make([]bool, n*n),
 		totalCells: n * n,
 		pending:    make(map[partition.Proc][]*blockTask, partition.NumProcs),
-		active:     make(map[partition.Proc]*activeBlock, partition.NumProcs),
+		active:     make(map[partition.Proc]*blockTask, partition.NumProcs),
 		waiting:    make(map[partition.Proc]bool, partition.NumProcs),
 		alive:      make(map[partition.Proc]bool, partition.NumProcs),
 		byzantine:  make(map[partition.Proc]bool, partition.NumProcs),
-		committed:  make(map[int]bool),
 		reqCh:      make(chan partition.Proc),
 		resCh:      make(chan blockResult, 2*partition.NumProcs),
 		assign:     make(map[partition.Proc]chan *blockTask, partition.NumProcs),
 		hb:         cfg.HeartbeatEvery,
 		lease:      cfg.LeaseTimeout,
-		straggle:   cfg.StraggleAfter,
 		em:         newExecMetrics(cfg.Metrics),
 	}
 	if e.hb <= 0 {
@@ -293,8 +290,9 @@ func (e *engine) run() (*matrix.Dense, *Stats, error) {
 	return e.c, e.stats, nil
 }
 
-// lineSet is which A rows and B columns a worker holds once its
-// exchange and the patches handed to it have landed.
+// lineSet is a set of A rows and B columns: those a worker holds once
+// its exchange and the patches handed to it have landed, or those a
+// re-plan's cells span.
 type lineSet struct{ rows, cols []bool }
 
 // have returns worker v's line set, building it from the plan on first
@@ -312,52 +310,56 @@ func (e *engine) have(v partition.Proc) *lineSet {
 	return e.holds[v]
 }
 
-// buildInitialTasks cuts the not-yet-done region (everything, unless a
-// checkpoint was resumed) into (band, owner) block tasks, as bandTasks
-// would cut it, walking the plan's owner runs instead of the cells.
-// Under SCO and PCO each (band, owner) group is cut in two, its local
-// cells — those whose owner holds their whole A row and B column — and
-// the rest, and every worker's queue starts with its local tasks: that
-// is the bulk overlap, computing what needs no exchanged data while the
-// exchange is in flight. Each task keeps the runs it was cut from.
+// buildInitialTasks queues the not-yet-done region (everything, unless a
+// checkpoint was resumed): the plan's owner runs, less the done cells,
+// through the cutter, local tasks first under SCO and PCO.
 func (e *engine) buildInitialTasks() {
-	x, n, np := e.plan, e.n, partition.NumProcs
-	overlap := e.cfg.Algorithm == model.SCO || e.cfg.Algorithm == model.PCO
-	resumed := e.doneCells > 0
-	cells := make([]int32, 0, e.totalCells-e.doneCells)
-	var runs []matrix.Run
-	// add puts the undone cells of row i, columns [j0, j1), into the task
-	// being cut: one run, unless a resumed checkpoint finished some.
-	add := func(i, j0, j1 int) {
-		for j := j0; j < j1; {
-			if resumed && e.doneMask[i*n+j] {
-				j++
-				continue
-			}
-			lo := j
-			j = j1
-			if resumed {
-				for j = lo; j < j1 && !e.doneMask[i*n+j]; j++ {
-				}
-			}
-			runs = append(runs, matrix.Run{Row: i, J0: lo, J1: j})
-			at := len(cells)
-			cells = cells[:at+j-lo]
-			for c := range cells[at:] {
-				cells[at+c] = int32(i*n + lo + c)
-			}
-		}
+	var skip []bool
+	if e.doneCells > 0 {
+		skip = e.doneMask
 	}
-	// cut returns owner p's task of rows [r0, r1): its local cells, or
-	// the rest; nil if it has none.
-	cut := func(r0, r1 int, p partition.Proc, local bool) *blockTask {
-		c0, q0 := len(cells), len(runs)
-		for i := r0; i < r1; i++ {
-			var full []span // the columns of row i whose cells are local
-			if overlap && x.rowCnt[i*np+int(p)] == int32(n) {
-				full = x.full[p]
+	overlap := e.cfg.Algorithm == model.SCO || e.cfg.Algorithm == model.PCO
+	for _, t := range e.cut(e.plan.ownerRuns, skip, overlap) {
+		e.pending[t.owner] = append(e.pending[t.owner], t)
+		e.stats.Blocks++
+	}
+}
+
+// cut is the one cutter of block tasks, for the initial cut and every
+// re-plan. It cuts the cells of the owner runs o that skip does not mark
+// (every cell, if skip is nil) into (band, owner) tasks with fresh ids,
+// returned in queue order: one task per owner per band of BlockSize
+// rows, bands in order and R, S, P within a band. With overlap (SCO and
+// PCO) each (band, owner) group is cut in two, its local cells — those
+// whose owner holds their whole A row and B column — and the rest, and
+// every local task comes first: that is the bulk overlap, computing what
+// needs no exchanged data while the exchange is in flight. Which cells
+// are local is read from the plan's lines, so only the plan's own runs
+// are cut with overlap.
+func (e *engine) cut(o ownerRuns, skip []bool, overlap bool) []*blockTask {
+	n := e.n
+	runs := make([]matrix.Run, 0, len(o.runs))
+	// add appends the unskipped cells of row i, columns [j0, j1), as runs.
+	add := func(i, j0, j1 int) {
+		if skip == nil {
+			if j0 < j1 {
+				runs = append(runs, matrix.Run{Row: i, J0: j0, J1: j1})
 			}
-			for _, r := range x.row(i) {
+			return
+		}
+		runs = appendUnmarked(runs, skip[i*n:(i+1)*n], i, j0, j1)
+	}
+	// group returns owner p's task of rows [r0, r1): its local cells, or
+	// the rest; nil if it has none.
+	group := func(r0, r1 int, p partition.Proc, local bool) *blockTask {
+		q0 := len(runs)
+		for i := r0; i < r1; i++ {
+			row := o.row(i)
+			var full []span // the columns of row i whose cells are local
+			if overlap && len(row) == 1 && row[0].p == p {
+				full = e.plan.full[p]
+			}
+			for _, r := range row {
 				if r.p != p {
 					continue
 				}
@@ -379,39 +381,56 @@ func (e *engine) buildInitialTasks() {
 				}
 			}
 		}
-		if len(cells) == c0 {
+		if len(runs) == q0 {
 			return nil
 		}
-		return &blockTask{owner: p, cells: cells[c0:len(cells):len(cells)], runs: runs[q0:len(runs):len(runs)], local: local}
+		return &blockTask{owner: p, runs: runs[q0:len(runs):len(runs)], local: local}
 	}
 	var local, gated []*blockTask
 	for r0 := 0; r0 < n; r0 += e.cfg.BlockSize {
 		r1 := min(r0+e.cfg.BlockSize, n)
 		for _, p := range partition.Procs {
 			if overlap {
-				if t := cut(r0, r1, p, true); t != nil {
+				if t := group(r0, r1, p, true); t != nil {
 					local = append(local, t)
 				}
 			}
-			if t := cut(r0, r1, p, false); t != nil {
+			if t := group(r0, r1, p, false); t != nil {
 				gated = append(gated, t)
 			}
 		}
 	}
-	for _, t := range append(local, gated...) {
+	tasks := append(local, gated...)
+	for _, t := range tasks {
 		t.id = e.nextID
 		e.nextID++
-		e.pending[t.owner] = append(e.pending[t.owner], t)
-		e.stats.Blocks++
 	}
+	return tasks
+}
+
+// appendUnmarked appends the columns [j0, j1) of row i that row, the
+// row's mask, leaves unmarked, as maximal runs.
+func appendUnmarked(runs []matrix.Run, row []bool, i, j0, j1 int) []matrix.Run {
+	for j := j0; j < j1; {
+		if row[j] {
+			j++
+			continue
+		}
+		lo := j
+		for j < j1 && !row[j] {
+			j++
+		}
+		runs = append(runs, matrix.Run{Row: i, J0: lo, J1: j})
+	}
+	return runs
 }
 
 // supervise runs the compute phase: workers pull blocks, the supervisor
-// commits results, checkpoints them, and watches leases for losses and
-// stragglers. A worker asks for work once; after that each result it
-// reports is its request for the next block, which the supervisor hands
-// out before it commits and verifies the result, so that supervision
-// overlaps the worker's next computation.
+// commits results, checkpoints them, and watches leases for losses. A
+// worker asks for work once; after that each result it reports is its
+// request for the next block, which the supervisor hands out before it
+// commits and verifies the result, so that supervision overlaps the
+// worker's next computation.
 func (e *engine) supervise() error {
 	defer e.cancel()
 
@@ -422,7 +441,7 @@ func (e *engine) supervise() error {
 	for _, p := range partition.Procs {
 		flops := int64(0)
 		for _, t := range e.pending[p] {
-			flops += int64(len(t.cells)) * int64(e.n)
+			flops += int64(runCells(t.runs)) * int64(e.n)
 		}
 		e.wg.Add(1)
 		go e.workerLoop(p, flops)
@@ -441,7 +460,7 @@ func (e *engine) supervise() error {
 		case w := <-e.reqCh:
 			e.handleRequest(w)
 		case r := <-e.resCh:
-			if ab := e.active[r.from]; ab != nil && ab.task.id == r.task.id {
+			if e.active[r.from] == r.task {
 				e.active[r.from] = nil
 			}
 			e.handleRequest(r.from)
@@ -456,7 +475,7 @@ func (e *engine) supervise() error {
 	}
 	// Drain results that raced the finish so the stats see every
 	// delivered corruption (a quarantined worker's rejected result, a
-	// speculation loser) before the run reports.
+	// late result of a worker declared lost) before the run reports.
 	for {
 		select {
 		case r := <-e.resCh:
@@ -507,9 +526,9 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 		lim = throttle.MustNew(baseRate * e.cfg.Machine.Ratio.Speed(w) / slow)
 	}
 
-	// Every task lies inside one band of BlockSize rows (bandTasks cuts
-	// them so, and re-leases and speculation reuse a task's cells), so
-	// the worker's own C is one band.
+	// Every task lies inside one band of BlockSize rows (the cutter cuts
+	// them so, and a re-lease keeps cells of one band), so the worker's
+	// own C is one band.
 	scratch := make([]float64, e.cfg.BlockSize*e.n)
 	var done int64
 	e.beat(w)
@@ -553,7 +572,7 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 				injected = true
 			}
 		}
-		done += int64(len(t.cells)) * int64(e.n)
+		done += int64(runCells(t.runs)) * int64(e.n)
 		blocks++
 		select {
 		case <-e.runCtx.Done():
@@ -572,9 +591,9 @@ func (e *engine) workerLoop(w partition.Proc, initFlops int64) {
 // k1; the gate, and which tasks skip it, is the only difference between
 // the five algorithms' schedules.
 // scratch is the worker's own C for the task's band of BlockSize rows;
-// the block's cells are zeroed first, because a worker can be handed
-// cells it computed before (an integrity re-lease on a sole survivor, a
-// re-planned speculation). It returns false, without the values, once
+// the block's cells are zeroed first, because the worker reuses it from
+// band to band and can be handed cells it computed before (an integrity
+// re-lease on a sole survivor). It returns false, without the values, once
 // the flops computed in the block reach fireIn (the worker's kill or
 // hang fate has fired) or the run is cancelled at the gate.
 func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limiter, scratch []float64, fireIn float64) ([]float64, bool) {
@@ -587,12 +606,8 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 		}
 		e.views[w] = e.views[w].widen(n, t)
 	}
-	v := e.views[w]
-	row0 := int(t.cells[0]) / n / e.cfg.BlockSize * e.cfg.BlockSize
-	runs := t.runs
-	if runs == nil {
-		runs = matrix.CellRuns(t.cells, n)
-	}
+	v, runs := e.views[w], t.runs
+	row0 := runs[0].Row / e.cfg.BlockSize * e.cfg.BlockSize
 	// band returns run r's cells in scratch.
 	band := func(r matrix.Run) []float64 {
 		return scratch[(r.Row-row0)*n+r.J0 : (r.Row-row0)*n+r.J1]
@@ -600,7 +615,7 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 	for _, r := range runs {
 		clear(band(r))
 	}
-	cells := int64(len(t.cells))
+	cells := int64(runCells(t.runs))
 	for k0 := 0; k0 < n; k0 += matrix.PivotChunk {
 		k1 := min(k0+matrix.PivotChunk, n)
 		if !t.local && !e.await(w, k1) {
@@ -615,7 +630,7 @@ func (e *engine) computeBlock(w partition.Proc, t *blockTask, lim *throttle.Limi
 			e.pacedAcquire(w, lim, cells*int64(k1-k0))
 		}
 	}
-	vals := make([]float64, 0, len(t.cells))
+	vals := make([]float64, 0, cells)
 	for _, r := range runs {
 		vals = append(vals, band(r)...)
 	}
@@ -674,12 +689,12 @@ func (e *engine) lastBeat(w partition.Proc) time.Time {
 }
 
 // handleRequest dispatches the worker's next pending block, or parks it
-// as idle until recovery or speculation produces more work.
+// as idle until a re-plan or a re-lease produces more work.
 func (e *engine) handleRequest(w partition.Proc) {
 	if q := e.pending[w]; len(q) > 0 {
 		t := q[0]
 		e.pending[w] = q[1:]
-		e.active[w] = &activeBlock{task: t, start: time.Now()}
+		e.active[w] = t
 		// The lease clock starts at assignment: a worker that idled while
 		// it had no work (not beating, blocked on the assign channel) must
 		// not be declared dead the instant recovery hands it a block.
@@ -700,11 +715,12 @@ func (e *engine) dispatchWaiting() {
 	}
 }
 
-// commit applies a block result: first result per block id wins, later
-// ones (speculation losers) are discarded so neither C nor the stats
-// double-count. Results from a quarantined (Byzantine) worker are
-// rejected outright — its in-flight block may be corrupt and its cells
-// were already re-planned.
+// commit applies a block result. Results from a quarantined (Byzantine)
+// worker are rejected outright — its in-flight block may be corrupt and
+// its cells were already re-planned. Cells already in C are skipped: a
+// worker declared lost that reports after all had its block re-planned,
+// so one of the two results finds its cells committed, and a result with
+// none fresh is discarded, so neither C nor the stats count it twice.
 func (e *engine) commit(r blockResult) error {
 	if e.byzantine[r.from] {
 		e.stats.ByzantineRejected++
@@ -714,36 +730,23 @@ func (e *engine) commit(r blockResult) error {
 		e.em.block("rejected", 1)
 		return nil
 	}
-	if e.committed[r.task.id] {
-		e.stats.BlocksDiscarded++
-		e.em.block("discarded", 1)
-		return nil
+	n, runs := e.n, r.task.runs
+	var fresh []matrix.Run // for the verifier
+	if e.integ != nil {
+		fresh = e.undone(runs)
 	}
-	e.committed[r.task.id] = true
-	fresh := 0
-	var freshCells []int32 // for the verifier; nil while every cell is fresh
 	cd := e.c.Data()
-	for ci, idx := range r.task.cells {
-		if e.doneMask[idx] {
-			if freshCells == nil && e.integ != nil {
-				freshCells = append(make([]int32, 0, len(r.task.cells)), r.task.cells[:ci]...)
+	count, at := 0, 0
+	for _, run := range runs {
+		for idx := run.Row*n + run.J0; idx < run.Row*n+run.J1; idx, at = idx+1, at+1 {
+			if !e.doneMask[idx] {
+				e.doneMask[idx] = true
+				cd[idx] = r.vals[at]
+				count++
 			}
-			continue
-		}
-		e.doneMask[idx] = true
-		cd[idx] = r.vals[ci]
-		fresh++
-		if freshCells != nil {
-			freshCells = append(freshCells, idx)
 		}
 	}
-	if freshCells == nil {
-		freshCells = r.task.cells
-	}
-	if fresh == 0 {
-		// A re-planned duplicate of work that another path already
-		// finished (e.g. a speculated block whose loser was re-planned
-		// after a loss): dedup, don't double count.
+	if count == 0 {
 		e.stats.BlocksDiscarded++
 		e.em.block("discarded", 1)
 		return nil
@@ -751,26 +754,53 @@ func (e *engine) commit(r blockResult) error {
 	if r.injected {
 		e.stats.InjectedCorruptions++
 	}
-	e.doneCells += fresh
+	e.doneCells += count
 	e.stats.BlocksDone++
-	e.stats.Flops[r.from] += int64(len(r.task.cells)) * int64(e.n)
+	e.stats.Flops[r.from] += int64(len(r.vals)) * int64(n)
 	e.em.block("done", 1)
 	if e.integ != nil {
 		// Verification is band-grained; with a checkpoint configured the
 		// journal append is deferred until the block's band verifies.
-		return e.integ.blockCommitted(r, freshCells)
+		return e.integ.blockCommitted(r, fresh)
 	}
 	if e.ckpt != nil {
-		if err := e.ckpt.AppendPayload(newCkptRecord(r.task.id, r.task.cells, r.vals)); err != nil {
+		if err := e.ckpt.AppendPayload(newCkptRecord(r.task.id, runIndices(runs, n), r.vals)); err != nil {
 			return fmt.Errorf("exec: checkpoint: %w", err)
 		}
 	}
 	return nil
 }
 
+// undone returns the cells of runs that C does not hold yet, as runs:
+// runs itself while that is all of them.
+func (e *engine) undone(runs []matrix.Run) []matrix.Run {
+	n := e.n
+	for _, r := range runs {
+		if slices.Contains(e.doneMask[r.Row*n+r.J0:r.Row*n+r.J1], true) {
+			var out []matrix.Run
+			for _, r := range runs {
+				out = appendUnmarked(out, e.doneMask[r.Row*n:(r.Row+1)*n], r.Row, r.J0, r.J1)
+			}
+			return out
+		}
+	}
+	return runs
+}
+
+// runIndices returns the row-major indices of the cells of runs, in
+// order: a checkpoint record's cell list.
+func runIndices(runs []matrix.Run, n int) []int32 {
+	cells := make([]int32, 0, runCells(runs))
+	for _, r := range runs {
+		for j := r.J0; j < r.J1; j++ {
+			cells = append(cells, int32(r.Row*n+j))
+		}
+	}
+	return cells
+}
+
 // checkHealth is the lease scan: workers with outstanding work whose
-// heartbeat went stale are declared lost; active blocks that outlive the
-// straggle threshold (while their worker still beats) are speculated.
+// heartbeat went stale are declared lost.
 func (e *engine) checkHealth(now time.Time) error {
 	for _, w := range partition.Procs {
 		if !e.alive[w] {
@@ -782,12 +812,6 @@ func (e *engine) checkHealth(now time.Time) error {
 		if now.Sub(e.lastBeat(w)) > e.lease {
 			if err := e.declareLost(w, now); err != nil {
 				return err
-			}
-			continue
-		}
-		if e.straggle > 0 {
-			if ab := e.active[w]; ab != nil && !ab.speculated && now.Sub(ab.start) > e.straggle {
-				e.speculate(w, ab, now)
 			}
 		}
 	}
@@ -802,12 +826,13 @@ func (e *engine) declareLost(w partition.Proc, now time.Time) error {
 
 // evict removes worker w from the run — either fail-stop lost (lease
 // expiry) or declared Byzantine (mismatch budget exceeded) — and
-// re-plans: withdraw every unstarted block, re-plan the whole remaining
-// uncomputed region on the survivors (3→2 with the prior work's optimal
-// two-processor shapes, 2→1 serial), attach the A/B fragments each
-// survivor is missing, and let in-flight survivor blocks finish under
-// their leases. Idempotent: a worker already evicted (a quarantine
-// racing its own heartbeat expiry) is left alone.
+// re-plans: withdraw every unstarted block, cut the whole remaining
+// uncomputed region for the survivors (3→2 with the prior work's optimal
+// two-processor shapes, 2→1 serial), attach the A rows and B columns
+// each survivor is missing to its first new block, and let in-flight
+// survivor blocks finish under their leases. Idempotent: a worker
+// already evicted (a quarantine racing its own heartbeat expiry) is left
+// alone.
 func (e *engine) evict(w partition.Proc, now time.Time, byzantine bool) error {
 	if !e.alive[w] {
 		return nil
@@ -826,39 +851,32 @@ func (e *engine) evict(w partition.Proc, now time.Time, byzantine bool) error {
 		sp = e.tr("recovery " + w.String())
 	}
 
-	// The remaining uncomputed region: the lost worker's active block,
-	// plus every pending block of every worker. Blocks a live survivor
-	// is computing right now are left in place.
-	var remaining []int32
-	collect := func(t *blockTask) {
-		for _, idx := range t.cells {
-			if !e.doneMask[idx] {
-				remaining = append(remaining, idx)
-			}
-		}
-	}
-	if ab := e.active[w]; ab != nil {
-		collect(ab.task)
+	// The withdrawn work: the lost worker's active block, plus every
+	// pending block of every worker. Blocks a live survivor is computing
+	// right now are left in place.
+	var withdrawn []*blockTask
+	if t := e.active[w]; t != nil {
+		withdrawn = append(withdrawn, t)
 		e.active[w] = nil
 	}
 	for _, p := range partition.Procs {
 		for _, t := range e.pending[p] {
-			collect(t)
 			// A withdrawn pending task never delivered its A/B patch: the
 			// lines it claimed must be released, or the replacement task
 			// would get no patch and its assignee would lack lines it
 			// computes with.
 			e.unpatch(t)
 		}
+		withdrawn = append(withdrawn, e.pending[p]...)
 		e.pending[p] = nil
 	}
-	sort.Slice(remaining, func(i, j int) bool { return remaining[i] < remaining[j] })
 
 	survivors := e.survivorsBySpeed()
 	if len(survivors) == 0 {
 		return fmt.Errorf("exec: all workers lost, %d of %d cells uncomputed", e.totalCells-e.doneCells, e.totalCells)
 	}
-	if len(remaining) == 0 {
+	skip, left := e.skipAllBut(withdrawn)
+	if left == 0 {
 		if sp != nil {
 			sp.SetDetail("nothing to re-plan")
 			sp.End()
@@ -866,43 +884,22 @@ func (e *engine) evict(w partition.Proc, now time.Time, byzantine bool) error {
 		return nil
 	}
 
-	// New ownership for the remaining region.
-	var kind string
-	var ownerOf func(idx int32) partition.Proc
-	switch len(survivors) {
-	case 1:
-		kind = "replan-serial"
-		solo := survivors[0]
-		ownerOf = func(int32) partition.Proc { return solo }
-	default:
-		kind = "replan-2proc"
-		fast, slowp := survivors[0], survivors[1]
-		speed := e.cfg.Machine.Ratio.Speed
-		r2, err := twoproc.NewRatio(speed(fast) / speed(slowp))
-		if err != nil {
-			return fmt.Errorf("exec: replan ratio: %w", err)
-		}
-		shape := twoproc.Optimal(e.cfg.Algorithm, r2)
-		tg, err := twoproc.Build(shape, e.n, r2)
-		if err != nil {
-			return fmt.Errorf("exec: replan shape %v: %w", shape, err)
-		}
-		ownerOf = func(idx int32) partition.Proc {
-			if tg.AtIndex(int(idx)) == partition.R {
-				return slowp
-			}
-			return fast
-		}
+	// Cut the withdrawn work under the new ownership; each survivor's
+	// first new task carries the lines all of its new tasks miss.
+	owners, kind, err := e.replanOwners(survivors)
+	if err != nil {
+		return err
 	}
-
-	// Cut the remaining cells into bands under the new ownership and
-	// attach the missing A/B fragments to each new block.
-	newTasks := e.bandTasks(remaining, ownerOf)
+	newTasks := e.cut(owners, skip, false)
 	for _, t := range newTasks {
-		e.buildPatch(t)
 		e.pending[t.owner] = append(e.pending[t.owner], t)
 	}
-	e.accountRemainderNeed(remaining, ownerOf)
+	for _, v := range survivors {
+		if q := e.pending[v]; len(q) > 0 {
+			e.buildPatch(q...)
+		}
+	}
+	e.accountRemainderNeed(newTasks)
 
 	e.stats.BlocksReassigned += len(newTasks)
 	e.stats.Recoveries++
@@ -924,35 +921,6 @@ func (e *engine) evict(w partition.Proc, now time.Time, byzantine bool) error {
 	return nil
 }
 
-// speculate re-executes a straggling block on the fastest idle survivor.
-// The copy keeps the original block id, so whichever result lands second
-// is discarded by commit's dedup.
-func (e *engine) speculate(w partition.Proc, ab *activeBlock, now time.Time) {
-	var target partition.Proc
-	found := false
-	for _, v := range e.survivorsBySpeed() {
-		if v != w && e.waiting[v] {
-			target, found = v, true
-			break
-		}
-	}
-	if !found {
-		return
-	}
-	t := ab.task
-	nt := &blockTask{id: t.id, owner: target, cells: t.cells, runs: t.runs, speculative: true}
-	e.buildPatch(nt)
-	ab.speculated = true
-	e.stats.Speculations++
-	e.stats.BlocksSpeculated++
-	e.em.block("speculated", 1)
-	e.em.recovery("speculate")
-	e.waiting[target] = false
-	e.active[target] = &activeBlock{task: nt, start: now}
-	e.beat(target) // lease restarts at assignment, as in handleRequest
-	e.assign[target] <- nt
-}
-
 // survivorsBySpeed returns the live workers, fastest first.
 func (e *engine) survivorsBySpeed() []partition.Proc {
 	var s []partition.Proc
@@ -966,66 +934,85 @@ func (e *engine) survivorsBySpeed() []partition.Proc {
 	return s
 }
 
-// bandTasks groups ascending cells into (band, owner) block tasks with
-// fresh ids: one task per owner per band of BlockSize rows, bands in
-// order and R, S, P within a band. Each band's end is found once and its
-// cells counted by owner, then placed into one array the tasks share.
-func (e *engine) bandTasks(cells []int32, ownerOf func(int32) partition.Proc) []*blockTask {
-	bandCells := int32(e.cfg.BlockSize * e.n)
-	var tasks []*blockTask
-	owners := make([]partition.Proc, len(cells))
-	grouped := make([]int32, len(cells))
-	for lo := 0; lo < len(cells); {
-		end := (cells[lo]/bandCells + 1) * bandCells
-		var count [partition.NumProcs]int
-		hi := lo
-		for ; hi < len(cells) && cells[hi] < end; hi++ {
-			owners[hi] = ownerOf(cells[hi])
-			count[owners[hi]]++
-		}
-		var next [partition.NumProcs]int // where each owner's next cell goes
-		at := lo
-		for _, p := range partition.Procs {
-			next[p] = at
-			at += count[p]
-		}
-		for x := lo; x < hi; x++ {
-			p := owners[x]
-			grouped[next[p]] = cells[x]
-			next[p]++
-		}
-		for _, p := range partition.Procs {
-			if count[p] > 0 {
-				group := grouped[next[p]-count[p] : next[p] : next[p]]
-				tasks = append(tasks, &blockTask{id: e.nextID, owner: p, cells: group})
-				e.nextID++
+// skipAllBut returns a re-plan's skip mask, which marks every cell but
+// the undone cells of the withdrawn tasks, and how many cells it leaves.
+func (e *engine) skipAllBut(withdrawn []*blockTask) ([]bool, int) {
+	skip := make([]bool, len(e.doneMask))
+	for i := range skip {
+		skip[i] = true
+	}
+	left := 0
+	for _, t := range withdrawn {
+		for _, r := range t.runs {
+			for idx := r.Row*e.n + r.J0; idx < r.Row*e.n+r.J1; idx++ {
+				if !e.doneMask[idx] {
+					skip[idx] = false
+					left++
+				}
 			}
 		}
-		lo = hi
 	}
-	return tasks
+	return skip, left
 }
 
-// buildPatch attaches to the task every A row and B column its assignee
-// needs for the task's cells but does not yet hold, whole, updating its
-// line set and the recovery-volume accounting. Lines the worker already
-// holds are never re-sent.
-func (e *engine) buildPatch(t *blockTask) {
-	n := e.n
+// replanOwners returns the owner runs that re-plan the withdrawn work on
+// the survivors, fastest first, and the re-plan's kind. Two survivors
+// take the prior work's optimal two-processor shape for their speed
+// ratio (internal/twoproc), the faster as its P and the slower as its R;
+// a sole survivor takes every cell.
+func (e *engine) replanOwners(survivors []partition.Proc) (ownerRuns, string, error) {
+	fast := survivors[0]
+	to := [partition.NumProcs]partition.Proc{fast, fast, fast}
+	var g *partition.Grid
+	kind := "replan-serial"
+	switch len(survivors) {
+	case 1:
+		g = partition.NewGrid(e.n) // all P
+	default:
+		kind = "replan-2proc"
+		slow := survivors[1]
+		speed := e.cfg.Machine.Ratio.Speed
+		r2, err := twoproc.NewRatio(speed(fast) / speed(slow))
+		if err != nil {
+			return ownerRuns{}, "", fmt.Errorf("exec: replan ratio: %w", err)
+		}
+		shape := twoproc.Optimal(e.cfg.Algorithm, r2)
+		if g, err = twoproc.Build(shape, e.n, r2); err != nil {
+			return ownerRuns{}, "", fmt.Errorf("exec: replan shape %v: %w", shape, err)
+		}
+		to[partition.R] = slow
+	}
+	o := newOwnerRuns(g)
+	for i := range o.runs {
+		o.runs[i].p = to[o.runs[i].p]
+	}
+	return o, kind, nil
+}
+
+// buildPatch attaches to the first of the tasks, one worker's queued in
+// that order, every A row and B column the worker needs for the tasks'
+// cells but does not yet hold, whole, updating its line set and the
+// recovery-volume accounting: the worker widens its views once, for all
+// of them. Lines the worker already holds are never re-sent.
+func (e *engine) buildPatch(tasks ...*blockTask) {
+	n, t := e.n, tasks[0]
 	h := e.have(t.owner)
 	ad, bd := e.a.Data(), e.b.Data()
-	for _, idx := range t.cells {
-		i, j := int(idx)/n, int(idx)%n
-		if !h.rows[i] {
-			h.rows[i] = true
-			t.patchRows = append(t.patchRows, int32(i))
-			t.patchA = append(t.patchA, ad[i*n:(i+1)*n]...)
-		}
-		if !h.cols[j] {
-			h.cols[j] = true
-			t.patchCols = append(t.patchCols, int32(j))
-			for k := 0; k < n; k++ {
-				t.patchB = append(t.patchB, bd[k*n+j])
+	for _, u := range tasks {
+		for _, r := range u.runs {
+			if i := r.Row; !h.rows[i] {
+				h.rows[i] = true
+				t.patchRows = append(t.patchRows, int32(i))
+				t.patchA = append(t.patchA, ad[i*n:(i+1)*n]...)
+			}
+			for j := r.J0; j < r.J1; j++ {
+				if !h.cols[j] {
+					h.cols[j] = true
+					t.patchCols = append(t.patchCols, int32(j))
+					for k := 0; k < n; k++ {
+						t.patchB = append(t.patchB, bd[k*n+j])
+					}
+				}
 			}
 		}
 	}
@@ -1048,32 +1035,34 @@ func (e *engine) unpatch(t *blockTask) {
 	e.stats.RecoveryVolume -= int64(len(t.patchA) + len(t.patchB))
 }
 
-// accountRemainderNeed computes what a from-scratch redistribution of
-// the re-planned remainder would move: for each survivor, the A-rows and
-// B-columns its newly assigned cells span, minus the cells of those
-// lines it owned in the original partition. This is the fault-free
-// volume of the re-planned remainder that the recovery study bounds
-// RecoveryVolume against.
-func (e *engine) accountRemainderNeed(cells []int32, ownerOf func(int32) partition.Proc) {
+// accountRemainderNeed adds what a from-scratch redistribution of a
+// re-plan's tasks would move: for each survivor, the A rows and B
+// columns its new cells span, less its own cells of those lines in the
+// original partition. This is the fault-free volume of the re-planned
+// remainder that the recovery study bounds RecoveryVolume against.
+func (e *engine) accountRemainderNeed(tasks []*blockTask) {
 	n := e.n
-	type lines struct{ rows, cols map[int]bool }
-	byOwner := make(map[partition.Proc]*lines)
-	for _, idx := range cells {
-		v := ownerOf(idx)
-		l := byOwner[v]
-		if l == nil {
-			l = &lines{rows: make(map[int]bool), cols: make(map[int]bool)}
-			byOwner[v] = l
+	var spans [partition.NumProcs]lineSet
+	for _, t := range tasks {
+		s := &spans[t.owner]
+		if s.rows == nil {
+			*s = lineSet{rows: make([]bool, n), cols: make([]bool, n)}
 		}
-		l.rows[int(idx)/n] = true
-		l.cols[int(idx)%n] = true
+		for _, r := range t.runs {
+			s.rows[r.Row] = true
+			for j := r.J0; j < r.J1; j++ {
+				s.cols[j] = true
+			}
+		}
 	}
-	for v, l := range byOwner {
-		for i := range l.rows {
-			e.stats.RemainderNeed += int64(n - e.g.RowCount(i, v))
-		}
-		for j := range l.cols {
-			e.stats.RemainderNeed += int64(n - e.g.ColCount(j, v))
+	for v, s := range spans {
+		for l := range s.rows {
+			if s.rows[l] {
+				e.stats.RemainderNeed += int64(n - e.g.RowCount(l, partition.Proc(v)))
+			}
+			if s.cols[l] {
+				e.stats.RemainderNeed += int64(n - e.g.ColCount(l, partition.Proc(v)))
+			}
 		}
 	}
 }

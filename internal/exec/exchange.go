@@ -25,10 +25,7 @@ type exchangePlan struct {
 	// rowCnt[i·NumProcs + p] (colCnt for columns) counts p's cells in
 	// line i; see partition.Grid.Raw.
 	rowCnt, colCnt []int32
-	// runs[rowAt[i]:rowAt[i+1]] are row i's cells as maximal runs of one
-	// owner, in column order.
-	runs  []ownerRun
-	rowAt []int32
+	ownerRuns
 	// first[p] is p's view as the exchange fills it: the rows and the
 	// columns p owns a cell in, in line order.
 	first [partition.NumProcs]view
@@ -42,6 +39,39 @@ type ownerRun struct {
 	j0, j1 int32
 	p      partition.Proc
 }
+
+// ownerRuns are a grid's rows as maximal runs of one owner, in column
+// order: row i's are runs[rowAt[i]:rowAt[i+1]]. A row one owner owns
+// whole is one run.
+type ownerRuns struct {
+	runs  []ownerRun
+	rowAt []int32
+}
+
+// newOwnerRuns derives g's owner runs.
+func newOwnerRuns(g *partition.Grid) ownerRuns {
+	cells, rowCnt, _ := g.Raw()
+	n, np := g.N(), partition.NumProcs
+	o := ownerRuns{rowAt: make([]int32, n+1)}
+	for i := 0; i < n; i++ {
+		row := cells[i*n : (i+1)*n]
+		for j := 0; j < n; {
+			j0, p := j, row[j]
+			if j == 0 && rowCnt[i*np+int(p)] == int32(n) {
+				j = n // p owns the whole row
+			}
+			for j < n && row[j] == p {
+				j++
+			}
+			o.runs = append(o.runs, ownerRun{int32(j0), int32(j), p})
+		}
+		o.rowAt[i+1] = int32(len(o.runs))
+	}
+	return o
+}
+
+// row returns row i's owner runs.
+func (o ownerRuns) row(i int) []ownerRun { return o.runs[o.rowAt[i]:o.rowAt[i+1]] }
 
 // span is a run of consecutive indices [lo, hi): of a view's elements in
 // a packet, of columns in a plan.
@@ -60,23 +90,9 @@ type view struct {
 }
 
 func newExchangePlan(g *partition.Grid) *exchangePlan {
-	cells, rowCnt, colCnt := g.Raw()
+	_, rowCnt, colCnt := g.Raw()
 	n, np := g.N(), partition.NumProcs
-	x := &exchangePlan{n: n, rowCnt: rowCnt, colCnt: colCnt, rowAt: make([]int32, n+1)}
-	for i := 0; i < n; i++ {
-		row := cells[i*n : (i+1)*n]
-		for j := 0; j < n; {
-			j0, p := j, row[j]
-			if j == 0 && rowCnt[i*np+int(p)] == int32(n) {
-				j = n // p owns the whole row
-			}
-			for j < n && row[j] == p {
-				j++
-			}
-			x.runs = append(x.runs, ownerRun{int32(j0), int32(j), p})
-		}
-		x.rowAt[i+1] = int32(len(x.runs))
-	}
+	x := &exchangePlan{n: n, rowCnt: rowCnt, colCnt: colCnt, ownerRuns: newOwnerRuns(g)}
 	for _, p := range partition.Procs {
 		v := &x.first[p]
 		v.aRow, v.bCol = make([]int32, n), make([]int32, n)
@@ -105,9 +121,6 @@ func appendLine(runs []span, l int) []span {
 	}
 	return append(runs, span{int32(l), int32(l + 1)})
 }
-
-// row returns row i's owner runs.
-func (x *exchangePlan) row(i int) []ownerRun { return x.runs[x.rowAt[i]:x.rowAt[i+1]] }
 
 // packet is one worker-to-worker transfer: runs of elements of the
 // receiver's A and B views and their values, run after run.
@@ -292,9 +305,9 @@ func (e *engine) exchange() <-chan struct{} {
 }
 
 // widen returns v holding also the patch's A rows and B columns, every
-// line still in line order: the worker's views after a recovery,
-// speculation or re-lease patch. Lines v already holds keep their
-// values, and a side the patch adds no line to is kept as it is.
+// line still in line order: the worker's views after a re-plan or
+// re-lease patch. Lines v already holds keep their values, and a side
+// the patch adds no line to is kept as it is.
 func (v view) widen(n int, t *blockTask) view {
 	w := v
 	if len(t.patchRows) > 0 {

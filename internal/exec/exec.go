@@ -11,17 +11,17 @@
 //
 // All five algorithms run on one supervised block scheduler (engine.go):
 // the multiplication is split into block tasks — one owner's cells in a
-// band of rows across the full width — with lease + heartbeat tracking,
-// completed C-blocks are journal-checkpointed so a killed run resumes
-// byte-identically, and a worker lost mid-multiply is survived by
-// re-planning the remaining region on the survivors — 3→2 with the
-// optimal two-processor shapes of the authors' prior work
-// (internal/twoproc), 2→1 with a serial fallback. Stragglers are
-// speculatively re-executed on the fastest idle survivor, with results
-// deduplicated by block id so the volume accounting stays exact. A
-// worker's result is also its request for the next block, so the
-// supervisor commits and verifies one block while the worker computes
-// the next.
+// band of rows across the full width, held as that owner's row runs —
+// with lease + heartbeat tracking, completed C-blocks are
+// journal-checkpointed so a killed run resumes byte-identically, and a
+// worker lost mid-multiply is survived by re-planning the remaining
+// region on the survivors — 3→2 with the optimal two-processor shapes of
+// the authors' prior work (internal/twoproc), 2→1 with a serial
+// fallback. One cutter makes every task, at the start and at each
+// re-plan, from a grid's owner runs, and a re-plan widens each
+// survivor's views once. A worker's result is also its request for the
+// next block, so the supervisor commits and verifies one block while the
+// worker computes the next.
 //
 // The algorithms differ only in a delivery gate. The exchange
 // (exchange.go) runs beside the workers and delivers each worker's
@@ -53,8 +53,8 @@ type Config struct {
 	// Algorithm picks the schedule — when a task may compute on
 	// exchanged data (see the package comment) — and the model behind
 	// the virtual clocks and the recovery re-plan's two-processor shape.
-	// Leases, recovery, speculation, Verify, checkpoints, pacing, tracing
-	// and metrics work the same for all five.
+	// Leases, recovery, Verify, checkpoints, pacing, tracing and metrics
+	// work the same for all five.
 	Algorithm model.Algorithm
 	// Pace, when true, throttles each worker to its relative speed in
 	// real time (the paper's CPU-limiter experiment), under every
@@ -73,9 +73,11 @@ type Config struct {
 	// (see Verify). Defaults to 32.
 	BlockSize int
 	// Faults injects worker-level faults (kill/hang at a progress
-	// fraction, persistent slowdown) into the compute phase. Nil injects
-	// nothing. See sim.FaultPlan's AddWorkerKill/AddWorkerHang/
-	// AddWorkerSlowdown and sim.ParseWorkerFaults.
+	// fraction, persistent slowdown, result corruption) into the compute
+	// phase. A slowed worker keeps heartbeating, so it is never declared
+	// lost for being slow. Nil injects nothing. See sim.FaultPlan's
+	// AddWorkerKill/AddWorkerHang/AddWorkerSlowdown and
+	// sim.ParseWorkerFaults.
 	Faults *sim.FaultPlan
 	// Checkpoint, when non-empty, journals every committed C-block to
 	// this path (internal/journal CRC framing) so a killed run can be
@@ -92,11 +94,6 @@ type Config struct {
 	// without a heartbeat before it is declared lost and its remaining
 	// work is re-planned on the survivors (default 250ms).
 	LeaseTimeout time.Duration
-	// StraggleAfter, when positive, speculatively re-executes a block
-	// that has been active longer than this on the fastest idle survivor
-	// (the original stays running; the first result wins, the loser is
-	// discarded by block id). Zero disables speculation.
-	StraggleAfter time.Duration
 
 	// Verify turns on ABFT result verification (integrity.go): every
 	// completed band is checked once against checksum references the
@@ -133,12 +130,11 @@ type Stats struct {
 	PairVolume [partition.NumProcs][partition.NumProcs]int64
 	// TotalVolume is the sum of all pair volumes; it equals the
 	// partition's VoC (Eq 1) exactly, which tests assert. Recovery
-	// redistribution is accounted separately in RecoveryVolume, and
-	// speculated/retried blocks are deduplicated by block id, so this
+	// redistribution is accounted separately in RecoveryVolume, so this
 	// stays exact under faults.
 	TotalVolume int64
 	// Flops[p] counts the multiply-add pairs worker p executed for
-	// blocks that were committed (speculation losers are excluded; see
+	// blocks that were committed (discarded results are excluded; see
 	// BlocksDiscarded).
 	Flops [partition.NumProcs]int64
 	// VirtualComm/VirtualComp/VirtualExe are the modelled times of the
@@ -154,17 +150,18 @@ type Stats struct {
 	// run (after checkpoint resume, before any recovery).
 	Blocks int
 	// BlocksDone counts committed blocks, including re-planned and
-	// speculated ones (each block id commits exactly once).
+	// re-leased ones.
 	BlocksDone int
 	// BlocksResumed counts checkpoint records replayed instead of
 	// recomputed.
 	BlocksResumed int
-	// BlocksReassigned counts block tasks created by loss recovery.
+	// BlocksReassigned counts block tasks created by loss recovery and
+	// integrity re-leases.
 	BlocksReassigned int
-	// BlocksSpeculated counts speculative re-executions launched for
-	// straggling blocks; BlocksDiscarded counts results thrown away by
-	// the block-id dedup (speculation losers).
-	BlocksSpeculated, BlocksDiscarded int
+	// BlocksDiscarded counts results thrown away because C already held
+	// every cell: a worker declared lost that reports after all, once
+	// its block's re-planned cells were committed.
+	BlocksDiscarded int
 
 	// Lost lists the workers declared dead (missed-heartbeat lease
 	// expiry), in detection order.
@@ -173,12 +170,10 @@ type Stats struct {
 	// event's kind ("replan-2proc" or "replan-serial").
 	Recoveries    int
 	RecoveryKinds []string
-	// Speculations counts straggler speculation events.
-	Speculations int
 	// RecoveryVolume is the number of extra A/B elements redistributed
-	// to survivors (and speculation targets) so they could compute work
+	// to survivors (and re-lease targets) so they could compute work
 	// they did not originally own — the communication overhead of
-	// recovery. Already-held fragments are not re-sent.
+	// recovery. Already-held lines are not re-sent.
 	RecoveryVolume int64
 	// RemainderNeed is what a from-scratch redistribution of the
 	// re-planned remainder would have moved (no credit for fragments the
@@ -207,7 +202,7 @@ type Stats struct {
 	ByzantineRejected int
 	// InjectedCorruptions is ground truth from the fault plan: how many
 	// delivered results the sim corruption fates actually corrupted
-	// (committed or Byzantine-rejected; speculation losers that never
+	// (committed or Byzantine-rejected; discarded results that never
 	// touched C are excluded). The integrity study's detection rate is
 	// (corrected + recomputed + rejected) / injected.
 	InjectedCorruptions int

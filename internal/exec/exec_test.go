@@ -2,8 +2,10 @@ package exec
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/push"
+	"repro/internal/twoproc"
 )
 
 func testMachine(ratio partition.Ratio) model.Machine {
@@ -358,9 +361,9 @@ func TestBandTasksTileShare(t *testing.T) {
 			for _, p := range partition.Procs {
 				v := e.views[p]
 				for _, task := range e.pending[p] {
-					row0 := int(task.cells[0]) / n / e.cfg.BlockSize * e.cfg.BlockSize
+					row0 := task.runs[0].Row / e.cfg.BlockSize * e.cfg.BlockSize
 					tiled += matrix.MulRunsLines(scratch, row0, v.a, v.aRow, v.b, v.bCol, task.runs, 0, matrix.PivotChunk)
-					cells += len(task.cells)
+					cells += len(cellsOf(task, n))
 				}
 			}
 			e.cancel()
@@ -583,7 +586,7 @@ func TestInitialCutLocalTasksFirst(t *testing.T) {
 				if gated {
 					t.Fatalf("%v: %v's local task %d is queued after a gated one", alg, p, task.id)
 				}
-				for _, idx := range task.cells {
+				for _, idx := range cellsOf(task, n) {
 					got[idx] = true
 				}
 			}
@@ -688,11 +691,74 @@ func TestViewsHoldTheirLines(t *testing.T) {
 	}
 }
 
+// cellsOf returns a task's cells as row-major indices, run after run.
+func cellsOf(t *blockTask, n int) []int32 {
+	var cells []int32
+	for _, r := range t.runs {
+		for j := r.J0; j < r.J1; j++ {
+			cells = append(cells, int32(r.Row*n+j))
+		}
+	}
+	return cells
+}
+
+// cellTask is a task of the cell-by-cell oracle: an owner's cells as
+// row-major indices, ascending.
+type cellTask struct {
+	id    int
+	owner partition.Proc
+	local bool
+	cells []int32
+}
+
+// bandTasks is the cell-by-cell oracle of the cutter: it groups
+// ascending cells into (band, owner) tasks with ids from id on — one
+// task per owner per band of bs rows, bands in order and R, S, P within
+// a band.
+func bandTasks(cells []int32, n, bs, id int, ownerOf func(int32) partition.Proc) []cellTask {
+	var tasks []cellTask
+	for lo := 0; lo < len(cells); {
+		band := int(cells[lo]) / n / bs
+		hi := lo
+		for hi < len(cells) && int(cells[hi])/n/bs == band {
+			hi++
+		}
+		for _, p := range partition.Procs {
+			var group []int32
+			for _, idx := range cells[lo:hi] {
+				if ownerOf(idx) == p {
+					group = append(group, idx)
+				}
+			}
+			if len(group) > 0 {
+				tasks = append(tasks, cellTask{id: id, owner: p, cells: group})
+				id++
+			}
+		}
+		lo = hi
+	}
+	return tasks
+}
+
+// cellRuns groups ascending cells into maximal row runs.
+func cellRuns(cells []int32, n int) []matrix.Run {
+	var runs []matrix.Run
+	for _, idx := range cells {
+		i, j := int(idx)/n, int(idx)%n
+		if m := len(runs) - 1; m >= 0 && runs[m].Row == i && runs[m].J1 == j {
+			runs[m].J1++
+			continue
+		}
+		runs = append(runs, matrix.Run{Row: i, J0: j, J1: j + 1})
+	}
+	return runs
+}
+
 // cutByCells is the initial cut as a pass over every cell: the undone
 // cells split into local and gated lists, each grouped by bandTasks,
 // local tasks first. The engine's cut walks owner runs instead and must
 // give the same tasks.
-func cutByCells(e *engine) []*blockTask {
+func cutByCells(e *engine) []cellTask {
 	n := e.n
 	overlap := e.cfg.Algorithm == model.SCO || e.cfg.Algorithm == model.PCO
 	var local, cells []int32
@@ -707,26 +773,46 @@ func cutByCells(e *engine) []*blockTask {
 			cells = append(cells, int32(idx))
 		}
 	}
-	ref := &engine{n: n, cfg: Config{BlockSize: e.cfg.BlockSize}}
 	ownerOf := func(idx int32) partition.Proc { return e.g.AtIndex(int(idx)) }
-	tasks := ref.bandTasks(local, ownerOf)
-	for _, t := range tasks {
-		t.local = true
+	tasks := bandTasks(local, n, e.cfg.BlockSize, 0, ownerOf)
+	for x := range tasks {
+		tasks[x].local = true
 	}
-	return append(tasks, ref.bandTasks(cells, ownerOf)...)
+	return append(tasks, bandTasks(cells, n, e.cfg.BlockSize, len(tasks), ownerOf)...)
 }
 
-// TestInitialCutMatchesBandTasks: the cut that walks owner runs gives
-// exactly the tasks bandTasks cuts from the cells — ids, queue order,
-// owners, cells and the local split — for all five algorithms, on the
-// benchmark partitions, a ragged band height and a random partition,
-// and with a checkpoint-resumed done mask; and each task's runs are its
-// cells' row runs.
-func TestInitialCutMatchesBandTasks(t *testing.T) {
-	const n = 130
-	ratio := partition.MustRatio(10, 1, 1)
-	a, b := randomMatrices(n, 52)
-	rng := rand.New(rand.NewSource(53))
+// matchQueues fails unless the engine's pending queues hold exactly the
+// oracle's tasks, each owner's in the oracle's order: ids, owners, the
+// local split and cells, and each task's runs the maximal row runs of
+// its cells.
+func matchQueues(t *testing.T, tag string, e *engine, want []cellTask) {
+	t.Helper()
+	for _, p := range partition.Procs {
+		var q []cellTask
+		for _, w := range want {
+			if w.owner == p {
+				q = append(q, w)
+			}
+		}
+		if len(e.pending[p]) != len(q) {
+			t.Fatalf("%s: %v queues %d tasks, want %d", tag, p, len(e.pending[p]), len(q))
+		}
+		for x, got := range e.pending[p] {
+			w, cells := q[x], cellsOf(got, e.n)
+			if got.id != w.id || got.owner != w.owner || got.local != w.local || !slices.Equal(cells, w.cells) {
+				t.Fatalf("%s: %v's task %d is id %d owner %v local %v with %d cells, want id %d owner %v local %v with %d cells",
+					tag, p, x, got.id, got.owner, got.local, len(cells), w.id, w.owner, w.local, len(w.cells))
+			}
+			if !slices.Equal(got.runs, cellRuns(w.cells, e.n)) {
+				t.Fatalf("%s: task %d's runs are not its cells' maximal row runs", tag, got.id)
+			}
+		}
+	}
+}
+
+// cutTestGrids are the partitions the cut tests run on at n=130: the
+// benchmark's two shapes and a random partition.
+func cutTestGrids(t *testing.T, n int, ratio partition.Ratio, rng *rand.Rand) map[string]*partition.Grid {
 	grids := map[string]*partition.Grid{"Random": partition.NewRandom(n, ratio, rng)}
 	for _, s := range []partition.Shape{partition.SquareCorner, partition.BlockRectangle} {
 		g, err := partition.Build(s, n, ratio)
@@ -735,7 +821,33 @@ func TestInitialCutMatchesBandTasks(t *testing.T) {
 		}
 		grids[s.String()] = g
 	}
-	for name, g := range grids {
+	return grids
+}
+
+// markResumed marks whole blocks and scattered cells done, as a resumed
+// journal and its re-verified bands leave them.
+func markResumed(e *engine, rng *rand.Rand) {
+	n := e.n
+	for idx := range e.doneMask {
+		if i := idx / n; i < 30 || (i >= 48 && i < 72 && idx%3 == 0) || rng.Intn(9) == 0 {
+			e.doneMask[idx] = true
+			e.doneCells++
+		}
+	}
+}
+
+// TestInitialCutMatchesBandTasks: the cut that walks owner runs gives
+// exactly the tasks bandTasks cuts from the cells — ids, queue order,
+// owners, cells and the local split — for all five algorithms, on the
+// benchmark partitions, a ragged band height and a random partition,
+// and with a checkpoint-resumed done mask; and each task's runs are its
+// cells' maximal row runs.
+func TestInitialCutMatchesBandTasks(t *testing.T) {
+	const n = 130
+	ratio := partition.MustRatio(10, 1, 1)
+	a, b := randomMatrices(n, 52)
+	rng := rand.New(rand.NewSource(53))
+	for name, g := range cutTestGrids(t, n, ratio, rng) {
 		for _, alg := range model.AllAlgorithms {
 			for _, resumed := range []bool{false, true} {
 				e, err := newEngine(context.Background(), Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: 24}, g, a, b)
@@ -743,14 +855,7 @@ func TestInitialCutMatchesBandTasks(t *testing.T) {
 					t.Fatal(err)
 				}
 				if resumed {
-					// Whole blocks and scattered cells, as a resumed
-					// journal and its re-verified bands leave them.
-					for idx := range e.doneMask {
-						if i := idx / n; i < 30 || (i >= 48 && i < 72 && idx%3 == 0) || rng.Intn(9) == 0 {
-							e.doneMask[idx] = true
-							e.doneCells++
-						}
-					}
+					markResumed(e, rng)
 				}
 				e.buildInitialTasks()
 				want := cutByCells(e)
@@ -761,25 +866,182 @@ func TestInitialCutMatchesBandTasks(t *testing.T) {
 				if e.stats.Blocks != len(want) || e.nextID != len(want) {
 					t.Fatalf("%s: %d blocks, next id %d; want %d", tag, e.stats.Blocks, e.nextID, len(want))
 				}
-				for _, p := range partition.Procs {
-					var q []*blockTask
-					for _, w := range want {
-						if w.owner == p {
-							q = append(q, w)
+				matchQueues(t, tag, e, want)
+				e.cancel()
+			}
+		}
+	}
+}
+
+// TestReplanCutMatchesBandTasks: a loss re-plan cuts its tasks exactly
+// as bandTasks cuts the withdrawn cells under the re-plan's ownership —
+// the two survivors on the prior work's optimal two-processor shape, the
+// faster on its P cells, then the sole survivor on every cell — with
+// ids, queue order, owners and cells. It starts from a resumed cut with
+// scattered done cells, on all five algorithms, the cut tests'
+// partitions and 24-row bands, and evicts one worker (3→2) and then a
+// second (2→1). Before each eviction every worker finishes its task in
+// flight and takes its next one, so the victim's task is withdrawn and
+// the survivors' are left in place. Each survivor's first new task
+// carries every line its new tasks span and it did not hold, and the
+// others none; RecoveryVolume grows by those lines and RemainderNeed by
+// every line the new cells span, less the survivor's own cells of it.
+func TestReplanCutMatchesBandTasks(t *testing.T) {
+	const n, bs = 130, 24
+	ratio := partition.MustRatio(10, 1, 1)
+	speed := testMachine(ratio).Ratio.Speed
+	a, b := randomMatrices(n, 54)
+	rng := rand.New(rand.NewSource(55))
+	type lines struct{ rows, cols map[int]bool }
+	span := func(cells []int32) lines {
+		l := lines{map[int]bool{}, map[int]bool{}}
+		for _, idx := range cells {
+			l.rows[int(idx)/n], l.cols[int(idx)%n] = true, true
+		}
+		return l
+	}
+	for name, g := range cutTestGrids(t, n, ratio, rng) {
+		for _, alg := range model.AllAlgorithms {
+			for _, victims := range [][2]partition.Proc{{partition.R, partition.P}, {partition.P, partition.S}} {
+				e, err := newEngine(context.Background(), Config{Machine: testMachine(ratio), Algorithm: alg, BlockSize: bs}, g, a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				markResumed(e, rng)
+				e.buildInitialTasks()
+				// held[v] are the lines v holds: its own, and those its
+				// delivered patches brought. spanned[v] are the lines its
+				// last re-plan's cells span.
+				var held, spanned [partition.NumProcs]lines
+				for _, v := range partition.Procs {
+					held[v] = lines{map[int]bool{}, map[int]bool{}}
+					for l := 0; l < n; l++ {
+						held[v].rows[l], held[v].cols[l] = g.RowHas(l, v), g.ColHas(l, v)
+					}
+				}
+				var volume, need int64
+				tag := name + " " + alg.String() + " evict"
+				for step, victim := range victims {
+					tag += " " + victim.String()
+					for _, p := range partition.Procs {
+						if task := e.active[p]; task != nil {
+							for _, idx := range cellsOf(task, n) {
+								if !e.doneMask[idx] {
+									e.doneMask[idx] = true
+									e.doneCells++
+								}
+							}
+							e.active[p] = nil
+						}
+						if q := e.pending[p]; e.alive[p] && len(q) > 0 {
+							// Taking its first re-planned task delivers the
+							// lines of all of them.
+							e.active[p], e.pending[p] = q[0], q[1:]
+							if step > 0 {
+								maps.Copy(held[p].rows, spanned[p].rows)
+								maps.Copy(held[p].cols, spanned[p].cols)
+							}
 						}
 					}
-					if len(e.pending[p]) != len(q) {
-						t.Fatalf("%s: %v queues %d tasks, want %d", tag, p, len(e.pending[p]), len(q))
+
+					// The oracle: the undone cells of the victim's task and
+					// of every queued task, grouped under the re-plan's
+					// ownership.
+					var withdrawn []int32
+					for _, task := range append([]*blockTask{e.active[victim]}, slices.Concat(e.pending[partition.R], e.pending[partition.S], e.pending[partition.P])...) {
+						if task == nil {
+							continue
+						}
+						for _, idx := range cellsOf(task, n) {
+							if !e.doneMask[idx] {
+								withdrawn = append(withdrawn, idx)
+							}
+						}
 					}
-					for x, got := range e.pending[p] {
-						w := q[x]
-						if got.id != w.id || got.owner != w.owner || got.local != w.local || !slices.Equal(got.cells, w.cells) {
-							t.Fatalf("%s: %v's task %d is id %d owner %v local %v with %d cells, want id %d owner %v local %v with %d cells",
-								tag, p, x, got.id, got.owner, got.local, len(got.cells), w.id, w.owner, w.local, len(w.cells))
+					slices.Sort(withdrawn)
+					var survivors []partition.Proc
+					for _, p := range partition.Procs {
+						if e.alive[p] && p != victim {
+							survivors = append(survivors, p)
 						}
-						if !slices.Equal(got.runs, matrix.CellRuns(got.cells, n)) {
-							t.Fatalf("%s: task %d's runs are not its cells' runs", tag, got.id)
+					}
+					sort.SliceStable(survivors, func(i, j int) bool { return speed(survivors[i]) > speed(survivors[j]) })
+					fast, kind := survivors[0], "replan-serial"
+					ownerOf := func(int32) partition.Proc { return fast }
+					if len(survivors) == 2 {
+						kind = "replan-2proc"
+						slow := survivors[1]
+						r2, err := twoproc.NewRatio(speed(fast) / speed(slow))
+						if err != nil {
+							t.Fatal(err)
 						}
+						tg, err := twoproc.Build(twoproc.Optimal(alg, r2), n, r2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ownerOf = func(idx int32) partition.Proc {
+							if tg.AtIndex(int(idx)) == partition.R {
+								return slow
+							}
+							return fast
+						}
+					}
+					want := bandTasks(withdrawn, n, bs, e.nextID, ownerOf)
+					var add [partition.NumProcs]lines // the lines each survivor's patch must bring
+					for _, v := range survivors {
+						var cells []int32
+						for _, w := range want {
+							if w.owner == v {
+								cells = append(cells, w.cells...)
+							}
+						}
+						spanned[v], add[v] = span(cells), lines{map[int]bool{}, map[int]bool{}}
+						for l := range spanned[v].rows {
+							need += int64(n - g.RowCount(l, v))
+							if !held[v].rows[l] {
+								add[v].rows[l] = true
+							}
+						}
+						for l := range spanned[v].cols {
+							need += int64(n - g.ColCount(l, v))
+							if !held[v].cols[l] {
+								add[v].cols[l] = true
+							}
+						}
+						volume += int64(len(add[v].rows)+len(add[v].cols)) * n
+					}
+
+					if err := e.evict(victim, time.Now(), false); err != nil {
+						t.Fatal(err)
+					}
+					if len(want) == 0 {
+						t.Fatalf("%s: nothing withdrawn; pick other done cells", tag)
+					}
+					if k := e.stats.RecoveryKinds; len(k) != step+1 || k[step] != kind {
+						t.Fatalf("%s: recovery kinds %v, want %s last", tag, k, kind)
+					}
+					matchQueues(t, tag, e, want)
+					for _, v := range survivors {
+						for x, task := range e.pending[v] {
+							rows, cols := map[int]bool{}, map[int]bool{}
+							for _, l := range task.patchRows {
+								rows[int(l)] = true
+							}
+							for _, l := range task.patchCols {
+								cols[int(l)] = true
+							}
+							if x == 0 && (!maps.Equal(rows, add[v].rows) || !maps.Equal(cols, add[v].cols)) {
+								t.Fatalf("%s: %v's first task brings %d rows and %d columns, want %d and %d",
+									tag, v, len(rows), len(cols), len(add[v].rows), len(add[v].cols))
+							}
+							if x > 0 && len(rows)+len(cols) > 0 {
+								t.Fatalf("%s: %v's task %d brings lines too", tag, v, x)
+							}
+						}
+					}
+					if e.stats.RecoveryVolume != volume || e.stats.RemainderNeed != need {
+						t.Fatalf("%s: RecoveryVolume %d, RemainderNeed %d; want %d, %d",
+							tag, e.stats.RecoveryVolume, e.stats.RemainderNeed, volume, need)
 					}
 				}
 				e.cancel()
@@ -835,12 +1097,14 @@ func TestDeliveryGate(t *testing.T) {
 	}
 }
 
-// BenchmarkBandTasks measures the two cuts of an N=512 multiply on a
-// Block-Rectangle 5:2:1 partition at the default band height. "initial"
-// is buildInitialTasks under SCB, the cut every multiply runs: all
-// 262,144 cells grouped into (band, owner) tasks from the plan's owner
-// runs. "recovery" is bandTasks, the cut a loss re-plan runs on its
-// remainder, here over all cells.
+// BenchmarkBandTasks measures the cutter on an N=512 multiply of a
+// Block-Rectangle 5:2:1 partition at the default band height.
+// "initial" is buildInitialTasks under SCB, the cut every multiply runs:
+// all 262,144 cells cut into (band, owner) tasks from the plan's owner
+// runs. "recovery" is the cut a loss re-plan runs when S is lost with
+// nothing done: the skip mask built from every queued task, and every
+// cell cut again on the two survivors' re-plan grid, whose owner runs
+// are derived once, outside the timed loop.
 func BenchmarkBandTasks(b *testing.B) {
 	const n = 512
 	ratio := partition.MustRatio(5, 2, 1)
@@ -848,36 +1112,42 @@ func BenchmarkBandTasks(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	x, y := randomMatrices(n, 1)
+	e, err := newEngine(context.Background(), Config{Machine: testMachine(ratio), Algorithm: model.SCB}, g, x, y)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.cancel()
+	initial := func() {
+		e.nextID, e.stats.Blocks = 0, 0
+		clear(e.pending)
+		e.buildInitialTasks()
+	}
 	b.Run("initial", func(b *testing.B) {
-		x, y := randomMatrices(n, 1)
-		e, err := newEngine(context.Background(), Config{Machine: testMachine(ratio), Algorithm: model.SCB}, g, x, y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer e.cancel()
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.nextID, e.stats.Blocks = 0, 0
-			clear(e.pending)
-			e.buildInitialTasks()
+			initial()
 			if e.stats.Blocks == 0 {
 				b.Fatal("no tasks")
 			}
 		}
 	})
 	b.Run("recovery", func(b *testing.B) {
-		cells := make([]int32, n*n)
-		for i := range cells {
-			cells[i] = int32(i)
+		initial()
+		var queued []*blockTask
+		for _, p := range partition.Procs {
+			queued = append(queued, e.pending[p]...)
 		}
-		ownerOf := func(idx int32) partition.Proc { return g.AtIndex(int(idx)) }
+		owners, _, err := e.replanOwners([]partition.Proc{partition.P, partition.R})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e := &engine{n: n, cfg: Config{BlockSize: defaultBlockSize}}
-			if tasks := e.bandTasks(cells, ownerOf); len(tasks) == 0 {
-				b.Fatal("no tasks")
+			skip, left := e.skipAllBut(queued)
+			if tasks := e.cut(owners, skip, false); len(tasks) == 0 || left != n*n {
+				b.Fatalf("%d tasks over %d cells", len(tasks), left)
 			}
 		}
 	})

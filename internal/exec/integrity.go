@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/matrix"
 	"repro/internal/partition"
 )
 
@@ -73,8 +75,8 @@ const relTol = 1e-9
 // band, remembered until the band verifies so a mismatch can be
 // attributed to (and charged against) the worker that computed it.
 type bandContrib struct {
-	from  partition.Proc
-	cells []int32
+	from partition.Proc
+	runs []matrix.Run
 }
 
 // bandState tracks one band of BlockSize C rows through verification.
@@ -186,10 +188,6 @@ func (in *integrity) weightedSum(row []float64) float64 {
 	return sum
 }
 
-func (in *integrity) bandOf(idx int32) *bandState {
-	return in.bands[int(idx)/in.e.n/in.bs]
-}
-
 // blockCommitted records a committed block's fresh cells against its
 // band and verifies the band once its last cell lands. When the block
 // is an integrity re-lease, the recompute is first compared against the
@@ -199,12 +197,12 @@ func (in *integrity) bandOf(idx int32) *bandState {
 // the workers) and strikes whichever side disagrees with the truth.
 // Disagreement alone convicts nobody: a corrupt recomputer must not be
 // able to frame the honest worker whose block it re-leased.
-func (in *integrity) blockCommitted(r blockResult, fresh []int32) error {
+func (in *integrity) blockCommitted(r blockResult, fresh []matrix.Run) error {
 	if r.task.prior != nil {
-		for i := range r.task.cells {
+		for i, idx := range runIndices(r.task.runs, in.e.n) {
 			if r.vals[i] != r.task.prior[i] &&
 				!(math.IsNaN(r.vals[i]) && math.IsNaN(r.task.prior[i])) {
-				truth := in.trueCell(r.task.cells[i])
+				truth := in.trueCell(idx)
 				if pv := r.task.prior[i]; pv != truth {
 					if err := in.strike(r.task.priorFrom); err != nil {
 						return err
@@ -219,9 +217,9 @@ func (in *integrity) blockCommitted(r blockResult, fresh []int32) error {
 			}
 		}
 	}
-	bnd := in.bandOf(fresh[0])
-	bnd.contrib[r.task.id] = &bandContrib{from: r.from, cells: fresh}
-	bnd.remaining -= len(fresh)
+	bnd := in.bands[fresh[0].Row/in.bs]
+	bnd.contrib[r.task.id] = &bandContrib{from: r.from, runs: fresh}
+	bnd.remaining -= runCells(fresh)
 	if bnd.remaining > 0 {
 		return nil
 	}
@@ -373,12 +371,12 @@ func (in *integrity) flushBand(bnd *bandState) error {
 	sort.Ints(ids)
 	cd := e.c.Data()
 	for _, id := range ids {
-		bc := bnd.contrib[id]
-		vals := make([]float64, len(bc.cells))
-		for i, idx := range bc.cells {
+		cells := runIndices(bnd.contrib[id].runs, e.n)
+		vals := make([]float64, len(cells))
+		for i, idx := range cells {
 			vals[i] = cd[idx]
 		}
-		if err := e.ckpt.AppendPayload(newCkptRecord(id, bc.cells, vals)); err != nil {
+		if err := e.ckpt.AppendPayload(newCkptRecord(id, cells, vals)); err != nil {
 			return fmt.Errorf("exec: checkpoint: %w", err)
 		}
 	}
@@ -420,16 +418,17 @@ func (in *integrity) discard(bnd *bandState, badRows, badCols []int) error {
 	e := in.e
 	n := e.n
 
-	suspect := make(map[int32]bool)
+	// suspect marks the band's suspect cells, its rows from bnd.r0 on.
+	suspect := make([]bool, (bnd.r1-bnd.r0)*n)
 	for _, i := range badRows {
 		for _, j := range badCols {
-			suspect[int32(i*n+j)] = true
+			suspect[(i-bnd.r0)*n+j] = true
 		}
 	}
 	var discardIDs []int
 	for id, bc := range bnd.contrib {
-		for _, idx := range bc.cells {
-			if suspect[idx] {
+		for _, r := range bc.runs {
+			if at := (r.Row - bnd.r0) * n; slices.Contains(suspect[at+r.J0:at+r.J1], true) {
 				discardIDs = append(discardIDs, id)
 				break
 			}
@@ -445,26 +444,25 @@ func (in *integrity) discard(bnd *bandState, badRows, badCols []int) error {
 		}
 		for _, i := range badRows {
 			for j := 0; j < n; j++ {
-				suspect[int32(i*n+j)] = true
+				suspect[(i-bnd.r0)*n+j] = true
 			}
 		}
 		for _, j := range badCols {
 			for i := bnd.r0; i < bnd.r1; i++ {
-				suspect[int32(i*n+j)] = true
+				suspect[(i-bnd.r0)*n+j] = true
 			}
 		}
 	}
 	sort.Ints(discardIDs)
 
 	cd := e.c.Data()
-	covered := make(map[int32]bool)
 	for _, id := range discardIDs {
 		bc := bnd.contrib[id]
 		delete(bnd.contrib, id)
-		prior := make([]float64, len(bc.cells))
-		for i, idx := range bc.cells {
+		cells := runIndices(bc.runs, n)
+		prior := make([]float64, len(cells))
+		for i, idx := range cells {
 			prior[i] = cd[idx]
-			covered[idx] = true
 			e.doneMask[idx] = false
 			cd[idx] = 0
 			e.doneCells--
@@ -473,7 +471,7 @@ func (in *integrity) discard(bnd *bandState, badRows, badCols []int) error {
 		e.stats.BlocksRecomputed++
 		e.em.corruption("recomputed")
 
-		nt := &blockTask{id: e.nextID, owner: in.releaseTarget(bc.from), cells: bc.cells,
+		nt := &blockTask{id: e.nextID, owner: in.releaseTarget(bc.from), runs: bc.runs,
 			prior: prior, priorFrom: bc.from}
 		e.nextID++
 		e.buildPatch(nt)
@@ -485,21 +483,28 @@ func (in *integrity) discard(bnd *bandState, badRows, badCols []int) error {
 	// Suspect cells nobody contributed (restored from a checkpoint
 	// record whose journal checksum passed, so this is the cancellation
 	// fallback above, not silent disk corruption): recompute them too.
-	var orphans []int32
-	for idx := range suspect {
-		if !covered[idx] && e.doneMask[idx] {
-			orphans = append(orphans, idx)
-		}
-	}
-	if len(orphans) > 0 {
-		sort.Slice(orphans, func(x, y int) bool { return orphans[x] < orphans[y] })
-		for _, idx := range orphans {
+	// The discarded blocks' cells are undone by now, so these are the
+	// suspect cells still done.
+	var orphans []matrix.Run
+	for i := bnd.r0; i < bnd.r1; i++ {
+		for j := 0; j < n; j++ {
+			idx := i*n + j
+			if !suspect[idx-bnd.r0*n] || !e.doneMask[idx] {
+				continue
+			}
 			e.doneMask[idx] = false
 			cd[idx] = 0
 			e.doneCells--
 			bnd.remaining++
+			if m := len(orphans) - 1; m >= 0 && orphans[m].Row == i && orphans[m].J1 == j {
+				orphans[m].J1++
+			} else {
+				orphans = append(orphans, matrix.Run{Row: i, J0: j, J1: j + 1})
+			}
 		}
-		nt := &blockTask{id: e.nextID, owner: e.survivorsBySpeed()[0], cells: orphans}
+	}
+	if len(orphans) > 0 {
+		nt := &blockTask{id: e.nextID, owner: e.survivorsBySpeed()[0], runs: orphans}
 		e.nextID++
 		e.buildPatch(nt)
 		e.pending[nt.owner] = append(e.pending[nt.owner], nt)

@@ -142,8 +142,9 @@ func TestVerifyBandHoldsTileFloor(t *testing.T) {
 			// the one holding (i, j) reports that cell off by delta.
 			for _, p := range partition.Procs {
 				for _, task := range e.pending[p] {
-					vals := make([]float64, len(task.cells))
-					for ci, idx := range task.cells {
+					cells := cellsOf(task, n)
+					vals := make([]float64, len(cells))
+					for ci, idx := range cells {
 						vals[ci] = want.Data()[idx]
 						if idx == int32(i*n+j) {
 							vals[ci] += delta

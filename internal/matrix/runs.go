@@ -285,19 +285,3 @@ func MaskRuns(mask []bool, n int) []Run {
 	}
 	return runs
 }
-
-// CellRuns groups distinct row-major cell indices of an n×n matrix into
-// row runs, merging each index into the previous run when it directly
-// follows it in the same row. Ascending indices give the fewest runs.
-func CellRuns(cells []int32, n int) []Run {
-	var runs []Run
-	for _, idx := range cells {
-		i, j := int(idx)/n, int(idx)%n
-		if m := len(runs) - 1; m >= 0 && runs[m].Row == i && runs[m].J1 == j {
-			runs[m].J1++
-			continue
-		}
-		runs = append(runs, Run{Row: i, J0: j, J1: j + 1})
-	}
-	return runs
-}

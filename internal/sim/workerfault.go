@@ -104,9 +104,9 @@ func (f *FaultPlan) setFate(p partition.Proc, fate WorkerFate, frac float64) err
 }
 
 // AddWorkerSlowdown makes execution worker p compute factor× slower for
-// the whole run — a persistent straggler the supervisor should detect
-// and speculate around rather than declare dead (the worker keeps
-// heartbeating).
+// the whole run — a persistent straggler the supervisor must not
+// declare dead (the worker keeps heartbeating), so it finishes its own
+// work, late.
 func (f *FaultPlan) AddWorkerSlowdown(p partition.Proc, factor float64) error {
 	if !p.Valid() {
 		return &ConfigError{Field: "worker-slowdown", Reason: fmt.Sprintf("invalid processor %v", p)}
